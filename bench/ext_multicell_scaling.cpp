@@ -9,18 +9,14 @@
 // cell, each adapting to its own BSS).
 //
 // Part B (substrate): simulated-seconds per wall-second at 100 / 1k / 5k
-// stations, incremental interference marking (WLAN_INCR_MEDIUM=1, the
-// default) vs the legacy full active-list scan (=0). The two paths are
-// BYTE-IDENTICAL — this driver asserts equal delivered-bit counts — so the
-// speedup is free. Also prints the pair-scan and interference-check
-// counters behind the win: the incremental path visits only each source's
-// precomputed interference peers and only decodable receivers.
+// stations, plus the pair-scan and interference-check counters behind it:
+// the medium visits only each source's precomputed interference peers and
+// only decodable receivers. (The differential tests hold that marking to
+// a full-scan recomputation of every delivered clean flag.)
 #include <chrono>
 #include <cinttypes>
-#include <cstdlib>
 
 #include "bench_common.hpp"
-#include "phy/medium.hpp"
 #include "stats/fairness.hpp"
 
 using namespace wlan;
@@ -28,32 +24,24 @@ using namespace wlan;
 namespace {
 
 struct TimedRun {
-  double build_s = 0.0;
   double run_s = 0.0;
-  double mbps = 0.0;
   std::int64_t bits = 0;
   std::uint64_t pairs = 0;
   std::uint64_t checks = 0;
 };
 
 TimedRun run_timed(const exp::ScenarioConfig& scenario,
-                   const exp::SchemeConfig& scheme, double sim_seconds,
-                   int force_incremental) {
+                   const exp::SchemeConfig& scheme, double sim_seconds) {
   using clock = std::chrono::steady_clock;
-  phy::Medium::set_incremental_override(force_incremental);
   TimedRun out;
-  const auto b0 = clock::now();
   auto net = exp::build_network(scenario, scheme);
-  out.build_s = std::chrono::duration<double>(clock::now() - b0).count();
   net->start();
   const auto t0 = clock::now();
   net->run_for(sim::Duration::seconds(sim_seconds));
   out.run_s = std::chrono::duration<double>(clock::now() - t0).count();
   out.bits = net->counters().total_bits_delivered();
-  out.mbps = net->total_mbps();
   out.pairs = net->medium().marking_pairs_scanned();
   out.checks = net->medium().interference_checks();
-  phy::Medium::set_incremental_override(-1);
   return out;
 }
 
@@ -62,8 +50,8 @@ TimedRun run_timed(const exp::ScenarioConfig& scenario,
 int main(int argc, char** argv) {
   bench::init(argc, argv);
   bench::header("Ext: multi-cell (ESS) scaling",
-                "throughput/fairness vs cells, and incremental-vs-legacy "
-                "medium marking wall-time at 100/1k/5k stations");
+                "throughput/fairness vs cells, and medium marking "
+                "wall-time at 100/1k/5k stations");
 
   const double scale = util::bench_time_scale();
 
@@ -121,55 +109,38 @@ int main(int argc, char** argv) {
     int per_cell;
     double sim_s;
   };
-  // Short sim windows: the LEGACY side is the expensive one (that is the
-  // finding), and at 5k stations it burns ~13 billion capture checks per
-  // simulated second.
+  // Short sim windows: the 5k-station case dominates the driver's wall
+  // time.
   std::vector<PerfCase> perf{{4, 25, 2.0}, {25, 40, 0.6}};
   if (!util::bench_fast()) perf.push_back({125, 40, 0.05});
 
   util::CsvWriter perf_csv("ext_multicell_perf.csv");
-  perf_csv.header({"stations", "cells", "sim_s", "incr_wall_s",
-                   "legacy_wall_s", "speedup", "incr_sim_per_wall",
-                   "legacy_sim_per_wall", "incr_pairs", "legacy_pairs",
-                   "incr_checks", "legacy_checks"});
+  perf_csv.header({"stations", "cells", "sim_s", "wall_s", "sim_per_wall",
+                   "pairs", "checks"});
 
-  util::Table perf_table({"stations", "cells", "sim-s", "incr wall",
-                          "legacy wall", "speedup", "incr sim/wall",
-                          "legacy sim/wall"});
+  util::Table perf_table({"stations", "cells", "sim-s", "wall", "sim/wall",
+                          "pairs", "checks"});
   const auto perf_scheme = exp::SchemeConfig::standard();
   for (const auto& pc : perf) {
     const int stations = pc.cells * pc.per_cell;
     const double sim_s = pc.sim_s * scale;
     const auto scenario =
         exp::ScenarioConfig::multicell(pc.cells, pc.per_cell, 40.0, 1);
-    const auto incr = run_timed(scenario, perf_scheme, sim_s, 1);
-    const auto legacy = run_timed(scenario, perf_scheme, sim_s, 0);
-    if (incr.bits != legacy.bits) {
-      std::fprintf(stderr,
-                   "FATAL: incremental and legacy marking diverged "
-                   "(%" PRId64 " vs %" PRId64 " bits delivered)\n",
-                   incr.bits, legacy.bits);
-      return 1;
-    }
-    const double speedup = legacy.run_s / incr.run_s;
-    perf_csv.row_numeric(
-        {static_cast<double>(stations), static_cast<double>(pc.cells), sim_s,
-         incr.run_s, legacy.run_s, speedup, sim_s / incr.run_s,
-         sim_s / legacy.run_s, static_cast<double>(incr.pairs),
-         static_cast<double>(legacy.pairs), static_cast<double>(incr.checks),
-         static_cast<double>(legacy.checks)});
-    perf_table.add_row(
-        std::to_string(stations),
-        {static_cast<double>(pc.cells), sim_s, incr.run_s, legacy.run_s,
-         speedup, sim_s / incr.run_s, sim_s / legacy.run_s});
-    std::printf("  n=%d: pairs %" PRIu64 " -> %" PRIu64
-                ", checks %" PRIu64 " -> %" PRIu64
-                " (legacy -> incremental), identical bits=%" PRId64 "\n",
-                stations, legacy.pairs, incr.pairs, legacy.checks, incr.checks,
-                incr.bits);
+    const auto run = run_timed(scenario, perf_scheme, sim_s);
+    const std::vector<double> cols{static_cast<double>(pc.cells),
+                                   sim_s,
+                                   run.run_s,
+                                   sim_s / run.run_s,
+                                   static_cast<double>(run.pairs),
+                                   static_cast<double>(run.checks)};
+    std::vector<double> row{static_cast<double>(stations)};
+    row.insert(row.end(), cols.begin(), cols.end());
+    perf_csv.row_numeric(row);
+    perf_table.add_row(std::to_string(stations), cols);
+    std::printf("  n=%d: pairs %" PRIu64 ", checks %" PRIu64
+                ", bits delivered %" PRId64 "\n",
+                stations, run.pairs, run.checks, run.bits);
   }
   perf_table.print(std::cout);
-  std::printf("\nBoth paths deliver bit-identical results (asserted above);\n"
-              "the speedup is the peer-index + decode-mask scan reduction.\n");
   return 0;
 }

@@ -186,12 +186,10 @@ sim::Time ContentionArbiter::min_boundary(const BackoffCohort& cohort) const {
 void ContentionArbiter::arm(BackoffCohort& cohort) {
   const sim::Time due = min_boundary(cohort);
   cohort.due = due;
-  // Entry-lookback saturation guard, mirroring Station::begin_backoff:
-  // past ~4.29 s of continuous backoff the order key could no longer
-  // express the entry recency, so re-anchor to now. Deterministic, and
-  // unreachable under every existing scheme (it needs > 4 s of idle
-  // backoff); the per-station path re-anchors per member at its own
-  // continuation boundary in the same unreachable regime.
+  // Entry-lookback saturation guard: past ~4.29 s of continuous backoff
+  // the order key could no longer express the entry recency, so re-anchor
+  // to now. Deterministic, and unreachable under every existing scheme (it
+  // needs > 4 s of idle backoff).
   if ((due - cohort.entry).ns() >=
       static_cast<std::int64_t>(UINT32_MAX) - slot_.ns()) {
     cohort.entry = sim_.now();

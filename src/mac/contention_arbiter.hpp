@@ -4,11 +4,11 @@
 //
 // Motivation. When the medium goes idle after a busy period, every station
 // that was waiting re-enters contention AT THE SAME INSTANT: in a connected
-// network of N stations each transmission end spawns N DIFS events, then N
-// batched decision events (PR 4 already collapsed the per-slot chains).
-// Those 2N events carry no independent information — all N stations share
-// the IFS expiry instant and slot grid; only each member's pre-drawn batch
-// differs. The arbiter groups them:
+// network of N stations each transmission end would spawn N DIFS events,
+// then N batched decision events (batching already collapses the per-slot
+// chains). Those 2N events carry no independent information — all N
+// stations share the IFS expiry instant and slot grid; only each member's
+// pre-drawn batch differs. The arbiter groups them:
 //
 //   * enroll(station, ifs) replaces the station's own DIFS/EIFS timer. The
 //     first enrollment at a given (instant, ifs) creates a *pending
@@ -16,20 +16,22 @@
 //     key the first member's own timer would have had (a normal event of
 //     lookback ifs); later same-keyed enrollments just append.
 //   * When the pending event fires, every member enters backoff and
-//     pre-draws its batched slot decisions (the station's PR-4 machinery,
-//     per-member RNG/strategy — values identical to the per-station path).
+//     pre-draws its batched slot decisions (the station's batching,
+//     per-member RNG/strategy — values identical to per-slot draws).
 //     The cohort then owns ONE anchored decision event at the MINIMUM of
 //     its members' batch boundaries, anchored to the cohort entry exactly
 //     as each member's own decision event would have been.
 //   * On fire, members whose boundary is due commit (transmit) or continue
 //     (re-draw a doubled batch) in enrollment order, and the cohort
 //     re-arms at the new minimum. On a busy interruption each sensing
-//     member rolls its batch back draw-for-draw (again the PR-4 rewind)
+//     member rolls its batch back draw-for-draw (the station's rewind)
 //     and withdraws; the cohort re-arms eagerly, so its event is always at
 //     the true minimum boundary.
 //
-// Why results stay byte-identical (the contract CI enforces with cohort
-// vs legacy `cmp` gates and the randomized differential tests):
+// Why results match the literal per-slot semantics (one DIFS event and one
+// event per idle slot per station — the reference model in tests/reference/
+// that the differential suites and the seeded scenario fuzzer compare this
+// against, trace record for trace record):
 //
 //   * Seq elimination is invisible: removing schedule() calls shifts later
 //     events' sequence numbers but never their relative order, and every
@@ -63,9 +65,8 @@
 // observationally identical; the differential tests exist to keep that
 // argument honest.
 //
-// Enabled per-Network via mac::Station::cohort_enabled() (WLAN_COHORT,
-// default on, requires batched backoff); the per-station path remains and
-// is byte-compared in CI.
+// Every mac::Station contends through its Network's arbiter (it takes the
+// arbiter at construction); there is no per-station timer path.
 #pragma once
 
 #include <cstddef>
@@ -136,8 +137,7 @@ class ContentionArbiter {
   /// Schedules the cohort's decision event at its minimum boundary
   /// (cancelling a still-pending one), re-anchoring first if the entry
   /// lookback would saturate the order key (> ~4.29 s of continuous
-  /// backoff — unreachable under every existing scheme, mirroring
-  /// Station::begin_backoff's own guard).
+  /// backoff — unreachable under every existing scheme).
   void arm(BackoffCohort& cohort);
   sim::Time min_boundary(const BackoffCohort& cohort) const;
 

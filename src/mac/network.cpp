@@ -26,7 +26,8 @@ Network::Network(const WifiParams& params,
     : params_(params),
       propagation_(std::move(propagation)),
       seed_(seed),
-      medium_(sim_, *propagation_) {
+      medium_(sim_, *propagation_),
+      arbiter_(sim_, params_.slot) {
   if (propagation_ == nullptr)
     throw std::invalid_argument("Network: null propagation model");
   if (ap_positions.empty())
@@ -94,7 +95,7 @@ void Network::finalize() {
     for (std::size_t i = 0; i < n; ++i) {
       new (stations_ + i) Station(
           sim_, medium_, params_, std::move(pending_[i].strategy),
-          util::Rng(seed_, static_cast<std::uint64_t>(i) + 1));
+          util::Rng(seed_, static_cast<std::uint64_t>(i) + 1), arbiter_);
       ++num_built_;
       medium_.bind_client(num_aps_id + static_cast<phy::NodeId>(i),
                           stations_[i]);
@@ -111,16 +112,6 @@ void Network::finalize() {
     stations_[i].attach(num_aps_id + static_cast<phy::NodeId>(i),
                         static_cast<phy::NodeId>(station_cell_[i]),
                         &counters_->node(i));
-  }
-  if (Station::cohort_enabled() && num_built_ > 0) {
-    // Cohort-level contention: same-entry stations share one DIFS event
-    // and one decision event (see mac/contention_arbiter.hpp). Results
-    // are bit-identical to the per-station path, which WLAN_COHORT=0
-    // restores. One arbiter spans every cell — contention happens on the
-    // shared medium, not per BSS.
-    arbiter_ = std::make_unique<ContentionArbiter>(sim_, params_.slot);
-    for (std::size_t i = 0; i < num_built_; ++i)
-      stations_[i].set_contention_arbiter(arbiter_.get());
   }
   if (!traffic_config_.saturated()) {
     // Stream ids: station MAC draws use streams 1..N (see above), the APs

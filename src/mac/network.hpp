@@ -20,7 +20,7 @@
 //
 // Stations are CONSTRUCTED at finalize() into one contiguous arena (their
 // Medium slots are reserved at add_station time, so ids and callback order
-// are unaffected): the per-slot hot path walks many stations' MAC state,
+// are unaffected): the cohort hot path walks many stations' MAC state,
 // and an arena keeps those accesses within a few cache lines instead of one
 // heap allocation apart.
 #pragma once
@@ -131,10 +131,10 @@ class Network {
     return controllers_[static_cast<std::size_t>(cell)].get();
   }
 
-  /// The cohort contention arbiter, when Station::cohort_enabled() held at
-  /// finalize() (WLAN_COHORT, default on); nullptr on the per-station
-  /// event path. Exposed for tests asserting cohort formation.
-  ContentionArbiter* contention_arbiter() { return arbiter_.get(); }
+  /// The cohort contention arbiter every station contends through: one
+  /// arbiter spans every cell, since contention happens on the shared
+  /// medium, not per BSS. Exposed for its counters.
+  ContentionArbiter& contention_arbiter() { return arbiter_; }
 
   /// True when set_traffic() installed finite sources.
   bool traffic_enabled() const { return !sources_.empty(); }
@@ -170,6 +170,7 @@ class Network {
   std::uint64_t seed_;
   sim::Simulator sim_;
   phy::Medium medium_;
+  ContentionArbiter arbiter_;
   std::vector<std::unique_ptr<AccessPoint>> aps_;
   std::vector<std::unique_ptr<ApController>> controllers_;  // one per cell
   std::vector<PendingStation> pending_;  // emptied by finalize()
@@ -177,7 +178,6 @@ class Network {
   Station* stations_ = nullptr;  // contiguous arena of num_built_ stations
   std::size_t num_built_ = 0;
   std::size_t arena_cap_ = 0;  // allocation size (deallocate needs it)
-  std::unique_ptr<ContentionArbiter> arbiter_;  // cohort path only
   traffic::TrafficConfig traffic_config_;  // saturated by default
   std::vector<std::unique_ptr<traffic::TrafficSource>> sources_;
   std::unique_ptr<stats::RunCounters> counters_;

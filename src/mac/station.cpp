@@ -1,51 +1,22 @@
 #include "mac/station.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 
 #include "mac/contention_arbiter.hpp"
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
 #include "traffic/source.hpp"
-#include "util/env.hpp"
 
 namespace wlan::mac {
-
-namespace {
-// -1 = follow the (latched) environment; 0/1 = forced. Relaxed atomics so
-// sweep worker threads may read while the value rests; tests mutate only
-// between simulations.
-std::atomic<int> g_batch_override{-1};
-std::atomic<int> g_cohort_override{-1};
-}  // namespace
-
-bool Station::batching_enabled() {
-  const int forced = g_batch_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  static const bool enabled = util::env_bool("WLAN_BATCH_SLOTS", true);
-  return enabled;
-}
-
-bool Station::cohort_enabled() {
-  if (!batching_enabled()) return false;  // cohorts pre-draw batches
-  const int forced = g_cohort_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  static const bool enabled = util::env_bool("WLAN_COHORT", true);
-  return enabled;
-}
-
-void Station::set_batching_override(int value) { g_batch_override = value; }
-void Station::set_cohort_override(int value) { g_cohort_override = value; }
 
 Station::BackoffAudit Station::backoff_audit() const {
   BackoffAudit a;
   a.drawn = audit_drawn_;
   a.consumed = audit_consumed_;
   a.rewound = audit_rewound_;
-  // A pending batch's draws are neither consumed nor rewound yet; the
-  // legacy per-slot path consumes each draw the instant it is made.
-  a.outstanding = (state_ == State::kBackoff && batching_enabled())
+  // A pending batch's draws are neither consumed nor rewound yet.
+  a.outstanding = state_ == State::kBackoff
                       ? static_cast<std::uint64_t>(batch_planned_)
                       : 0;
   return a;
@@ -53,12 +24,14 @@ Station::BackoffAudit Station::backoff_audit() const {
 
 Station::Station(sim::Simulator& simulator, phy::Medium& medium,
                  const WifiParams& params,
-                 std::unique_ptr<AccessStrategy> strategy, util::Rng rng)
+                 std::unique_ptr<AccessStrategy> strategy, util::Rng rng,
+                 ContentionArbiter& arbiter)
     : sim_(simulator),
       medium_(medium),
       params_(params),
       strategy_(std::move(strategy)),
       rng_(rng),
+      arbiter_(arbiter),
       idle_meter_(params.slot, params.difs) {
   assert(strategy_ != nullptr);
   idle_meter_.set_sample_callback(
@@ -79,11 +52,6 @@ void Station::set_traffic_source(traffic::TrafficSource* source) {
       if (state_ == State::kNoData) resume_contention();
     });
   }
-}
-
-void Station::set_contention_arbiter(ContentionArbiter* arbiter) {
-  assert(arbiter == nullptr || batching_enabled());
-  arbiter_ = arbiter;
 }
 
 void Station::set_state(State next) {
@@ -113,13 +81,9 @@ void Station::set_active(bool active) {
       // The deactivation event was scheduled long before any boundary it
       // could coincide with, so a boundary draw at this exact instant
       // never happened in the per-slot scheme.
-      if (state_ == State::kBackoff && batching_enabled())
-        rollback_backoff(false);
-      if (arbiter_ != nullptr &&
-          (state_ == State::kDifsWait || state_ == State::kBackoff))
-        arbiter_->withdraw(*this);
-      sim_.cancel(difs_event_);
-      sim_.cancel(slot_event_);
+      if (state_ == State::kBackoff) rollback_backoff(false);
+      if (state_ == State::kDifsWait || state_ == State::kBackoff)
+        arbiter_.withdraw(*this);
       sim_.cancel(nav_event_);
       set_state(State::kInactive);
     }
@@ -160,36 +124,9 @@ void Station::begin_ifs_wait(sim::Time) {
   // EIFS after an undecodable busy period, DIFS otherwise (802.11 9.3.2.3.7).
   const sim::Duration wait = eifs_pending_ ? params_.eifs() : params_.difs;
   eifs_pending_ = false;
-  if (arbiter_ != nullptr) {
-    // Cohort path: the arbiter owns the wait timer (one event per cohort
-    // of stations entering the same wait at this instant).
-    arbiter_->enroll(*this, wait);
-    return;
-  }
-  difs_event_ = sim_.schedule_after(wait, [this] {
-    set_state(State::kBackoff);
-    if (batching_enabled()) {
-      begin_backoff(/*fresh=*/true);
-    } else {
-      schedule_slot();
-    }
-  });
-}
-
-void Station::schedule_slot() {
-  slot_event_ = sim_.schedule_after(params_.slot, [this] { slot_boundary(); });
-}
-
-void Station::slot_boundary() {
-  assert(state_ == State::kBackoff);
-  ++audit_drawn_;
-  ++audit_consumed_;
-  const bool tx = strategy_->decide_transmit(rng_);
-  if (tx) {
-    commit_transmission();
-  } else {
-    schedule_slot();
-  }
+  // The arbiter owns the wait timer (one event per cohort of stations
+  // entering the same wait at this instant).
+  arbiter_.enroll(*this, wait);
 }
 
 void Station::draw_batch() {
@@ -212,36 +149,7 @@ void Station::draw_batch() {
   audit_drawn_ += static_cast<std::uint64_t>(k);
 }
 
-void Station::begin_backoff(bool fresh) {
-  if (fresh) {
-    anchor_time_ = sim_.now();
-    batch_limit_ = kMinBatchSlots;
-  } else {
-    batch_limit_ = std::min(batch_limit_ * 2, kMaxBatchSlots);
-    // The anchored entry lookback saturates at ~4.29 s (u32 ns); past that
-    // the tie-break key could no longer distinguish entry recency, so
-    // re-anchor here instead. Deterministic, and unreachable under every
-    // existing scheme (it needs > 4 s of continuous idle backoff).
-    if ((sim_.now() - anchor_time_) + params_.slot * batch_limit_ >=
-        sim::Duration::nanoseconds(INT64_C(0xFFFFFFFF))) {
-      anchor_time_ = sim_.now();
-      anchor_seq_ = 0;  // re-anchor to the schedule call below
-    }
-  }
-  draw_batch();
-  // The decision event replaces the whole per-slot chain, so it must tie
-  // with same-instant events exactly as the chain's final event would:
-  // virtually scheduled one slot before it fires, by a chain entered at
-  // anchor_time_ with the entry event's insertion seq. (Same-boundary
-  // chains resolve as: fresher entry first, then entry schedule order.)
-  slot_event_ = sim_.schedule_anchored(
-      backoff_origin_ + params_.slot * batch_planned_, params_.slot,
-      anchor_time_, fresh ? 0 : anchor_seq_, [this] { decision_boundary(); });
-  if (fresh || anchor_seq_ == 0) anchor_seq_ = slot_event_.sequence();
-}
-
 void Station::cohort_enter_backoff() {
-  assert(arbiter_ != nullptr);
   assert(state_ == State::kDifsWait);
   set_state(State::kBackoff);
   batch_limit_ = kMinBatchSlots;
@@ -259,25 +167,12 @@ bool Station::cohort_decision() {
     commit_transmission();
     return true;
   }
-  // Capped batch: this boundary is the next batch's origin (its draw is
-  // already consumed, matching per-slot history), with a doubled limit —
-  // identical to begin_backoff(/*fresh=*/false) minus the event, which
-  // the cohort owns.
+  // No "transmit" within the cap: this boundary is the next batch's
+  // origin (its draw is already consumed, matching per-slot history),
+  // with a doubled limit. The cohort owns the event.
   batch_limit_ = std::min(batch_limit_ * 2, kMaxBatchSlots);
   draw_batch();
   return false;
-}
-
-void Station::decision_boundary() {
-  assert(state_ == State::kBackoff);
-  audit_consumed_ += static_cast<std::uint64_t>(batch_planned_);
-  if (batch_transmit_) {
-    commit_transmission();
-  } else {
-    // No "transmit" within the cap: this boundary is the next batch's
-    // origin (its draw is already consumed, matching per-slot history).
-    begin_backoff(/*fresh=*/false);
-  }
 }
 
 void Station::rollback_backoff(bool boundary_draw_counts) {
@@ -388,22 +283,13 @@ void Station::on_channel_busy(sim::Time now) {
   // draws belong to boundaries that preceded this transition, while the
   // meter's sample callback (IdleSense's on_transmission_observed) fires
   // at it — the per-slot scheme's exact order.
-  if (state_ == State::kBackoff && batching_enabled())
+  if (state_ == State::kBackoff)
     rollback_backoff(medium_.last_start_slot_committed());
   idle_meter_.on_sensed_busy(now);
   switch (state_) {
     case State::kDifsWait:
-      if (arbiter_ != nullptr)
-        arbiter_->withdraw(*this);
-      else
-        sim_.cancel(difs_event_);
-      set_state(State::kIdleWait);
-      break;
     case State::kBackoff:
-      if (arbiter_ != nullptr)
-        arbiter_->withdraw(*this);
-      else
-        sim_.cancel(slot_event_);
+      arbiter_.withdraw(*this);
       set_state(State::kIdleWait);
       break;
     case State::kIdleWait:

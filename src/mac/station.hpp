@@ -18,15 +18,16 @@
 // freeze semantics for counter-based strategies (counters persist inside the
 // strategy) and is immaterial for memoryless ones.
 //
-// Batched slot decisions: instead of one event per idle slot, the station
-// pre-draws the strategy's per-slot answers at backoff entry and schedules
-// a single decision event at the first "transmit" slot (capped at
-// kMaxBatchSlots, then re-batched). The decision event is seq-anchored one
-// slot before it fires (a no-op "hop" event) so its ordering against
-// same-instant events is identical to the per-slot scheme's, and a busy
+// Batched slot decisions: the semantics are one decide_transmit per idle
+// slot, but the station pre-draws the strategy's per-slot answers at
+// backoff entry (up to the first "transmit" slot, capped at kMaxBatchSlots,
+// then re-batched) and owns no timer events at all: its DIFS/EIFS wait and
+// batch boundaries run on a mac::ContentionArbiter, which fires one event
+// per cohort of stations sharing the same entry instant. A busy
 // interruption rewinds the RNG + strategy checkpoint and replays exactly
-// the draws the per-slot scheme would have consumed — behaviour and every
-// figure CSV stay byte-identical while idle backoff runs cost O(1) events.
+// the draws the per-slot semantics would have consumed, so idle backoff
+// runs cost O(1) events per cohort. tests/reference/ holds the literal
+// per-slot station that the differential suites compare this against.
 //
 // Traffic gating: with a traffic::TrafficSource attached the station only
 // contends while the source's queue holds a packet; it parks in kNoData
@@ -65,9 +66,11 @@ class ContentionArbiter;
 
 class Station final : public phy::MediumClient {
  public:
+  /// `arbiter` runs the station's DIFS/backoff timers (not owned; must
+  /// outlive the station).
   Station(sim::Simulator& simulator, phy::Medium& medium,
           const WifiParams& params, std::unique_ptr<AccessStrategy> strategy,
-          util::Rng rng);
+          util::Rng rng, ContentionArbiter& arbiter);
 
   Station(const Station&) = delete;
   Station& operator=(const Station&) = delete;
@@ -79,11 +82,6 @@ class Station final : public phy::MediumClient {
   /// Attaches a finite traffic source (not owned; must outlive the
   /// station). Must precede start(). nullptr (default) = saturated.
   void set_traffic_source(traffic::TrafficSource* source);
-
-  /// Hands the station's DIFS/backoff timers to a cohort arbiter (not
-  /// owned; must outlive the station). Must precede start(); requires
-  /// batching_enabled(). nullptr (default) = per-station events.
-  void set_contention_arbiter(ContentionArbiter* arbiter);
 
   /// Begins contending at the current simulation time.
   void start();
@@ -120,36 +118,13 @@ class Station final : public phy::MediumClient {
   static constexpr int kMinBatchSlots = 8;
   static constexpr int kMaxBatchSlots = 64;
 
-  /// WLAN_BATCH_SLOTS=0 selects the legacy one-event-per-idle-slot path
-  /// (default: batched). The two paths are behaviourally identical —
-  /// tests/test_traffic_integration.cpp asserts bit-equal results — the
-  /// knob exists so the equivalence stays checkable.
-  static bool batching_enabled();
-
-  /// WLAN_COHORT=0 selects per-station DIFS/decision events (default:
-  /// one event per same-entry cohort via mac::ContentionArbiter). Implies
-  /// batching: with WLAN_BATCH_SLOTS=0 this reports false. Behaviourally
-  /// identical — tests/test_contention_arbiter.cpp and the CI `cmp`
-  /// gates assert bit-equal results. Consulted by mac::Network at
-  /// finalize(); a Network built while this is true wires the arbiter.
-  static bool cohort_enabled();
-
-  /// Process-wide test overrides for the two env knobs above: -1 = follow
-  /// the environment (default), 0 = force off, 1 = force on. The knobs
-  /// are otherwise latched per process, which would make in-process
-  /// differential tests (cohort vs legacy vs per-slot) impossible. Only
-  /// mutate between simulations.
-  static void set_batching_override(int value);
-  static void set_cohort_override(int value);
-
   /// Lifetime backoff-draw accounting (pure counters, no behaviour). The
   /// conservation law obs::AuditSet checks:
   ///   drawn == consumed + rewound + outstanding
-  /// where every decide_transmit() draw is `drawn` when pre-drawn (or made
-  /// at a legacy slot boundary), `consumed` once its slot boundary elapsed
-  /// (or it was replayed by a rollback), `rewound` when a busy
-  /// interruption proved it premature, and `outstanding` while its batch
-  /// is still pending.
+  /// where every decide_transmit() draw is `drawn` when pre-drawn,
+  /// `consumed` once its slot boundary elapsed (or it was replayed by a
+  /// rollback), `rewound` when a busy interruption proved it premature,
+  /// and `outstanding` while its batch is still pending.
   struct BackoffAudit {
     std::uint64_t drawn = 0;
     std::uint64_t consumed = 0;
@@ -163,8 +138,8 @@ class Station final : public phy::MediumClient {
     kInactive,     // deactivated, not contending
     kNoData,       // traffic queue empty; parked until an arrival
     kIdleWait,     // channel (or NAV) busy; waiting to go idle
-    kDifsWait,     // channel idle; DIFS timer running
-    kBackoff,      // channel idle; batched decision event pending
+    kDifsWait,     // channel idle; enrolled in an arbiter DIFS/EIFS cohort
+    kBackoff,      // channel idle; batch pending in an arbiter cohort
     kTransmitting, // own frame (RTS or data) on the air (committed)
     kWaitCts,      // RTS sent; CTS timer running
     kWaitAck,      // data sent; ACK timer running
@@ -178,16 +153,10 @@ class Station final : public phy::MediumClient {
 
   void resume_contention();
   void begin_ifs_wait(sim::Time now);
-  /// Starts a decision batch. `fresh` is true on backoff entry (from the
-  /// DIFS/EIFS expiry) and false when a capped batch continues — the
-  /// continuation keeps the entry's ordering anchor.
-  void begin_backoff(bool fresh);
-  void decision_boundary();
-  /// Pre-draws one decision batch from the current instant: the shared
-  /// core of begin_backoff (per-station path) and the cohort hooks below.
+  /// Pre-draws one decision batch from the current instant.
   void draw_batch();
-  // Cohort-arbiter hooks (cohort path only; the arbiter owns the timer
-  // events, the station keeps every draw and all rollback machinery).
+  // Cohort-arbiter hooks (the arbiter owns the timer events, the station
+  // keeps every draw and all rollback machinery).
   /// DIFS/EIFS expired: enter backoff and pre-draw the first batch.
   void cohort_enter_backoff();
   /// This station's next pre-drawn batch boundary.
@@ -196,9 +165,6 @@ class Station final : public phy::MediumClient {
   /// cohort) or continue with a doubled re-drawn batch (returns false).
   bool cohort_decision();
   void rollback_backoff(bool boundary_draw_counts);
-  // Legacy per-slot path (WLAN_BATCH_SLOTS=0).
-  void schedule_slot();
-  void slot_boundary();
   void commit_transmission();
   void radio_transmit();
   void transmit_data_frame(bool slot_committed);
@@ -220,19 +186,12 @@ class Station final : public phy::MediumClient {
   State state_ = State::kInactive;
   bool active_ = false;
   traffic::TrafficSource* traffic_ = nullptr;
-  ContentionArbiter* arbiter_ = nullptr;
-  sim::EventId difs_event_;
-  /// The pending hop or decision event of the current backoff batch.
-  sim::EventId slot_event_;
+  ContentionArbiter& arbiter_;
   /// Backoff-batch bookkeeping: boundaries sit at backoff_origin_ + i*slot
   /// (i = 1..batch_planned_); the pre-drawn outcome of the last boundary
   /// is batch_transmit_, and backoff_rng_ / the strategy checkpoint rewind
-  /// an interrupted batch. anchor_time_/anchor_seq_ pin the decision
-  /// event's same-instant ordering to the backoff ENTRY (the per-slot
-  /// chain's resolution order), surviving capped-batch continuations.
+  /// an interrupted batch.
   sim::Time backoff_origin_ = sim::Time::zero();
-  sim::Time anchor_time_ = sim::Time::zero();
-  std::uint64_t anchor_seq_ = 0;
   int batch_planned_ = 0;
   int batch_limit_ = kMinBatchSlots;
   bool batch_transmit_ = false;
@@ -252,7 +211,7 @@ class Station final : public phy::MediumClient {
   std::uint64_t audit_consumed_ = 0;
   std::uint64_t audit_rewound_ = 0;
   /// Label of the arbiter cohort this station last entered backoff under
-  /// (0: per-station path). Written by ContentionArbiter (friend).
+  /// (0: none yet). Written by ContentionArbiter (friend).
   std::uint64_t cohort_id_ = 0;
   stats::IdleSlotMeter idle_meter_;
 };

@@ -2,12 +2,9 @@
 // shared by the trace recorder (per-record tag + enable bitmask) and the
 // phase profiler (per-category event/wall-time buckets).
 //
-// kCatMark is deliberately separate from kCatMedium: incremental
-// interference marking (WLAN_INCR_MEDIUM) legitimately skips corruption
-// marks that nothing will ever read, so mark volume is path-DEPENDENT while
-// every other category is path-invariant. Trace diffs that compare
-// optimised vs legacy paths must mask marks out; everything else must
-// match record-for-record.
+// kCatMark is deliberately separate from kCatMedium: it is the profiler's
+// bucket for interference marking, the medium's hottest inner loop, so
+// marking cost shows up apart from transmission start/end and delivery.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +15,7 @@ namespace wlan::obs {
 enum Category : std::uint16_t {
   kCatSim = 0,   // executive dispatch (one record per event fired)
   kCatMedium,    // transmission start/end + per-receiver delivery
-  kCatMark,      // interference corruption marks (path-dependent volume)
+  kCatMark,      // interference corruption marks
   kCatStation,   // MAC state-machine transitions
   kCatCohort,    // contention-arbiter cohort lifecycle
   kCatTraffic,   // packet arrivals and tail drops

@@ -32,14 +32,12 @@ MetricsRegistry collect_metrics(mac::Network& net) {
   reg.set_count("medium.pairs_scanned", medium.marking_pairs_scanned());
   reg.set_count("medium.interference_checks", medium.interference_checks());
 
-  if (const mac::ContentionArbiter* arb = net.contention_arbiter()) {
-    const mac::ContentionArbiter::Stats& as = arb->stats();
-    reg.set_count("mac.cohort.enrollments", as.enrollments);
-    reg.set_count("mac.cohort.cohorts_formed", as.cohorts_formed);
-    reg.set_count("mac.cohort.entry_merges", as.entry_merges);
-    reg.set_count("mac.cohort.decisions_fired", as.decisions_fired);
-    reg.set_count("mac.cohort.withdrawals", as.withdrawals);
-  }
+  const mac::ContentionArbiter::Stats& as = net.contention_arbiter().stats();
+  reg.set_count("mac.cohort.enrollments", as.enrollments);
+  reg.set_count("mac.cohort.cohorts_formed", as.cohorts_formed);
+  reg.set_count("mac.cohort.entry_merges", as.entry_merges);
+  reg.set_count("mac.cohort.decisions_fired", as.decisions_fired);
+  reg.set_count("mac.cohort.withdrawals", as.withdrawals);
 
   if (net.traffic_enabled()) {
     std::uint64_t arrivals = 0, drops = 0;

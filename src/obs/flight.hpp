@@ -43,8 +43,8 @@ inline constexpr std::uint16_t kNumFlightEvents = 7;
 const char* flight_event_name(std::uint16_t kind);
 
 /// Packs a tx attempt's detail word: backoff slots waited since the
-/// previous attempt in the low 32 bits, the arbiter cohort id (0 on the
-/// per-station path) in the high 32.
+/// previous attempt in the low 32 bits, the arbiter cohort id in the high
+/// 32.
 constexpr std::uint64_t pack_attempt_detail(std::uint64_t slots,
                                             std::uint64_t cohort) {
   return (slots & 0xFFFFFFFFu) | ((cohort & 0xFFFFFFFFu) << 32);

@@ -1,14 +1,10 @@
 // first_divergence: turn "series hashes differ" into "record 1234 is the
 // first place these two runs disagree". Because trace records carry only
-// simulated time and deterministic detail words, two runs of the same
-// scenario on different code paths (incremental vs legacy marking, cohort
-// vs per-station, batched vs per-slot) must produce IDENTICAL streams for
-// the path-invariant categories — the first differing record is the bug's
-// address, not a symptom downstream of it.
-//
-// Compare with kCatMark masked out of both captures when diffing across
-// medium-marking paths: mark volume is legitimately path-dependent
-// (category.hpp explains why).
+// simulated time and deterministic detail words, two simulations of the
+// same scenario with the same physics (e.g. production vs the per-slot
+// reference model in tests/reference/) must produce IDENTICAL kCatMedium
+// streams — the first differing record is the bug's address, not a
+// symptom downstream of it.
 #pragma once
 
 #include <cstddef>
@@ -41,8 +37,8 @@ std::string divergence_report(const std::vector<TraceRecord>& a,
                               const std::vector<TraceRecord>& b,
                               std::size_t context = 4);
 
-/// Drops records whose category bit is not in `mask` (e.g. mask out
-/// kCatMark before diffing across medium-marking paths).
+/// Drops records whose category bit is not in `mask` (e.g. keep only
+/// kCatMedium before diffing against a model with different MAC events).
 std::vector<TraceRecord> filter_categories(
     const std::vector<TraceRecord>& records, std::uint32_t mask);
 

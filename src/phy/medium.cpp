@@ -1,23 +1,16 @@
 #include "phy/medium.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <stdexcept>
 
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
 #include "topology/spatial_grid.hpp"
-#include "util/env.hpp"
 
 namespace wlan::phy {
 
 namespace {
-// -1 = follow the (latched) environment; 0/1 = forced. Relaxed atomics so
-// sweep worker threads may read while the value rests; tests mutate only
-// between simulations.
-std::atomic<int> g_incr_override{-1};
-
 // The decode mask costs one bit per (source, receiver) pair — the same
 // footprint as the corruption marks — so it is built whenever those marks
 // are affordable anyway.
@@ -32,19 +25,8 @@ constexpr std::uint64_t kPeerWorkCap = 256u * 1000 * 1000;
 constexpr std::size_t kGridBuildMin = 64;
 }  // namespace
 
-bool Medium::incremental_enabled() {
-  const int forced = g_incr_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  static const bool enabled = util::env_bool("WLAN_INCR_MEDIUM", true);
-  return enabled;
-}
-
-void Medium::set_incremental_override(int value) { g_incr_override = value; }
-
 Medium::Medium(sim::Simulator& simulator, const PropagationModel& propagation)
-    : sim_(simulator),
-      propagation_(propagation),
-      incremental_(incremental_enabled()) {}
+    : sim_(simulator), propagation_(propagation) {}
 
 NodeId Medium::add_node(const Vec2& position) {
   if (finalized_) throw std::logic_error("Medium: add_node after finalize()");
@@ -77,7 +59,7 @@ void Medium::build_adjacency() {
   dec_ids_.clear();
 
   const double range = propagation_.max_range();
-  if (incremental_ && range > 0.0 && n >= kGridBuildMin) {
+  if (range > 0.0 && n >= kGridBuildMin) {
     // Bounded-range model: candidates come from a spatial grid instead of
     // all n-1 others. query_within returns ids ascending, so after the
     // exact predicate filter the rows are identical to the all-pairs
@@ -240,13 +222,11 @@ void Medium::finalize() {
   // corruption-mark bits per (source, receiver) pair.
   const std::size_t n = positions_.size();
   words_per_tx_ = (n + 63) / 64;
-  if (incremental_) {
-    if (n <= kMaskNodeCap) {
-      build_decode_mask();
-      have_masks_ = true;
-    }
-    build_peer_index();
+  if (n <= kMaskNodeCap) {
+    build_decode_mask();
+    have_masks_ = true;
   }
+  build_peer_index();
   tx_slots_.assign(n, TxSlot{});
   corrupt_.assign(n * words_per_tx_, 0);
   scratch_corrupt_.assign(words_per_tx_, 0);
@@ -297,8 +277,9 @@ std::vector<NodeId> Medium::interference_peers(NodeId s) const {
 
 void Medium::mark_corrupt(NodeId tx_src, NodeId receiver) {
   if (receiver == tx_src) return;  // the source is never its own receiver
-  // kCatMark, not kCatMedium: mark volume differs across marking paths
-  // (masked skips unread marks), so trace diffs mask this category out.
+  // kCatMark, not kCatMedium: the profiler's marking bucket. Mark volume
+  // is a marking detail (the decode mask skips unread marks), not part of
+  // the medium's observable record.
   WLAN_OBS_POINT(sim_, obs::kCatMark, obs::ev::kMarkCorrupt, receiver, tx_src,
                  0);
   corrupt_words(tx_src)[static_cast<std::size_t>(receiver) >> 6] |=
@@ -324,7 +305,8 @@ void Medium::interfere(NodeId victim_src, NodeId interferer, NodeId receiver) {
 //    capture or not;
 //  * every receiver audible to either source has that source's frame as a
 //    (capture-aware) interferer of the other.
-// Mark order is irrelevant — marking only sets per-receiver bits.
+// Mark order is irrelevant — marking only sets per-receiver bits. Unmasked:
+// only networks above kMaskNodeCap, where no decode mask is built, use it.
 void Medium::mark_pair_legacy(NodeId src, NodeId o) {
   mark_corrupt(o, src);
   mark_corrupt(src, o);
@@ -395,13 +377,7 @@ void Medium::start_transmission(NodeId src, const Frame& frame,
   // Transmissions are half-open intervals [start, end): one that ends
   // exactly now does not overlap us, even if its end event has not fired
   // yet (event ordering at equal timestamps is insertion order).
-  if (!incremental_) {
-    for (const NodeId o : active_) {
-      ++pairs_scanned_;
-      if (tx_slots_[static_cast<std::size_t>(o)].end <= start) continue;
-      mark_pair_legacy(src, o);
-    }
-  } else if (peers_built_) {
+  if (peers_built_) {
     // Only peers can observably interact (see build_peer_index); in-flight
     // non-peers are skipped without even a timestamp load.
     const NodeId* e = row_end(peer_off_, peer_ids_, src);
@@ -416,8 +392,8 @@ void Medium::start_transmission(NodeId src, const Frame& frame,
         mark_pair_legacy(src, o);
     }
   } else {
-    // Peer index declined (dense topology): scan the in-flight list like
-    // the legacy path, still mask-filtering the per-receiver work.
+    // Peer index declined (dense topology): scan the in-flight list,
+    // still mask-filtering the per-receiver work.
     for (const NodeId o : active_) {
       ++pairs_scanned_;
       if (tx_slots_[static_cast<std::size_t>(o)].end <= start) continue;

@@ -17,21 +17,15 @@
 // collisions) and the hidden-node behaviour (partial-overlap collisions
 // invisible to the transmitters) of the paper's ns-3 setup.
 //
-// Interference marking has two implementations selected by WLAN_INCR_MEDIUM
-// (default on; see ARCHITECTURE.md "Incremental interference marking"):
-//  * legacy (=0): each start scans EVERY in-flight transmission and marks
-//    every receiver audible to either source — O(active x audibility);
-//  * incremental (=1): each start visits only the source's precomputed
-//    "interference peers" (sources whose concurrent transmission could
-//    change an observable reception) and marks only receivers that can
-//    decode the victim — bits of undecodable receivers are never read by
-//    delivery, so skipping them is invisible. In a multi-cell plan the peer
-//    list is the local neighbourhood, not the whole ESS.
-// Both paths produce byte-identical simulations: the marks they differ on
-// are provably unread, marking is commutative and idempotent, and the
-// carrier-sense / delivery callback orders are unchanged.
-// tests/test_medium_differential.cpp pins this with randomized series-hash
-// comparisons; CI additionally cmp-gates driver CSVs across the knob.
+// Interference marking is incremental (see ARCHITECTURE.md "Interference
+// marking"): each start visits only the source's precomputed "interference
+// peers" (sources whose concurrent transmission could change an observable
+// reception) and marks only receivers that can decode the victim — bits of
+// undecodable receivers are never read by delivery, so skipping them is
+// invisible. In a multi-cell plan the peer list is the local neighbourhood,
+// not the whole ESS. The full-scan checker in tests/reference/ recomputes
+// every delivered `clean` flag from the definition above (plus pairwise
+// capture) and the differential suites hold this path to it.
 #pragma once
 
 #include <cstdint>
@@ -81,9 +75,9 @@ class Medium {
   /// before finalize(), which rejects unbound nodes.
   void bind_client(NodeId n, MediumClient& client);
 
-  /// Precomputes the audibility/decodability adjacency (and, on the
-  /// incremental path, the peer index). Must be called once after the last
-  /// add_node and before any transmission.
+  /// Precomputes the audibility/decodability adjacency and the peer index.
+  /// Must be called once after the last add_node and before any
+  /// transmission.
   void finalize();
 
   /// Enables the (pairwise) capture effect: a receiver keeps its copy of a
@@ -133,24 +127,15 @@ class Medium {
   std::uint64_t transmissions_ended() const { return tx_ended_; }
   std::uint64_t corrupt_deliveries() const { return corrupt_deliveries_; }
   /// (new tx, in-flight tx) candidate pairs examined by interference
-  /// marking — the quantity the incremental path shrinks.
+  /// marking — the quantity the peer index shrinks.
   std::uint64_t marking_pairs_scanned() const { return pairs_scanned_; }
-  /// Per-receiver interference checks performed (mask-filtered on the
-  /// incremental path; every audible receiver on the legacy path).
+  /// Per-receiver interference checks performed (filtered to receivers
+  /// that decode the victim whenever the decode mask is built).
   std::uint64_t interference_checks() const { return interference_checks_; }
 
-  /// Incremental marking master switch (WLAN_INCR_MEDIUM, default on),
-  /// latched per Medium at construction. set_incremental_override forces it
-  /// in-process for differential tests: -1 = follow the environment, 0/1 =
-  /// forced off/on.
-  static bool incremental_enabled();
-  static void set_incremental_override(int value);
-  /// The mode this instance latched at construction.
-  bool incremental() const { return incremental_; }
-
-  /// True when the peer index was built (incremental mode, and the
-  /// estimated build work stayed under its cap — dense all-pairs topologies
-  /// fall back to scanning the in-flight list, which is then optimal).
+  /// True when the peer index was built (the estimated build work stayed
+  /// under its cap — dense all-pairs topologies fall back to scanning the
+  /// in-flight list, which is then optimal).
   bool has_peer_index() const { return peers_built_; }
   /// Interference peers of `s` (ascending); empty when no index was built.
   std::vector<NodeId> interference_peers(NodeId s) const;
@@ -252,7 +237,7 @@ class Medium {
   std::vector<std::uint32_t> dec_off_;  // decodable_at: nodes that decode s
   std::vector<NodeId> dec_ids_;
 
-  // Incremental-path index (built at finalize when incremental_):
+  // Marking index (built at finalize):
   //  * peer CSR — sources whose concurrent transmission could observably
   //    interact with s's (see build_peer_index for the four conditions);
   //  * dec_mask_ — per-source receiver bitmask mirroring dec CSR, for O(1)
@@ -272,7 +257,6 @@ class Medium {
   std::vector<std::uint64_t> scratch_corrupt_;  // delivery-time snapshot
   std::size_t words_per_tx_ = 0;
   bool finalized_ = false;
-  bool incremental_ = true;
   double capture_ratio_ = 0.0;  // <= 0: no capture
   bool last_start_slot_committed_ = false;
   std::uint64_t next_tx_id_ = 1;

@@ -33,8 +33,8 @@ class PropagationModel {
   virtual double rx_power(const Vec2& from, const Vec2& to) const;
 
   /// Upper bound on the distance at which can_sense or can_decode can be
-  /// true; <= 0 means "no bound known". When a bound exists, phy::Medium's
-  /// incremental path builds its adjacency through a spatial index instead
+  /// true; <= 0 means "no bound known". When a bound exists, phy::Medium
+  /// builds its adjacency through a spatial index instead
   /// of testing every node pair — the adjacency itself is identical either
   /// way (candidates are filtered by the exact predicates).
   virtual double max_range() const { return 0.0; }

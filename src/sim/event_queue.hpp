@@ -32,7 +32,7 @@
 // sequence number, so two events scheduled for the same instant fire in the
 // order they were scheduled — important for slot-aligned MAC behaviour.
 //
-// Anchored ordering (the batched-backoff / cohort-arbiter hook):
+// Anchored ordering (the cohort-arbiter hook):
 // schedule() also accepts a virtual ordering key
 // {sched_lookback, entry_lookback, order_seq}. Two events firing at the
 // same instant compare by
@@ -41,10 +41,10 @@
 // fire - schedule time, order_seq = seq) reduces EXACTLY to schedule order
 // — scheduled earlier means a larger lookback and a smaller seq — so the
 // historical tie-break is unchanged bit-for-bit. A caller eliminating
-// intermediate events (mac::Station's single per-backoff decision event,
-// mac::ContentionArbiter's single per-cohort event) passes the key its
-// per-slot chain event would have had, and lands in the same position
-// among same-instant peers without those events existing.
+// intermediate events (mac::ContentionArbiter's single per-cohort decision
+// event) passes the key its members' per-slot chain events would have had,
+// and lands in the same position among same-instant peers without those
+// events existing.
 //
 // Seq-ordered fast path: an event whose key has order_seq == 0 and equal
 // lookbacks is flagged seq-ordered at schedule time. For two such events
@@ -54,9 +54,9 @@
 // time). sim::Simulator's schedule_at/schedule_after always satisfy this,
 // as does the plain schedule(t, cb) overload (lookback 0 for every
 // entry). Callers passing explicit keys must either satisfy it or set
-// order_seq (mac::Station and mac::ContentionArbiter do: their only
-// order_seq == 0 anchored schedules are first-boundary events whose
-// virtual and actual schedule times coincide).
+// order_seq (mac::ContentionArbiter does: its only order_seq == 0 anchored
+// schedules are first-boundary events whose virtual and actual schedule
+// times coincide).
 #pragma once
 
 #include <cstddef>
@@ -98,8 +98,9 @@ class EventQueue {
   /// bits (~4.29 s). Saturation never misorders normally scheduled
   /// events (same-time normals fall through to order_seq = seq, which IS
   /// schedule order); anchored callers must keep their entry lookback
-  /// below the clamp themselves (mac::Station re-anchors a backoff
-  /// approaching it) or accept seq-order resolution among clamped peers.
+  /// below the clamp themselves (mac::ContentionArbiter re-anchors a
+  /// backoff approaching it) or accept seq-order resolution among clamped
+  /// peers.
   struct OrderKey {
     std::uint32_t sched_lookback = 0;
     std::uint32_t entry_lookback = 0;

@@ -1,5 +1,5 @@
 // Uniform spatial hash grid over 2-D points: the index behind CellPlan's
-// nearest-AP association and phy::Medium's incremental adjacency build.
+// nearest-AP association and phy::Medium's adjacency build.
 //
 // The grid buckets points into square cells of a caller-chosen size and
 // answers two queries without scanning every point:

@@ -3,8 +3,10 @@
 //  * SpatialGrid query_within / nearest agree with brute-force distance
 //    checks under randomized placements and arbitrary cell sizes;
 //  * the Medium's interference-peer relation matches its four-condition
-//    brute-force definition and is symmetric cell-to-cell (corruption
-//    marks can only flow between mutual peers).
+//    brute-force definition, evaluated on the reference geometry
+//    (tests/reference/: plan positions + propagation model, no medium
+//    adjacency), and is symmetric cell-to-cell (corruption marks can only
+//    flow between mutual peers).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 #include "mac/network.hpp"
 #include "phy/geometry.hpp"
 #include "phy/medium.hpp"
+#include "reference/full_scan.hpp"
 #include "topology/cell_plan.hpp"
 #include "topology/spatial_grid.hpp"
 #include "util/rng.hpp"
@@ -275,32 +278,36 @@ TEST(SpatialGrid, EmptyAndDegenerate) {
 
 // ---------------------------------------------- interference-peer relation
 
-/// Brute-force the Medium's documented peer definition: o is a peer of s
-/// iff a transmission from o overlapping one from s can change an
-/// observable reception (see build_peer_index in phy/medium.cpp).
-std::vector<phy::NodeId> brute_peers(const phy::Medium& medium,
+/// Brute-force the Medium's documented peer definition on the reference
+/// geometry: o is a peer of s iff a transmission from o overlapping one
+/// from s can change an observable reception (see build_peer_index in
+/// phy/medium.cpp).
+std::vector<phy::NodeId> brute_peers(const reference::Geometry& geo,
                                      phy::NodeId s) {
-  const int n = static_cast<int>(medium.num_nodes());
+  const int n = geo.num_nodes();
   std::vector<phy::NodeId> peers;
   for (phy::NodeId o = 0; o < n; ++o) {
     if (o == s) continue;
-    bool peer = medium.decodes(s, o) || medium.decodes(o, s);  // cond1b/1a
+    bool peer = geo.decodes(s, o) || geo.decodes(o, s);  // cond1b/1a
     for (phy::NodeId r = 0; !peer && r < n; ++r) {
-      peer = (medium.senses(s, r) && medium.decodes(o, r)) ||  // cond2
-             (medium.senses(o, r) && medium.decodes(s, r));    // cond3
+      peer = (geo.senses(s, r) && geo.decodes(o, r)) ||  // cond2
+             (geo.senses(o, r) && geo.decodes(s, r));    // cond3
     }
     if (peer) peers.push_back(o);
   }
   return peers;
 }
 
-void expect_peer_index_exact(const phy::Medium& medium) {
+void expect_peer_index_exact(const exp::ScenarioConfig& scenario,
+                             const phy::Medium& medium) {
   ASSERT_TRUE(medium.has_peer_index());
+  const reference::Geometry geo(scenario);
   const int n = static_cast<int>(medium.num_nodes());
+  ASSERT_EQ(n, geo.num_nodes());
   for (phy::NodeId s = 0; s < n; ++s) {
     const auto row = medium.interference_peers(s);
     EXPECT_TRUE(std::is_sorted(row.begin(), row.end()));
-    EXPECT_EQ(row, brute_peers(medium, s)) << "node " << s;
+    EXPECT_EQ(row, brute_peers(geo, s)) << "node " << s;
     // Symmetry: corruption can only flow between mutual peers, so a
     // one-sided row would mean one direction of marks is silently lost.
     for (const phy::NodeId o : row) {
@@ -314,29 +321,21 @@ void expect_peer_index_exact(const phy::Medium& medium) {
 TEST(CellPlan, PeerIndexMatchesBruteForceAcrossCells) {
   // A 3x3 ESS: peers must span exactly the local neighbourhood — stations
   // of adjacent cells that share a receiver, never the far corners.
-  phy::Medium::set_incremental_override(1);
-  {
-    const auto scenario = exp::ScenarioConfig::multicell(9, 5, 40.0, 6);
-    auto net = exp::build_network(scenario, exp::SchemeConfig::standard());
-    expect_peer_index_exact(net->medium());
-    // Sanity: the relation is genuinely sparse here (an all-pairs peer set
-    // would mean the scenario exercises nothing).
-    const auto row0 = net->medium().interference_peers(net->num_aps());
-    EXPECT_LT(row0.size(), net->medium().num_nodes() - 1);
-  }
-  phy::Medium::set_incremental_override(-1);
+  const auto scenario = exp::ScenarioConfig::multicell(9, 5, 40.0, 6);
+  auto net = exp::build_network(scenario, exp::SchemeConfig::standard());
+  expect_peer_index_exact(scenario, net->medium());
+  // Sanity: the relation is genuinely sparse here (an all-pairs peer set
+  // would mean the scenario exercises nothing).
+  const auto row0 = net->medium().interference_peers(net->num_aps());
+  EXPECT_LT(row0.size(), net->medium().num_nodes() - 1);
 }
 
 TEST(CellPlan, PeerIndexMatchesBruteForceUnderShadowing) {
   // Random pairwise shadowing: the decode graph is irregular (not a disc),
   // so the reverse-adjacency unions are the only way to get the rows right.
-  phy::Medium::set_incremental_override(1);
-  {
-    const auto scenario = exp::ScenarioConfig::shadowed(12, 0.4, 8);
-    auto net = exp::build_network(scenario, exp::SchemeConfig::standard());
-    expect_peer_index_exact(net->medium());
-  }
-  phy::Medium::set_incremental_override(-1);
+  const auto scenario = exp::ScenarioConfig::shadowed(12, 0.4, 8);
+  auto net = exp::build_network(scenario, exp::SchemeConfig::standard());
+  expect_peer_index_exact(scenario, net->medium());
 }
 
 }  // namespace

@@ -1,22 +1,19 @@
-// Differential tests for the cohort contention arbiter: the cohort path
-// (one DIFS + one decision event per same-entry cohort) must reproduce the
-// per-station event paths bit-for-bit — across topologies, schemes, the
-// batched and legacy per-slot backoff, traffic gating, RTS/CTS, and
-// dynamic activation — while actually merging contenders (fewer executed
-// events, cohort sizes > 1).
+// Differential tests for the cohort contention arbiter: production (one
+// DIFS + one decision event per same-entry cohort, batched draws with
+// rollback) must reproduce the reference model's literal per-slot stations
+// (tests/reference/) trace record for trace record — across topologies,
+// schemes, traffic gating, RTS/CTS and dynamic activation — while actually
+// merging contenders (fewer executed events, cohort sizes > 1).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "mac/contention_arbiter.hpp"
 #include "mac/network.hpp"
-#include "mac/station.hpp"
-#include "obs/trace.hpp"
-#include "obs/trace_diff.hpp"
+#include "reference/differential.hpp"
 #include "util/fnv.hpp"
 
 namespace {
@@ -25,118 +22,14 @@ using namespace wlan;
 using exp::ScenarioConfig;
 using exp::SchemeConfig;
 
-/// Scoped override of the WLAN_COHORT / WLAN_BATCH_SLOTS knobs (latched
-/// from the environment otherwise, which would pin a whole test process to
-/// one path).
-struct PathGuard {
-  PathGuard(int cohort, int batching) {
-    mac::Station::set_cohort_override(cohort);
-    mac::Station::set_batching_override(batching);
-  }
-  ~PathGuard() {
-    mac::Station::set_cohort_override(-1);
-    mac::Station::set_batching_override(-1);
-  }
-};
-
-/// FNV-1a (shared core: util::Fnv1a) over the bit patterns of a series'
-/// samples — the same construction as bench_macro_dynamic's series hash.
-void hash_series(const stats::TimeSeries& s, util::Fnv1a& h) {
-  for (const auto& sample : s.samples()) {
-    h.mix_double_word(sample.t_seconds);
-    h.mix_double_word(sample.value);
-  }
-}
-
-std::uint64_t hash_run(const exp::RunResult& r) {
-  util::Fnv1a h;
-  hash_series(r.throughput_series, h);
-  hash_series(r.control_series, h);
-  hash_series(r.stage_series, h);
-  hash_series(r.active_nodes_series, h);
-  h.mix_double_word(r.total_mbps);
-  for (double v : r.per_station_mbps) h.mix_double_word(v);
-  h.mix_double_word(r.ap_avg_idle_slots);
-  h.mix_double_word(static_cast<double>(r.successes));
-  h.mix_double_word(static_cast<double>(r.failures));
-  h.mix_double_word(r.mean_delay_s);
-  h.mix_double_word(r.drop_rate);
-  return h.digest();
-}
-
-exp::RunOptions series_options(double measure_s = 0.4) {
-  exp::RunOptions opts;
-  opts.warmup = sim::Duration::seconds(0.1);
-  opts.measure = sim::Duration::seconds(measure_s);
-  opts.sample_period = sim::Duration::seconds(0.05);
-  opts.record_series = true;
-  return opts;
-}
-
-/// On a hash mismatch, re-runs the two event paths with tracing and reports
-/// the FIRST diverging event. The mask keeps only kCatMedium + kCatStation:
-/// cohort bookkeeping records (kCatCohort) exist on one path only and the
-/// per-slot paths wake at different instants, so only records tied to
-/// simulated physics (transmissions, deliveries, MAC state transitions) are
-/// comparable across paths.
-void report_first_divergence(const ScenarioConfig& scenario,
-                             const SchemeConfig& scheme,
-                             const exp::RunOptions& opts, int cohort_a,
-                             int batching_a, int cohort_b, int batching_b,
-                             const char* what) {
-  constexpr unsigned kMask =
-      obs::category_bit(obs::kCatMedium) | obs::category_bit(obs::kCatStation);
-  obs::TraceCapture cap_a, cap_b;
-  cap_a.mask = cap_b.mask = kMask;
-  exp::RunOptions traced = opts;
-  {
-    PathGuard guard(cohort_a, batching_a);
-    traced.trace = &cap_a;
-    exp::run_scenario(scenario, scheme, traced);
-  }
-  {
-    PathGuard guard(cohort_b, batching_b);
-    traced.trace = &cap_b;
-    exp::run_scenario(scenario, scheme, traced);
-  }
-  ADD_FAILURE() << "first trace divergence (" << what << "):\n"
-                << obs::divergence_report(cap_a.records, cap_b.records);
-}
-
-/// Runs the scenario under all three event paths — cohort, per-station
-/// batched, per-station per-slot — and asserts bit-identical series
-/// hashes plus exact equality of the headline scalars.
-void expect_paths_identical(const ScenarioConfig& scenario,
-                            const SchemeConfig& scheme,
-                            const exp::RunOptions& opts) {
-  exp::RunResult cohort, batched, per_slot;
-  {
-    PathGuard guard(/*cohort=*/1, /*batching=*/1);
-    cohort = exp::run_scenario(scenario, scheme, opts);
-  }
-  {
-    PathGuard guard(/*cohort=*/0, /*batching=*/1);
-    batched = exp::run_scenario(scenario, scheme, opts);
-  }
-  {
-    PathGuard guard(/*cohort=*/0, /*batching=*/0);
-    per_slot = exp::run_scenario(scenario, scheme, opts);
-  }
-  EXPECT_EQ(hash_run(cohort), hash_run(batched))
-      << scheme.name() << ": cohort vs per-station batched";
-  EXPECT_EQ(hash_run(cohort), hash_run(per_slot))
-      << scheme.name() << ": cohort vs per-station per-slot";
-  if (hash_run(cohort) != hash_run(batched))
-    report_first_divergence(scenario, scheme, opts, 1, 1, 0, 1,
-                            "cohort=a, per-station batched=b");
-  if (hash_run(cohort) != hash_run(per_slot))
-    report_first_divergence(scenario, scheme, opts, 1, 1, 0, 0,
-                            "cohort=a, per-station per-slot=b");
-  EXPECT_EQ(cohort.total_mbps, batched.total_mbps);
-  EXPECT_EQ(cohort.total_mbps, per_slot.total_mbps);
-  EXPECT_EQ(cohort.successes, per_slot.successes);
-  EXPECT_EQ(cohort.failures, per_slot.failures);
-  EXPECT_EQ(cohort.per_station_mbps, per_slot.per_station_mbps);
+void expect_matches_reference(const ScenarioConfig& scenario,
+                              const SchemeConfig& scheme,
+                              double seconds = 0.5,
+                              std::vector<exp::PopulationStep> schedule = {}) {
+  reference::Case c{scenario, scheme, sim::Duration::seconds(seconds),
+                    std::move(schedule)};
+  const std::string report = reference::check_case(c);
+  EXPECT_TRUE(report.empty()) << report;
 }
 
 TEST(ContentionArbiter, ConnectedTopologyAllSchemesBitIdentical) {
@@ -148,7 +41,7 @@ TEST(ContentionArbiter, ConnectedTopologyAllSchemesBitIdentical) {
     for (const auto& scheme :
          {SchemeConfig::standard(), SchemeConfig::wtop_csma(),
           SchemeConfig::tora_csma(), SchemeConfig::idle_sense_scheme()}) {
-      expect_paths_identical(scenario, scheme, series_options());
+      expect_matches_reference(scenario, scheme);
     }
   }
 }
@@ -162,7 +55,7 @@ TEST(ContentionArbiter, HiddenTopologyAllSchemesBitIdentical) {
     for (const auto& scheme :
          {SchemeConfig::standard(), SchemeConfig::wtop_csma(),
           SchemeConfig::tora_csma(), SchemeConfig::idle_sense_scheme()}) {
-      expect_paths_identical(scenario, scheme, series_options());
+      expect_matches_reference(scenario, scheme);
     }
   }
 }
@@ -170,10 +63,8 @@ TEST(ContentionArbiter, HiddenTopologyAllSchemesBitIdentical) {
 TEST(ContentionArbiter, ShadowedTopologyBitIdentical) {
   // Obstacle shadowing: hidden pairs inside a connected-looking circle.
   const auto scenario = ScenarioConfig::shadowed(8, 0.3, 5);
-  expect_paths_identical(scenario, SchemeConfig::standard(),
-                         series_options());
-  expect_paths_identical(scenario, SchemeConfig::wtop_csma(),
-                         series_options());
+  expect_matches_reference(scenario, SchemeConfig::standard());
+  expect_matches_reference(scenario, SchemeConfig::wtop_csma());
 }
 
 TEST(ContentionArbiter, TrafficGatedContentionBitIdentical) {
@@ -181,12 +72,10 @@ TEST(ContentionArbiter, TrafficGatedContentionBitIdentical) {
   // arbitrary instants (cohorts of one, or joining an existing key).
   auto scenario = ScenarioConfig::connected(8, 2);
   scenario.traffic = traffic::TrafficConfig::poisson(1.0);
-  expect_paths_identical(scenario, SchemeConfig::standard(),
-                         series_options(0.6));
+  expect_matches_reference(scenario, SchemeConfig::standard(), 0.7);
   auto hidden = ScenarioConfig::hidden(8, 16.0, 4);
   hidden.traffic = traffic::TrafficConfig::on_off(2.0, 0.01, 0.03);
-  expect_paths_identical(hidden, SchemeConfig::standard(),
-                         series_options(0.6));
+  expect_matches_reference(hidden, SchemeConfig::standard(), 0.7);
 }
 
 TEST(ContentionArbiter, RtsCtsExchangesBitIdentical) {
@@ -194,79 +83,78 @@ TEST(ContentionArbiter, RtsCtsExchangesBitIdentical) {
   // cohort boundaries.
   auto scenario = ScenarioConfig::hidden(8, 16.0, 6);
   scenario.phy.rts_threshold_bits = 0;  // every data frame uses RTS/CTS
-  expect_paths_identical(scenario, SchemeConfig::standard(),
-                         series_options());
+  expect_matches_reference(scenario, SchemeConfig::standard());
 }
 
 TEST(ContentionArbiter, DynamicActivationBitIdentical) {
-  // run_dynamic toggles stations mid-backoff: deactivation withdraws
+  // Population steps toggle stations mid-backoff: deactivation withdraws
   // members (rollback without a busy trigger), activation re-enrolls.
   const auto scenario = ScenarioConfig::connected(10, 1);
   const std::vector<exp::PopulationStep> schedule{
       {0.0, 10}, {0.2, 3}, {0.4, 8}, {0.6, 1}, {0.8, 10}};
-  const auto total = sim::Duration::seconds(1.0);
-  const auto sample = sim::Duration::seconds(0.05);
   for (const auto& scheme :
        {SchemeConfig::standard(), SchemeConfig::wtop_csma(),
         SchemeConfig::tora_csma()}) {
-    exp::RunResult cohort, legacy;
-    {
-      PathGuard guard(1, 1);
-      cohort = exp::run_dynamic(scenario, scheme, schedule, total, sample);
-    }
-    {
-      PathGuard guard(0, 1);
-      legacy = exp::run_dynamic(scenario, scheme, schedule, total, sample);
-    }
-    EXPECT_EQ(hash_run(cohort), hash_run(legacy)) << scheme.name();
+    expect_matches_reference(scenario, scheme, 1.0, schedule);
   }
 }
 
 TEST(ContentionArbiter, CohortsActuallyMergeContenders) {
   // A connected network must form multi-member cohorts (every idle
-  // transition re-enters all backlogged stations at once) and execute
-  // measurably fewer events than the per-station path for the same run.
+  // transition re-enters all backlogged stations at once) and execute far
+  // fewer events than the per-slot reference for the same run.
   const auto scenario = ScenarioConfig::connected(16, 1);
   const auto scheme = SchemeConfig::standard();
 
-  std::uint64_t cohort_events = 0, legacy_events = 0;
-  {
-    PathGuard guard(1, 1);
-    auto net = exp::build_network(scenario, scheme);
-    ASSERT_NE(net->contention_arbiter(), nullptr);
-    net->start();
-    net->run_for(sim::Duration::seconds(0.5));
-    cohort_events = net->simulator().events_executed();
-    const auto& stats = net->contention_arbiter()->stats();
-    EXPECT_GT(stats.enrollments, 0u);
-    EXPECT_GT(stats.cohorts_formed, 0u);
-    // Merging is the whole point: enrollments must far exceed cohorts.
-    EXPECT_GT(stats.enrollments, 4 * stats.cohorts_formed);
-    EXPECT_GT(stats.decisions_fired, 0u);
-    EXPECT_GT(stats.withdrawals, 0u);
-  }
-  {
-    PathGuard guard(0, 1);
-    auto net = exp::build_network(scenario, scheme);
-    EXPECT_EQ(net->contention_arbiter(), nullptr);
-    net->start();
-    net->run_for(sim::Duration::seconds(0.5));
-    legacy_events = net->simulator().events_executed();
-  }
-  // 16 connected stations: the cohort path replaces ~2N contention events
-  // per busy period with ~2. Expect a substantial reduction.
+  auto net = exp::build_network(scenario, scheme);
+  net->start();
+  net->run_for(sim::Duration::seconds(0.5));
+  const std::uint64_t cohort_events = net->simulator().events_executed();
+  const auto& stats = net->contention_arbiter().stats();
+  EXPECT_GT(stats.enrollments, 0u);
+  EXPECT_GT(stats.cohorts_formed, 0u);
+  // Merging is the whole point: enrollments must far exceed cohorts.
+  EXPECT_GT(stats.enrollments, 4 * stats.cohorts_formed);
+  EXPECT_GT(stats.decisions_fired, 0u);
+  EXPECT_GT(stats.withdrawals, 0u);
+
+  const reference::Outcome per_slot = reference::run_reference(
+      {scenario, scheme, sim::Duration::seconds(0.5), {}});
+  // 16 connected stations: cohorts replace ~2N contention events per busy
+  // period with ~2, and batching replaces one event per idle slot.
   EXPECT_LT(static_cast<double>(cohort_events),
-            0.55 * static_cast<double>(legacy_events))
-      << "cohort=" << cohort_events << " legacy=" << legacy_events;
+            0.55 * static_cast<double>(per_slot.events_executed))
+      << "cohort=" << cohort_events << " per-slot=" << per_slot.events_executed;
+}
+
+/// FNV-1a (shared core: util::Fnv1a) over the bit patterns of a series'
+/// samples — the same construction as bench_macro_dynamic's series hash.
+std::uint64_t hash_run(const exp::RunResult& r) {
+  util::Fnv1a h;
+  for (const auto* series : {&r.throughput_series, &r.control_series,
+                             &r.stage_series, &r.active_nodes_series}) {
+    for (const auto& sample : series->samples()) {
+      h.mix_double_word(sample.t_seconds);
+      h.mix_double_word(sample.value);
+    }
+  }
+  h.mix_double_word(r.total_mbps);
+  for (double v : r.per_station_mbps) h.mix_double_word(v);
+  h.mix_double_word(r.ap_avg_idle_slots);
+  h.mix_double_word(static_cast<double>(r.successes));
+  h.mix_double_word(static_cast<double>(r.failures));
+  return h.digest();
 }
 
 TEST(ContentionArbiter, RepeatRunsAreDeterministic) {
-  PathGuard guard(1, 1);
+  exp::RunOptions opts;
+  opts.warmup = sim::Duration::seconds(0.1);
+  opts.measure = sim::Duration::seconds(0.4);
+  opts.sample_period = sim::Duration::seconds(0.05);
+  opts.record_series = true;
   const auto scenario = ScenarioConfig::hidden(10, 20.0, 9);
-  const auto a =
-      exp::run_scenario(scenario, SchemeConfig::tora_csma(), series_options());
-  const auto b =
-      exp::run_scenario(scenario, SchemeConfig::tora_csma(), series_options());
+  const auto a = exp::run_scenario(scenario, SchemeConfig::tora_csma(), opts);
+  const auto b = exp::run_scenario(scenario, SchemeConfig::tora_csma(), opts);
   EXPECT_EQ(hash_run(a), hash_run(b));
 }
 

@@ -1,26 +1,26 @@
-// Differential tests for incremental interference marking: the incremental
-// path (WLAN_INCR_MEDIUM=1, the default — CSR adjacency + peer index +
-// decode-mask pre-filtering in phy::Medium) must reproduce the legacy full
-// active-list scan bit-for-bit, across topologies, schemes, RTS/CTS,
-// traffic mixes, capture, and multi-cell (ESS) scenarios — while actually
-// scanning fewer pairs. Also pins the single-cell reduction: a one-cell
-// CellPlan assembled through the multi-AP Network path reproduces the
-// legacy single-AP build exactly.
+// Differential tests for interference marking: production (CSR adjacency
+// + peer index + decode-mask pre-filtering in phy::Medium) must deliver
+// exactly the clean flags the full-scan checker in tests/reference/
+// recomputes from the medium's definition, and match the per-slot reference
+// model trace record for trace record — across topologies, schemes,
+// RTS/CTS, traffic mixes, capture, and multi-cell (ESS) scenarios — while
+// actually scanning fewer pairs. Also pins the single-cell reduction: a
+// one-cell CellPlan assembled through the multi-AP Network path reproduces
+// the single-AP build exactly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "mac/network.hpp"
-#include "obs/trace.hpp"
-#include "obs/trace_diff.hpp"
 #include "phy/medium.hpp"
+#include "reference/differential.hpp"
+#include "reference/full_scan.hpp"
 #include "topology/cell_plan.hpp"
 #include "topology/placement.hpp"
-#include "util/env.hpp"
-#include "util/fnv.hpp"
 
 namespace {
 
@@ -28,104 +28,14 @@ using namespace wlan;
 using exp::ScenarioConfig;
 using exp::SchemeConfig;
 
-/// Scoped override of the WLAN_INCR_MEDIUM knob (latched from the
-/// environment otherwise, which would pin a whole test process to one
-/// path). New Medium instances latch the override at construction.
-struct MediumPathGuard {
-  explicit MediumPathGuard(int incremental) {
-    phy::Medium::set_incremental_override(incremental);
-  }
-  ~MediumPathGuard() { phy::Medium::set_incremental_override(-1); }
-};
-
-/// FNV-1a (shared core: util::Fnv1a) over the bit patterns of a series'
-/// samples — the same construction as the cohort differential tests.
-void hash_series(const stats::TimeSeries& s, util::Fnv1a& h) {
-  for (const auto& sample : s.samples()) {
-    h.mix_double_word(sample.t_seconds);
-    h.mix_double_word(sample.value);
-  }
-}
-
-std::uint64_t hash_run(const exp::RunResult& r) {
-  util::Fnv1a h;
-  hash_series(r.throughput_series, h);
-  hash_series(r.control_series, h);
-  hash_series(r.stage_series, h);
-  hash_series(r.active_nodes_series, h);
-  h.mix_double_word(r.total_mbps);
-  for (double v : r.per_station_mbps) h.mix_double_word(v);
-  h.mix_double_word(r.ap_avg_idle_slots);
-  h.mix_double_word(static_cast<double>(r.successes));
-  h.mix_double_word(static_cast<double>(r.failures));
-  h.mix_double_word(r.mean_delay_s);
-  h.mix_double_word(r.drop_rate);
-  for (int src : r.success_sources)
-    h.mix_u64_word(static_cast<std::uint64_t>(src));
-  return h.digest();
-}
-
-exp::RunOptions series_options(double measure_s = 0.4) {
-  exp::RunOptions opts;
-  opts.warmup = sim::Duration::seconds(0.1);
-  opts.measure = sim::Duration::seconds(measure_s);
-  opts.sample_period = sim::Duration::seconds(0.05);
-  opts.record_series = true;  // also bypasses the run cache
-  return opts;
-}
-
-/// On a hash mismatch, re-runs both marking paths with event tracing and
-/// reports the FIRST event where the two simulations diverge — turning "two
-/// 64-bit hashes differ" into "t=1.234s medium tx_start node=7 ...". The
-/// trace mask deliberately excludes kCatMark: the incremental path
-/// legitimately skips marks no decodable receiver can observe, so mark
-/// records differ between paths even when the physics agree.
-void report_first_divergence(const ScenarioConfig& scenario,
-                             const SchemeConfig& scheme,
-                             const exp::RunOptions& opts) {
-  constexpr unsigned kMask =
-      obs::category_bit(obs::kCatMedium) | obs::category_bit(obs::kCatStation);
-  obs::TraceCapture incr_cap, legacy_cap;
-  incr_cap.mask = legacy_cap.mask = kMask;
-  exp::RunOptions traced = opts;
-  {
-    MediumPathGuard guard(1);
-    traced.trace = &incr_cap;
-    exp::run_scenario(scenario, scheme, traced);
-  }
-  {
-    MediumPathGuard guard(0);
-    traced.trace = &legacy_cap;
-    exp::run_scenario(scenario, scheme, traced);
-  }
-  ADD_FAILURE() << "first trace divergence (incremental=a, legacy=b):\n"
-                << obs::divergence_report(incr_cap.records,
-                                          legacy_cap.records);
-}
-
-/// Runs the scenario under both marking paths and asserts bit-identical
-/// series hashes plus exact equality of the headline scalars.
-void expect_paths_identical(const ScenarioConfig& scenario,
-                            const SchemeConfig& scheme,
-                            const exp::RunOptions& opts) {
-  exp::RunResult incremental, legacy;
-  {
-    MediumPathGuard guard(1);
-    incremental = exp::run_scenario(scenario, scheme, opts);
-  }
-  {
-    MediumPathGuard guard(0);
-    legacy = exp::run_scenario(scenario, scheme, opts);
-  }
-  EXPECT_EQ(hash_run(incremental), hash_run(legacy))
-      << scheme.name() << ": incremental vs legacy marking";
-  if (hash_run(incremental) != hash_run(legacy))
-    report_first_divergence(scenario, scheme, opts);
-  EXPECT_EQ(incremental.total_mbps, legacy.total_mbps);
-  EXPECT_EQ(incremental.successes, legacy.successes);
-  EXPECT_EQ(incremental.failures, legacy.failures);
-  EXPECT_EQ(incremental.per_station_mbps, legacy.per_station_mbps);
-  EXPECT_EQ(incremental.success_sources, legacy.success_sources);
+void expect_matches_reference(const ScenarioConfig& scenario,
+                              const SchemeConfig& scheme,
+                              double seconds = 0.5,
+                              std::vector<exp::PopulationStep> schedule = {}) {
+  reference::Case c{scenario, scheme, sim::Duration::seconds(seconds),
+                    std::move(schedule)};
+  const std::string report = reference::check_case(c);
+  EXPECT_TRUE(report.empty()) << report;
 }
 
 TEST(MediumDifferential, ConnectedTopologyAllSchemesBitIdentical) {
@@ -138,7 +48,7 @@ TEST(MediumDifferential, ConnectedTopologyAllSchemesBitIdentical) {
     for (const auto& scheme :
          {SchemeConfig::standard(), SchemeConfig::wtop_csma(),
           SchemeConfig::tora_csma(), SchemeConfig::idle_sense_scheme()}) {
-      expect_paths_identical(scenario, scheme, series_options());
+      expect_matches_reference(scenario, scheme);
     }
   }
 }
@@ -153,7 +63,7 @@ TEST(MediumDifferential, HiddenTopologyAllSchemesBitIdentical) {
     for (const auto& scheme :
          {SchemeConfig::standard(), SchemeConfig::wtop_csma(),
           SchemeConfig::tora_csma(), SchemeConfig::idle_sense_scheme()}) {
-      expect_paths_identical(scenario, scheme, series_options());
+      expect_matches_reference(scenario, scheme);
     }
   }
 }
@@ -163,10 +73,8 @@ TEST(MediumDifferential, ShadowedTopologyBitIdentical) {
   // CSR adjacency rows are irregular and the grid pre-filter must not
   // drop any shadow-surviving pair.
   const auto scenario = ScenarioConfig::shadowed(8, 0.3, 5);
-  expect_paths_identical(scenario, SchemeConfig::standard(),
-                         series_options());
-  expect_paths_identical(scenario, SchemeConfig::wtop_csma(),
-                         series_options());
+  expect_matches_reference(scenario, SchemeConfig::standard());
+  expect_matches_reference(scenario, SchemeConfig::wtop_csma());
 }
 
 TEST(MediumDifferential, RtsCtsExchangesBitIdentical) {
@@ -174,10 +82,8 @@ TEST(MediumDifferential, RtsCtsExchangesBitIdentical) {
   // CTS timeouts depend on exactly which frames got corrupted.
   auto scenario = ScenarioConfig::hidden(8, 16.0, 6);
   scenario.phy.rts_threshold_bits = 0;  // every data frame uses RTS/CTS
-  expect_paths_identical(scenario, SchemeConfig::standard(),
-                         series_options());
-  expect_paths_identical(scenario, SchemeConfig::tora_csma(),
-                         series_options());
+  expect_matches_reference(scenario, SchemeConfig::standard());
+  expect_matches_reference(scenario, SchemeConfig::tora_csma());
 }
 
 TEST(MediumDifferential, TrafficMixesBitIdentical) {
@@ -185,12 +91,10 @@ TEST(MediumDifferential, TrafficMixesBitIdentical) {
   // runs against sparse active sets (the transmitting_[] skip path).
   auto poisson = ScenarioConfig::connected(8, 2);
   poisson.traffic = traffic::TrafficConfig::poisson(1.0);
-  expect_paths_identical(poisson, SchemeConfig::standard(),
-                         series_options(0.6));
+  expect_matches_reference(poisson, SchemeConfig::standard(), 0.7);
   auto onoff = ScenarioConfig::hidden(8, 16.0, 4);
   onoff.traffic = traffic::TrafficConfig::on_off(2.0, 0.01, 0.03);
-  expect_paths_identical(onoff, SchemeConfig::standard(),
-                         series_options(0.6));
+  expect_matches_reference(onoff, SchemeConfig::standard(), 0.7);
 }
 
 TEST(MediumDifferential, MulticellAllSchemesBitIdentical) {
@@ -202,23 +106,21 @@ TEST(MediumDifferential, MulticellAllSchemesBitIdentical) {
   for (const auto& scheme :
        {SchemeConfig::standard(), SchemeConfig::wtop_csma(),
         SchemeConfig::tora_csma(), SchemeConfig::idle_sense_scheme()}) {
-    expect_paths_identical(scenario, scheme, series_options());
+    expect_matches_reference(scenario, scheme);
   }
   // A larger, sparser plan: 9 cells on a 3x3 grid — inter-cell hidden
   // pairs dominate and most peer rows are small.
-  expect_paths_identical(ScenarioConfig::multicell(9, 4, 40.0, 2),
-                         SchemeConfig::standard(), series_options());
+  expect_matches_reference(ScenarioConfig::multicell(9, 4, 40.0, 2),
+                           SchemeConfig::standard());
 }
 
 TEST(MediumDifferential, MulticellRtsCtsAndTrafficBitIdentical) {
   auto scenario = ScenarioConfig::multicell(4, 5, 40.0, 3);
   scenario.phy.rts_threshold_bits = 0;
-  expect_paths_identical(scenario, SchemeConfig::standard(),
-                         series_options());
+  expect_matches_reference(scenario, SchemeConfig::standard());
   auto bursty = ScenarioConfig::multicell(4, 5, 40.0, 4);
   bursty.traffic = traffic::TrafficConfig::poisson(2.0);
-  expect_paths_identical(bursty, SchemeConfig::standard(),
-                         series_options(0.6));
+  expect_matches_reference(bursty, SchemeConfig::standard(), 0.7);
 }
 
 TEST(MediumDifferential, ShadowedMulticellBitIdentical) {
@@ -226,8 +128,7 @@ TEST(MediumDifferential, ShadowedMulticellBitIdentical) {
   // pairs, so peer rows and decode masks are irregular across cells.
   auto scenario = ScenarioConfig::multicell(4, 5, 40.0, 7);
   scenario.shadow_probability = 0.3;
-  expect_paths_identical(scenario, SchemeConfig::standard(),
-                         series_options());
+  expect_matches_reference(scenario, SchemeConfig::standard());
 }
 
 TEST(MediumDifferential, MulticellWithoutCaptureBitIdentical) {
@@ -235,95 +136,40 @@ TEST(MediumDifferential, MulticellWithoutCaptureBitIdentical) {
   // masked path must not depend on capture for its receiver filtering.
   auto scenario = ScenarioConfig::multicell(4, 6, 40.0, 5);
   scenario.phy.capture_ratio = 0.0;
-  expect_paths_identical(scenario, SchemeConfig::standard(),
-                         series_options());
+  expect_matches_reference(scenario, SchemeConfig::standard());
 }
 
 TEST(MediumDifferential, DynamicActivationBitIdentical) {
-  // run_dynamic toggles stations mid-flight: the sparse-active skip
+  // Population steps toggle stations mid-flight: the sparse-active skip
   // (transmitting_[o] check) sees populations grow and shrink.
   const auto scenario = ScenarioConfig::connected(10, 1);
   const std::vector<exp::PopulationStep> schedule{
       {0.0, 10}, {0.2, 3}, {0.4, 8}, {0.6, 10}};
-  const auto total = sim::Duration::seconds(1.0);
-  const auto sample = sim::Duration::seconds(0.05);
   for (const auto& scheme :
        {SchemeConfig::standard(), SchemeConfig::wtop_csma()}) {
-    exp::RunResult incremental, legacy;
-    {
-      MediumPathGuard guard(1);
-      incremental =
-          exp::run_dynamic(scenario, scheme, schedule, total, sample);
-    }
-    {
-      MediumPathGuard guard(0);
-      legacy = exp::run_dynamic(scenario, scheme, schedule, total, sample);
-    }
-    EXPECT_EQ(hash_run(incremental), hash_run(legacy)) << scheme.name();
+    expect_matches_reference(scenario, scheme, 1.0, schedule);
   }
-}
-
-TEST(MediumDifferential, OverrideForcesPathAtConstruction) {
-  // The override wins over the environment and is latched per instance:
-  // a Medium built under override 0 stays legacy after the override is
-  // restored.
-  {
-    MediumPathGuard guard(0);
-    EXPECT_FALSE(phy::Medium::incremental_enabled());
-    auto net = exp::build_network(ScenarioConfig::connected(4, 1),
-                                  SchemeConfig::standard());
-    EXPECT_FALSE(net->medium().incremental());
-    phy::Medium::set_incremental_override(1);
-    EXPECT_TRUE(phy::Medium::incremental_enabled());
-    EXPECT_FALSE(net->medium().incremental());  // latched at construction
-  }
-  // Guard restored -1: back to whatever the environment says (the whole
-  // suite is run under both WLAN_INCR_MEDIUM settings in CI).
-  EXPECT_EQ(phy::Medium::incremental_enabled(),
-            util::env_bool("WLAN_INCR_MEDIUM", true));
-}
-
-TEST(MediumDifferential, LegacyMediumHasNoPeerIndex) {
-  MediumPathGuard guard(0);
-  auto net = exp::build_network(ScenarioConfig::hidden(6, 16.0, 2),
-                                SchemeConfig::standard());
-  EXPECT_FALSE(net->medium().has_peer_index());
-  EXPECT_TRUE(net->medium().interference_peers(1).empty());
 }
 
 TEST(MediumDifferential, IncrementalPathActuallyScansFewer) {
-  // Guard against the fast path silently degrading to the legacy scan:
-  // on a multi-cell scenario the peer index must engage and the pair-scan
-  // counter must drop by a wide margin for the same simulated run.
+  // Guard against the peer index silently degrading to a full scan: on a
+  // multi-cell scenario it must engage, and production must examine far
+  // fewer (new tx, in-flight tx) pairs than a full scan of the in-flight
+  // list does for the same simulated run.
   const auto scenario = ScenarioConfig::multicell(9, 6, 40.0, 1);
   const auto scheme = SchemeConfig::standard();
-  std::uint64_t incr_pairs = 0, legacy_pairs = 0;
-  std::int64_t incr_bits = 0, legacy_bits = 0;
-  {
-    MediumPathGuard guard(1);
-    auto net = exp::build_network(scenario, scheme);
-    EXPECT_TRUE(net->medium().incremental());
-    EXPECT_TRUE(net->medium().has_peer_index());
-    net->start();
-    net->run_for(sim::Duration::seconds(0.5));
-    incr_pairs = net->medium().marking_pairs_scanned();
-    incr_bits = net->counters().total_bits_delivered();
-  }
-  {
-    MediumPathGuard guard(0);
-    auto net = exp::build_network(scenario, scheme);
-    EXPECT_FALSE(net->medium().incremental());
-    EXPECT_FALSE(net->medium().has_peer_index());
-    net->start();
-    net->run_for(sim::Duration::seconds(0.5));
-    legacy_pairs = net->medium().marking_pairs_scanned();
-    legacy_bits = net->counters().total_bits_delivered();
-  }
-  EXPECT_EQ(incr_bits, legacy_bits);
-  EXPECT_GT(legacy_pairs, 0u);
+  EXPECT_TRUE(exp::build_network(scenario, scheme)->medium().has_peer_index());
+  const reference::Outcome production = reference::run_production(
+      {scenario, scheme, sim::Duration::seconds(0.5), {}});
+  const reference::FullScanResult scan =
+      reference::full_scan_check(scenario, production.medium_trace);
+  EXPECT_TRUE(scan.error.empty()) << scan.error;
+  EXPECT_GT(scan.pairs_in_flight, 0u);
   // 9 cells at spacing 40 with sense 24: most cells are out of each
   // other's interference range entirely.
-  EXPECT_LT(incr_pairs * 2, legacy_pairs);
+  EXPECT_LT(production.pairs_scanned * 2, scan.pairs_in_flight)
+      << "production=" << production.pairs_scanned
+      << " full scan=" << scan.pairs_in_flight;
 }
 
 TEST(MediumDifferential, OneCellPlanMatchesLegacyLayout) {

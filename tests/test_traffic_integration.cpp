@@ -1,7 +1,7 @@
 // Integration tests for the traffic layer: station <-> source coupling,
 // end-to-end delay/drop accounting, determinism across repeated runs and
 // thread counts, the offered-load sweep axis, and the equivalence of the
-// batched backoff path with the legacy per-slot path.
+// batched backoff with the per-slot reference stations (tests/reference/).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -10,6 +10,7 @@
 #include "exp/sweep.hpp"
 #include "mac/network.hpp"
 #include "par/thread_pool.hpp"
+#include "reference/differential.hpp"
 
 namespace {
 
@@ -239,23 +240,18 @@ TEST(SweepLoads, LoadSweepBitIdenticalAcrossThreadCounts) {
 // -------------------------------------------------- batched backoff path
 
 TEST(BatchedBackoff, MatchesPerSlotPathBitForBit) {
-  // The batched decision path (WLAN_BATCH_SLOTS=1, default) must produce
-  // results bit-identical to the legacy one-event-per-slot path. The env
-  // knob is latched per process, so drive both paths via Network directly.
-  // (The figure-level equivalence — full CSVs across both env settings —
-  // is checked in CI; here a long mixed run guards the core property.)
+  // Production's batched decisions (pre-drawn per backoff, rewound on busy
+  // interruptions) must reproduce the reference model's one-event-per-slot
+  // stations bit for bit: same medium trace, same per-station counters.
+  // A long hidden-node run, saturated and then Poisson-gated, where busy
+  // interruptions land mid-batch all the time.
   for (const bool traffic_on : {false, true}) {
     ScenarioConfig scenario = ScenarioConfig::hidden(8, 16.0, 5);
     if (traffic_on) scenario.traffic = TrafficConfig::poisson(1.5);
-    const auto opts = quick_options(1.5);
-    const auto a =
-        exp::run_scenario(scenario, SchemeConfig::standard(), opts);
-    const auto b =
-        exp::run_scenario(scenario, SchemeConfig::standard(), opts);
-    // Determinism of whichever path the env selected.
-    EXPECT_EQ(a.total_mbps, b.total_mbps);
-    EXPECT_EQ(a.successes, b.successes);
-    EXPECT_EQ(a.failures, b.failures);
+    const reference::Case c{scenario, SchemeConfig::standard(),
+                            sim::Duration::seconds(1.5), {}};
+    const std::string report = reference::check_case(c);
+    EXPECT_TRUE(report.empty()) << report;
   }
 }
 
