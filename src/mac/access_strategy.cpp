@@ -11,6 +11,16 @@ void AccessStrategy::apply_params(const phy::ControlParams&, bool,
 
 void AccessStrategy::on_transmission_observed(double) {}
 
+int AccessStrategy::decide_run(util::Rng& rng, int limit, bool& transmit) {
+  transmit = false;
+  int k = 0;
+  while (!transmit && k < limit) {
+    ++k;
+    transmit = decide_transmit(rng);
+  }
+  return k;
+}
+
 // ---------------------------------------------------------------- wTOP node
 
 PPersistentStrategy::PPersistentStrategy(double initial_p, double weight,
@@ -30,6 +40,11 @@ double PPersistentStrategy::weighted_probability(double master_p,
 
 bool PPersistentStrategy::decide_transmit(util::Rng& rng) {
   return rng.bernoulli(p_);
+}
+
+int PPersistentStrategy::decide_run(util::Rng& rng, int limit,
+                                    bool& transmit) {
+  return rng.bernoulli_run(p_, limit, transmit);
 }
 
 void PPersistentStrategy::apply_params(const phy::ControlParams& params,
@@ -74,6 +89,27 @@ bool StandardDcfStrategy::decide_transmit(util::Rng& rng) {
   if (counter_ == 0) return true;
   --counter_;
   return false;
+}
+
+int StandardDcfStrategy::decide_run(util::Rng& rng, int limit,
+                                    bool& transmit) {
+  transmit = false;
+  if (limit <= 0) return 0;
+  if (need_initial_draw_) {
+    draw(rng);
+    need_initial_draw_ = false;
+  }
+  // decide_transmit counts the counter down one per call and answers
+  // "transmit" on the call that finds it at zero: call counter_ + 1.
+  const auto run = static_cast<std::uint64_t>(limit);
+  if (counter_ < run) {
+    const int k = static_cast<int>(counter_) + 1;
+    counter_ = 0;
+    transmit = true;
+    return k;
+  }
+  counter_ -= run;
+  return limit;
 }
 
 void StandardDcfStrategy::on_success(util::Rng& rng) {
@@ -124,6 +160,12 @@ bool RandomResetStrategy::decide_transmit(util::Rng& rng) {
   return rng.bernoulli(2.0 / params_.cw_at_stage(stage_));
 }
 
+int RandomResetStrategy::decide_run(util::Rng& rng, int limit,
+                                    bool& transmit) {
+  return rng.bernoulli_run(2.0 / params_.cw_at_stage(stage_), limit,
+                           transmit);
+}
+
 void RandomResetStrategy::on_success(util::Rng& rng) {
   // Algorithm 2, node side line 6: i <- j w.p. p0, else uniform {j+1..m}.
   const int m = params_.num_backoff_stages();
@@ -166,6 +208,10 @@ FixedCwStrategy::FixedCwStrategy(double cw) : cw_(cw) {
 
 bool FixedCwStrategy::decide_transmit(util::Rng& rng) {
   return rng.bernoulli(attempt_probability());
+}
+
+int FixedCwStrategy::decide_run(util::Rng& rng, int limit, bool& transmit) {
+  return rng.bernoulli_run(attempt_probability(), limit, transmit);
 }
 
 double FixedCwStrategy::attempt_probability() const {

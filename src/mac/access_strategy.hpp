@@ -28,6 +28,17 @@ class AccessStrategy {
   /// frame on the air in this slot.
   virtual bool decide_transmit(util::Rng& rng) = 0;
 
+  /// A run of slot decisions in one call: exactly the draws, answers and
+  /// state changes of up to `limit` decide_transmit(rng) calls, stopping
+  /// at the first "transmit". Returns how many decisions were made (0 when
+  /// limit <= 0) and sets `transmit` to the last one's answer, so
+  /// `transmit` is false iff the run ended at `limit` without one.
+  /// mac::Station makes every slot decision through here (a pre-drawn
+  /// batch, and its replay after a busy interruption). The default loops
+  /// over decide_transmit; an override must stay draw-for-draw equal to
+  /// that loop (tests/test_access_strategy.cpp checks every strategy).
+  virtual int decide_run(util::Rng& rng, int limit, bool& transmit);
+
   /// Outcome notifications for this station's own transmissions. For
   /// successes the station calls apply_params() (with own_ack=true) BEFORE
   /// on_success(), so reset draws use the freshest broadcast parameters —
@@ -72,6 +83,7 @@ class PPersistentStrategy final : public AccessStrategy {
   PPersistentStrategy(double initial_p, double weight, bool adaptive);
 
   bool decide_transmit(util::Rng& rng) override;
+  int decide_run(util::Rng& rng, int limit, bool& transmit) override;
   void on_success(util::Rng& /*rng*/) override {}
   void on_failure(util::Rng& /*rng*/) override {}
   void apply_params(const phy::ControlParams& params, bool own_ack,
@@ -105,6 +117,8 @@ class StandardDcfStrategy final : public AccessStrategy {
   explicit StandardDcfStrategy(const WifiParams& params);
 
   bool decide_transmit(util::Rng& rng) override;
+  /// O(1): the run ends where the counter reaches zero.
+  int decide_run(util::Rng& rng, int limit, bool& transmit) override;
   void on_success(util::Rng& rng) override;
   void on_failure(util::Rng& rng) override;
   void checkpoint_decision_state() override;
@@ -139,6 +153,7 @@ class RandomResetStrategy final : public AccessStrategy {
                       double reset_probability, bool adaptive);
 
   bool decide_transmit(util::Rng& rng) override;
+  int decide_run(util::Rng& rng, int limit, bool& transmit) override;
   void on_success(util::Rng& rng) override;
   void on_failure(util::Rng& rng) override;
   void apply_params(const phy::ControlParams& params, bool own_ack,
@@ -166,6 +181,7 @@ class FixedCwStrategy : public AccessStrategy {
   explicit FixedCwStrategy(double cw);
 
   bool decide_transmit(util::Rng& rng) override;
+  int decide_run(util::Rng& rng, int limit, bool& transmit) override;
   void on_success(util::Rng& /*rng*/) override {}
   void on_failure(util::Rng& /*rng*/) override {}
   double attempt_probability() const override;

@@ -1,6 +1,5 @@
 #include "mac/contention_arbiter.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "mac/station.hpp"
@@ -12,6 +11,23 @@ ContentionArbiter::ContentionArbiter(sim::Simulator& simulator,
                                      sim::Duration slot)
     : sim_(simulator), slot_(slot) {}
 
+namespace {
+
+/// The first live member's id, which the cohort trace records name.
+phy::NodeId first_live_id(const std::vector<Station*>& members) {
+  for (const Station* s : members)
+    if (s != nullptr) return s->id();
+  return phy::kInvalidNode;
+}
+
+}  // namespace
+
+void ContentionArbiter::take_seat(Cohort& cohort, Station& station) {
+  station.seat_ = {&cohort, cohort.members.size()};
+  cohort.members.push_back(&station);
+  ++cohort.live;
+}
+
 void ContentionArbiter::enroll(Station& station, sim::Duration ifs) {
   ++stats_.enrollments;
   const sim::Time now = sim_.now();
@@ -20,9 +36,9 @@ void ContentionArbiter::enroll(Station& station, sim::Duration ifs) {
   // order the members' own DIFS events would have had.
   for (auto& c : pending_) {
     if (c->enrolled_at == now && c->ifs == ifs) {
-      c->members.push_back(&station);
+      take_seat(*c, station);
       WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kEnroll, station.id(),
-                     ifs.ns(), c->members.size());
+                     ifs.ns(), c->live);
       return;
     }
   }
@@ -36,7 +52,8 @@ void ContentionArbiter::enroll(Station& station, sim::Duration ifs) {
   cohort->enrolled_at = now;
   cohort->ifs = ifs;
   cohort->members.clear();
-  cohort->members.push_back(&station);
+  cohort->live = 0;
+  take_seat(*cohort, station);
   PendingCohort* raw = cohort.get();
   // A normal event of lookback `ifs`: bit-for-bit the key (and queue
   // position) of the first member's own DIFS timer.
@@ -53,42 +70,40 @@ void ContentionArbiter::withdraw(Station& station) {
   ++stats_.withdrawals;
   WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kWithdraw, station.id(),
                  stats_.withdrawals, 0);
-  for (auto& c : pending_) {
-    auto it = std::find(c->members.begin(), c->members.end(), &station);
-    if (it == c->members.end()) continue;
-    c->members.erase(it);  // order-preserving
-    if (c->members.empty()) {
-      sim_.cancel(c->event);
-      release_pending(c.get());
+  Cohort* c = station.seat_.cohort;
+  const std::size_t i = station.seat_.index;
+  assert(c != nullptr && i < c->members.size() && c->members[i] == &station &&
+         "withdraw: station is not enrolled in any cohort");
+  // Tombstone the seat: survivors keep their indices and enrollment order.
+  c->members[i] = nullptr;
+  if (--c->live == 0) {
+    sim_.cancel(c->event);
+    if (c->in_backoff) {
+      release_backoff(static_cast<BackoffCohort*>(c));
+    } else {
+      release_pending(static_cast<PendingCohort*>(c));
     }
     return;
   }
-  for (auto& c : backoff_) {
-    auto it = std::find(c->members.begin(), c->members.end(), &station);
-    if (it == c->members.end()) continue;
-    c->members.erase(it);
-    if (c->members.empty()) {
-      sim_.cancel(c->event);
-      release_backoff(c.get());
-      return;
-    }
-    // Eager re-arm: the minimum can only have moved later. Cancelling and
-    // re-scheduling with the SAME anchored key lands the event in the
-    // same same-instant position the per-station survivors' events hold,
-    // so laziness would buy nothing but a stale-event fire.
-    if (min_boundary(*c) != c->due) {
-      sim_.cancel(c->event);
-      arm(*c);
-    }
-    return;
+  if (!c->in_backoff) return;
+  auto& b = *static_cast<BackoffCohort*>(c);
+  const sim::Time boundary = b.boundaries[i];
+  b.boundaries[i] = sim::Time::max();
+  // Eager re-arm once the last member due at the minimum leaves (the
+  // minimum can only have moved later). Cancelling and re-scheduling with
+  // the SAME anchored key lands the event in the same same-instant
+  // position the per-station survivors' events hold, so laziness would
+  // buy nothing but a stale-event fire.
+  if (boundary == b.due && --b.at_due == 0) {
+    sim_.cancel(b.event);
+    arm(b);
   }
-  assert(false && "withdraw: station is not enrolled in any cohort");
 }
 
 void ContentionArbiter::pending_expired(PendingCohort* cohort) {
   const sim::Time now = sim_.now();
   assert(now == cohort->enrolled_at + cohort->ifs);
-  assert(!cohort->members.empty());
+  assert(cohort->live > 0);
 
   // Two waits can end at the same instant only via distinct busy-period
   // ends (e.g. an earlier EIFS cohort and a later DIFS cohort). The
@@ -115,28 +130,39 @@ void ContentionArbiter::pending_expired(PendingCohort* cohort) {
     fresh->anchor_seq = 0;
     fresh->id = ++next_backoff_id_;
     fresh->members.clear();
+    fresh->boundaries.clear();
+    fresh->live = 0;
     target = fresh.get();
     backoff_.push_back(std::move(fresh));
   } else {
     ++stats_.entry_merges;
     WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kCohortMerge,
-                   cohort->members.front()->id(), cohort->ifs.ns(),
-                   target->members.size());
+                   first_live_id(cohort->members), cohort->ifs.ns(),
+                   target->live);
   }
 
   // Enter every member in enrollment order: each pre-draws its batch from
   // its own RNG/strategy — the identical draws, in an order that cannot
-  // matter (stations share no decision state).
+  // matter (stations share no decision state). A merge moves the target's
+  // event only if a newcomer's boundary undercuts it.
+  bool earlier = false;
   for (Station* s : cohort->members) {
+    if (s == nullptr) continue;
     s->cohort_id_ = target->id;
     s->cohort_enter_backoff();
-    target->members.push_back(s);
+    const sim::Time boundary = s->cohort_boundary();
+    take_seat(*target, *s);
+    target->boundaries.push_back(boundary);
+    if (merged) {
+      if (boundary < target->due) earlier = true;
+      if (boundary == target->due) ++target->at_due;
+    }
   }
   release_pending(cohort);
 
   if (!merged) {
     arm(*target);
-  } else if (min_boundary(*target) != target->due) {
+  } else if (earlier) {
     sim_.cancel(target->event);
     arm(*target);
   }
@@ -145,47 +171,59 @@ void ContentionArbiter::pending_expired(PendingCohort* cohort) {
 void ContentionArbiter::decision_due(BackoffCohort* cohort) {
   ++stats_.decisions_fired;
   const sim::Time now = sim_.now();
-  assert(now == cohort->due);
+  assert(now == cohort->due && cohort->at_due > 0);
   WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kCohortDecision,
-                 cohort->members.front()->id(), cohort->members.size(),
+                 first_live_id(cohort->members), cohort->live,
                  stats_.decisions_fired);
 
   // Members in enrollment order == the seq order of the per-station
   // decision events this one event stands in for. Due members commit
   // (leaving the cohort; the radio start is deferred through a zero-delay
   // event, so no commit is visible to a later member here) or continue
-  // with a doubled re-drawn batch.
-  scratch_.clear();
-  bool any_due = false;
-  for (Station* s : cohort->members) {
-    if (s->cohort_boundary() == now) {
-      any_due = true;
-      if (!s->cohort_decision()) scratch_.push_back(s);
-    } else {
-      scratch_.push_back(s);
+  // with a doubled re-drawn batch. Survivors close up over the tombstones
+  // and committed members, in order.
+  auto& members = cohort->members;
+  auto& boundaries = cohort->boundaries;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    Station* s = members[i];
+    if (s == nullptr) continue;
+    sim::Time boundary = boundaries[i];
+    if (boundary == now) {
+      if (s->cohort_decision()) continue;
+      boundary = s->cohort_boundary();
     }
+    if (kept != i) {
+      members[kept] = s;
+      s->seat_.index = kept;
+    }
+    boundaries[kept] = boundary;
+    ++kept;
   }
-  assert(any_due && "cohort event fired with no member due");
-  (void)any_due;
-  cohort->members.swap(scratch_);
-  if (cohort->members.empty()) {
+  members.resize(kept);
+  boundaries.resize(kept);
+  cohort->live = kept;
+  if (kept == 0) {
     release_backoff(cohort);
     return;
   }
   arm(*cohort);
 }
 
-sim::Time ContentionArbiter::min_boundary(const BackoffCohort& cohort) const {
-  assert(!cohort.members.empty());
-  sim::Time m = cohort.members.front()->cohort_boundary();
-  for (std::size_t i = 1; i < cohort.members.size(); ++i)
-    m = std::min(m, cohort.members[i]->cohort_boundary());
-  return m;
-}
-
 void ContentionArbiter::arm(BackoffCohort& cohort) {
-  const sim::Time due = min_boundary(cohort);
+  assert(cohort.live > 0);
+  sim::Time due = sim::Time::max();
+  std::size_t at_due = 0;
+  for (const sim::Time boundary : cohort.boundaries) {
+    if (boundary < due) {
+      due = boundary;
+      at_due = 1;
+    } else if (boundary == due) {
+      ++at_due;
+    }
+  }
   cohort.due = due;
+  cohort.at_due = at_due;
   // Entry-lookback saturation guard: past ~4.29 s of continuous backoff
   // the order key could no longer express the entry recency, so re-anchor
   // to now. Deterministic, and unreachable under every existing scheme (it

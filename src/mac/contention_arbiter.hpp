@@ -28,6 +28,20 @@
 //     and withdraws; the cohort re-arms eagerly, so its event is always at
 //     the true minimum boundary.
 //
+// Bookkeeping cost. Each enrolled station holds a *seat* — its cohort and
+// its index in that cohort's member list, stored on the Station — so
+// withdraw() searches nothing: it tombstones the seat (nullptr) and leaves
+// every survivor's index and enrollment order alone. A backoff cohort
+// keeps its members' batch boundaries in its own array, plus a count of
+// the live members whose boundary is the scheduled minimum. withdraw()
+// re-scans only when the last of those leaves: exactly when the minimum
+// moves, so the event is cancelled and re-armed when it always was.
+// decision_due() closes the survivors up over the tombstones in
+// enrollment order; pending_expired() skips them. A busy period that
+// withdraws a cohort of N costs O(N), plus one O(N) re-scan per re-arm
+// it makes anyway, instead of a find + erase + minimum scan per
+// withdrawal (O(N²)).
+//
 // Why results match the literal per-slot semantics (one DIFS event and one
 // event per idle slot per station — the reference model in tests/reference/
 // that the differential suites and the seeded scenario fuzzer compare this
@@ -82,7 +96,16 @@ namespace wlan::mac {
 class Station;
 
 class ContentionArbiter {
+  struct Cohort;
+
  public:
+  /// An enrolled station's place: its cohort and its index in that
+  /// cohort's member list. The Station holds it; only the arbiter writes it.
+  struct Seat {
+    Cohort* cohort = nullptr;
+    std::size_t index = 0;
+  };
+
   /// `slot` is the (network-wide) idle slot duration — the schedule
   /// lookback every replaced per-station decision event carried.
   ContentionArbiter(sim::Simulator& simulator, sim::Duration slot);
@@ -95,10 +118,11 @@ class ContentionArbiter {
   /// and its single expiry event — on first membership.
   void enroll(Station& station, sim::Duration ifs);
 
-  /// Removes the station from whichever cohort holds it (busy
+  /// Removes the station from the cohort its seat names (busy
   /// interruption or deactivation; the station has already rewound its
   /// batch draws when leaving backoff). Re-arms or retires the cohort's
-  /// event eagerly so it always sits at the surviving minimum.
+  /// event eagerly so it always sits at the surviving minimum. O(1) unless
+  /// the station was the last member due at that minimum.
   void withdraw(Station& station);
 
   /// Lifetime counters for tests and benchmarks.
@@ -112,34 +136,47 @@ class ContentionArbiter {
   const Stats& stats() const { return stats_; }
 
  private:
+  /// What both phases share: the members in enrollment order, where a
+  /// withdrawn member leaves a tombstone (nullptr) until the list is next
+  /// rebuilt, the count of live members, and the cohort's one event.
+  struct Cohort {
+    std::vector<Station*> members;
+    std::size_t live = 0;
+    sim::EventId event;
+    bool in_backoff = false;
+  };
+
   /// DIFS/EIFS phase: members share the enrollment instant and wait, and
   /// therefore the expiry instant. One normal event, first member's key.
-  struct PendingCohort {
+  struct PendingCohort : Cohort {
     sim::Time enrolled_at;
     sim::Duration ifs;
-    std::vector<Station*> members;  // enrollment order
-    sim::EventId event;
   };
 
   /// Backoff phase: members share the entry instant (= slot grid anchor).
   /// One anchored decision event at the member-minimum batch boundary.
-  struct BackoffCohort {
+  struct BackoffCohort : Cohort {
+    BackoffCohort() { in_backoff = true; }
     sim::Time entry;           // anchor instant of every member's grid
     std::uint64_t anchor_seq;  // anchored order_seq (first schedule's seq)
     sim::Time due;             // currently scheduled minimum boundary
+    std::size_t at_due = 0;    // live members whose boundary is `due`
     std::uint64_t id = 0;      // process-unique label (flight recorder)
-    std::vector<Station*> members;  // enrollment order
-    sim::EventId event;
+    /// Each member's batch boundary, parallel to `members`; Time::max()
+    /// at a tombstone, so it never counts as the minimum.
+    std::vector<sim::Time> boundaries;
   };
 
+  /// Seats `station` at the end of `cohort`'s member list.
+  static void take_seat(Cohort& cohort, Station& station);
   void pending_expired(PendingCohort* cohort);
   void decision_due(BackoffCohort* cohort);
-  /// Schedules the cohort's decision event at its minimum boundary
-  /// (cancelling a still-pending one), re-anchoring first if the entry
-  /// lookback would saturate the order key (> ~4.29 s of continuous
-  /// backoff — unreachable under every existing scheme).
+  /// Finds the cohort's minimum boundary and how many live members sit at
+  /// it, then schedules the decision event there, re-anchoring first if
+  /// the entry lookback would saturate the order key (> ~4.29 s of
+  /// continuous backoff — unreachable under every existing scheme). The
+  /// caller cancels a still-pending event first.
   void arm(BackoffCohort& cohort);
-  sim::Time min_boundary(const BackoffCohort& cohort) const;
 
   void release_pending(PendingCohort* cohort);
   void release_backoff(BackoffCohort* cohort);
@@ -152,7 +189,6 @@ class ContentionArbiter {
   // nothing once the member vectors have grown to the network size.
   std::vector<std::unique_ptr<PendingCohort>> pending_pool_;
   std::vector<std::unique_ptr<BackoffCohort>> backoff_pool_;
-  std::vector<Station*> scratch_;  // decision_due survivor rebuild
   std::uint64_t next_backoff_id_ = 0;  // BackoffCohort::id source
   Stats stats_;
 };

@@ -130,23 +130,17 @@ void Station::begin_ifs_wait(sim::Time) {
 }
 
 void Station::draw_batch() {
-  // Pre-draw the per-slot decisions this batch will need. The draw order
-  // is exactly the per-slot scheme's (one decide_transmit per boundary, no
-  // other strategy/RNG use can intervene while the channel is idle), so
-  // simulation results are bit-identical; rollback_backoff() undoes the
-  // draws a busy interruption proves premature.
+  // Pre-draw the per-slot decisions this batch will need in one decide_run
+  // call. Its draws are exactly the per-slot scheme's (one decide_transmit
+  // per boundary, and no other strategy/RNG use can intervene while the
+  // channel is idle), so simulation results are bit-identical;
+  // rollback_backoff() undoes the draws a busy interruption proves
+  // premature.
   backoff_origin_ = sim_.now();
   backoff_rng_ = rng_;
   strategy_->checkpoint_decision_state();
-  int k = 1;
-  bool transmit = strategy_->decide_transmit(rng_);
-  while (!transmit && k < batch_limit_) {
-    ++k;
-    transmit = strategy_->decide_transmit(rng_);
-  }
-  batch_planned_ = k;
-  batch_transmit_ = transmit;
-  audit_drawn_ += static_cast<std::uint64_t>(k);
+  batch_planned_ = strategy_->decide_run(rng_, batch_limit_, batch_transmit_);
+  audit_drawn_ += static_cast<std::uint64_t>(batch_planned_);
 }
 
 void Station::cohort_enter_backoff() {
@@ -154,10 +148,6 @@ void Station::cohort_enter_backoff() {
   set_state(State::kBackoff);
   batch_limit_ = kMinBatchSlots;
   draw_batch();
-}
-
-sim::Time Station::cohort_boundary() const {
-  return backoff_origin_ + params_.slot * batch_planned_;
 }
 
 bool Station::cohort_decision() {
@@ -193,11 +183,12 @@ void Station::rollback_backoff(bool boundary_draw_counts) {
   audit_rewound_ += static_cast<std::uint64_t>(batch_planned_ - replay);
   rng_ = backoff_rng_;
   strategy_->restore_decision_state();
-  for (std::int64_t i = 0; i < replay; ++i) {
-    const bool transmit = strategy_->decide_transmit(rng_);
-    (void)transmit;
-    assert(!transmit && "replayed draw diverged from the batch");
-  }
+  bool transmit = false;
+  const int replayed =
+      strategy_->decide_run(rng_, static_cast<int>(replay), transmit);
+  (void)replayed;
+  assert(replayed == replay && !transmit &&
+         "replayed draws diverged from the batch");
 }
 
 void Station::commit_transmission() {

@@ -21,7 +21,8 @@
 // Batched slot decisions: the semantics are one decide_transmit per idle
 // slot, but the station pre-draws the strategy's per-slot answers at
 // backoff entry (up to the first "transmit" slot, capped at kMaxBatchSlots,
-// then re-batched) and owns no timer events at all: its DIFS/EIFS wait and
+// then re-batched; one AccessStrategy::decide_run call per batch) and owns
+// no timer events at all: its DIFS/EIFS wait and
 // batch boundaries run on a mac::ContentionArbiter, which fires one event
 // per cohort of stations sharing the same entry instant. A busy
 // interruption rewinds the RNG + strategy checkpoint and replays exactly
@@ -49,6 +50,7 @@
 #include <memory>
 
 #include "mac/access_strategy.hpp"
+#include "mac/contention_arbiter.hpp"
 #include "mac/wifi_params.hpp"
 #include "phy/medium.hpp"
 #include "sim/simulator.hpp"
@@ -61,8 +63,6 @@ class TrafficSource;
 }
 
 namespace wlan::mac {
-
-class ContentionArbiter;
 
 class Station final : public phy::MediumClient {
  public:
@@ -108,13 +108,19 @@ class Station final : public phy::MediumClient {
                          sim::Time now) override;
 
   /// Slot decisions pre-drawn per batch; a run with no "transmit" answer
-  /// re-batches from the capped boundary. The cap is a pure performance
-  /// knob — draws, boundaries, and event anchoring are identical for any
-  /// value — so it self-tunes: each backoff starts at kMinBatchSlots (a
-  /// busy interruption forfeits the batch's unused pre-draws, and dense
-  /// contention interrupts within a few slots) and doubles per
-  /// uninterrupted continuation up to kMaxBatchSlots (long idle runs
-  /// approach one event per 64 slots).
+  /// re-batches from the capped boundary. The cap never changes what the
+  /// network does: which station transmits when, the decisions each draw
+  /// yields and the medium trace are the same for any value. It is not a
+  /// free knob for the counters, though. It sets how many continuation
+  /// decision events fire and how many pre-draws an interruption rewinds,
+  /// so it moves mac.cohort.decisions_fired, sim.events_executed, the
+  /// sim.queue.* counts, the BackoffAudit drawn/rewound split and every
+  /// hash built from them (the repository benchmark's seed-1 check, and
+  /// tests/test_counter_golden.cpp). It self-tunes: each backoff starts at
+  /// kMinBatchSlots (a busy interruption forfeits the batch's unused
+  /// pre-draws, and dense contention interrupts within a few slots) and
+  /// doubles per uninterrupted continuation up to kMaxBatchSlots (long
+  /// idle runs approach one event per 64 slots).
   static constexpr int kMinBatchSlots = 8;
   static constexpr int kMaxBatchSlots = 64;
 
@@ -160,7 +166,9 @@ class Station final : public phy::MediumClient {
   /// DIFS/EIFS expired: enter backoff and pre-draw the first batch.
   void cohort_enter_backoff();
   /// This station's next pre-drawn batch boundary.
-  sim::Time cohort_boundary() const;
+  sim::Time cohort_boundary() const {
+    return backoff_origin_ + params_.slot * batch_planned_;
+  }
   /// The boundary is due: commit (returns true; the station leaves the
   /// cohort) or continue with a doubled re-drawn batch (returns false).
   bool cohort_decision();
@@ -213,6 +221,9 @@ class Station final : public phy::MediumClient {
   /// Label of the arbiter cohort this station last entered backoff under
   /// (0: none yet). Written by ContentionArbiter (friend).
   std::uint64_t cohort_id_ = 0;
+  /// Where the arbiter holds this station while it is in kDifsWait or
+  /// kBackoff (stale otherwise). Written by ContentionArbiter (friend).
+  ContentionArbiter::Seat seat_;
   stats::IdleSlotMeter idle_meter_;
 };
 

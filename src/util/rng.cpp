@@ -13,12 +13,6 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
@@ -31,22 +25,6 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream) {
   std::uint64_t base = splitmix64(sm);
   std::uint64_t sm2 = base ^ (stream * 0xda942042e4dd58b5ULL);
   for (auto& s : s_) s = splitmix64(sm2);
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
@@ -72,12 +50,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   assert(lo <= hi);
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<std::int64_t>(uniform_int(span));
-}
-
-bool Rng::bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
 }
 
 std::uint64_t Rng::geometric(double p) {

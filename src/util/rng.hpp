@@ -31,10 +31,22 @@ class Rng {
   Rng(std::uint64_t seed, std::uint64_t stream);
 
   /// Next raw 64-bit value.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53-bit resolution.
-  double uniform();
+  double uniform() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -45,8 +57,34 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-  /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool bernoulli(double p);
+  /// Bernoulli trial with success probability p (clamped to [0,1]). A NaN
+  /// p consumes a draw and fails.
+  bool bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform() < p;
+  }
+
+  /// Up to `limit` bernoulli(p) trials, stopping at the first success:
+  /// returns how many ran (0 when limit <= 0) and sets `hit` to whether
+  /// the last one succeeded. Same draws and answers as calling bernoulli(p)
+  /// in that loop: none for p <= 0 or p >= 1, one per trial otherwise.
+  int bernoulli_run(double p, int limit, bool& hit) {
+    hit = false;
+    if (limit <= 0) return 0;
+    if (p <= 0.0) return limit;
+    if (p >= 1.0) {
+      hit = true;
+      return 1;
+    }
+    for (int k = 1; k <= limit; ++k) {
+      if (uniform() < p) {
+        hit = true;
+        return k;
+      }
+    }
+    return limit;
+  }
 
   /// Geometric number of failures before first success, success prob p in
   /// (0, 1]. Mean (1-p)/p. Used for p-persistent contention windows.
@@ -63,6 +101,10 @@ class Rng {
   std::size_t discrete(const std::vector<double>& weights);
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

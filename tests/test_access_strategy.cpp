@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "core/idle_sense.hpp"
 #include "util/rng.hpp"
@@ -366,6 +369,172 @@ TEST(DecisionCheckpoint, StatelessStrategiesAreReplaySafeByDefault) {
     for (int i = 0; i < 16; ++i)
       EXPECT_EQ(s->decide_transmit(rng), first[static_cast<std::size_t>(i)]);
   }
+}
+
+// decide_run is the only slot-decision call mac::Station makes (a batch,
+// and its replay after a busy interruption). Run on a copy of the strategy
+// and of the RNG, it must return what a loop of decide_transmit returns,
+// consume the same draws and leave the same strategy state.
+struct RunOutcome {
+  int count;
+  bool transmit;
+  std::uint64_t next_draw;
+};
+
+template <class S>
+RunOutcome loop_decide_transmit(S& s, util::Rng rng, int limit) {
+  int k = 0;
+  bool transmit = false;
+  while (!transmit && k < limit) {
+    ++k;
+    transmit = s.decide_transmit(rng);
+  }
+  return {k, transmit, rng.next_u64()};
+}
+
+template <class S>
+RunOutcome call_decide_run(S& s, util::Rng rng, int limit) {
+  bool transmit = true;  // decide_run must set it
+  const int k = static_cast<AccessStrategy&>(s).decide_run(rng, limit,
+                                                           transmit);
+  return {k, transmit, rng.next_u64()};
+}
+
+/// Compares decide_run and the loop on copies of `s` for every limit in
+/// 0..64 and a few RNG streams; `same_state` compares the copies after.
+template <class S, class SameState>
+void expect_run_matches_loop(const S& s, SameState same_state,
+                             const std::string& what) {
+  for (int limit = 0; limit <= 64; ++limit) {
+    for (std::uint64_t stream = 0; stream < 4; ++stream) {
+      const util::Rng rng(17, stream);
+      S by_loop = s;
+      S by_run = s;
+      const RunOutcome want = loop_decide_transmit(by_loop, rng, limit);
+      const RunOutcome got = call_decide_run(by_run, rng, limit);
+      EXPECT_EQ(got.count, want.count) << what << " limit=" << limit;
+      EXPECT_EQ(got.transmit, want.transmit) << what << " limit=" << limit;
+      EXPECT_EQ(got.next_draw, want.next_draw) << what << " limit=" << limit;
+      EXPECT_TRUE(same_state(by_run, by_loop)) << what << " limit=" << limit;
+    }
+  }
+}
+
+TEST(DecideRun, PPersistentMatchesDecideTransmitLoop) {
+  for (const double p : {0.0, 1e-9, 0.01, 0.5, 1.0}) {
+    const PPersistentStrategy s(p, 1.0, /*adaptive=*/false);
+    expect_run_matches_loop(
+        s,
+        [](const PPersistentStrategy& a, const PPersistentStrategy& b) {
+          return a.attempt_probability() == b.attempt_probability();
+        },
+        "p=" + std::to_string(p));
+  }
+}
+
+TEST(DecideRun, RandomResetMatchesAtEveryStage) {
+  const WifiParams params = table1();
+  for (int stage = 0; stage <= params.num_backoff_stages(); ++stage) {
+    const RandomResetStrategy s(params, stage, 0.5, /*adaptive=*/false);
+    ASSERT_EQ(s.stage(), stage);
+    expect_run_matches_loop(
+        s,
+        [](const RandomResetStrategy& a, const RandomResetStrategy& b) {
+          return a.stage() == b.stage();
+        },
+        "stage=" + std::to_string(stage));
+  }
+}
+
+TEST(DecideRun, IdleSenseMatchesDecideTransmitLoop) {
+  for (const double cw : {1.0, 2.0, 32.0, 1000.0}) {
+    core::IdleSenseStrategy s;
+    s.set_cw(cw);
+    expect_run_matches_loop(
+        s,
+        [](const core::IdleSenseStrategy& a, const core::IdleSenseStrategy& b) {
+          return a.cw() == b.cw();
+        },
+        "cw=" + std::to_string(cw));
+  }
+}
+
+bool same_dcf(const StandardDcfStrategy& a, const StandardDcfStrategy& b) {
+  return a.counter() == b.counter() && a.stage() == b.stage();
+}
+
+TEST(DecideRun, DcfMatchesWithCounterBelowAtAndAboveLimit) {
+  const WifiParams params = table1();
+  int below = 0, at = 0, above = 0;
+  for (int stage = 0; stage <= params.num_backoff_stages(); ++stage) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      StandardDcfStrategy s{params};
+      util::Rng rng(seed, 3);
+      // Past the initial draw, each outcome redraws a live counter at the
+      // new stage: the counter the run below starts from.
+      (void)s.decide_transmit(rng);
+      s.on_success(rng);
+      for (int i = 0; i < stage; ++i) s.on_failure(rng);
+      ASSERT_EQ(s.stage(), stage);
+      expect_run_matches_loop(s, same_dcf, "stage=" + std::to_string(stage));
+      for (int limit = 1; limit <= 64; ++limit) {
+        const auto c = static_cast<int>(s.counter());
+        below += c < limit;
+        at += c == limit;
+        above += c > limit;
+      }
+    }
+  }
+  EXPECT_GT(below, 0);
+  EXPECT_GT(at, 0);
+  EXPECT_GT(above, 0);
+}
+
+TEST(DecideRun, DcfMatchesFreshAndAfterCheckpointRestore) {
+  // A fresh station has not drawn its first counter; the first decision
+  // does, and limit 0 must not.
+  expect_run_matches_loop(StandardDcfStrategy{table1()}, same_dcf, "fresh");
+  // The station's rollback: checkpoint, decide, restore, then replay with
+  // decide_run. Checkpoints taken before and after the initial draw.
+  for (const bool initial_drawn : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      StandardDcfStrategy s{WifiParams::ns3_like()};
+      util::Rng rng(seed, 9);
+      if (initial_drawn) (void)s.decide_transmit(rng);
+      s.checkpoint_decision_state();
+      for (int i = 0; i < 5; ++i) (void)s.decide_transmit(rng);
+      s.restore_decision_state();
+      expect_run_matches_loop(s, same_dcf,
+                              initial_drawn ? "restored" : "restored fresh");
+    }
+  }
+}
+
+TEST(DecideRun, BaseClassLoopsOverDecideTransmit) {
+  // A strategy that only implements decide_transmit gets the default
+  // decide_run, which must stop at the first "transmit".
+  struct EveryThird final : AccessStrategy {
+    int calls = 0;
+    bool decide_transmit(util::Rng& rng) override {
+      (void)rng.next_u64();
+      return ++calls % 3 == 0;
+    }
+    void on_success(util::Rng&) override {}
+    void on_failure(util::Rng&) override {}
+    double attempt_probability() const override { return 1.0 / 3.0; }
+    std::string name() const override { return "EveryThird"; }
+  };
+  expect_run_matches_loop(
+      EveryThird{},
+      [](const EveryThird& a, const EveryThird& b) { return a.calls == b.calls; },
+      "every third");
+  EveryThird s;
+  util::Rng rng(1);
+  bool transmit = false;
+  EXPECT_EQ(s.decide_run(rng, 2, transmit), 2);
+  EXPECT_FALSE(transmit);
+  EXPECT_EQ(s.decide_run(rng, 64, transmit), 1);
+  EXPECT_TRUE(transmit);
 }
 
 }  // namespace

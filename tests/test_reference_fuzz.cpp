@@ -34,7 +34,15 @@ constexpr std::uint64_t kSeeds[] = {
     0x5eed0019, 0x5eed001a, 0x5eed001b, 0x5eed001c, 0x5eed001d, 0x5eed001e,
     0x5eed001f, 0x5eed0020, 0x5eed0021, 0x5eed0022, 0x5eed0023, 0x5eed0024,
     0x5eed0025, 0x5eed0026, 0x5eed0027, 0x5eed0028, 0x5eed0029, 0x5eed002a,
-    0x5eed002b, 0x5eed002c, 0x5eed002d, 0x5eed002e, 0x5eed002f, 0x5eed0030};
+    0x5eed002b, 0x5eed002c, 0x5eed002d, 0x5eed002e, 0x5eed002f, 0x5eed0030,
+    0x5eed0031, 0x5eed0032, 0x5eed0033, 0x5eed0034, 0x5eed0035, 0x5eed0036,
+    0x5eed0037, 0x5eed0038, 0x5eed0039, 0x5eed003a, 0x5eed003b, 0x5eed003c,
+    0x5eed003d, 0x5eed003e, 0x5eed003f, 0x5eed0040, 0x5eed0041, 0x5eed0042,
+    0x5eed0043, 0x5eed0044, 0x5eed0045, 0x5eed0046, 0x5eed0047, 0x5eed0048,
+    0x5eed0049, 0x5eed004a, 0x5eed004b, 0x5eed004c, 0x5eed004d, 0x5eed004e,
+    0x5eed004f, 0x5eed0050, 0x5eed0051, 0x5eed0052, 0x5eed0053, 0x5eed0054,
+    0x5eed0055, 0x5eed0056, 0x5eed0057, 0x5eed0058, 0x5eed0059, 0x5eed005a,
+    0x5eed005b, 0x5eed005c, 0x5eed005d, 0x5eed005e, 0x5eed005f, 0x5eed0060};
 
 constexpr double kCaseSeconds = 0.3;
 

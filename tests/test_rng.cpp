@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -110,6 +111,52 @@ TEST(Rng, BernoulliFrequency) {
   const int n = 100000;
   for (int i = 0; i < n; ++i) hits += rng.bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(hits / static_cast<double>(n), 0.3, 0.01);
+}
+
+// bernoulli_run is the batched slot-decision draw: it must be a loop of
+// bernoulli(p) stopping at the first success, draw for draw.
+TEST(Rng, BernoulliRunMatchesRepeatedBernoulli) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double p : {-0.5, 0.0, 1e-9, 0.01, 0.3, 0.5, 0.999, 1.0, 1.5, nan}) {
+    for (const int limit : {-1, 0, 1, 2, 7, 8, 63, 64}) {
+      for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        Rng loop(seed, 5), run(seed, 5);
+        int k = 0;
+        bool hit = false;
+        while (!hit && k < limit) {
+          ++k;
+          hit = loop.bernoulli(p);
+        }
+        bool run_hit = !hit;
+        EXPECT_EQ(run.bernoulli_run(p, limit, run_hit), k)
+            << "p=" << p << " limit=" << limit << " seed=" << seed;
+        EXPECT_EQ(run_hit, hit);
+        EXPECT_EQ(run.next_u64(), loop.next_u64())
+            << "p=" << p << " limit=" << limit << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST(Rng, BernoulliRunDrawCounts) {
+  // No draw when the answer is certain; one per trial otherwise, a NaN p
+  // included (it fails every trial, as bernoulli(NaN) does).
+  auto draws_used = [](double p, int limit) {
+    Rng a(31), b(31);
+    bool hit = false;
+    a.bernoulli_run(p, limit, hit);
+    const std::uint64_t next = a.next_u64();
+    for (int used = 0; used <= limit; ++used) {
+      if (b.next_u64() == next) return used;
+    }
+    return -1;
+  };
+  EXPECT_EQ(draws_used(0.0, 16), 0);
+  EXPECT_EQ(draws_used(-1.0, 16), 0);
+  EXPECT_EQ(draws_used(1.0, 16), 0);
+  EXPECT_EQ(draws_used(2.0, 16), 0);
+  EXPECT_EQ(draws_used(std::numeric_limits<double>::quiet_NaN(), 16), 16);
+  EXPECT_EQ(draws_used(1e-12, 16), 16);
 }
 
 TEST(Rng, GeometricMean) {
