@@ -3,6 +3,7 @@
 // controllers must converge to near-optimal operating points (Theorems 1-3).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "analysis/ppersistent.hpp"
@@ -19,16 +20,20 @@ using namespace wlan::exp;
 // ---------------------------------------------------------------------------
 // Simulator vs analytical model for fixed p-persistent CSMA.
 
+// gtest names a parameter that has no PrintTo by its raw bytes, so the
+// struct must have no padding: padding bytes are uninitialised and would
+// give the cases different names from one build to the next.
 struct SimVsModelCase {
-  int n;
+  std::int64_t n;
   double p;
 };
+static_assert(sizeof(SimVsModelCase) == sizeof(std::int64_t) + sizeof(double));
 
 class SimVsModel : public ::testing::TestWithParam<SimVsModelCase> {};
 
 TEST_P(SimVsModel, ThroughputMatchesEq3) {
   const auto& c = GetParam();
-  auto scenario = ScenarioConfig::connected(c.n, /*seed=*/5);
+  auto scenario = ScenarioConfig::connected(static_cast<int>(c.n), /*seed=*/5);
   RunOptions opts;
   opts.warmup = sim::Duration::seconds(1.0);
   opts.measure = sim::Duration::seconds(10.0);
