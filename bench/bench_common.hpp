@@ -29,7 +29,7 @@ namespace wlan::bench {
 /// hidden `--wlan-shard=<dir>:<lo>:<hi>` the sweep-shard supervisor passes
 /// its children), size the global pool before the first sweep builds it,
 /// and install the SIGINT/SIGTERM handlers that flush partial CSVs on
-/// interruption (the sweep journal itself needs no flushing — every entry
+/// interruption (the result store itself needs no flushing — every entry
 /// is an atomic rename the moment its job completes). Capturing argv here
 /// is what lets exp::run_sweep re-exec this driver as shard children when
 /// WLAN_SWEEP_PROCS asks for process isolation — every driver gets

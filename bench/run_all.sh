@@ -17,11 +17,13 @@
 #   WLAN_THREADS        in-process sweep lanes per driver (default 1 here:
 #                       the script already parallelizes across drivers)
 #   WLAN_BENCH_JOBS     concurrent driver processes (default: nproc)
-#   WLAN_RUN_CACHE      run-cache directory (default here:
-#                       <build>/results/run_cache, so points shared by
+#   WLAN_RUN_CACHE      run-cache directory, the one result store (default
+#                       here: <build>/results/run_cache, so points shared by
 #                       several drivers — fig06/fig07 vs table2, the std
-#                       columns of the load drivers — are simulated once;
-#                       export WLAN_RUN_CACHE= (empty) to disable)
+#                       columns of the load drivers — are simulated once,
+#                       and a driver killed mid-sweep resumes job-by-job
+#                       from it, byte-identically; export WLAN_RUN_CACHE=
+#                       (empty) to disable)
 #   WLAN_RUN_CACHE_KEEP keep the default cache across invocations of this
 #                       script (default: wiped at startup, so results can
 #                       never come from a previous build's binaries)
@@ -29,25 +31,16 @@
 #                       already holds a completed run (non-empty CSV/JSON
 #                       output plus the .wall_seconds completion marker and
 #                       no .failed marker); interrupted or failed drivers
-#                       re-run. Pair with WLAN_RUN_CACHE_KEEP=1 (and
-#                       optionally WLAN_SWEEP_JOURNAL) to make a killed
-#                       invocation cheap to finish.
-#   WLAN_SWEEP_JOURNAL  sweep-journal directory (src/exp/sweep_journal.hpp):
-#                       a driver killed mid-sweep resumes point-by-point on
-#                       the next run, byte-identically. Opt-in, with the
-#                       same staleness-across-rebuilds caveat as
-#                       WLAN_RUN_CACHE.
+#                       re-run. Pair with WLAN_RUN_CACHE_KEEP=1 to make a
+#                       killed invocation cheap to finish.
 #   WLAN_SWEEP_PROCS    shard processes per sweep (src/exp/shard.hpp): > 1
 #                       fans each driver's sweeps across supervised child
-#                       processes, so a SIGSEGV or hard hang in one job
-#                       cannot take the driver down — crashed shards are
-#                       respawned from the journal, poison jobs quarantined,
-#                       and the folded CSV stays byte-identical to an
-#                       in-process run. When set > 1 without a journal,
-#                       this script defaults WLAN_SWEEP_JOURNAL to
-#                       <build>/results/sweep_journal so shard respawns
-#                       resume instead of recomputing (the supervisor would
-#                       otherwise fall back to a throwaway scratch journal).
+#                       processes that report through the store, so a
+#                       SIGSEGV or hard hang in one job cannot take the
+#                       driver down — crashed shards are respawned, skipping
+#                       the jobs they stored, poison jobs quarantined, and
+#                       the folded CSV stays byte-identical to an
+#                       in-process run.
 #                       Tuning: WLAN_SHARD_CRASH_LIMIT, WLAN_SHARD_STALL_MS,
 #                       WLAN_SHARD_POLL_MS (docs/REPRODUCING.md).
 #   WLAN_RUN_CACHE_MAX_MB  size bound on the run-cache directory in MiB;
@@ -92,18 +85,6 @@ if [[ -z ${WLAN_RUN_CACHE+x} ]]; then
   if [[ -z ${WLAN_RUN_CACHE_KEEP:-} ]]; then
     rm -rf "${WLAN_RUN_CACHE}"
   fi
-fi
-
-# Multi-process sweeps want a persistent journal: it is both the shard IPC
-# substrate and what makes a respawned (or re-run) shard resume instead of
-# recompute. Only the combination "procs requested, no journal chosen" is
-# defaulted — a caller's own WLAN_SWEEP_JOURNAL always wins, and without
-# WLAN_SWEEP_PROCS nothing changes.
-if [[ ${WLAN_SWEEP_PROCS:-1} =~ ^[0-9]+$ ]] \
-   && [[ ${WLAN_SWEEP_PROCS:-1} -gt 1 && -z ${WLAN_SWEEP_JOURNAL+x} ]]; then
-  export WLAN_SWEEP_JOURNAL="${results_dir}/sweep_journal"
-  echo "[run_all] WLAN_SWEEP_PROCS=${WLAN_SWEEP_PROCS}:" \
-       "defaulting WLAN_SWEEP_JOURNAL=${WLAN_SWEEP_JOURNAL}"
 fi
 
 shopt -s nullglob

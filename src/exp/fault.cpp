@@ -27,9 +27,6 @@ std::atomic<std::uint64_t> g_exceptions{0};
 std::atomic<std::uint64_t> g_timeouts{0};
 std::atomic<std::uint64_t> g_retries{0};
 std::atomic<std::uint64_t> g_failures{0};
-std::atomic<std::uint64_t> g_journal_replayed{0};
-std::atomic<std::uint64_t> g_journal_appends{0};
-std::atomic<std::uint64_t> g_journal_corrupt{0};
 std::atomic<std::uint64_t> g_shard_crashes{0};
 std::atomic<std::uint64_t> g_shard_respawns{0};
 std::atomic<std::uint64_t> g_shard_stall_kills{0};
@@ -69,7 +66,6 @@ const char* action_token(FaultPlan::Action a) {
   switch (a) {
     case FaultPlan::Action::kThrow: return "throw";
     case FaultPlan::Action::kTimeout: return "timeout";
-    case FaultPlan::Action::kCorruptJournalEntry: return "corrupt";
     case FaultPlan::Action::kCrash: return "crash";
     case FaultPlan::Action::kHang: return "hang";
   }
@@ -186,9 +182,6 @@ FaultStats fault_stats() {
   s.job_timeouts = g_timeouts.load(std::memory_order_relaxed);
   s.job_retries = g_retries.load(std::memory_order_relaxed);
   s.job_failures = g_failures.load(std::memory_order_relaxed);
-  s.journal_replayed = g_journal_replayed.load(std::memory_order_relaxed);
-  s.journal_appends = g_journal_appends.load(std::memory_order_relaxed);
-  s.journal_corrupt = g_journal_corrupt.load(std::memory_order_relaxed);
   s.shard_crashes = g_shard_crashes.load(std::memory_order_relaxed);
   s.shard_respawns = g_shard_respawns.load(std::memory_order_relaxed);
   s.shard_stall_kills = g_shard_stall_kills.load(std::memory_order_relaxed);
@@ -201,9 +194,6 @@ void reset_fault_stats() {
   g_timeouts = 0;
   g_retries = 0;
   g_failures = 0;
-  g_journal_replayed = 0;
-  g_journal_appends = 0;
-  g_journal_corrupt = 0;
   g_shard_crashes = 0;
   g_shard_respawns = 0;
   g_shard_stall_kills = 0;
@@ -215,15 +205,6 @@ void add_exception() { g_exceptions.fetch_add(1, std::memory_order_relaxed); }
 void add_timeout() { g_timeouts.fetch_add(1, std::memory_order_relaxed); }
 void add_retry() { g_retries.fetch_add(1, std::memory_order_relaxed); }
 void add_failure() { g_failures.fetch_add(1, std::memory_order_relaxed); }
-void add_journal_replayed(std::uint64_t n) {
-  g_journal_replayed.fetch_add(n, std::memory_order_relaxed);
-}
-void add_journal_append() {
-  g_journal_appends.fetch_add(1, std::memory_order_relaxed);
-}
-void add_journal_corrupt() {
-  g_journal_corrupt.fetch_add(1, std::memory_order_relaxed);
-}
 void add_shard_crash() {
   g_shard_crashes.fetch_add(1, std::memory_order_relaxed);
 }
@@ -250,11 +231,8 @@ void set_fault_plan(const FaultPlan* plan) {
   armed->plan = plan;
   armed->remaining = std::vector<std::atomic<int>>(plan->sites.size());
   for (std::size_t s = 0; s < plan->sites.size(); ++s)
-    armed->remaining[s].store(
-        plan->sites[s].action == FaultPlan::Action::kCorruptJournalEntry
-            ? 1
-            : plan->sites[s].times,
-        std::memory_order_relaxed);
+    armed->remaining[s].store(plan->sites[s].times,
+                              std::memory_order_relaxed);
   g_plan = std::move(armed);
 }
 
@@ -284,14 +262,6 @@ void apply_before_attempt(std::size_t job_index, RunOptions& options) {
                              std::to_string(job_index) + " throws");
   if (consume_env(job_index, FaultPlan::Action::kTimeout))
     options.max_events = 1;
-}
-
-bool wants_journal_corruption(std::size_t job_index) {
-  if (consume_env(job_index, FaultPlan::Action::kCorruptJournalEntry))
-    return true;
-  const auto armed = armed_plan();
-  if (armed == nullptr) return false;
-  return consume(*armed, job_index, FaultPlan::Action::kCorruptJournalEntry);
 }
 
 }  // namespace fault_injection

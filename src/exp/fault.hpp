@@ -14,15 +14,15 @@
 //
 // FaultPlan is a TEST-ONLY deterministic fault injector: the kill/resume
 // differential suites install a plan naming job indices that must throw,
-// exceed their watchdog, crash the whole process, hang forever, or have
-// their freshly written journal entry corrupted — so crash/recovery paths
-// are exercised bit-reproducibly without real signals. Production code
-// never installs a plan; the check is one relaxed atomic load per job
-// attempt. Because a programmatic plan cannot cross an exec boundary, the
-// same sites can be armed via the environment (WLAN_FAULT_PLAN, parsed per
-// process) with an optional WLAN_FAULT_DIR marker directory giving the
-// `times` budget cross-process semantics — that is how the shard chaos
-// suites make exactly one child crash and its respawn succeed.
+// exceed their watchdog, crash the whole process, or hang forever — so
+// crash/recovery paths are exercised bit-reproducibly without real
+// signals. Production code never installs a plan; the check is one
+// relaxed atomic load per job attempt. Because a programmatic plan cannot
+// cross an exec boundary, the same sites can be armed via the environment
+// (WLAN_FAULT_PLAN, parsed per process) with an optional WLAN_FAULT_DIR
+// marker directory giving the `times` budget cross-process semantics —
+// that is how the shard chaos suites make exactly one child crash and its
+// respawn succeed.
 #pragma once
 
 #include <atomic>
@@ -67,9 +67,6 @@ struct FaultStats {
   std::uint64_t job_timeouts = 0;     // attempts that hit a watchdog
   std::uint64_t job_retries = 0;      // re-attempts after a failure
   std::uint64_t job_failures = 0;     // jobs abandoned (JobError emitted)
-  std::uint64_t journal_replayed = 0; // jobs satisfied from a sweep journal
-  std::uint64_t journal_appends = 0;  // journal entries written
-  std::uint64_t journal_corrupt = 0;  // journal entries quarantined
   std::uint64_t shard_crashes = 0;    // child shard processes that died
   std::uint64_t shard_respawns = 0;   // crashed shards spawned again
   std::uint64_t shard_stall_kills = 0; // shards SIGKILLed for stale heartbeats
@@ -78,15 +75,12 @@ struct FaultStats {
 FaultStats fault_stats();
 void reset_fault_stats();
 
-/// Internal: counter bumps used by the sweep engine / journal / shards.
+/// Internal: counter bumps used by the sweep engine and the shards.
 namespace fault_counters {
 void add_exception();
 void add_timeout();
 void add_retry();
 void add_failure();
-void add_journal_replayed(std::uint64_t n);
-void add_journal_append();
-void add_journal_corrupt();
 void add_shard_crash();
 void add_shard_respawn();
 void add_shard_stall_kill();
@@ -97,19 +91,18 @@ void add_job_poisoned();
 
 struct FaultPlan {
   enum class Action {
-    kThrow,                // the job attempt throws before simulating
-    kTimeout,              // the attempt runs with a 1-event watchdog budget
-    kCorruptJournalEntry,  // the entry journaled for this job is corrupted
-    kCrash,                // the attempt raises SIGSEGV (whole process dies)
-    kHang,                 // the attempt loops forever, dispatching nothing —
-                           // invisible to the in-process event watchdog
+    kThrow,    // the job attempt throws before simulating
+    kTimeout,  // the attempt runs with a 1-event watchdog budget
+    kCrash,    // the attempt raises SIGSEGV (whole process dies)
+    kHang,     // the attempt loops forever, dispatching nothing —
+               // invisible to the in-process event watchdog
   };
   struct Site {
     std::size_t job_index = 0;
     Action action = Action::kThrow;
     /// How many attempts of this job are affected before the site is
     /// spent; `times` < retries+1 models a transient failure that a retry
-    /// absorbs. Ignored for kCorruptJournalEntry (fires once).
+    /// absorbs.
     int times = 1;
   };
   std::vector<Site> sites;
@@ -137,19 +130,13 @@ namespace fault_injection {
 /// shrink the watchdog budget (kTimeout), raise SIGSEGV (kCrash), or never
 /// return (kHang) per the installed plan. Besides the programmatic plan it
 /// honours $WLAN_FAULT_PLAN — a comma list of `<action>@<job>[x<times>]`
-/// sites (action ∈ throw|timeout|crash|hang|corrupt) parsed in THIS
+/// sites (action ∈ throw|timeout|crash|hang) parsed in THIS
 /// process, so supervisor-spawned children inherit the chaos schedule
 /// through their environment. A bounded `times` needs $WLAN_FAULT_DIR (a
 /// shared marker directory) to count firings across processes; without it
 /// the budget is tracked per process. No-op — one relaxed load — when no
 /// plan is installed and the env is unset.
 void apply_before_attempt(std::size_t job_index, RunOptions& options);
-
-/// True when the installed plan (or the env plan's `corrupt@<job>` site)
-/// wants this job's freshly appended journal entry corrupted (consumes the
-/// site). The journal flips a payload byte in place, which the checksum
-/// footer must catch on resume.
-bool wants_journal_corruption(std::size_t job_index);
 
 }  // namespace fault_injection
 

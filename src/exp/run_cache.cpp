@@ -15,8 +15,10 @@
 #include <mutex>
 #include <set>
 #include <system_error>
+#include <utility>
 #include <vector>
 
+#include "obs/collect.hpp"
 #include "util/env.hpp"
 #include "util/fnv.hpp"
 
@@ -50,6 +52,43 @@ class KeyHasher {
  private:
   util::Fnv1a h_;
 };
+
+// Key coverage, checked at compile time: the direct-member count of every
+// struct the hashers below read. A field added to one of them changes its
+// count and stops the build here until the matching hash_* function (and
+// its count) is updated, so an unhashed field can never serve a stale
+// result. A braced list of N AnyField initializers compiles exactly when
+// the aggregate has at least N direct members.
+struct AnyField {
+  template <class T>
+  operator T() const;  // declaration only: used in unevaluated contexts
+};
+
+template <class T, std::size_t... I>
+constexpr bool brace_constructible_from(std::index_sequence<I...>) {
+  return requires { T{(static_cast<void>(I), AnyField{})...}; };
+}
+
+template <class T, std::size_t N = 0>
+constexpr std::size_t member_count() {
+  if constexpr (brace_constructible_from<T>(std::make_index_sequence<N + 1>{}))
+    return member_count<T, N + 1>();
+  else
+    return N;
+}
+
+static_assert(member_count<ScenarioConfig>() == 12);
+static_assert(member_count<mac::WifiParams>() == 19);
+static_assert(member_count<traffic::TrafficConfig>() == 7);
+static_assert(member_count<SchemeConfig>() == 8);
+static_assert(member_count<core::KwOptions>() == 12);
+static_assert(member_count<core::WTopCsmaController::Options>() == 3);
+static_assert(member_count<core::ToraCsmaController::Options>() == 5);
+static_assert(member_count<core::IdleSenseStrategy::Options>() == 7);
+// Only warmup and measure are keyed: sample_period and record_series only
+// shape series (which bypass the cache), trace bypasses it, and a run
+// that finishes under the watchdog knobs is bit-identical to one without.
+static_assert(member_count<RunOptions>() == 7);
 
 void hash_wifi_params(KeyHasher& h, const mac::WifiParams& p) {
   h.add_double(p.data_rate_bps);
@@ -200,8 +239,7 @@ std::uint64_t checksum_of(const std::vector<unsigned char>& buf,
   return h.digest();
 }
 
-void write_result(Writer& w, std::uint64_t key, const RunResult& r,
-                  const obs::MetricsRegistry* metrics) {
+void write_result(Writer& w, std::uint64_t key, const RunResult& r) {
   w.u64((static_cast<std::uint64_t>(kFormatVersion) << 32) | kMagic);
   w.u64(key);
   w.f64(r.total_mbps);
@@ -236,20 +274,19 @@ void write_result(Writer& w, std::uint64_t key, const RunResult& r,
       w.u64(counts[b]);
     }
   }
-  // Metrics section (v3): count then (name-length, name bytes, value)
-  // tuples, insertion order preserved. The cache writes an empty section
-  // (hits stay metrics-free by contract); the sweep journal persists the
-  // deterministic per-run counters so replay == fresh run, registry
-  // included.
-  if (metrics == nullptr) {
-    w.u64(0);
-  } else {
-    w.u64(metrics->entries().size());
-    for (const obs::Metric& m : metrics->entries()) {
-      w.u64(m.name.size());
-      w.buf.insert(w.buf.end(), m.name.begin(), m.name.end());
-      w.f64(m.value);
-    }
+  // Metrics section: count then (name-length, name bytes, value) tuples,
+  // insertion order preserved. Only the per-run counters are persisted:
+  // the process-cumulative names (cache.*, exp.fault.*, profile.*) count
+  // whichever process ran the job, and merge_run_metrics skips them
+  // anyway, so a hit folds exactly like the fresh run it replays.
+  std::vector<const obs::Metric*> kept;
+  for (const obs::Metric& m : r.metrics.entries())
+    if (!obs::is_process_cumulative_metric(m.name)) kept.push_back(&m);
+  w.u64(kept.size());
+  for (const obs::Metric* m : kept) {
+    w.u64(m->name.size());
+    w.buf.insert(w.buf.end(), m->name.begin(), m->name.end());
+    w.f64(m->value);
   }
 }
 
@@ -307,13 +344,6 @@ bool read_result(Reader& rd, std::uint64_t key, RunResult& out,
   r.delays.restore_raw(std::move(buckets), count, sum_ns, min_ns, max_ns);
   out = std::move(r);
   return true;
-}
-
-std::filesystem::path entry_path(const std::string& dir, std::uint64_t key) {
-  char name[32];
-  std::snprintf(name, sizeof name, "%016llx.run",
-                static_cast<unsigned long long>(key));
-  return std::filesystem::path(dir) / name;
 }
 
 }  // namespace
@@ -405,11 +435,10 @@ std::uint64_t key_hash(const ScenarioConfig& scenario,
 }
 
 std::vector<unsigned char> serialize_entry(std::uint64_t key,
-                                           const RunResult& result,
-                                           const obs::MetricsRegistry* metrics) {
+                                           const RunResult& result) {
   std::vector<unsigned char> buf;
   Writer w{buf};
-  write_result(w, key, result, metrics);
+  write_result(w, key, result);
   // Content checksum footer: FNV-1a over every payload byte. A torn write
   // that survives a crash (or bit rot) cannot both truncate/flip bytes and
   // keep the footer consistent.
@@ -429,6 +458,24 @@ EntryStatus deserialize_entry(const std::vector<unsigned char>& buf,
   return EntryStatus::kOk;
 }
 
+std::string entry_path(const std::string& dir, std::uint64_t key) {
+  char name[32];
+  std::snprintf(name, sizeof name, "%016llx.run",
+                static_cast<unsigned long long>(key));
+  return (std::filesystem::path(dir) / name).string();
+}
+
+namespace {
+
+unsigned long long current_pid() {
+#ifdef _WIN32
+  return static_cast<unsigned long long>(::_getpid());
+#else
+  return static_cast<unsigned long long>(::getpid());
+#endif
+}
+
+/// Reads and validates the entry file at `path` against `key`.
 EntryStatus read_entry_file(const std::string& path, std::uint64_t key,
                             RunResult& out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -444,26 +491,21 @@ EntryStatus read_entry_file(const std::string& path, std::uint64_t key,
   return deserialize_entry(buf, key, out);
 }
 
+/// Atomically writes an entry file: unique temp name per process + call,
+/// renamed into place, so concurrent drivers (and lanes within one) and a
+/// crash mid-write only ever leave complete entries or nothing (rename
+/// within one directory is atomic on POSIX).
 bool write_entry_file(const std::string& path, std::uint64_t key,
-                      const RunResult& result,
-                      const obs::MetricsRegistry* metrics) {
-  // Unique temp name per process + store call, renamed into place so
-  // concurrent drivers (and lanes within one) never observe a partial
-  // file (rename within one directory is atomic on POSIX).
+                      const RunResult& result) {
   static std::atomic<std::uint64_t> store_counter{0};
-#ifdef _WIN32
-  const unsigned long long pid = static_cast<unsigned long long>(::_getpid());
-#else
-  const unsigned long long pid = static_cast<unsigned long long>(::getpid());
-#endif
   char suffix[64];
-  std::snprintf(suffix, sizeof suffix, ".%llx.%llx.tmp", pid,
+  std::snprintf(suffix, sizeof suffix, ".%llx.%llx.tmp", current_pid(),
                 static_cast<unsigned long long>(
                     store_counter.fetch_add(1, std::memory_order_relaxed)));
   const std::string tmp_path = path + suffix;
   std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
   if (f == nullptr) return false;
-  const std::vector<unsigned char> buf = serialize_entry(key, result, metrics);
+  const std::vector<unsigned char> buf = serialize_entry(key, result);
   const bool wrote = std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
   const bool flushed = std::fclose(f) == 0 && wrote;
   std::error_code ec;
@@ -479,27 +521,22 @@ bool write_entry_file(const std::string& path, std::uint64_t key,
   return true;
 }
 
-std::string quarantine_entry(const std::string& path) {
-#ifdef _WIN32
-  const unsigned long long pid = static_cast<unsigned long long>(::_getpid());
-#else
-  const unsigned long long pid = static_cast<unsigned long long>(::getpid());
-#endif
+/// Renames a corrupt entry aside to `<path>.quarantined.<pid>` so it is
+/// preserved for inspection but never re-read; removes it when the rename
+/// fails (e.g. cross-device or permissions).
+void quarantine_entry(const std::string& path) {
   char suffix[48];
-  std::snprintf(suffix, sizeof suffix, ".quarantined.%llx", pid);
-  const std::string aside = path + suffix;
+  std::snprintf(suffix, sizeof suffix, ".quarantined.%llx", current_pid());
   std::error_code ec;
-  std::filesystem::rename(path, aside, ec);
-  if (!ec) return aside;
-  // Rename failed (e.g. cross-device or permissions): removing is the
-  // fallback that still prevents the corrupt entry from being re-read.
-  std::filesystem::remove(path, ec);
-  return std::string();
+  std::filesystem::rename(path, path + suffix, ec);
+  if (ec) std::filesystem::remove(path, ec);
 }
+
+}  // namespace
 
 bool lookup(const std::string& dir, std::uint64_t key, RunResult& out) {
   maybe_prune_once(dir);
-  const std::string path = entry_path(dir, key).string();
+  const std::string path = entry_path(dir, key);
   switch (read_entry_file(path, key, out)) {
     case EntryStatus::kOk:
       g_hits.fetch_add(1, std::memory_order_relaxed);
@@ -520,7 +557,7 @@ bool store(const std::string& dir, std::uint64_t key,
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   maybe_prune_once(dir);
-  const bool ok = write_entry_file(entry_path(dir, key).string(), key, result);
+  const bool ok = write_entry_file(entry_path(dir, key), key, result);
   (ok ? g_stores : g_store_failures).fetch_add(1, std::memory_order_relaxed);
   return ok;
 }

@@ -25,6 +25,14 @@
 // serialized (they dwarf the scalar results and only the dynamic/series
 // drivers want them).
 //
+// The cache is also the sweep engine's only result store: run_sweep looks
+// every job up before it fans out, so an interrupted sweep resumes from
+// the entries it already stored, and the shard children of a
+// multi-process sweep report through it (exp/shard.hpp). Each entry
+// therefore carries the run's per-run counters (RunResult::metrics minus
+// the process-cumulative cache.*/exp.fault.*/profile.* names), so a hit
+// folds into SweepResult::metrics exactly like a fresh run.
+//
 // Storage: one little-endian binary file per key, written to a temp name
 // and atomically renamed — concurrent drivers (run_all.sh runs many) may
 // race on the same point and both compute it, but readers only ever see
@@ -34,14 +42,10 @@
 // a .quarantined suffix so it can be inspected but never read again — and
 // the point is recomputed. Plain malformed/mis-keyed files read as misses.
 //
-// The same entry format (serialize_entry/deserialize_entry + the atomic
-// write_entry_file/read_entry_file pair) backs exp::sweep_journal, so the
-// crash-safety properties are shared.
-//
-// MAINTENANCE: key_hash() enumerates every config field by hand. When a
-// field is added to ScenarioConfig / SchemeConfig / WifiParams /
-// TrafficConfig / KwOptions / controller Options, extend key_hash() (and
-// bump kFormatVersion if RunResult serialization changes shape).
+// key_hash() enumerates every config field by hand; run_cache.cpp
+// static_asserts the member count of every struct it reads, so a new
+// field breaks the build until it is hashed (bump kFormatVersion if
+// RunResult serialization changes shape).
 #pragma once
 
 #include <cstdint>
@@ -55,12 +59,12 @@ namespace wlan::exp::run_cache {
 /// Bumped whenever the serialized RunResult layout or the key schema
 /// changes; readers reject other versions as misses.
 /// v2: FNV-1a content-checksum footer appended to every entry.
-/// v3: optional metrics section (count + name/value pairs) after the delay
-///     histogram. Cache entries write an empty section (a hit stays
-///     documented as metrics-free); sweep-journal entries persist the
-///     deterministic per-run counters so a journal-merged sweep folds the
-///     same metric totals as an in-process one.
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// v3: metrics section (count + name/value pairs) after the delay
+///     histogram.
+/// v4: every entry fills the metrics section with the run's per-run
+///     counters (v3 cache entries left it empty). The version is mixed
+///     into key_hash, so counter-free v3 entries are never looked up.
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// The cache directory from $WLAN_RUN_CACHE; empty = disabled. Re-read on
 /// every call so tests (and long-lived tools) can retarget it.
@@ -74,12 +78,14 @@ std::uint64_t max_bytes_from_env();
 /// total at most `max_bytes`. Returns the number of entries removed and
 /// adds them to Stats::pruned. Lookup/store run this once per process per
 /// directory when $WLAN_RUN_CACHE_MAX_MB is set; exposed for tests and
-/// tools. Only prunes cache entries — journal directories are resume
-/// state, not a cache, and are never touched.
+/// tools. Only prunes entries at the top level: the per-sweep shard work
+/// directories (exp/shard.hpp) are never touched. A pruned entry is
+/// simply simulated again, so a resumed sweep re-runs what was pruned.
 std::size_t prune_dir(const std::string& dir, std::uint64_t max_bytes);
 
 /// Content hash of a run's full identity (FNV-1a over a canonical field
-/// serialization; see the maintenance note above).
+/// serialization of the scenario, the scheme, and the options' warmup and
+/// measure windows).
 std::uint64_t key_hash(const ScenarioConfig& scenario,
                        const SchemeConfig& scheme, const RunOptions& options);
 
@@ -88,24 +94,25 @@ std::uint64_t key_hash(const ScenarioConfig& scenario,
 /// quarantined (renamed aside) before reporting the miss.
 bool lookup(const std::string& dir, std::uint64_t key, RunResult& out);
 
-/// Writes `result` for `key` under `dir` (created on demand), atomically.
-/// Returns false when the write failed (the run still succeeds — caching
-/// is best-effort).
+/// Writes `result` for `key` under `dir` (created on demand), atomically,
+/// with its per-run counters. Returns false when the write failed (the
+/// run still succeeds — caching is best-effort).
 bool store(const std::string& dir, std::uint64_t key,
            const RunResult& result);
 
-// --- Entry format, shared with exp::sweep_journal -------------------------
+/// The entry file that holds `key` under `dir`.
+std::string entry_path(const std::string& dir, std::uint64_t key);
+
+// --- Entry format ----------------------------------------------------------
 
 /// Serializes (key, result) into the versioned entry byte stream:
-/// magic+version header, key, scalar fields, sparse delay histogram, a
-/// metrics section (`metrics` entries; empty section when null — the
-/// cache's choice), and a trailing FNV-1a checksum over everything before
-/// it.
-std::vector<unsigned char> serialize_entry(
-    std::uint64_t key, const RunResult& result,
-    const obs::MetricsRegistry* metrics = nullptr);
+/// magic+version header, key, scalar fields, sparse delay histogram, the
+/// metrics section (result.metrics minus the process-cumulative names),
+/// and a trailing FNV-1a checksum over everything before it.
+std::vector<unsigned char> serialize_entry(std::uint64_t key,
+                                           const RunResult& result);
 
-/// Parse outcomes for an on-disk entry.
+/// Parse outcomes for an entry.
 enum class EntryStatus {
   kOk,       // parsed, checksum verified, key matched
   kMissing,  // no file at the path
@@ -116,22 +123,6 @@ enum class EntryStatus {
 /// the header/version/key match, and the payload parses completely.
 EntryStatus deserialize_entry(const std::vector<unsigned char>& buf,
                               std::uint64_t key, RunResult& out);
-
-/// Reads and validates the entry file at `path` against `key`.
-EntryStatus read_entry_file(const std::string& path, std::uint64_t key,
-                            RunResult& out);
-
-/// Atomically writes an entry file (unique temp name + rename, so readers
-/// and a crash mid-write only ever observe complete entries or nothing).
-/// `metrics` (optional) is persisted as the entry's metrics section.
-bool write_entry_file(const std::string& path, std::uint64_t key,
-                      const RunResult& result,
-                      const obs::MetricsRegistry* metrics = nullptr);
-
-/// Renames a corrupt entry aside to `<path>.quarantined.<pid>` so it is
-/// preserved for inspection but never re-read. Returns the quarantine path
-/// (empty when the rename failed and the file was removed instead).
-std::string quarantine_entry(const std::string& path);
 
 /// Process-wide counters (exposed for tests and driver summaries).
 struct Stats {

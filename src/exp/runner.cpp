@@ -220,13 +220,18 @@ RunResult run_scenario(const ScenarioConfig& scenario,
   const std::string cache_dir = options.record_series || options.trace != nullptr
                                     ? std::string()
                                     : run_cache::directory();
-  std::uint64_t cache_key = 0;
-  if (!cache_dir.empty()) {
-    cache_key = run_cache::key_hash(scenario, scheme, options);
-    RunResult cached;
-    if (run_cache::lookup(cache_dir, cache_key, cached)) return cached;
-  }
+  if (cache_dir.empty()) return simulate_scenario(scenario, scheme, options);
+  const std::uint64_t cache_key = run_cache::key_hash(scenario, scheme, options);
+  if (RunResult cached; run_cache::lookup(cache_dir, cache_key, cached))
+    return cached;
+  RunResult result = simulate_scenario(scenario, scheme, options);
+  run_cache::store(cache_dir, cache_key, result);
+  return result;
+}
 
+RunResult simulate_scenario(const ScenarioConfig& scenario,
+                            const SchemeConfig& scheme,
+                            const RunOptions& options) {
   RunResult result;
   result.hidden_pairs = hidden_pairs_of(scenario);
 
@@ -263,7 +268,6 @@ RunResult run_scenario(const ScenarioConfig& scenario,
   collect_measurement(*net, result);
   finish_audit(audit.get(), *net, result);
   finish_capture(capture_obs.get(), options.trace);
-  if (!cache_dir.empty()) run_cache::store(cache_dir, cache_key, result);
   return result;
 }
 

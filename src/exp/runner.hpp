@@ -82,9 +82,9 @@ struct RunResult {
   std::vector<int> success_sources;
 
   /// Unified counter snapshot (sim.*, medium.*, mac.cohort.*, traffic.*,
-  /// cache.*; see obs/collect.hpp) taken when measurement ends. Empty on a
-  /// run-cache hit: the cache stores the science scalars above, not the
-  /// observability registry.
+  /// cache.*; see obs/collect.hpp) taken when measurement ends. A run-cache
+  /// hit carries the per-run counters only: the process-cumulative cache.*,
+  /// exp.fault.* and profile.* names are not stored.
   obs::MetricsRegistry metrics;
 
   // Time series over the WHOLE run (including warm-up), when requested.
@@ -97,10 +97,18 @@ struct RunResult {
   stats::TimeSeries drop_series{"drops/s"};   // windowed drop rate
 };
 
-/// Runs one scenario under one scheme.
+/// Runs one scenario under one scheme. With $WLAN_RUN_CACHE set, and no
+/// series or trace recorded, the result is looked up in the run cache
+/// first and stored there after a fresh run (exp/run_cache.hpp).
 RunResult run_scenario(const ScenarioConfig& scenario,
                        const SchemeConfig& scheme,
                        const RunOptions& options = {});
+
+/// run_scenario without the run cache: always simulates, never stores.
+/// run_sweep calls it for the jobs its own store lookup missed.
+RunResult simulate_scenario(const ScenarioConfig& scenario,
+                            const SchemeConfig& scheme,
+                            const RunOptions& options);
 
 /// Averages total_mbps (and idle slots / fairness inputs) over `seeds`
 /// seeds: scenario.seed, scenario.seed+1, ... The seed runs fan out across

@@ -25,8 +25,9 @@
 #include <vector>
 
 #include "exp/progress.hpp"
-#include "exp/sweep_journal.hpp"
+#include "exp/run_cache.hpp"
 #include "util/env.hpp"
+#include "util/fnv.hpp"
 #include "util/liveness.hpp"
 
 #ifndef _WIN32
@@ -68,17 +69,17 @@ bool parse_spec(const std::string& spec, ChildBlock& out) {
   return !out.dir.empty();
 }
 
-std::string fail_path(const std::string& sweep_dir, std::size_t job) {
+std::string fail_path(const std::string& work_dir, std::size_t job) {
   char name[48];
   std::snprintf(name, sizeof name, "job_%zu.fail", job);
-  return (fs::path(sweep_dir) / name).string();
+  return (fs::path(work_dir) / name).string();
 }
 
-std::string shard_file(const std::string& sweep_dir, int index,
+std::string shard_file(const std::string& work_dir, int index,
                        const char* ext) {
   char name[48];
   std::snprintf(name, sizeof name, "shard_%d.%s", index, ext);
-  return (fs::path(sweep_dir) / name).string();
+  return (fs::path(work_dir) / name).string();
 }
 
 std::string read_file_text(const std::string& path) {
@@ -180,7 +181,23 @@ Policy resolve_policy(int spec_processes, int spec_backoff_ms) {
   return p;
 }
 
-std::string scratch_journal_base() {
+std::uint64_t sweep_fingerprint(const std::vector<std::uint64_t>& job_keys) {
+  util::Fnv1a h;
+  h.mix_u64(run_cache::kFormatVersion);
+  h.mix_u64(job_keys.size());
+  for (std::uint64_t k : job_keys) h.mix_u64(k);
+  return h.digest();
+}
+
+std::string work_directory(const std::string& store,
+                           const std::vector<std::uint64_t>& job_keys) {
+  char name[40];
+  std::snprintf(name, sizeof name, "sweep_%016llx",
+                static_cast<unsigned long long>(sweep_fingerprint(job_keys)));
+  return (fs::path(store) / name).string();
+}
+
+std::string scratch_store() {
 #ifdef _WIN32
   return {};
 #else
@@ -197,7 +214,6 @@ std::string scratch_journal_base() {
     fs::create_directories(path, ec);
     if (ec) return;
     base = path.string();
-    ::setenv("WLAN_SWEEP_JOURNAL", base.c_str(), 1);
     // Parent-only cleanup: children leave through _Exit (or execve into a
     // fresh image), so this handler never fires in a shard.
     std::atexit([] {
@@ -282,20 +298,20 @@ void Heartbeat::note_job_done() {
 
 // ----------------------------------------------- tombstones / poison list
 
-bool write_tombstone(const std::string& sweep_dir, std::size_t job,
+bool write_tombstone(const std::string& work_dir, std::size_t job,
                      const Tombstone& tomb) {
   std::error_code ec;
-  fs::create_directories(sweep_dir, ec);
+  fs::create_directories(work_dir, ec);
   std::string text = "kind=";
   text += kind_name(tomb.kind);
   text += " attempts=" + std::to_string(tomb.attempts) + "\n";
   text += tomb.what;
-  return write_file_atomic(fail_path(sweep_dir, job), text);
+  return write_file_atomic(fail_path(work_dir, job), text);
 }
 
-bool read_tombstone(const std::string& sweep_dir, std::size_t job,
+bool read_tombstone(const std::string& work_dir, std::size_t job,
                     Tombstone& out) {
-  const std::string text = read_file_text(fail_path(sweep_dir, job));
+  const std::string text = read_file_text(fail_path(work_dir, job));
   if (text.empty()) return false;
   char kind[32] = {0};
   int attempts = 0;
@@ -310,10 +326,10 @@ bool read_tombstone(const std::string& sweep_dir, std::size_t job,
   return true;
 }
 
-std::vector<std::size_t> read_poison_list(const std::string& sweep_dir) {
+std::vector<std::size_t> read_poison_list(const std::string& work_dir) {
   std::vector<std::size_t> out;
   const std::string text =
-      read_file_text((fs::path(sweep_dir) / "poison.list").string());
+      read_file_text((fs::path(work_dir) / "poison.list").string());
   std::size_t start = 0;
   while (start < text.size()) {
     std::size_t end = text.find('\n', start);
@@ -327,14 +343,14 @@ std::vector<std::size_t> read_poison_list(const std::string& sweep_dir) {
   return out;
 }
 
-bool append_poison(const std::string& sweep_dir, std::size_t job) {
-  std::vector<std::size_t> list = read_poison_list(sweep_dir);
+bool append_poison(const std::string& work_dir, std::size_t job) {
+  std::vector<std::size_t> list = read_poison_list(work_dir);
   list.push_back(job);
   std::sort(list.begin(), list.end());
   list.erase(std::unique(list.begin(), list.end()), list.end());
   std::string text;
   for (std::size_t i : list) text += std::to_string(i) + "\n";
-  return write_file_atomic((fs::path(sweep_dir) / "poison.list").string(),
+  return write_file_atomic((fs::path(work_dir) / "poison.list").string(),
                            text);
 }
 
@@ -383,19 +399,26 @@ struct ShardProc {
   std::size_t failed_known = 0;
 };
 
-bool job_resolved(const std::string& dir, std::size_t i,
-                  const std::vector<char>& done,
+/// What the supervisor reads to decide whether a job is resolved: the
+/// sweep's work directory, the store that is its parent, and the keys
+/// naming each job's store entry.
+struct SweepFiles {
+  std::string work_dir;
+  std::string store;
+  const std::vector<std::uint64_t>& job_keys;
+};
+
+bool job_resolved(const SweepFiles& f, std::size_t i,
                   const std::set<std::size_t>& poisoned) {
-  if (done[i] != 0 || poisoned.count(i) != 0) return true;
+  if (poisoned.count(i) != 0) return true;
   std::error_code ec;
-  return fs::exists(sweep_journal::entry_path(dir, i), ec) ||
-         fs::exists(fail_path(dir, i), ec);
+  return fs::exists(run_cache::entry_path(f.store, f.job_keys[i]), ec) ||
+         fs::exists(fail_path(f.work_dir, i), ec);
 }
 
 /// Rescans a shard's block: resolved/tombstone counts and the first
 /// unresolved job. Returns true when the whole block is resolved.
-bool scan_block(const std::string& dir, ShardProc& s,
-                const std::vector<char>& done,
+bool scan_block(const SweepFiles& f, ShardProc& s,
                 const std::set<std::size_t>& poisoned,
                 std::size_t& first_unresolved) {
   s.resolved_known = 0;
@@ -403,10 +426,9 @@ bool scan_block(const std::string& dir, ShardProc& s,
   first_unresolved = static_cast<std::size_t>(-1);
   std::error_code ec;
   for (std::size_t i = s.lo; i < s.hi; ++i) {
-    if (done[i] == 0 && poisoned.count(i) == 0 &&
-        fs::exists(fail_path(dir, i), ec))
+    if (poisoned.count(i) == 0 && fs::exists(fail_path(f.work_dir, i), ec))
       ++s.failed_known;
-    if (job_resolved(dir, i, done, poisoned)) {
+    if (job_resolved(f, i, poisoned)) {
       ++s.resolved_known;
     } else if (first_unresolved == static_cast<std::size_t>(-1)) {
       first_unresolved = i;
@@ -448,10 +470,10 @@ void relay_log_tail(const std::string& dir, int index) {
 /// CSVs before run_sweep — a child must never truncate the parent's), and
 /// the block assignment carried in both the environment and a hidden
 /// --wlan-shard flag. Returns the pid, or -1.
-pid_t spawn_shard(const std::string& abs_dir, const ShardProc& s,
+pid_t spawn_shard(const SweepFiles& f, const ShardProc& s,
                   const std::vector<std::string>& base_cmd,
                   bool append_flag) {
-  const std::string spec = abs_dir + ":" + std::to_string(s.lo) + ":" +
+  const std::string spec = f.work_dir + ":" + std::to_string(s.lo) + ":" +
                            std::to_string(s.hi);
 
   // argv: the driver's own invocation (or the test override), any prior
@@ -475,12 +497,15 @@ pid_t spawn_shard(const std::string& abs_dir, const ShardProc& s,
   }
 
   // Environment: inherit everything except our own controls, then pin the
-  // shard assignment, force children to stay single-process, absolutize
-  // the journal base (children run in a different cwd), and silence the
-  // telemetry sinks — the parent owns the ticker and the heartbeat JSON.
+  // shard assignment, force children to stay single-process, name the
+  // store absolutely (children run in a different cwd) with no size bound
+  // (a child must never prune its siblings' results before the parent
+  // reads them), and silence the telemetry sinks — the parent owns the
+  // ticker and the heartbeat JSON.
   static const char* kDropped[] = {
-      "WLAN_SHARD_SPEC=",   "WLAN_SHARD_INDEX=",   "WLAN_SWEEP_PROCS=",
-      "WLAN_SWEEP_JOURNAL=", "WLAN_PROGRESS=",     "WLAN_PROGRESS_JSON="};
+      "WLAN_SHARD_SPEC=", "WLAN_SHARD_INDEX=",      "WLAN_SWEEP_PROCS=",
+      "WLAN_RUN_CACHE=",  "WLAN_RUN_CACHE_MAX_MB=", "WLAN_PROGRESS=",
+      "WLAN_PROGRESS_JSON="};
   std::vector<std::string> env_s;
   for (char** e = environ; e != nullptr && *e != nullptr; ++e) {
     const std::string entry(*e);
@@ -492,8 +517,7 @@ pid_t spawn_shard(const std::string& abs_dir, const ShardProc& s,
   env_s.push_back("WLAN_SHARD_SPEC=" + spec);
   env_s.push_back("WLAN_SHARD_INDEX=" + std::to_string(s.index));
   env_s.push_back("WLAN_SWEEP_PROCS=1");
-  env_s.push_back("WLAN_SWEEP_JOURNAL=" +
-                  fs::path(abs_dir).parent_path().string());
+  env_s.push_back("WLAN_RUN_CACHE=" + f.store);
 
   std::vector<char*> argv_c;
   for (std::string& a : argv_s) argv_c.push_back(a.data());
@@ -502,10 +526,10 @@ pid_t spawn_shard(const std::string& abs_dir, const ShardProc& s,
   for (std::string& e : env_s) env_c.push_back(e.data());
   env_c.push_back(nullptr);
 
-  const std::string wd = shard_file(abs_dir, s.index, "wd");
+  const std::string wd = shard_file(f.work_dir, s.index, "wd");
   std::error_code ec;
   fs::create_directories(wd, ec);
-  const std::string log = shard_file(abs_dir, s.index, "log");
+  const std::string log = shard_file(f.work_dir, s.index, "log");
   const int log_fd =
       ::open(log.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
 
@@ -527,17 +551,20 @@ pid_t spawn_shard(const std::string& abs_dir, const ShardProc& s,
 
 }  // namespace
 
-SuperviseOutcome supervise(const std::string& sweep_dir, std::size_t num_jobs,
-                           const std::vector<char>& done,
+SuperviseOutcome supervise(const std::string& work_dir,
+                           const std::vector<std::uint64_t>& job_keys,
                            const Policy& policy, ProgressTracker* progress) {
   SuperviseOutcome out;
+  const std::size_t num_jobs = job_keys.size();
   if (num_jobs == 0) return out;
 
   std::error_code ec;
-  const std::string abs_dir = fs::absolute(sweep_dir, ec).string();
+  const fs::path abs_dir = fs::absolute(work_dir, ec);
   fs::create_directories(abs_dir, ec);
+  const SweepFiles files{abs_dir.string(), abs_dir.parent_path().string(),
+                         job_keys};
 
-  // A fresh supervisor invocation is a fresh attempt: journaled SUCCESSES
+  // A fresh supervisor invocation is a fresh attempt: stored SUCCESSES
   // persist (that is the whole point), but stale failure verdicts,
   // heartbeats and logs from an earlier invocation are cleared so a
   // transient failure gets re-tried and stale liveness never masks a hang.
@@ -563,7 +590,7 @@ SuperviseOutcome supervise(const std::string& sweep_dir, std::size_t num_jobs,
     s.lo = i * base + std::min(i, rem);
     s.hi = s.lo + base + (i < rem ? 1 : 0);
     std::size_t first;
-    s.finished = scan_block(abs_dir, s, done, poisoned, first);
+    s.finished = scan_block(files, s, poisoned, first);
   }
 
   // The child command: the test override, else the driver's captured argv
@@ -597,11 +624,11 @@ SuperviseOutcome supervise(const std::string& sweep_dir, std::size_t num_jobs,
       if (s.pid < 0) {
         if (now < s.next_spawn_s) continue;
         std::size_t first;
-        if (scan_block(abs_dir, s, done, poisoned, first)) {
+        if (scan_block(files, s, poisoned, first)) {
           s.finished = true;
           continue;
         }
-        const pid_t pid = spawn_shard(abs_dir, s, base_cmd, append_flag);
+        const pid_t pid = spawn_shard(files, s, base_cmd, append_flag);
         if (pid < 0) {
           // fork/exec failure: back off like a crash and try again.
           ++s.crashes_in_row;
@@ -633,7 +660,7 @@ SuperviseOutcome supervise(const std::string& sweep_dir, std::size_t num_jobs,
       if (r == s.pid) {
         s.pid = -1;
         std::size_t first;
-        const bool resolved = scan_block(abs_dir, s, done, poisoned, first);
+        const bool resolved = scan_block(files, s, poisoned, first);
         const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
         if (clean && resolved) {
           s.finished = true;
@@ -653,7 +680,7 @@ SuperviseOutcome supervise(const std::string& sweep_dir, std::size_t num_jobs,
                        "status %d before finishing its block\n",
                        s.index, s.lo, s.hi,
                        WIFEXITED(status) ? WEXITSTATUS(status) : -1);
-        relay_log_tail(abs_dir, s.index);
+        relay_log_tail(files.work_dir, s.index);
         if (resolved) {
           // Crashed on the way out, but every job is accounted for.
           s.finished = true;
@@ -670,7 +697,7 @@ SuperviseOutcome supervise(const std::string& sweep_dir, std::size_t num_jobs,
         ++s.crashes_in_row;
         if (s.suspect_crashes >= policy.crash_limit) {
           poisoned.insert(s.suspect);
-          append_poison(abs_dir, s.suspect);
+          append_poison(files.work_dir, s.suspect);
           fault_counters::add_job_poisoned();
           out.poisoned.push_back(s.suspect);
           std::fprintf(stderr,
@@ -695,7 +722,7 @@ SuperviseOutcome supervise(const std::string& sweep_dir, std::size_t num_jobs,
       // child stops making progress (no event ticks, no completed jobs),
       // so staleness == hang, not slowness.
       const std::string hb =
-          read_file_text(shard_file(abs_dir, s.index, "hb"));
+          read_file_text(shard_file(files.work_dir, s.index, "hb"));
       if (hb != s.hb_content) {
         s.hb_content = hb;
         s.hb_changed_s = now;
@@ -746,7 +773,7 @@ SuperviseOutcome supervise(const std::string& sweep_dir, std::size_t num_jobs,
   // purpose (isolating stray driver output). Logs and heartbeats stay for
   // post-mortems.
   for (const ShardProc& s : shards)
-    fs::remove_all(shard_file(abs_dir, s.index, "wd"), ec);
+    fs::remove_all(shard_file(files.work_dir, s.index, "wd"), ec);
 
   std::sort(out.poisoned.begin(), out.poisoned.end());
   return out;
@@ -754,8 +781,8 @@ SuperviseOutcome supervise(const std::string& sweep_dir, std::size_t num_jobs,
 
 #else  // _WIN32
 
-SuperviseOutcome supervise(const std::string&, std::size_t,
-                           const std::vector<char>&, const Policy&,
+SuperviseOutcome supervise(const std::string&,
+                           const std::vector<std::uint64_t>&, const Policy&,
                            ProgressTracker*) {
   return {};
 }

@@ -12,12 +12,17 @@
 //   * The expanded job grid is partitioned into contiguous index blocks,
 //     one per shard, and each shard is a CHILD PROCESS (a re-exec of the
 //     driver itself, told its block through a hidden --wlan-shard=
-//     <sweep_dir>:<lo>:<hi> flag plus the WLAN_SHARD_SPEC environment).
+//     <work_dir>:<lo>:<hi> flag plus the WLAN_SHARD_SPEC environment).
 //     The child recognises its sweep by fingerprint inside run_sweep,
-//     executes its block with the normal in-process pool, appends each
-//     completed job to the PR 8 sweep journal (atomic temp+rename with a
-//     checksum footer — the journal IS the IPC substrate; no pipes, no
-//     shared memory), and _Exit()s.
+//     executes its block with the normal in-process pool, stores each
+//     completed job in the run cache (exp/run_cache.hpp: atomic
+//     temp+rename with a checksum footer — the store IS the IPC
+//     substrate; no pipes, no shared memory), and _Exit()s.
+//
+//   * Every sweep gets a work directory <store>/sweep_<fingerprint>/ that
+//     holds only supervision state: tombstones, the poison list,
+//     heartbeats and logs. Results live in the store itself, keyed by
+//     run_cache::key_hash like every other entry.
 //
 //   * The supervisor watches exit codes and per-shard HEARTBEAT files.
 //     A heartbeat freezes exactly when its process stops making progress
@@ -27,16 +32,16 @@
 //     the child — catching the hard hangs the in-process watchdog cannot.
 //
 //   * A crashed or killed shard is respawned with exponential backoff; it
-//     replays its own journal entries and resumes at the first unfinished
-//     job. A POISON job — one that kills its shard `crash_limit` times in
-//     a row — is quarantined into the shard directory's poison list; the
-//     respawned shard skips it and the parent folds it as a JobError
-//     {kind=kCrash} with deterministic zeros, exactly like an exhausted
-//     in-process retry.
+//     skips the jobs its block already stored and resumes at the first
+//     unfinished one. A POISON job — one that kills its shard
+//     `crash_limit` times in a row — is quarantined into the work
+//     directory's poison list; the respawned shard skips it and the
+//     parent folds it as a JobError{kind=kCrash} with deterministic
+//     zeros, exactly like an exhausted in-process retry.
 //
 //   * The parent never simulates during supervision: when every shard is
-//     done it replays the journal in job-index order, so the folded
-//     result is byte-identical to processes=1 at any thread count.
+//     done it looks the jobs up in the store in job-index order, so the
+//     folded result is byte-identical to processes=1 at any thread count.
 //
 // Everything here is POSIX (fork/execve/waitpid/kill); on _WIN32 the
 // policy resolves to processes=1 and run_sweep stays in-process.
@@ -57,10 +62,10 @@ namespace wlan::exp::shard {
 
 // --- Child-side plumbing ---------------------------------------------------
 
-/// The block assignment a supervisor-spawned child carries: the sweep
-/// journal directory it must work in (absolute; its basename is the
-/// sweep_%016llx fingerprint that names the sweep) and the half-open job
-/// range [lo, hi) it owns.
+/// The block assignment a supervisor-spawned child carries: the sweep's
+/// work directory (absolute; its basename is the sweep_%016llx
+/// fingerprint that names the sweep, its parent is the store) and the
+/// half-open job range [lo, hi) it owns.
 struct ChildBlock {
   std::string dir;
   std::size_t lo = 0;
@@ -120,23 +125,37 @@ struct SuperviseOutcome {
   std::uint64_t stall_kills = 0;  // SIGKILLs for stale heartbeats
 };
 
-/// Runs the shard fleet over jobs [0, num_jobs) against `sweep_dir` (the
-/// per-sweep journal directory) until every job is resolved — journaled,
-/// tombstoned, or poisoned. `done` marks jobs already replayed before
-/// supervision (children skip them; blocks that are fully resolved are
-/// never spawned). Feeds `progress` (nullable) with aggregate completion
-/// counts from the heartbeats. Blocks until the fleet drains; the caller
-/// then replays the journal for the final fold.
-SuperviseOutcome supervise(const std::string& sweep_dir, std::size_t num_jobs,
-                           const std::vector<char>& done,
+/// Fingerprint of a fully expanded job list: FNV-1a over the entry format
+/// version, the job count, and each job's run_cache key hash in job order.
+/// A child re-executes its whole driver; this is how it finds the one
+/// sweep it was spawned for.
+std::uint64_t sweep_fingerprint(const std::vector<std::uint64_t>& job_keys);
+
+/// The work directory `<store>/sweep_<fingerprint>` of the sweep whose
+/// jobs are keyed by `job_keys`.
+std::string work_directory(const std::string& store,
+                           const std::vector<std::uint64_t>& job_keys);
+
+/// Runs the shard fleet over the jobs keyed by `job_keys` until every job
+/// is resolved: it has a store entry (the store is the parent of
+/// `work_dir`), a tombstone, or is poisoned. Blocks that are already
+/// resolved are never spawned. Each child's environment names the store
+/// through WLAN_RUN_CACHE, absolute, with WLAN_RUN_CACHE_MAX_MB dropped so
+/// no child prunes its siblings' results before the parent reads them.
+/// Feeds `progress` (nullable) with aggregate completion counts from the
+/// heartbeats. Blocks until the fleet drains; the caller then looks the
+/// jobs up for the final fold.
+SuperviseOutcome supervise(const std::string& work_dir,
+                           const std::vector<std::uint64_t>& job_keys,
                            const Policy& policy, ProgressTracker* progress);
 
-/// An invocation-scoped journal base for supervised sweeps when the user
-/// did not set one: created under the system temp directory, exported as
-/// WLAN_SWEEP_JOURNAL (so children inherit it), and removed at parent
-/// exit. Returns the existing base on repeat calls; empty on failure
-/// (supervision then falls back to in-process execution).
-std::string scratch_journal_base();
+/// An invocation-scoped store for supervised sweeps when WLAN_RUN_CACHE is
+/// unset: created under the system temp directory and removed at parent
+/// exit. The parent only hands it to its children (supervise sets their
+/// WLAN_RUN_CACHE); its own environment is left alone. Returns the same
+/// path on repeat calls; empty on failure (supervision then falls back to
+/// in-process execution).
+std::string scratch_store();
 
 // --- Heartbeats (child side) -----------------------------------------------
 
@@ -173,18 +192,18 @@ struct Tombstone {
   std::string what;
 };
 
-/// Atomically writes `job_<job>.fail` under `sweep_dir`.
-bool write_tombstone(const std::string& sweep_dir, std::size_t job,
+/// Atomically writes `job_<job>.fail` under `work_dir`.
+bool write_tombstone(const std::string& work_dir, std::size_t job,
                      const Tombstone& tomb);
 /// Reads a tombstone; false when absent or malformed.
-bool read_tombstone(const std::string& sweep_dir, std::size_t job,
+bool read_tombstone(const std::string& work_dir, std::size_t job,
                     Tombstone& out);
 
 /// The supervisor's poison list (`poison.list`, one job index per line,
 /// rewritten atomically; single writer — the supervisor). Children read
 /// it at spawn and skip the listed jobs.
-std::vector<std::size_t> read_poison_list(const std::string& sweep_dir);
-bool append_poison(const std::string& sweep_dir, std::size_t job);
+std::vector<std::size_t> read_poison_list(const std::string& work_dir);
+bool append_poison(const std::string& work_dir, std::size_t job);
 
 namespace testing {
 

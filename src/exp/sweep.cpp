@@ -16,7 +16,6 @@
 #include "exp/progress.hpp"
 #include "exp/run_cache.hpp"
 #include "exp/shard.hpp"
-#include "exp/sweep_journal.hpp"
 #include "obs/audit.hpp"
 #include "obs/collect.hpp"
 #include "obs/trace.hpp"
@@ -137,8 +136,8 @@ AveragedResult fold_seeds(const std::vector<RunResult>& runs) {
 
 /// With WLAN_PROFILE on, reports each pool lane's aggregate phase profile
 /// (the per-run registries carry profile.* buckets; shard = the contiguous
-/// block of PENDING jobs the lane executed — journal-replayed jobs carry
-/// no profile and never reached a lane). Pure reporting.
+/// block of PENDING jobs the lane executed — jobs replayed from the store
+/// carry no profile and never reached a lane). Pure reporting.
 void report_shard_profiles(const par::ThreadPool& pool,
                            const std::vector<RunResult>& raw,
                            const std::vector<std::size_t>& pending) {
@@ -186,8 +185,10 @@ GuardPolicy resolve_policy(const SweepSpec& spec) {
 }
 
 /// Runs one job under the guard: fault injection, retry with exponential
-/// backoff, watchdog-timeout classification. On terminal failure fills
-/// `error` and leaves `out` default (deterministic zeros for the fold).
+/// backoff, watchdog-timeout classification. Simulates without touching
+/// the store (run_sweep looked the job up already and stores the result
+/// itself). On terminal failure fills `error` and leaves `out` default
+/// (deterministic zeros for the fold).
 void run_guarded(const SweepJob& job, std::size_t job_index,
                  std::uint64_t config_fingerprint, const RunOptions& options,
                  const GuardPolicy& policy, RunResult& out,
@@ -201,7 +202,7 @@ void run_guarded(const SweepJob& job, std::size_t job_index,
     RunOptions opts = options;
     try {
       fault_injection::apply_before_attempt(job_index, opts);
-      out = run_scenario(job.scenario, job.scheme, opts);
+      out = simulate_scenario(job.scenario, job.scheme, opts);
       return;
     } catch (const sim::WatchdogExpired& e) {
       last.kind = JobError::Kind::kTimeout;
@@ -255,13 +256,15 @@ void report_errors(const std::vector<JobError>& errors) {
 }
 
 /// Executes this shard child's assigned job block and exits the process.
-/// The block is whittled down first — journal entries from a previous
-/// attempt, tombstones, and poisoned jobs are skipped — then fanned over
-/// the normal in-process pool under the normal job guard, with every
-/// outcome persisted (entry or tombstone) through atomic renames. The
-/// heartbeat thread keeps the supervisor's liveness view fresh. _Exit
-/// (not exit) so the parent-registered atexit cleanups never run here.
+/// The block is whittled down first — jobs already in the store (from the
+/// parent or a previous attempt), tombstones, and poisoned jobs are
+/// skipped — then fanned over the normal in-process pool under the normal
+/// job guard, with every outcome persisted (store entry or tombstone)
+/// through atomic renames. The heartbeat thread keeps the supervisor's
+/// liveness view fresh. _Exit (not exit) so the parent-registered atexit
+/// cleanups never run here.
 [[noreturn]] void run_child_block(const shard::ChildBlock& child,
+                                  const std::string& store,
                                   const SweepSpec& spec,
                                   const std::vector<SweepJob>& jobs,
                                   const std::vector<std::uint64_t>& job_keys,
@@ -273,11 +276,8 @@ void report_errors(const std::vector<JobError>& errors) {
   block.reserve(hi - lo);
   for (std::size_t i = lo; i < hi; ++i) {
     if (std::binary_search(poison.begin(), poison.end(), i)) continue;
-    RunResult replayed;
-    if (run_cache::read_entry_file(sweep_journal::entry_path(child.dir, i),
-                                   job_keys[i],
-                                   replayed) == run_cache::EntryStatus::kOk)
-      continue;  // a previous attempt finished this job
+    RunResult stored;
+    if (run_cache::lookup(store, job_keys[i], stored)) continue;
     shard::Tombstone tomb;
     if (shard::read_tombstone(child.dir, i, tomb)) continue;
     block.push_back(i);
@@ -300,7 +300,7 @@ void report_errors(const std::vector<JobError>& errors) {
       tomb.what = error->what;
       if (!shard::write_tombstone(child.dir, i, tomb))
         io_failed.store(true, std::memory_order_relaxed);
-    } else if (!sweep_journal::append(child.dir, i, job_keys[i], result)) {
+    } else if (!run_cache::store(store, job_keys[i], result)) {
       io_failed.store(true, std::memory_order_relaxed);
     }
     heartbeat.note_job_done();
@@ -336,29 +336,28 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
   const std::vector<SweepJob> jobs = expand(spec);
   if (pool == nullptr) pool = &par::ThreadPool::global();
 
-  // Per-job content keys: journal entry keys and JobError fingerprints.
+  // Per-job content keys: store keys and JobError fingerprints.
   std::vector<std::uint64_t> job_keys(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i)
     job_keys[i] =
         run_cache::key_hash(jobs[i].scenario, jobs[i].scheme, spec.options);
 
-  const std::uint64_t fingerprint = sweep_journal::sweep_fingerprint(job_keys);
+  // Series/trace runs bypass the store: neither is serialized.
   const bool series_or_trace =
       spec.options.record_series || spec.options.trace != nullptr;
+  std::string store = series_or_trace ? std::string() : run_cache::directory();
 
   // Shard child fast-path: a supervisor-spawned child re-executes its
-  // whole driver; the sweep whose fingerprint names the assigned journal
+  // whole driver; the sweep whose fingerprint names the assigned work
   // directory is THE sharded sweep — run the block and exit. Any other
-  // run_sweep call in the driver executes normally (and near-instantly,
-  // replayed from the journal the parent already completed).
+  // run_sweep call in the driver executes normally (and near-instantly
+  // when the parent already stored its jobs).
   if (const shard::ChildBlock* child = shard::child_block();
-      child != nullptr && !series_or_trace) {
-    char fp_name[40];
-    std::snprintf(fp_name, sizeof fp_name, "sweep_%016llx",
-                  static_cast<unsigned long long>(fingerprint));
-    if (std::filesystem::path(child->dir).filename().string() == fp_name)
-      run_child_block(*child, spec, jobs, job_keys, pool);  // never returns
-  }
+      child != nullptr && !store.empty() &&
+      std::filesystem::path(child->dir).filename() ==
+          std::filesystem::path(shard::work_directory(store, job_keys))
+              .filename())
+    run_child_block(*child, store, spec, jobs, job_keys, pool);  // no return
 
   const GuardPolicy policy = resolve_policy(spec);
   const shard::Policy spolicy =
@@ -367,87 +366,65 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
                         shard::child_block() == nullptr && !jobs.empty();
   if (supervise_mode && series_or_trace) {
     std::fprintf(stderr,
-                 "[sweep] WLAN_SWEEP_PROCS ignored: series/trace runs are "
-                 "not journalable, running in-process\n");
+                 "[sweep] WLAN_SWEEP_PROCS ignored: series/trace runs cannot "
+                 "go through the store, running in-process\n");
     supervise_mode = false;
   }
-
-  // Journal replay (WLAN_SWEEP_JOURNAL): completed jobs from an earlier,
-  // interrupted invocation of this exact sweep fill their slots directly;
-  // only the remainder fans out. Series/trace runs bypass the journal
-  // (neither is serialized — same rule as the run cache).
-  std::vector<RunResult> raw(jobs.size());
-  std::vector<char> done(jobs.size(), 0);
-  std::string journal_base = series_or_trace
-                                 ? std::string()
-                                 : sweep_journal::directory();
-  if (supervise_mode && journal_base.empty()) {
-    // The journal is the supervisor's IPC substrate; without a user-
-    // configured base, use an invocation-scoped scratch one (exported so
-    // the children inherit it, removed at parent exit).
-    journal_base = shard::scratch_journal_base();
-    if (journal_base.empty()) {
+  if (supervise_mode && store.empty()) {
+    // The store is the supervisor's IPC substrate; without WLAN_RUN_CACHE,
+    // use an invocation-scoped scratch one (handed to the children,
+    // removed at parent exit).
+    store = shard::scratch_store();
+    if (store.empty()) {
       std::fprintf(stderr,
-                   "[sweep] no scratch journal directory available; "
+                   "[sweep] no scratch store directory available; "
                    "running in-process\n");
       supervise_mode = false;
     }
   }
-  std::string journal_dir;
-  if (!journal_base.empty()) {
-    journal_dir = sweep_journal::sweep_directory(journal_base, fingerprint);
-    const std::size_t replayed =
-        sweep_journal::replay(journal_dir, job_keys, raw, done);
-    if (replayed > 0)
-      std::fprintf(stderr, "[sweep] journal: replayed %zu/%zu jobs from %s\n",
-                   replayed, jobs.size(), journal_dir.c_str());
-  }
 
+  // Resume is a store hit: every job is looked up once, before the
+  // fan-out. Hits fill their slots (per-run counters included, so they
+  // fold exactly like fresh runs); only the misses are simulated.
+  std::vector<RunResult> raw(jobs.size());
   std::vector<std::size_t> pending;
   pending.reserve(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i)
-    if (!done[i]) pending.push_back(i);
+    if (store.empty() || !run_cache::lookup(store, job_keys[i], raw[i]))
+      pending.push_back(i);
+  const std::size_t replayed = jobs.size() - pending.size();
+  if (replayed > 0)
+    std::fprintf(stderr, "[sweep] store: replayed %zu/%zu jobs from %s\n",
+                 replayed, jobs.size(), store.c_str());
 
   const FaultStats fs_before = fault_stats();
-  ProgressTracker progress(jobs.size(), jobs.size() - pending.size());
+  ProgressTracker progress(jobs.size(), replayed);
   std::vector<std::optional<JobError>> job_errors(jobs.size());
 
   // Jobs that must run in THIS process: all pending ones in-process mode;
   // under supervision only the safety-net leftovers the shard fleet
-  // somehow failed to resolve (e.g. a corrupt journal entry).
+  // somehow failed to resolve (e.g. a corrupt store entry).
   std::vector<std::size_t> inline_jobs;
   if (supervise_mode && !pending.empty()) {
-    const shard::SuperviseOutcome outcome = shard::supervise(
-        journal_dir, jobs.size(), done, spolicy, &progress);
+    const std::string work_dir = shard::work_directory(store, job_keys);
+    const shard::SuperviseOutcome outcome =
+        shard::supervise(work_dir, job_keys, spolicy, &progress);
     const std::set<std::size_t> poisoned(outcome.poisoned.begin(),
                                          outcome.poisoned.end());
-    // Deterministic merge: replay the shard fleet's journal in ascending
+    // Deterministic merge: look the shard fleet's results up in ascending
     // job-index order and materialize the supervisor's failure verdicts.
     // Every double travels as raw bits through the entry format, and the
     // fold below never changes order, so the result is byte-identical to
     // processes=1 at any thread count.
-    std::size_t merged = 0;
     for (std::size_t i : pending) {
-      const std::string path = sweep_journal::entry_path(journal_dir, i);
-      switch (run_cache::read_entry_file(path, job_keys[i], raw[i])) {
-        case run_cache::EntryStatus::kOk:
-          done[i] = 1;
-          ++merged;
-          continue;
-        case run_cache::EntryStatus::kCorrupt:
-          run_cache::quarantine_entry(path);
-          fault_counters::add_journal_corrupt();
-          break;
-        case run_cache::EntryStatus::kMissing:
-          break;
-      }
+      if (run_cache::lookup(store, job_keys[i], raw[i])) continue;
       JobError err;
       err.job_index = i;
       err.point_index = jobs[i].point_index;
       err.seed_index = jobs[i].seed_index;
       err.config_fingerprint = job_keys[i];
       shard::Tombstone tomb;
-      if (shard::read_tombstone(journal_dir, i, tomb)) {
+      if (shard::read_tombstone(work_dir, i, tomb)) {
         // A child exhausted the in-process retries; same verdict it would
         // have produced here.
         err.kind = tomb.kind;
@@ -466,9 +443,7 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
       fault_counters::add_failure();
       raw[i] = RunResult{};
       job_errors[i] = std::move(err);
-      done[i] = 1;
     }
-    if (merged > 0) fault_counters::add_journal_replayed(merged);
     if (!inline_jobs.empty())
       std::fprintf(stderr,
                    "[sweep] %zu job(s) unresolved after supervision; "
@@ -478,19 +453,19 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
     inline_jobs = pending;
   }
 
-  // Guarded fan-out over the in-process jobs. Each lane writes only its
-  // own jobs' raw/error slots (distinct indices), so no synchronization is
-  // needed beyond the pool's fork-join barrier. The progress tracker is
-  // the only shared mutable state and is internally locked; it reads
-  // nothing back into the jobs, so results stay byte-identical with
-  // telemetry on or off.
+  // Guarded fan-out over the in-process jobs, each stored once when it
+  // succeeds. Each lane writes only its own jobs' raw/error slots
+  // (distinct indices), so no synchronization is needed beyond the pool's
+  // fork-join barrier. The progress tracker is the only shared mutable
+  // state and is internally locked; it reads nothing back into the jobs,
+  // so results stay byte-identical with telemetry on or off.
   pool->parallel_for(inline_jobs.size(), [&](std::size_t p) {
     const std::size_t i = inline_jobs[p];
     const auto t0 = std::chrono::steady_clock::now();
     run_guarded(jobs[i], i, job_keys[i], spec.options, policy, raw[i],
                 job_errors[i]);
-    if (!journal_dir.empty() && !job_errors[i].has_value())
-      sweep_journal::append(journal_dir, i, job_keys[i], raw[i]);
+    if (!store.empty() && !job_errors[i].has_value())
+      run_cache::store(store, job_keys[i], raw[i]);
     const double wall_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
@@ -525,8 +500,7 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
                            : 0.0);
   }
   result.metrics.set_count("sweep.jobs_total", jobs.size());
-  result.metrics.set_count("sweep.jobs_replayed",
-                           jobs.size() - pending.size());
+  result.metrics.set_count("sweep.jobs_replayed", replayed);
   result.metrics.set_count("sweep.jobs_failed", result.errors.size());
   obs::add_run_cache_metrics(result.metrics);
   obs::add_fault_metrics(result.metrics);

@@ -67,10 +67,10 @@ struct SweepSpec {
   /// Shard process count for crash containment; -1 = $WLAN_SWEEP_PROCS
   /// (default 1 = in-process). With more than one process the expanded
   /// grid is partitioned into contiguous blocks, each executed by a
-  /// supervised child process that journals every completed job; the
-  /// parent folds the journal in job-index order, so the result is
+  /// supervised child process that stores every completed job in the run
+  /// cache; the parent looks them up in job-index order, so the result is
   /// byte-identical to processes=1 at any thread count. Ignored (with a
-  /// stderr note) for series/trace runs, which cannot be journaled.
+  /// stderr note) for series/trace runs, which the store cannot hold.
   int processes = -1;
 
   /// One-point spec: a single (scenario, scheme) pair averaged over seeds.
@@ -124,12 +124,13 @@ struct SweepResult {
 
   /// Sweep-level metric totals: every per-run registry folded in job-index
   /// order via obs::merge_run_metrics (so totals are exact and identical
-  /// at any thread count), plus sweep.jobs_total / sweep.jobs_replayed /
-  /// sweep.jobs_failed and a post-sweep snapshot of the process-cumulative
-  /// cache.* / exp.fault.* counters. flight.attempts_per_success is
-  /// recomputed here from the folded counts (a ratio cannot be summed).
-  /// Note: jobs satisfied by the run cache or a journal replay carry empty
-  /// registries, so fold totals only cover freshly simulated jobs.
+  /// at any thread count), plus sweep.jobs_total / sweep.jobs_replayed
+  /// (jobs served by the store) / sweep.jobs_failed and a post-sweep
+  /// snapshot of the process-cumulative cache.* / exp.fault.* counters.
+  /// flight.attempts_per_success is recomputed here from the folded counts
+  /// (a ratio cannot be summed). A job replayed from the store folds its
+  /// stored per-run counters, so the totals do not depend on what the
+  /// store served.
   obs::MetricsRegistry metrics;
 
   bool ok() const { return errors.empty(); }
@@ -146,20 +147,22 @@ struct SweepResult {
 /// global pool) and merges per-point in job-index order. Output is
 /// bit-identical for any thread count, including 1.
 ///
-/// Crash safety: with $WLAN_SWEEP_JOURNAL set (and no series/trace
-/// recording), each completed job is checkpointed to an on-disk journal;
-/// an interrupted sweep replays the completed jobs on restart and runs
-/// only the remainder, with byte-identical final output. Failing jobs are
-/// guarded (retry + backoff, watchdog timeouts converted to errors) and
-/// reported through SweepResult::errors instead of aborting the sweep.
+/// Resume: with $WLAN_RUN_CACHE set (and no series/trace recording), every
+/// job is looked up in the store once before the fan-out and each freshly
+/// simulated job is stored once, so an interrupted sweep re-run replays
+/// the completed jobs ("[sweep] store: replayed K/N jobs" on stderr) and
+/// runs only the remainder, with byte-identical final output. Failing jobs
+/// are guarded (retry + backoff, watchdog timeouts converted to errors)
+/// and reported through SweepResult::errors instead of aborting the sweep.
 ///
 /// Process isolation: with $WLAN_SWEEP_PROCS > 1 (or SweepSpec::processes)
 /// the jobs are executed by supervised child processes (see exp/shard.hpp)
-/// so a SIGSEGV or hard hang in one job cannot take the sweep down; a
-/// crashed shard is respawned, resuming from its journal, and a job that
-/// repeatedly kills its shard is quarantined as a JobError{kind=kCrash}.
-/// When no journal directory is configured, a supervised sweep uses an
-/// invocation-scoped scratch journal that is removed at exit.
+/// that report through the store, so a SIGSEGV or hard hang in one job
+/// cannot take the sweep down; a crashed shard is respawned, skipping the
+/// jobs it already stored, and a job that repeatedly kills its shard is
+/// quarantined as a JobError{kind=kCrash}. Without $WLAN_RUN_CACHE, a
+/// supervised sweep uses an invocation-scoped scratch store that is
+/// removed at exit.
 SweepResult run_sweep(const SweepSpec& spec,
                       par::ThreadPool* pool = nullptr);
 

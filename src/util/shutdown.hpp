@@ -11,8 +11,8 @@
 // Signal-safety caveat, by design: std::ofstream::flush is not
 // async-signal-safe, so the handler is best-effort — it can only make an
 // interrupted run's output BETTER than the default instant death, never
-// worse, and the crash-safety story never depends on it (the sweep
-// journal and run cache use atomic per-entry renames precisely so
+// worse, and the crash-safety story never depends on it (the run cache,
+// which sweeps resume from, uses atomic per-entry renames precisely so
 // correctness needs no shutdown hook at all).
 //
 // The registry is also usable directly: shutdown_flush() runs every

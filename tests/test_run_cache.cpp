@@ -1,20 +1,24 @@
 // Tests for the cross-driver run cache: key sensitivity, bit-exact
-// round-tripping of every cached field (including the delay histogram),
-// the run_scenario integration (hit short-circuits the simulation,
+// round-tripping of every cached field (including the delay histogram and
+// the per-run counters), the run_scenario and run_sweep integration (a hit
+// short-circuits the simulation and folds like a fresh run,
 // series-recording runs bypass), and corruption tolerance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/run_cache.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
+#include "obs/collect.hpp"
 #include "par/thread_pool.hpp"
 
 namespace {
@@ -193,15 +197,18 @@ TEST(RunCache, ParallelSweepPopulatesAndThenHitsBitIdentically) {
   spec.options = tiny_options();
   par::ThreadPool pool(3);
 
+  // Each job is looked up exactly once and stored at most once.
   const auto first = exp::run_sweep(spec, &pool);
   const auto populated = rc::stats();
-  EXPECT_EQ(populated.stores, 8u);  // 2 scenarios x 2 schemes x 2 seeds
+  EXPECT_EQ(populated.misses, 8u);  // 2 scenarios x 2 schemes x 2 seeds
+  EXPECT_EQ(populated.stores, 8u);
   EXPECT_EQ(populated.hits, 0u);
 
   const auto second = exp::run_sweep(spec, &pool);
   const auto warm = rc::stats();
   EXPECT_EQ(warm.hits, 8u);
-  EXPECT_EQ(warm.stores, 8u);
+  EXPECT_EQ(warm.misses, 8u);  // no new misses
+  EXPECT_EQ(warm.stores, 8u);  // and no new stores
 
   ASSERT_EQ(first.points.size(), second.points.size());
   for (std::size_t i = 0; i < first.points.size(); ++i) {
@@ -210,6 +217,41 @@ TEST(RunCache, ParallelSweepPopulatesAndThenHitsBitIdentically) {
     EXPECT_EQ(first.points[i].averaged.mean_idle_slots,
               second.points[i].averaged.mean_idle_slots);
   }
+}
+
+/// The sweep-level metrics a store must reproduce: every name except the
+/// process-cumulative ones and sweep.jobs_replayed (which counts what the
+/// store served), sorted by name.
+std::vector<std::pair<std::string, double>> per_run_totals(
+    const obs::MetricsRegistry& reg) {
+  std::vector<std::pair<std::string, double>> out;
+  for (const auto& m : reg.entries())
+    if (!obs::is_process_cumulative_metric(m.name) &&
+        m.name != "sweep.jobs_replayed")
+      out.emplace_back(m.name, m.value);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(RunCache, WarmSweepReplaysEveryJobAndFoldsTheColdCounters) {
+  // A sweep re-run against WLAN_RUN_CACHE alone is served entirely by the
+  // store, says so in sweep.jobs_replayed, and folds the same per-run
+  // counters (sim.*, medium.*, mac.*) as the cold pass that simulated.
+  CacheDirGuard guard("warm_sweep");
+  exp::SweepSpec spec;
+  spec.scenarios = {ScenarioConfig::connected(4, 1)};
+  spec.schemes = {SchemeConfig::standard()};
+  spec.seeds = 3;
+  spec.options = tiny_options();
+  par::ThreadPool pool(2);
+
+  const auto cold = exp::run_sweep(spec, &pool);
+  const auto warm = exp::run_sweep(spec, &pool);
+  EXPECT_EQ(cold.metrics.get("sweep.jobs_replayed", -1.0), 0.0);
+  EXPECT_EQ(warm.metrics.get("sweep.jobs_replayed", -1.0), 3.0);
+  EXPECT_EQ(rc::stats().hits, 3u);
+  ASSERT_GT(cold.metrics.get("sim.events_executed", 0.0), 0.0);
+  EXPECT_EQ(per_run_totals(warm.metrics), per_run_totals(cold.metrics));
 }
 
 TEST(RunCache, CorruptEntryIsQuarantinedAndRecomputed) {
@@ -289,6 +331,13 @@ TEST(RunCache, EntrySerializationRoundTripsThroughTheBuffer) {
   r.total_mbps = 3.25;
   r.successes = 42;
   r.per_station_mbps = {1.0, 2.25};
+  // Per-run counters round-trip; the process-cumulative names are dropped.
+  r.metrics.set("sim.events_executed", 13949.0);
+  r.metrics.set("cache.hits", 3.0);
+  r.metrics.set("medium.tx_started", 0.1 + 0.2);  // not a round double
+  r.metrics.set("exp.fault.job_retries", 1.0);
+  r.metrics.set("profile.sim.wall_ns", 123456.0);
+  r.metrics.set("mac.cohort.enrolled", 7.0);
   const std::uint64_t key = 0xDEADBEEFCAFEBABEull;
   const auto buf = rc::serialize_entry(key, r);
 
@@ -297,6 +346,13 @@ TEST(RunCache, EntrySerializationRoundTripsThroughTheBuffer) {
   EXPECT_EQ(out.total_mbps, r.total_mbps);
   EXPECT_EQ(out.successes, r.successes);
   EXPECT_EQ(out.per_station_mbps, r.per_station_mbps);
+  ASSERT_EQ(out.metrics.entries().size(), 3u);
+  EXPECT_EQ(out.metrics.get("sim.events_executed"), 13949.0);
+  EXPECT_EQ(out.metrics.get("medium.tx_started"), 0.1 + 0.2);
+  EXPECT_EQ(out.metrics.get("mac.cohort.enrolled"), 7.0);
+  EXPECT_FALSE(out.metrics.contains("cache.hits"));
+  EXPECT_FALSE(out.metrics.contains("exp.fault.job_retries"));
+  EXPECT_FALSE(out.metrics.contains("profile.sim.wall_ns"));
 
   // Wrong key: corrupt (the entry is not the requested content).
   EXPECT_EQ(rc::deserialize_entry(buf, key + 1, out),
@@ -332,7 +388,7 @@ TEST(RunCache, PruneDirRemovesOldestEntriesUntilUnderBudget) {
   std::filesystem::create_directories(guard.dir);
   const char* names[] = {"a.run", "b.run", "c.run", "d.run"};
   for (const char* name : names) write_bytes(guard.dir / name, 1000);
-  // A non-.run bystander (temp file, quarantined entry, journal entry)
+  // A non-.run bystander (temp file, quarantined entry, shard work file)
   // must never be a prune victim regardless of age.
   write_bytes(guard.dir / "bystander.entry", 1000);
   // Stagger mtimes explicitly so directory scan order cannot matter:

@@ -1,15 +1,15 @@
 // Chaos/differential suite for the process-isolated sweep shards
 // (exp/shard.hpp): multi-process vs in-process byte-identity across a
 // threads x processes grid (metrics included), crash containment with
-// zero journaled-job loss, poison-job quarantine after repeated crashes,
-// stale-heartbeat SIGKILL recovery for hard hangs, and the spec/tombstone
-// plumbing.
+// zero loss of stored jobs, poison-job quarantine after repeated crashes,
+// stale-heartbeat SIGKILL recovery for hard hangs, and the spec/tombstone/
+// fingerprint plumbing.
 //
 // Multi-process tests re-exec THIS gtest binary as the shard child
 // command (filtered to ShardChildEntry.*), so the whole supervisor path —
-// fork/exec, heartbeats, journal hand-off, merge — runs for real, with
-// fault injection delivered through the WLAN_FAULT_PLAN environment the
-// children inherit.
+// fork/exec, heartbeats, hand-off through the store, merge — runs for
+// real, with fault injection delivered through the WLAN_FAULT_PLAN
+// environment the children inherit.
 #include <gtest/gtest.h>
 
 #ifndef _WIN32
@@ -28,7 +28,6 @@
 #include "exp/runner.hpp"
 #include "exp/shard.hpp"
 #include "exp/sweep.hpp"
-#include "exp/sweep_journal.hpp"
 #include "obs/collect.hpp"
 #include "par/thread_pool.hpp"
 #include "sim/time.hpp"
@@ -73,32 +72,28 @@ std::string self_exe() {
 #endif
 }
 
-/// Per-test shard environment: a unique journal base, a fault-marker
-/// directory, fast supervisor polling, and this binary (filtered to the
-/// child entry test) as the shard child command. Restores everything on
-/// destruction.
+/// Per-test shard environment: a unique store, a fault-marker directory,
+/// fast supervisor polling, and this binary (filtered to the child entry
+/// test) as the shard child command. Restores everything on destruction.
 struct ShardEnvGuard {
-  std::filesystem::path journal;
+  std::filesystem::path store;
   std::filesystem::path fault_dir;
   explicit ShardEnvGuard(const char* tag) {
     const auto tmp = std::filesystem::temp_directory_path();
-    journal = tmp / (std::string("wlan_shard_journal_") + tag);
+    store = tmp / (std::string("wlan_shard_store_") + tag);
     fault_dir = tmp / (std::string("wlan_shard_faults_") + tag);
-    std::filesystem::remove_all(journal);
+    std::filesystem::remove_all(store);
     std::filesystem::remove_all(fault_dir);
     std::filesystem::create_directories(fault_dir);
-    ::setenv("WLAN_SWEEP_JOURNAL", journal.c_str(), 1);
+    ::setenv("WLAN_RUN_CACHE", store.c_str(), 1);
     ::setenv("WLAN_FAULT_DIR", fault_dir.c_str(), 1);
     ::setenv("WLAN_SHARD_POLL_MS", "25", 1);
-    // A run cache would satisfy jobs with empty metric registries and
-    // defeat the metrics-equality assertions below.
-    ::unsetenv("WLAN_RUN_CACHE");
     shard::testing::set_child_command(
         {self_exe(), "--gtest_filter=ShardChildEntry.*"});
     exp::reset_fault_stats();
   }
   ~ShardEnvGuard() {
-    ::unsetenv("WLAN_SWEEP_JOURNAL");
+    ::unsetenv("WLAN_RUN_CACHE");
     ::unsetenv("WLAN_FAULT_DIR");
     ::unsetenv("WLAN_FAULT_PLAN");
     ::unsetenv("WLAN_SHARD_POLL_MS");
@@ -107,7 +102,7 @@ struct ShardEnvGuard {
     ::unsetenv("WLAN_THREADS");
     shard::testing::set_child_command({});
     std::error_code ec;
-    std::filesystem::remove_all(journal, ec);
+    std::filesystem::remove_all(store, ec);
     std::filesystem::remove_all(fault_dir, ec);
   }
 };
@@ -244,6 +239,19 @@ TEST(Shard, TombstoneAndPoisonListRoundTrip) {
   std::filesystem::remove_all(dir, ec);
 }
 
+TEST(Shard, FingerprintIsSensitiveToJobListAndOrder) {
+  const std::uint64_t a = shard::sweep_fingerprint({1, 2, 3});
+  EXPECT_EQ(a, shard::sweep_fingerprint({1, 2, 3}));  // stable
+  EXPECT_NE(a, shard::sweep_fingerprint({1, 2}));
+  EXPECT_NE(a, shard::sweep_fingerprint({3, 2, 1}));
+  EXPECT_NE(a, shard::sweep_fingerprint({1, 2, 4}));
+  char name[40];
+  std::snprintf(name, sizeof name, "sweep_%016llx",
+                static_cast<unsigned long long>(a));
+  EXPECT_EQ(shard::work_directory("/store", {1, 2, 3}),
+            std::string("/store/") + name);
+}
+
 TEST(Shard, KindNamesRoundTrip) {
   JobError::Kind k = JobError::Kind::kException;
   EXPECT_TRUE(exp::kind_from_name("crash", k));
@@ -259,7 +267,7 @@ TEST(Shard, KindNamesRoundTrip) {
 // ----------------------------------------------------------- child entry
 
 // The re-exec target for every multi-process test below: when the
-// supervisor spawned this process, WLAN_SHARD_SPEC names the journal
+// supervisor spawned this process, WLAN_SHARD_SPEC names the sweep's work
 // directory and job block, and run_sweep's child fast-path executes the
 // block and _Exit()s before FAIL() is reached. Run directly (no spec),
 // it skips.
@@ -276,8 +284,7 @@ TEST(ShardChildEntry, ExecutesAssignedBlock) {
 // ------------------------------------------------- differential equality
 
 TEST(Shard, MultiProcessMatchesInProcessByteIdenticallyAcrossGrid) {
-  // Reference: plain in-process run, no journal, no cache, no shards.
-  ::unsetenv("WLAN_SWEEP_JOURNAL");
+  // Reference: plain in-process run, no store, no shards.
   ::unsetenv("WLAN_RUN_CACHE");
   const SweepSpec spec = chaos_grid();
   par::ThreadPool ref_pool(2);
@@ -310,7 +317,6 @@ TEST(Shard, MultiProcessMatchesInProcessByteIdenticallyAcrossGrid) {
 // ------------------------------------------------------ crash containment
 
 TEST(Shard, CrashedShardIsRespawnedWithZeroJournaledJobLoss) {
-  ::unsetenv("WLAN_SWEEP_JOURNAL");
   ::unsetenv("WLAN_RUN_CACHE");
   const SweepSpec spec = chaos_grid();
   par::ThreadPool pool(2);
@@ -331,20 +337,18 @@ TEST(Shard, CrashedShardIsRespawnedWithZeroJournaledJobLoss) {
   EXPECT_GE(fs.shard_respawns, 1u);
   EXPECT_EQ(fs.jobs_poisoned, 0u);
 
-  // Zero journaled-job loss: every completed job survived the SIGSEGV on
+  // Zero loss of stored jobs: every completed job survived the SIGSEGV on
   // disk, so a fresh in-process resume replays all 8 and folds the exact
   // same bytes without simulating anything.
   ::unsetenv("WLAN_FAULT_PLAN");
-  exp::reset_fault_stats();
   const SweepResult resumed = exp::run_sweep(chaos_grid(), &pool);
-  EXPECT_EQ(exp::fault_stats().journal_replayed, 8u);
+  EXPECT_EQ(resumed.metrics.get("sweep.jobs_replayed", -1.0), 8.0);
   EXPECT_EQ(result_hash(resumed), result_hash(reference));
 }
 
 // ---------------------------------------------------------- poison jobs
 
 TEST(Shard, PoisonJobIsQuarantinedAfterRepeatedShardCrashes) {
-  ::unsetenv("WLAN_SWEEP_JOURNAL");
   ::unsetenv("WLAN_RUN_CACHE");
   const SweepSpec spec = chaos_grid();
   par::ThreadPool pool(2);
@@ -381,7 +385,6 @@ TEST(Shard, PoisonJobIsQuarantinedAfterRepeatedShardCrashes) {
 // ------------------------------------------------- stale-heartbeat kills
 
 TEST(Shard, HungShardIsStallKilledAndRecovered) {
-  ::unsetenv("WLAN_SWEEP_JOURNAL");
   ::unsetenv("WLAN_RUN_CACHE");
   const SweepSpec spec = chaos_grid();
   par::ThreadPool pool(2);
@@ -404,6 +407,26 @@ TEST(Shard, HungShardIsStallKilledAndRecovered) {
   EXPECT_GE(fs.shard_stall_kills, 1u);
   EXPECT_GE(fs.shard_crashes, 1u);  // the SIGKILL is reaped as a crash
   EXPECT_EQ(fs.jobs_poisoned, 0u);
+}
+
+// ------------------------------------------------------- scratch store
+
+TEST(Shard, WithoutAStoreChildrenReportThroughAScratchStore) {
+  const SweepSpec spec = chaos_grid();
+  par::ThreadPool pool(2);
+  ShardEnvGuard guard("scratch");
+  ::unsetenv("WLAN_RUN_CACHE");
+  const SweepResult reference = exp::run_sweep(spec, &pool);
+
+  // No WLAN_RUN_CACHE: the supervisor hands its children an
+  // invocation-scoped scratch store and leaves its own environment alone.
+  SweepSpec run = chaos_grid();
+  run.processes = 2;
+  const SweepResult got = exp::run_sweep(run, &pool);
+  EXPECT_TRUE(got.ok());
+  EXPECT_EQ(result_hash(got), result_hash(reference));
+  EXPECT_EQ(metrics_hash(got.metrics), metrics_hash(reference.metrics));
+  EXPECT_EQ(std::getenv("WLAN_RUN_CACHE"), nullptr);
 }
 
 #endif  // !_WIN32

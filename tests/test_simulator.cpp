@@ -161,11 +161,14 @@ TEST(Simulator, SameTimeEventsRunInScheduleOrder) {
 using wlan::sim::WatchdogExpired;
 
 /// Schedules an endless self-rescheduling tick — the deterministic shape
-/// of a "hung" simulation.
+/// of a "hung" simulation. The stored body holds only a weak_ptr to
+/// itself, so the pending events are the tick's only owners and it is
+/// freed with the simulator.
 void arm_endless_tick(Simulator& sim) {
   auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&sim, tick] {
-    sim.schedule_after(Duration::nanoseconds(10), [tick] { (*tick)(); });
+  *tick = [&sim, weak = std::weak_ptr<std::function<void()>>(tick)] {
+    sim.schedule_after(Duration::nanoseconds(10),
+                       [tick = weak.lock()] { (*tick)(); });
   };
   sim.schedule_after(Duration::nanoseconds(10), [tick] { (*tick)(); });
 }

@@ -1,9 +1,16 @@
-// Crash-safety suite for the checkpointed sweep engine: journal resume
-// byte-identity (threads 1 and 4), deterministic fault injection
-// (throw / watchdog-timeout / corrupt-entry), retry/backoff semantics,
-// and the exp.fault.* counter surface.
+// Crash-safety suite for resumable sweeps: run_sweep looks every job up
+// in the run cache (WLAN_RUN_CACHE) before it fans out, so a re-run after
+// an interruption replays what the first run stored — byte-identically at
+// 1 and 4 threads — and a corrupt entry is quarantined and recomputed.
+// Also covers deterministic fault injection (throw / watchdog-timeout),
+// retry/backoff semantics, and the exp.fault.* counter surface.
+//
+// The resume tests keep the suite name SweepJournal, which they carried
+// when a separate sweep journal held these entries, so their test ids
+// stay stable.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <random>
@@ -14,7 +21,6 @@
 #include "exp/run_cache.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
-#include "exp/sweep_journal.hpp"
 #include "par/thread_pool.hpp"
 #include "util/fnv.hpp"
 
@@ -27,21 +33,22 @@ using exp::ScenarioConfig;
 using exp::SchemeConfig;
 using exp::SweepResult;
 using exp::SweepSpec;
-namespace sj = exp::sweep_journal;
+namespace rc = exp::run_cache;
 
-/// Unique per-test journal directory, removed on destruction; points
-/// WLAN_SWEEP_JOURNAL at itself.
-struct JournalDirGuard {
+/// Unique per-test store directory, removed on destruction; points
+/// WLAN_RUN_CACHE at itself and zeroes the store and fault counters.
+struct StoreDirGuard {
   std::filesystem::path dir;
-  explicit JournalDirGuard(const char* tag) {
+  explicit StoreDirGuard(const char* tag) {
     dir = std::filesystem::temp_directory_path() /
-          (std::string("wlan_sweep_journal_") + tag);
+          (std::string("wlan_sweep_resume_") + tag);
     std::filesystem::remove_all(dir);
-    ::setenv("WLAN_SWEEP_JOURNAL", dir.c_str(), 1);
+    ::setenv("WLAN_RUN_CACHE", dir.c_str(), 1);
+    rc::reset_stats();
     exp::reset_fault_stats();
   }
-  ~JournalDirGuard() {
-    ::unsetenv("WLAN_SWEEP_JOURNAL");
+  ~StoreDirGuard() {
+    ::unsetenv("WLAN_RUN_CACHE");
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
   }
@@ -86,45 +93,37 @@ std::uint64_t result_hash(const SweepResult& r) {
   return h.digest();
 }
 
-TEST(SweepJournal, DisabledWithoutEnvironment) {
-  ::unsetenv("WLAN_SWEEP_JOURNAL");
-  EXPECT_TRUE(sj::directory().empty());
-}
-
-TEST(SweepJournal, FingerprintIsSensitiveToJobListAndOrder) {
-  const std::uint64_t a = sj::sweep_fingerprint({1, 2, 3});
-  EXPECT_EQ(a, sj::sweep_fingerprint({1, 2, 3}));  // stable
-  EXPECT_NE(a, sj::sweep_fingerprint({1, 2}));
-  EXPECT_NE(a, sj::sweep_fingerprint({3, 2, 1}));
-  EXPECT_NE(a, sj::sweep_fingerprint({1, 2, 4}));
+double replayed(const SweepResult& r) {
+  return r.metrics.get("sweep.jobs_replayed", -1.0);
 }
 
 TEST(SweepJournal, CompletedSweepJournalsEveryJob) {
-  JournalDirGuard guard("complete");
+  StoreDirGuard guard("complete");
   SweepSpec spec = small_grid();
   par::ThreadPool pool(2);
   const SweepResult r = exp::run_sweep(spec, &pool);
   EXPECT_TRUE(r.ok());
-  const auto fs = exp::fault_stats();
-  EXPECT_EQ(fs.journal_appends, 8u);  // 2 x 2 x 2 seeds
-  EXPECT_EQ(fs.journal_replayed, 0u);
+  EXPECT_EQ(rc::stats().stores, 8u);  // 2 x 2 x 2 seeds
+  EXPECT_EQ(replayed(r), 0.0);
 
   // Re-running the same sweep replays everything and simulates nothing.
   const SweepResult again = exp::run_sweep(spec, &pool);
-  EXPECT_EQ(exp::fault_stats().journal_replayed, 8u);
+  EXPECT_EQ(rc::stats().hits, 8u);
+  EXPECT_EQ(rc::stats().stores, 8u);
+  EXPECT_EQ(replayed(again), 8.0);
   EXPECT_EQ(result_hash(r), result_hash(again));
 }
 
 TEST(SweepJournal, InterruptedSweepResumesByteIdentically) {
-  // The reference: the same grid run without a journal.
-  ::unsetenv("WLAN_SWEEP_JOURNAL");
+  // The reference: the same grid run without a store.
+  ::unsetenv("WLAN_RUN_CACHE");
   SweepSpec spec = small_grid();
   par::ThreadPool pool(2);
   const std::uint64_t reference = result_hash(exp::run_sweep(spec, &pool));
 
-  JournalDirGuard guard("resume");
+  StoreDirGuard guard("resume");
   // "Crash" partway: job 5 throws on every attempt, so the first pass
-  // completes 7 jobs and journals them — the surviving on-disk state of a
+  // completes 7 jobs and stores them — the surviving on-disk state of a
   // killed process (each entry is an independent atomic rename, so a real
   // SIGKILL leaves exactly a prefix-complete subset like this one).
   FaultPlan plan;
@@ -134,17 +133,17 @@ TEST(SweepJournal, InterruptedSweepResumesByteIdentically) {
     exp::testing::FaultPlanGuard armed(plan);
     const SweepResult first = exp::run_sweep(spec, &pool);
     ASSERT_EQ(first.errors.size(), 1u);
-    EXPECT_EQ(exp::fault_stats().journal_appends, 7u);
+    EXPECT_EQ(rc::stats().stores, 7u);
   }
 
   // Resume: 7 jobs replay, only job 5 simulates; output must be
   // byte-identical to the never-interrupted reference.
-  exp::reset_fault_stats();
+  rc::reset_stats();
   const SweepResult resumed = exp::run_sweep(spec, &pool);
   EXPECT_TRUE(resumed.ok());
-  const auto fs = exp::fault_stats();
-  EXPECT_EQ(fs.journal_replayed, 7u);
-  EXPECT_EQ(fs.journal_appends, 1u);
+  EXPECT_EQ(rc::stats().hits, 7u);
+  EXPECT_EQ(rc::stats().stores, 1u);
+  EXPECT_EQ(replayed(resumed), 7.0);
   EXPECT_EQ(result_hash(resumed), reference);
 }
 
@@ -152,7 +151,7 @@ TEST(SweepJournal, RandomizedKillResumeDifferentialAtBothThreadCounts) {
   // Randomized differential: fail a random subset of jobs on pass 1 (the
   // deterministic stand-in for a mid-sweep kill), resume on pass 2, and
   // require byte-identity with an uninterrupted run — at 1 and 4 lanes.
-  ::unsetenv("WLAN_SWEEP_JOURNAL");
+  ::unsetenv("WLAN_RUN_CACHE");
   SweepSpec spec = small_grid();
   par::ThreadPool serial(1);
   const std::uint64_t reference =
@@ -164,7 +163,7 @@ TEST(SweepJournal, RandomizedKillResumeDifferentialAtBothThreadCounts) {
     for (int trial = 0; trial < 3; ++trial) {
       const std::string tag =
           "rand_t" + std::to_string(threads) + "_" + std::to_string(trial);
-      JournalDirGuard guard(tag.c_str());
+      StoreDirGuard guard(tag.c_str());
       FaultPlan plan;
       for (std::size_t j = 0; j < 8; ++j)
         if (rng() % 2 == 0)
@@ -175,6 +174,8 @@ TEST(SweepJournal, RandomizedKillResumeDifferentialAtBothThreadCounts) {
       }
       const SweepResult resumed = exp::run_sweep(spec, &pool);
       EXPECT_TRUE(resumed.ok());
+      EXPECT_EQ(replayed(resumed), 8.0 - static_cast<double>(plan.sites.size()))
+          << "threads=" << threads << " trial=" << trial;
       EXPECT_EQ(result_hash(resumed), reference)
           << "threads=" << threads << " trial=" << trial;
     }
@@ -182,30 +183,35 @@ TEST(SweepJournal, RandomizedKillResumeDifferentialAtBothThreadCounts) {
 }
 
 TEST(SweepJournal, CorruptEntryIsQuarantinedAndRecomputed) {
-  JournalDirGuard guard("corrupt");
+  StoreDirGuard guard("corrupt");
   SweepSpec spec = small_grid();
   par::ThreadPool pool(2);
+  const std::uint64_t clean_hash = result_hash(exp::run_sweep(spec, &pool));
+  EXPECT_EQ(rc::stats().stores, 8u);
 
-  // Pass 1 journals all 8 entries, but job 3's entry is corrupted on disk
-  // (a flipped payload byte — what bit rot or a torn-but-renamed write
-  // would leave).
-  FaultPlan plan;
-  plan.sites.push_back({3, FaultPlan::Action::kCorruptJournalEntry, 1});
-  std::uint64_t clean_hash = 0;
-  {
-    exp::testing::FaultPlanGuard armed(plan);
-    clean_hash = result_hash(exp::run_sweep(spec, &pool));
-  }
-  EXPECT_EQ(exp::fault_stats().journal_appends, 8u);
+  // Flip one payload byte of job 3's entry on disk — what bit rot or a
+  // torn-but-renamed write would leave (offset 12 lands inside the key
+  // field; the header is 8 bytes).
+  const auto jobs = exp::expand(spec);
+  const std::string entry = rc::entry_path(
+      guard.dir.string(),
+      rc::key_hash(jobs[3].scenario, jobs[3].scheme, spec.options));
+  std::FILE* f = std::fopen(entry.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, 12, SEEK_SET), 0);
+  const int c = std::fgetc(f);
+  ASSERT_NE(c, EOF);
+  std::fseek(f, 12, SEEK_SET);
+  std::fputc(c ^ 0xFF, f);
+  std::fclose(f);
 
   // Resume: the checksum catches the corruption, quarantines the entry,
   // and job 3 recomputes — same bytes out.
-  exp::reset_fault_stats();
+  rc::reset_stats();
   const SweepResult resumed = exp::run_sweep(spec, &pool);
-  const auto fs = exp::fault_stats();
-  EXPECT_EQ(fs.journal_corrupt, 1u);
-  EXPECT_EQ(fs.journal_replayed, 7u);
-  EXPECT_EQ(fs.journal_appends, 1u);  // only the recomputed job re-journals
+  EXPECT_EQ(rc::stats().quarantined, 1u);
+  EXPECT_EQ(rc::stats().hits, 7u);
+  EXPECT_EQ(rc::stats().stores, 1u);  // only the recomputed job re-stores
   EXPECT_TRUE(resumed.ok());
   EXPECT_EQ(result_hash(resumed), clean_hash);
 
@@ -219,19 +225,21 @@ TEST(SweepJournal, CorruptEntryIsQuarantinedAndRecomputed) {
 }
 
 TEST(SweepJournal, SeriesRunsBypassTheJournal) {
-  JournalDirGuard guard("series");
+  StoreDirGuard guard("series");
   SweepSpec spec = small_grid();
   spec.options.record_series = true;
   spec.options.sample_period = sim::Duration::seconds(0.05);
   par::ThreadPool pool(2);
   exp::run_sweep(spec, &pool);
-  const auto fs = exp::fault_stats();
-  EXPECT_EQ(fs.journal_appends, 0u);
+  const auto stats = rc::stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.stores, 0u);
   EXPECT_FALSE(std::filesystem::exists(guard.dir));
 }
 
 TEST(SweepFault, TransientFailureIsAbsorbedByARetry) {
-  ::unsetenv("WLAN_SWEEP_JOURNAL");
+  ::unsetenv("WLAN_RUN_CACHE");
   exp::reset_fault_stats();
   SweepSpec spec = small_grid();
   spec.job_retries = 2;
@@ -256,7 +264,7 @@ TEST(SweepFault, TransientFailureIsAbsorbedByARetry) {
 }
 
 TEST(SweepFault, WatchdogTimeoutBecomesAStructuredJobError) {
-  ::unsetenv("WLAN_SWEEP_JOURNAL");
+  ::unsetenv("WLAN_RUN_CACHE");
   exp::reset_fault_stats();
   SweepSpec spec = small_grid();
   spec.job_retries = 1;
@@ -278,7 +286,7 @@ TEST(SweepFault, WatchdogTimeoutBecomesAStructuredJobError) {
 }
 
 TEST(SweepFault, JobErrorCarriesTheConfigFingerprint) {
-  ::unsetenv("WLAN_SWEEP_JOURNAL");
+  ::unsetenv("WLAN_RUN_CACHE");
   SweepSpec spec = small_grid();
   spec.job_retries = 0;
   const auto jobs = exp::expand(spec);
@@ -296,7 +304,7 @@ TEST(SweepFault, JobErrorCarriesTheConfigFingerprint) {
 }
 
 TEST(SweepFault, RunAveragedThrowsWhenAJobFails) {
-  ::unsetenv("WLAN_SWEEP_JOURNAL");
+  ::unsetenv("WLAN_RUN_CACHE");
   ::setenv("WLAN_JOB_RETRIES", "0", 1);
   ::setenv("WLAN_JOB_BACKOFF_MS", "0", 1);
   FaultPlan plan;
