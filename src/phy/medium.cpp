@@ -1,6 +1,7 @@
 #include "phy/medium.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -119,10 +120,12 @@ void Medium::build_peer_index() {
   //   cond1a  s in D(o)            — half-duplex mark on o's frame at s
   //   cond2   A(s) ∩ D(o) != {}    — r hears s AND r decodes o
   //   cond3   A(o) ∩ D(s) != {}    — r hears o AND r decodes s
-  // The relation is symmetric (1a/1b and 2/3 swap under s<->o). Rows are
-  // computed per s with reverse adjacency + an epoch-stamped dedup pass:
+  // The relation is symmetric (1a/1b and 2/3 swap under s<->o). With
+  // revD(r) = {o : r ∈ D(o)} and revA(r) = {o : r ∈ A(o)}:
   //   peers(s) = D(s) ∪ revD(s) ∪ (∪_{r∈A(s)} revD(r)) ∪ (∪_{r∈D(s)} revA(r))
-  // where revD(r) = {o : r ∈ D(o)} and revA(r) = {o : r ∈ A(o)}.
+  // Each reverse set is a bit row of words_per_tx_ words, so a row is a
+  // word-parallel OR of a few rows, read out ascending. The two bit
+  // matrices (2·n·⌈n/64⌉ words, twice corrupt_) are freed on return.
   const std::size_t n = positions_.size();
   peers_built_ = false;
   peer_off_.assign(n + 1, 0);
@@ -132,77 +135,55 @@ void Medium::build_peer_index() {
     return;
   }
 
-  // Reverse CSRs. Filling in ascending source order keeps each reverse row
-  // ascending too (not required for correctness — marking is commutative
-  // and idempotent — but deterministic and cache-friendly).
-  std::vector<std::uint32_t> ra_off(n + 1, 0), rd_off(n + 1, 0);
-  for (const NodeId r : aud_ids_) ++ra_off[static_cast<std::size_t>(r) + 1];
-  for (const NodeId r : dec_ids_) ++rd_off[static_cast<std::size_t>(r) + 1];
-  for (std::size_t i = 1; i <= n; ++i) {
-    ra_off[i] += ra_off[i - 1];
-    rd_off[i] += rd_off[i - 1];
-  }
-  std::vector<NodeId> ra_ids(aud_ids_.size()), rd_ids(dec_ids_.size());
-  {
-    std::vector<std::uint32_t> ra_cur(ra_off.begin(), ra_off.end() - 1);
-    std::vector<std::uint32_t> rd_cur(rd_off.begin(), rd_off.end() - 1);
-    for (std::size_t s = 0; s < n; ++s) {
-      for (std::uint32_t k = aud_off_[s]; k < aud_off_[s + 1]; ++k)
-        ra_ids[ra_cur[static_cast<std::size_t>(aud_ids_[k])]++] =
-            static_cast<NodeId>(s);
-      for (std::uint32_t k = dec_off_[s]; k < dec_off_[s + 1]; ++k)
-        rd_ids[rd_cur[static_cast<std::size_t>(dec_ids_[k])]++] =
-            static_cast<NodeId>(s);
-    }
-  }
-
-  // Work estimate first: dense topologies (everyone a peer of everyone)
-  // would cost O(n^3) candidate visits here for an index that buys
-  // nothing over scanning the in-flight list. Bail before doing the work.
+  // Work estimate first, in candidate visits of the union above over
+  // reverse id lists: dense topologies (everyone a peer of everyone) get no
+  // index and keep scanning the in-flight list, which for them is already
+  // optimal. The decision is behaviour — it sets what pairs_scanned_ counts.
+  std::vector<std::uint32_t> in_aud(n, 0), in_dec(n, 0);
+  for (const NodeId r : aud_ids_) ++in_aud[static_cast<std::size_t>(r)];
+  for (const NodeId r : dec_ids_) ++in_dec[static_cast<std::size_t>(r)];
   std::uint64_t work = 0;
   for (std::size_t s = 0; s < n; ++s) {
-    work += (dec_off_[s + 1] - dec_off_[s]) + (rd_off[s + 1] - rd_off[s]);
-    for (std::uint32_t k = aud_off_[s]; k < aud_off_[s + 1]; ++k) {
-      const auto r = static_cast<std::size_t>(aud_ids_[k]);
-      work += rd_off[r + 1] - rd_off[r];
-    }
-    for (std::uint32_t k = dec_off_[s]; k < dec_off_[s + 1]; ++k) {
-      const auto r = static_cast<std::size_t>(dec_ids_[k]);
-      work += ra_off[r + 1] - ra_off[r];
-    }
+    work += (dec_off_[s + 1] - dec_off_[s]) + in_dec[s];
+    for (std::uint32_t k = aud_off_[s]; k < aud_off_[s + 1]; ++k)
+      work += in_dec[static_cast<std::size_t>(aud_ids_[k])];
+    for (std::uint32_t k = dec_off_[s]; k < dec_off_[s + 1]; ++k)
+      work += in_aud[static_cast<std::size_t>(dec_ids_[k])];
     if (work > kPeerWorkCap) return;
   }
 
-  std::vector<std::uint32_t> stamp(n, 0);
-  std::uint32_t epoch = 0;
-  std::vector<NodeId> buf;
+  const std::size_t w = words_per_tx_;
+  const auto set_bit = [](std::uint64_t* row, std::size_t i) {
+    row[i >> 6] |= std::uint64_t{1} << (i & 63u);
+  };
+  std::vector<std::uint64_t> rev_dec(n * w, 0), rev_aud(n * w, 0);
   for (std::size_t s = 0; s < n; ++s) {
-    ++epoch;
-    buf.clear();
-    const auto self = static_cast<NodeId>(s);
-    auto touch = [&](NodeId o) {
-      if (o == self) return;
-      auto& st = stamp[static_cast<std::size_t>(o)];
-      if (st == epoch) return;
-      st = epoch;
-      buf.push_back(o);
-    };
     for (std::uint32_t k = dec_off_[s]; k < dec_off_[s + 1]; ++k)
-      touch(dec_ids_[k]);  // cond1b
-    for (std::uint32_t k = rd_off[s]; k < rd_off[s + 1]; ++k)
-      touch(rd_ids[k]);  // cond1a
-    for (std::uint32_t k = aud_off_[s]; k < aud_off_[s + 1]; ++k) {
-      const auto r = static_cast<std::size_t>(aud_ids_[k]);
-      for (std::uint32_t j = rd_off[r]; j < rd_off[r + 1]; ++j)
-        touch(rd_ids[j]);  // cond2
-    }
+      set_bit(rev_dec.data() + static_cast<std::size_t>(dec_ids_[k]) * w, s);
+    for (std::uint32_t k = aud_off_[s]; k < aud_off_[s + 1]; ++k)
+      set_bit(rev_aud.data() + static_cast<std::size_t>(aud_ids_[k]) * w, s);
+  }
+
+  std::vector<std::uint64_t> row(w);
+  const auto or_row = [&](const std::vector<std::uint64_t>& rev, NodeId r) {
+    const std::uint64_t* src = rev.data() + static_cast<std::size_t>(r) * w;
+    for (std::size_t i = 0; i < w; ++i) row[i] |= src[i];
+  };
+  for (std::size_t s = 0; s < n; ++s) {
+    std::copy_n(rev_dec.data() + s * w, w, row.begin());  // cond1a
     for (std::uint32_t k = dec_off_[s]; k < dec_off_[s + 1]; ++k) {
-      const auto r = static_cast<std::size_t>(dec_ids_[k]);
-      for (std::uint32_t j = ra_off[r]; j < ra_off[r + 1]; ++j)
-        touch(ra_ids[j]);  // cond3
+      set_bit(row.data(), static_cast<std::size_t>(dec_ids_[k]));  // cond1b
+      or_row(rev_aud, dec_ids_[k]);                                 // cond3
     }
-    std::sort(buf.begin(), buf.end());
-    peer_ids_.insert(peer_ids_.end(), buf.begin(), buf.end());
+    for (std::uint32_t k = aud_off_[s]; k < aud_off_[s + 1]; ++k)
+      or_row(rev_dec, aud_ids_[k]);  // cond2
+    row[s >> 6] &= ~(std::uint64_t{1} << (s & 63u));
+    for (std::size_t i = 0; i < w; ++i) {
+      for (std::uint64_t bits = row[i]; bits != 0; bits &= bits - 1) {
+        const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
+        peer_ids_.push_back(static_cast<NodeId>(i * 64 + bit));
+      }
+    }
     peer_off_[s + 1] = static_cast<std::uint32_t>(peer_ids_.size());
   }
   peers_built_ = true;

@@ -5,8 +5,10 @@
 //  * the Medium's interference-peer relation matches its four-condition
 //    brute-force definition, evaluated on the reference geometry
 //    (tests/reference/: plan positions + propagation model, no medium
-//    adjacency), and is symmetric cell-to-cell (corruption marks can only
-//    flow between mutual peers).
+//    adjacency), on ESS, shadowed and the benchmark's own geometries, and
+//    is symmetric cell-to-cell (corruption marks can only flow between
+//    mutual peers);
+//  * the index-or-not decision at its build-work cap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -318,6 +320,19 @@ void expect_peer_index_exact(const exp::ScenarioConfig& scenario,
   }
 }
 
+void expect_peer_index_exact(const exp::ScenarioConfig& scenario) {
+  const auto net = exp::build_network(scenario, exp::SchemeConfig::standard());
+  expect_peer_index_exact(scenario, net->medium());
+}
+
+/// Every node but `s`, ascending: the peer row of a fully connected node.
+std::vector<phy::NodeId> all_but(phy::NodeId n, phy::NodeId s) {
+  std::vector<phy::NodeId> row;
+  for (phy::NodeId o = 0; o < n; ++o)
+    if (o != s) row.push_back(o);
+  return row;
+}
+
 TEST(CellPlan, PeerIndexMatchesBruteForceAcrossCells) {
   // A 3x3 ESS: peers must span exactly the local neighbourhood — stations
   // of adjacent cells that share a receiver, never the far corners.
@@ -328,14 +343,58 @@ TEST(CellPlan, PeerIndexMatchesBruteForceAcrossCells) {
   // would mean the scenario exercises nothing).
   const auto row0 = net->medium().interference_peers(net->num_aps());
   EXPECT_LT(row0.size(), net->medium().num_nodes() - 1);
+  // At pitch 40 the rows are cell-local. At 30, neighbour cells share
+  // receivers, and a receiver that decodes one source while only sensing
+  // the other makes pairs that cond2 or cond3 alone admits.
+  for (const std::uint64_t seed : {1, 2}) {
+    SCOPED_TRACE(seed);
+    expect_peer_index_exact(exp::ScenarioConfig::multicell(9, 5, 30.0, seed));
+  }
 }
 
 TEST(CellPlan, PeerIndexMatchesBruteForceUnderShadowing) {
   // Random pairwise shadowing: the decode graph is irregular (not a disc),
   // so the reverse-adjacency unions are the only way to get the rows right.
-  const auto scenario = exp::ScenarioConfig::shadowed(12, 0.4, 8);
-  auto net = exp::build_network(scenario, exp::SchemeConfig::standard());
-  expect_peer_index_exact(scenario, net->medium());
+  for (const std::uint64_t seed : {8, 1, 2, 3, 4}) {
+    SCOPED_TRACE(seed);
+    expect_peer_index_exact(exp::ScenarioConfig::shadowed(12, 0.4, seed));
+  }
+}
+
+TEST(CellPlan, PeerIndexMatchesBruteForceOnBenchmarkGeometries) {
+  // The geometries wlanbench times. dyn60_wtop: connected(60), where every
+  // row holds all 60 others.
+  const auto connected = exp::ScenarioConfig::connected(60);
+  const auto net = exp::build_network(connected, exp::SchemeConfig::standard());
+  expect_peer_index_exact(connected, net->medium());
+  ASSERT_EQ(net->medium().num_nodes(), 61u);
+  for (phy::NodeId s = 0; s < 61; ++s)
+    EXPECT_EQ(net->medium().interference_peers(s), all_but(61, s));
+  // sweep_light: hidden(20, 16) at its four seeds.
+  for (const std::uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE(seed);
+    expect_peer_index_exact(exp::ScenarioConfig::hidden(20, 16.0, seed));
+  }
+  // ess9x10_std: nine cells of ten stations.
+  expect_peer_index_exact(exp::ScenarioConfig::multicell(9, 10, 40.0, 1));
+}
+
+TEST(CellPlan, PeerIndexWorkCapAdmitsConnected503ButNot504) {
+  // The build-work estimate of connected(n), n stations plus the AP, is
+  // 2(n+1)^2 n: 255.5 M at n = 503 and 257.1 M at 504, either side of the
+  // 256 M cap. The side decides whether marking_pairs_scanned counts peers
+  // or the whole in-flight list, so it is pinned. Rows are checked as full
+  // directly; the brute-force definition is O(n^3).
+  const auto below = exp::build_network(exp::ScenarioConfig::connected(503),
+                                        exp::SchemeConfig::standard());
+  const phy::Medium& medium = below->medium();
+  ASSERT_TRUE(medium.has_peer_index());
+  ASSERT_EQ(medium.num_nodes(), 504u);
+  for (phy::NodeId s = 0; s < 504; ++s)
+    ASSERT_EQ(medium.interference_peers(s), all_but(504, s)) << "node " << s;
+  const auto above = exp::build_network(exp::ScenarioConfig::connected(504),
+                                        exp::SchemeConfig::standard());
+  EXPECT_FALSE(above->medium().has_peer_index());
 }
 
 }  // namespace

@@ -4,10 +4,6 @@
 // 1 and 4 threads — and a corrupt entry is quarantined and recomputed.
 // Also covers deterministic fault injection (throw / watchdog-timeout),
 // retry/backoff semantics, and the exp.fault.* counter surface.
-//
-// The resume tests keep the suite name SweepJournal, which they carried
-// when a separate sweep journal held these entries, so their test ids
-// stay stable.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -97,7 +93,7 @@ double replayed(const SweepResult& r) {
   return r.metrics.get("sweep.jobs_replayed", -1.0);
 }
 
-TEST(SweepJournal, CompletedSweepJournalsEveryJob) {
+TEST(SweepResume, CompletedSweepJournalsEveryJob) {
   StoreDirGuard guard("complete");
   SweepSpec spec = small_grid();
   par::ThreadPool pool(2);
@@ -114,7 +110,7 @@ TEST(SweepJournal, CompletedSweepJournalsEveryJob) {
   EXPECT_EQ(result_hash(r), result_hash(again));
 }
 
-TEST(SweepJournal, InterruptedSweepResumesByteIdentically) {
+TEST(SweepResume, InterruptedSweepResumesByteIdentically) {
   // The reference: the same grid run without a store.
   ::unsetenv("WLAN_RUN_CACHE");
   SweepSpec spec = small_grid();
@@ -147,7 +143,7 @@ TEST(SweepJournal, InterruptedSweepResumesByteIdentically) {
   EXPECT_EQ(result_hash(resumed), reference);
 }
 
-TEST(SweepJournal, RandomizedKillResumeDifferentialAtBothThreadCounts) {
+TEST(SweepResume, RandomizedKillResumeDifferentialAtBothThreadCounts) {
   // Randomized differential: fail a random subset of jobs on pass 1 (the
   // deterministic stand-in for a mid-sweep kill), resume on pass 2, and
   // require byte-identity with an uninterrupted run — at 1 and 4 lanes.
@@ -182,7 +178,7 @@ TEST(SweepJournal, RandomizedKillResumeDifferentialAtBothThreadCounts) {
   }
 }
 
-TEST(SweepJournal, CorruptEntryIsQuarantinedAndRecomputed) {
+TEST(SweepResume, CorruptEntryIsQuarantinedAndRecomputed) {
   StoreDirGuard guard("corrupt");
   SweepSpec spec = small_grid();
   par::ThreadPool pool(2);
@@ -224,7 +220,7 @@ TEST(SweepJournal, CorruptEntryIsQuarantinedAndRecomputed) {
   EXPECT_TRUE(found);
 }
 
-TEST(SweepJournal, SeriesRunsBypassTheJournal) {
+TEST(SweepResume, SeriesRunsBypassTheJournal) {
   StoreDirGuard guard("series");
   SweepSpec spec = small_grid();
   spec.options.record_series = true;
