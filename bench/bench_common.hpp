@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -25,6 +26,21 @@
 
 namespace wlan::bench {
 
+/// Logs this process's peak resident set, the VmHWM line of
+/// /proc/self/status, as "[bench] VmHWM: <n> kB". run_all.sh copies the
+/// last such line of a driver's log into summary.csv's max_rss_kb. Logs
+/// nothing where /proc is unavailable.
+inline void log_peak_rss() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return;
+  char line[256];
+  long kib = -1;
+  while (std::fgets(line, sizeof line, f) != nullptr)
+    if (std::sscanf(line, "VmHWM: %ld kB", &kib) == 1) break;
+  std::fclose(f);
+  if (kib >= 0) std::printf("[bench] VmHWM: %ld kB\n", kib);
+}
+
 /// Standard driver startup: parse flags (currently `--threads N` plus the
 /// hidden `--wlan-shard=<dir>:<lo>:<hi>` the sweep-shard supervisor passes
 /// its children), size the global pool before the first sweep builds it,
@@ -33,10 +49,12 @@ namespace wlan::bench {
 /// is an atomic rename the moment its job completes). Capturing argv here
 /// is what lets exp::run_sweep re-exec this driver as shard children when
 /// WLAN_SWEEP_PROCS asks for process isolation — every driver gets
-/// multi-process sweeps for free by calling init.
+/// multi-process sweeps for free by calling init. On a normal exit the
+/// driver logs its peak memory last (log_peak_rss).
 inline util::Cli init(int argc, const char* const* argv) {
   util::Cli cli(argc, argv);
   util::install_shutdown_handlers();
+  std::atexit(log_peak_rss);
   exp::shard::capture_argv(argc, argv);
   if (cli.has("wlan-shard"))
     exp::shard::configure_child(cli.get_string("wlan-shard", ""));

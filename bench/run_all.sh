@@ -95,15 +95,6 @@ if [[ ${#benches[@]} -eq 0 ]]; then
   exit 1
 fi
 
-# Peak-RSS measurement: GNU time (usually /usr/bin/time, NOT the bash
-# builtin) reports "Maximum resident set size (kbytes)" with -v. When it is
-# unavailable the summary's max_rss_kb column degrades to empty cells —
-# never a failure.
-gnu_time=""
-if /usr/bin/time -v true >/dev/null 2>&1; then
-  gnu_time="/usr/bin/time"
-fi
-
 # A driver's previous run counts as complete only when it produced a
 # non-empty CSV/JSON AND wrote .wall_seconds (the last thing run_one does,
 # so a killed run never has it) AND did not fail. A partial CSV flushed by
@@ -121,19 +112,14 @@ has_complete_run() {
 # console output to driver.log.
 launch_one() {
   local bin="$1" name="$2" out="$3"
-  local -a timer=()
-  if [[ -n ${gnu_time} ]]; then
-    timer=("${gnu_time}" -v -o "${out}/.time_v")
-  fi
   if [[ ${name} == bench_micro_substrate ]]; then
     # google-benchmark driver: emits JSON instead of a CSV.
-    (cd "${out}" && WLAN_PROGRESS_JSON="${out}/progress.json" \
-                    "${timer[@]}" "${bin}" \
+    (cd "${out}" && WLAN_PROGRESS_JSON="${out}/progress.json" "${bin}" \
                     --benchmark_out="${out}/micro_substrate.json" \
                     --benchmark_out_format=json) >> "${out}/driver.log" 2>&1
   else
     (cd "${out}" && WLAN_PROGRESS_JSON="${out}/progress.json" \
-                    "${timer[@]}" "${bin}") >> "${out}/driver.log" 2>&1
+                    "${bin}") >> "${out}/driver.log" 2>&1
   fi
 }
 
@@ -166,11 +152,10 @@ run_one() {
   # Per-driver wall clock, assembled into results/summary.csv at the end.
   awk -v a="${t0}" -v b="${t1}" 'BEGIN { printf "%.2f\n", b - a }' \
       > "${out}/.wall_seconds"
-  if [[ -s "${out}/.time_v" ]]; then
-    awk -F': ' '/Maximum resident set size/ { print $2 }' "${out}/.time_v" \
-        > "${out}/.max_rss_kb"
-    rm -f "${out}/.time_v"
-  fi
+  # Peak RSS: bench::init makes every driver log its VmHWM as it exits;
+  # the last such line is the final attempt's.
+  sed -n 's/^\[bench\] VmHWM: \([0-9]*\) kB$/\1/p' "${out}/driver.log" \
+      | tail -n 1 > "${out}/.max_rss_kb"
   if [[ -e "${out}/.failed" ]]; then
     echo "<== ${name} FAILED (log: ${out}/driver.log)"
   else
@@ -280,7 +265,9 @@ ls -1 "${results_dir}"
 
 # Wall-clock + peak-RSS summary across drivers (the slow ones are the
 # optimization targets — see ROADMAP's perf item). max_rss_kb is empty when
-# GNU time is unavailable; retries is the script-level re-launch count;
+# the driver logged no VmHWM line (no /proc, a driver that does not call
+# bench::init, or a run killed before exit); retries is the script-level
+# re-launch count;
 # cache_hits/cache_misses come from the driver's final progress.json
 # heartbeat (empty when the driver predates the heartbeat or ran no sweep).
 summary="${results_dir}/summary.csv"

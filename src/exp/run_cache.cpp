@@ -259,20 +259,16 @@ void write_result(Writer& w, std::uint64_t key, const RunResult& r) {
   w.f64(r.delay_p99_s);
   w.u64(r.per_station_mbps.size());
   for (double v : r.per_station_mbps) w.f64(v);
-  // Delay histogram: sparse (index, count) pairs over the 2048 buckets.
-  const auto& counts = r.delays.raw_counts();
-  std::uint64_t nonzero = 0;
-  for (std::uint64_t c : counts) nonzero += c != 0;
+  // Delay histogram: its nonzero buckets as ascending (index, count) pairs.
+  const auto buckets = r.delays.nonzero_buckets();
   w.u64(r.delays.count());
   w.u64(r.delays.raw_sum_ns());
   w.u64(r.delays.raw_min_ns());
   w.u64(r.delays.raw_max_ns());
-  w.u64(nonzero);
-  for (std::size_t b = 0; b < counts.size(); ++b) {
-    if (counts[b] != 0) {
-      w.u64(b);
-      w.u64(counts[b]);
-    }
+  w.u64(buckets.size());
+  for (const auto& b : buckets) {
+    w.u64(b.index);
+    w.u64(b.count);
   }
   // Metrics section: count then (name-length, name bytes, value) tuples,
   // insertion order preserved. Only the per-run counters are persisted:
@@ -322,13 +318,15 @@ bool read_result(Reader& rd, std::uint64_t key, RunResult& out,
   const std::uint64_t max_ns = rd.u64();
   const std::uint64_t nonzero = rd.u64();
   if (!rd.ok || nonzero > stats::DelayHistogram::kNumBuckets) return false;
-  std::vector<std::uint64_t> buckets(stats::DelayHistogram::kNumBuckets, 0);
-  for (std::uint64_t i = 0; i < nonzero; ++i) {
-    const std::uint64_t b = rd.u64();
-    const std::uint64_t c = rd.u64();
-    if (!rd.ok || b >= buckets.size()) return false;
-    buckets[b] = c;
+  std::vector<stats::DelayHistogram::Bucket> buckets(nonzero);
+  for (auto& b : buckets) {
+    b.index = rd.u64();
+    b.count = rd.u64();
   }
+  // A histogram record() could not have built is as corrupt as a failed
+  // checksum: the caller quarantines the entry and recomputes.
+  if (!rd.ok || !r.delays.restore(buckets, count, sum_ns, min_ns, max_ns))
+    return false;
   const std::uint64_t num_metrics = rd.u64();
   if (!rd.ok || num_metrics > 1u << 16) return false;
   for (std::uint64_t i = 0; i < num_metrics; ++i) {
@@ -341,7 +339,6 @@ bool read_result(Reader& rd, std::uint64_t key, RunResult& out,
   }
   // Trailing payload bytes => foreign/corrupt file.
   if (!rd.ok || rd.pos != payload_end) return false;
-  r.delays.restore_raw(std::move(buckets), count, sum_ns, min_ns, max_ns);
   out = std::move(r);
   return true;
 }

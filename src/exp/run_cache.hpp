@@ -120,7 +120,8 @@ enum class EntryStatus {
 };
 
 /// Parses a serialize_entry buffer; kOk only when the checksum verifies,
-/// the header/version/key match, and the payload parses completely.
+/// the header/version/key match, the payload parses completely, and the
+/// delay histogram passes stats::DelayHistogram::restore's validation.
 EntryStatus deserialize_entry(const std::vector<unsigned char>& buf,
                               std::uint64_t key, RunResult& out);
 

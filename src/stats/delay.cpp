@@ -7,8 +7,6 @@
 
 namespace wlan::stats {
 
-DelayHistogram::DelayHistogram() : counts_(kNumBuckets, 0) {}
-
 std::size_t DelayHistogram::bucket_of(std::uint64_t ns) {
   std::size_t idx;
   if (ns < kSubBuckets) {
@@ -40,15 +38,32 @@ std::uint64_t DelayHistogram::bucket_width(std::size_t b) {
 void DelayHistogram::record(sim::Duration delay) {
   const std::uint64_t ns =
       delay.ns() > 0 ? static_cast<std::uint64_t>(delay.ns()) : 0;
-  ++counts_[bucket_of(ns)];
+  const std::size_t b = bucket_of(ns);
   if (count_ == 0) {
+    counts_.assign(1, 0);
+    first_ = b;
     min_ns_ = max_ns_ = ns;
   } else {
+    if (b < first_ || b > last())
+      cover(std::min(b, first_), std::max(b, last()));
     min_ns_ = std::min(min_ns_, ns);
     max_ns_ = std::max(max_ns_, ns);
   }
+  ++counts_[b - first_];
   ++count_;
   sum_ns_ += ns;
+}
+
+void DelayHistogram::cover(std::size_t lo, std::size_t hi) {
+  // Capacity at least doubles, so growth is amortised, and never exceeds
+  // kNumBuckets, so a histogram never holds more than a dense one would.
+  const std::size_t need = hi - lo + 1;
+  if (need > counts_.capacity())
+    counts_.reserve(std::min(kNumBuckets,
+                             std::max(need, 2 * counts_.capacity())));
+  counts_.insert(counts_.begin(), first_ - lo, 0);
+  counts_.resize(need, 0);
+  first_ = lo;
 }
 
 double DelayHistogram::mean_s() const {
@@ -71,49 +86,88 @@ double DelayHistogram::quantile(double q) const {
       1, static_cast<std::uint64_t>(
              std::ceil(q * static_cast<double>(count_))));
   std::uint64_t cum = 0;
-  for (std::size_t b = 0; b < kNumBuckets; ++b) {
-    if (counts_[b] == 0) continue;
-    if (cum + counts_[b] >= target) {
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    const std::uint64_t c = counts_[i];
+    if (c == 0) continue;
+    if (cum + c >= target) {
       // Linear interpolation across the bucket's span: the k-th of n
       // samples in [lo, lo + width) sits at lo + width * k / n.
-      const double frac = static_cast<double>(target - cum) /
-                          static_cast<double>(counts_[b]);
+      const std::size_t b = first_ + i;
+      const double frac =
+          static_cast<double>(target - cum) / static_cast<double>(c);
       const double ns = static_cast<double>(bucket_low(b)) +
                         static_cast<double>(bucket_width(b)) * frac;
       return ns / 1e9;
     }
-    cum += counts_[b];
+    cum += c;
   }
   return static_cast<double>(max_ns_) / 1e9;  // unreachable
 }
 
 void DelayHistogram::merge(const DelayHistogram& other) {
-  for (std::size_t b = 0; b < kNumBuckets; ++b) counts_[b] += other.counts_[b];
-  if (other.count_ > 0) {
-    min_ns_ = count_ == 0 ? other.min_ns_ : std::min(min_ns_, other.min_ns_);
-    max_ns_ = count_ == 0 ? other.max_ns_ : std::max(max_ns_, other.max_ns_);
+  if (other.count_ == 0) return;
+  if (count_ == 0) {
+    counts_.assign(other.counts_.begin(), other.counts_.end());
+    first_ = other.first_;
+    min_ns_ = other.min_ns_;
+    max_ns_ = other.max_ns_;
+  } else {
+    cover(std::min(first_, other.first_), std::max(last(), other.last()));
+    const std::size_t offset = other.first_ - first_;
+    for (std::size_t i = 0; i < other.counts_.size(); ++i)
+      counts_[offset + i] += other.counts_[i];
+    min_ns_ = std::min(min_ns_, other.min_ns_);
+    max_ns_ = std::max(max_ns_, other.max_ns_);
   }
   count_ += other.count_;
   sum_ns_ += other.sum_ns_;
 }
 
 void DelayHistogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
+  counts_.clear();
+  first_ = 0;
   count_ = 0;
   sum_ns_ = 0;
   min_ns_ = 0;
   max_ns_ = 0;
 }
 
-void DelayHistogram::restore_raw(std::vector<std::uint64_t> counts,
-                                 std::uint64_t count, std::uint64_t sum_ns,
-                                 std::uint64_t min_ns, std::uint64_t max_ns) {
-  counts_ = std::move(counts);
-  counts_.resize(kNumBuckets, 0);
+std::vector<DelayHistogram::Bucket> DelayHistogram::nonzero_buckets() const {
+  std::vector<Bucket> out;
+  for (std::size_t i = 0; i < counts_.size(); ++i)
+    if (counts_[i] != 0) out.push_back({first_ + i, counts_[i]});
+  return out;
+}
+
+bool DelayHistogram::restore(std::span<const Bucket> buckets,
+                             std::uint64_t count, std::uint64_t sum_ns,
+                             std::uint64_t min_ns, std::uint64_t max_ns) {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    const Bucket& b = buckets[i];
+    const bool ascending = i == 0 || buckets[i - 1].index < b.index;
+    if (b.index >= kNumBuckets || !ascending || b.count == 0 ||
+        b.count > count - total)
+      return false;
+    total += b.count;
+  }
+  if (total != count) return false;
+  if (count == 0) {
+    if (sum_ns != 0 || min_ns != 0 || max_ns != 0) return false;
+    reset();
+    return true;
+  }
+  if (min_ns > max_ns || buckets.front().index != bucket_of(min_ns) ||
+      buckets.back().index != bucket_of(max_ns))
+    return false;
+  first_ = buckets.front().index;
+  counts_.assign(buckets.back().index - first_ + 1, 0);
+  for (const Bucket& b : buckets) counts_[b.index - first_] = b.count;
   count_ = count;
   sum_ns_ = sum_ns;
   min_ns_ = min_ns;
   max_ns_ = max_ns;
+  return true;
 }
 
 }  // namespace wlan::stats

@@ -8,9 +8,16 @@
 // platforms and thread counts, like everything else in this repo.
 // Percentiles interpolate linearly inside the winning bucket, which makes
 // them hand-computable in unit tests.
+//
+// Only the buckets between the smallest and the largest sample are stored:
+// bucket_of(min) .. bucket_of(max), one counter each, and none at all
+// before the first sample. A run's delays touch a few hundred of the 2048
+// buckets, so a histogram costs what its samples span (at most 16 KB), and
+// equal sample sets give member-wise equal histograms.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -24,7 +31,12 @@ class DelayHistogram {
   static constexpr std::uint64_t kSubBuckets = 32;
   static constexpr std::size_t kNumBuckets = 2048;
 
-  DelayHistogram();
+  /// One entry of the sparse view: a bucket index and its nonzero count.
+  struct Bucket {
+    std::size_t index = 0;
+    std::uint64_t count = 0;
+    friend bool operator==(const Bucket&, const Bucket&) = default;
+  };
 
   void record(sim::Duration delay);
 
@@ -45,7 +57,11 @@ class DelayHistogram {
   /// Merges another histogram into this one (per-station -> whole-run).
   void merge(const DelayHistogram& other);
 
+  /// Empties the histogram; the counters' memory is kept for reuse.
   void reset();
+
+  /// Counters held: bucket_of(max) - bucket_of(min) + 1, or 0 when empty.
+  std::size_t stored_buckets() const { return counts_.size(); }
 
   /// Bucket index for a delay of `ns` nanoseconds (exposed for tests).
   static std::size_t bucket_of(std::uint64_t ns);
@@ -54,18 +70,30 @@ class DelayHistogram {
   static std::uint64_t bucket_width(std::size_t b);
 
   // Raw internals, (de)serialized bit-exactly by exp::run_cache.
-  const std::vector<std::uint64_t>& raw_counts() const { return counts_; }
+  /// The nonzero buckets, ascending by index.
+  std::vector<Bucket> nonzero_buckets() const;
   std::uint64_t raw_sum_ns() const { return sum_ns_; }
   std::uint64_t raw_min_ns() const { return min_ns_; }
   std::uint64_t raw_max_ns() const { return max_ns_; }
-  /// Restores a histogram captured via the raw accessors above. `counts`
-  /// must hold kNumBuckets entries summing to `count`.
-  void restore_raw(std::vector<std::uint64_t> counts, std::uint64_t count,
-                   std::uint64_t sum_ns, std::uint64_t min_ns,
-                   std::uint64_t max_ns);
+  /// Restores a histogram captured via the raw accessors above. Returns
+  /// false and leaves *this unchanged unless the input is one record() and
+  /// merge() can build: indices below kNumBuckets and strictly ascending,
+  /// counts nonzero and summing to `count`; when `count` > 0, min_ns <=
+  /// max_ns and the first and last indices are bucket_of(min_ns) and
+  /// bucket_of(max_ns); when `count` is 0, zero sum, min and max.
+  bool restore(std::span<const Bucket> buckets, std::uint64_t count,
+               std::uint64_t sum_ns, std::uint64_t min_ns,
+               std::uint64_t max_ns);
 
  private:
+  /// Last stored bucket; requires count_ > 0.
+  std::size_t last() const { return first_ + counts_.size() - 1; }
+  /// Extends the stored range to buckets [lo, hi], which must contain it.
+  void cover(std::size_t lo, std::size_t hi);
+
+  /// counts_[i] counts bucket first_ + i.
   std::vector<std::uint64_t> counts_;
+  std::size_t first_ = 0;
   std::uint64_t count_ = 0;
   std::uint64_t sum_ns_ = 0;
   std::uint64_t min_ns_ = 0;

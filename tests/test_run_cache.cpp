@@ -2,7 +2,8 @@
 // round-tripping of every cached field (including the delay histogram and
 // the per-run counters), the run_scenario and run_sweep integration (a hit
 // short-circuits the simulation and folds like a fresh run,
-// series-recording runs bypass), and corruption tolerance.
+// series-recording runs bypass), corruption tolerance, and the pinned
+// bytes and validation of the histogram's store section.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "exp/sweep.hpp"
 #include "obs/collect.hpp"
 #include "par/thread_pool.hpp"
+#include "util/fnv.hpp"
 
 namespace {
 
@@ -136,7 +138,8 @@ TEST(RunCache, RoundTripsEveryFieldBitExactly) {
   EXPECT_EQ(fresh.delay_p99_s, cached.delay_p99_s);
   // Histogram internals: identical buckets => identical future quantiles.
   EXPECT_EQ(fresh.delays.count(), cached.delays.count());
-  EXPECT_EQ(fresh.delays.raw_counts(), cached.delays.raw_counts());
+  EXPECT_EQ(fresh.delays.nonzero_buckets(), cached.delays.nonzero_buckets());
+  EXPECT_EQ(fresh.delays.stored_buckets(), cached.delays.stored_buckets());
   EXPECT_EQ(fresh.delays.raw_sum_ns(), cached.delays.raw_sum_ns());
   EXPECT_EQ(fresh.delays.raw_min_ns(), cached.delays.raw_min_ns());
   EXPECT_EQ(fresh.delays.raw_max_ns(), cached.delays.raw_max_ns());
@@ -373,6 +376,109 @@ TEST(RunCache, EntrySerializationRoundTripsThroughTheBuffer) {
   padded.push_back(0);
   EXPECT_EQ(rc::deserialize_entry(padded, key, out),
             rc::EntryStatus::kCorrupt);
+}
+
+// --- The delay histogram's store section -----------------------------------
+
+/// A format-v4 entry for `key`, assembled word by word: the magic+version
+/// header, the key, 15 zero scalar fields, no per-station rates, the
+/// given histogram section, an empty metrics section and the FNV-1a
+/// footer over all of it.
+std::vector<unsigned char> v4_entry(
+    std::uint64_t key, const std::vector<std::uint64_t>& histogram) {
+  std::vector<std::uint64_t> words = {0x00000004'57524C43ull, key};
+  words.insert(words.end(), 16, 0);
+  words.insert(words.end(), histogram.begin(), histogram.end());
+  words.push_back(0);
+  std::vector<unsigned char> buf;
+  for (std::uint64_t w : words)
+    for (int i = 0; i < 8; ++i)
+      buf.push_back(static_cast<unsigned char>(w >> (8 * i)));
+  util::Fnv1a footer;
+  for (unsigned char c : buf) footer.mix_byte(c);
+  for (int i = 0; i < 8; ++i)
+    buf.push_back(static_cast<unsigned char>(footer.digest() >> (8 * i)));
+  return buf;
+}
+
+// Delays 1000, 0, 100, 7 and 100 ns land in buckets 190, 0, 82, 7, 82.
+const std::vector<std::uint64_t> kKnownSection = {
+    5, 1207, 0, 1000,           // count, sum, min, max
+    4,                          // nonzero buckets, then (index, count):
+    0, 1, 7, 1, 82, 2, 190, 1,  // ascending
+};
+
+TEST(RunCache, HistogramSectionKeepsItsV4Bytes) {
+  // Entries already on disk must keep being served, so the bytes of a
+  // known entry are pinned.
+  exp::RunResult r;
+  for (int ns : {1000, 0, 100, 7, 100})
+    r.delays.record(sim::Duration::nanoseconds(ns));
+  const std::uint64_t key = 0x0123456789ABCDEFull;
+  const auto pinned = v4_entry(key, kKnownSection);
+  EXPECT_EQ(rc::serialize_entry(key, r), pinned);
+
+  exp::RunResult out;
+  ASSERT_EQ(rc::deserialize_entry(pinned, key, out), rc::EntryStatus::kOk);
+  EXPECT_EQ(out.delays.nonzero_buckets(), r.delays.nonzero_buckets());
+  EXPECT_EQ(out.delays.stored_buckets(), 191u);
+  EXPECT_EQ(out.delays.raw_sum_ns(), 1207u);
+  for (double q : {0.0, 0.5, 0.99, 1.0})
+    EXPECT_EQ(out.delays.quantile(q), r.delays.quantile(q));
+}
+
+TEST(RunCache, HistogramThatRecordCouldNotBuildIsCorrupt) {
+  // Each shape below is checksummed correctly; the histogram's own
+  // validation must still refuse it.
+  const std::uint64_t key = 42;
+  exp::RunResult out;
+  ASSERT_EQ(rc::deserialize_entry(v4_entry(key, kKnownSection), key, out),
+            rc::EntryStatus::kOk);
+  const std::vector<std::pair<const char*, std::vector<std::uint64_t>>>
+      shapes = {
+          {"index >= kNumBuckets", {1, 5000, 5000, 5000, 1, 2048, 1}},
+          {"duplicate index", {5, 1207, 0, 1000, 4, 0, 1, 7, 1, 7, 2, 190, 1}},
+          {"descending index",
+           {5, 1207, 0, 1000, 4, 0, 1, 82, 2, 7, 1, 190, 1}},
+          {"zero count",
+           {5, 1207, 0, 1000, 5, 0, 1, 7, 1, 50, 0, 82, 2, 190, 1}},
+          {"counts short of count",
+           {6, 1207, 0, 1000, 4, 0, 1, 7, 1, 82, 2, 190, 1}},
+          {"counts beyond count",
+           {4, 1207, 0, 1000, 4, 0, 1, 7, 1, 82, 2, 190, 1}},
+          {"first index is not bucket_of(min)",
+           {4, 1207, 0, 1000, 3, 7, 1, 82, 2, 190, 1}},
+          {"last index is not bucket_of(max)",
+           {4, 207, 0, 1000, 3, 0, 1, 7, 1, 82, 2}},
+          {"min above max, one bucket", {1, 100, 101, 100, 1, 82, 1}},
+          {"empty with a nonzero sum", {0, 5, 0, 0, 0}},
+          {"buckets but no count", {0, 0, 0, 0, 1, 0, 1}},
+      };
+  for (const auto& [what, section] : shapes) {
+    EXPECT_EQ(rc::deserialize_entry(v4_entry(key, section), key, out),
+              rc::EntryStatus::kCorrupt)
+        << what;
+  }
+}
+
+TEST(RunCache, InvalidHistogramIsQuarantinedAndMissed) {
+  CacheDirGuard guard("bad_histogram");
+  std::filesystem::create_directories(guard.dir);
+  const std::uint64_t key = 7;
+  const auto bytes =
+      v4_entry(key, {5, 1207, 0, 1000, 4, 0, 1, 82, 2, 7, 1, 190, 1});
+  {
+    std::ofstream out(rc::entry_path(guard.dir.string(), key),
+                      std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  exp::RunResult out;
+  EXPECT_FALSE(rc::lookup(guard.dir.string(), key, out));
+  EXPECT_EQ(rc::stats().misses, 1u);
+  EXPECT_EQ(rc::stats().quarantined, 1u);
+  EXPECT_FALSE(
+      std::filesystem::exists(rc::entry_path(guard.dir.string(), key)));
 }
 
 // --- WLAN_RUN_CACHE_MAX_MB size bound ---------------------------------------

@@ -1,16 +1,24 @@
 // Unit tests for the traffic layer: arrival generators (determinism and
 // distribution), the bounded PacketQueue (FIFO, tail drop, occupancy
 // integral), and the DelayHistogram (bucketing, exact mean, hand-computed
-// percentiles).
+// percentiles, and its touched-range storage against the dense reference
+// in tests/reference/).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "reference/dense_histogram.hpp"
 #include "stats/delay.hpp"
 #include "traffic/arrival.hpp"
 #include "traffic/queue.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -312,6 +320,137 @@ TEST(DelayHistogram, NegativeDelaysClampToZero) {
   EXPECT_EQ(h.count(), 1u);
   EXPECT_DOUBLE_EQ(h.mean_s(), 0.0);
   EXPECT_DOUBLE_EQ(h.max_s(), 0.0);
+}
+
+TEST(DelayHistogram, RestoreRoundTripsAndARejectLeavesItUnchanged) {
+  using H = stats::DelayHistogram;
+  H h;
+  for (int ns : {1000, 0, 100, 7, 100})
+    h.record(sim::Duration::nanoseconds(ns));
+  H back;
+  ASSERT_TRUE(back.restore(h.nonzero_buckets(), h.count(), h.raw_sum_ns(),
+                           h.raw_min_ns(), h.raw_max_ns()));
+  EXPECT_EQ(back.nonzero_buckets(), h.nonzero_buckets());
+  EXPECT_EQ(back.stored_buckets(), h.stored_buckets());
+  EXPECT_EQ(back.quantile(0.5), h.quantile(0.5));
+  // Duplicate index: rejected, and `back` keeps what it held.
+  const std::vector<H::Bucket> dup = {{0, 1}, {0, 1}, {190, 3}};
+  EXPECT_FALSE(back.restore(dup, 5, 1207, 0, 1000));
+  EXPECT_EQ(back.nonzero_buckets(), h.nonzero_buckets());
+  EXPECT_EQ(back.count(), 5u);
+  // The empty histogram restores from nothing.
+  EXPECT_TRUE(back.restore({}, 0, 0, 0, 0));
+  EXPECT_EQ(back.count(), 0u);
+  EXPECT_EQ(back.stored_buckets(), 0u);
+}
+
+// ------------------------------------- range storage vs the dense reference
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+/// A delay over octaves [lo, hi] of nanoseconds, with the edge cases
+/// mixed in: 0, below 32 ns (width-1 buckets), negative (clamped to 0),
+/// and the largest delays a Duration holds, which land in the highest
+/// bucket a delay can reach.
+sim::Duration random_delay(util::Rng& rng, int lo, int hi) {
+  switch (rng.uniform_int(std::uint64_t{64})) {
+    case 0:
+      return sim::Duration::zero();
+    case 1:
+      return sim::Duration::nanoseconds(rng.uniform_int(0, 31));
+    case 2:
+      return sim::Duration::nanoseconds(rng.uniform_int(-1'000'000, -1));
+    case 3:
+      return sim::Duration::nanoseconds(
+          std::numeric_limits<std::int64_t>::max() - rng.uniform_int(0, 1023));
+    default: {
+      const std::int64_t base = std::int64_t{1} << rng.uniform_int(lo, hi);
+      return sim::Duration::nanoseconds(base + rng.uniform_int(0, base - 1));
+    }
+  }
+}
+
+/// Every reported number agrees bit for bit, the sparse view lists the
+/// reference's nonzero buckets, and the range form holds exactly
+/// bucket_of(max) - bucket_of(min) + 1 counters (none when empty).
+void expect_matches_reference(const stats::DelayHistogram& h,
+                              const reference::DenseDelayHistogram& ref) {
+  using H = stats::DelayHistogram;
+  EXPECT_EQ(h.count(), ref.count());
+  EXPECT_EQ(h.raw_sum_ns(), ref.sum_ns());
+  EXPECT_EQ(h.raw_min_ns(), ref.min_ns());
+  EXPECT_EQ(h.raw_max_ns(), ref.max_ns());
+  EXPECT_EQ(bits(h.mean_s()), bits(ref.mean_s()));
+  EXPECT_EQ(bits(h.min_s()), bits(ref.min_s()));
+  EXPECT_EQ(bits(h.max_s()), bits(ref.max_s()));
+  for (double q : {0.0, 0.01, 0.5, 0.95, 0.99, 1.0})
+    EXPECT_EQ(bits(h.quantile(q)), bits(ref.quantile(q))) << "q=" << q;
+  std::vector<H::Bucket> nonzero;
+  for (std::size_t b = 0; b < ref.counts().size(); ++b)
+    if (ref.counts()[b] != 0) nonzero.push_back({b, ref.counts()[b]});
+  EXPECT_EQ(h.nonzero_buckets(), nonzero);
+  const std::size_t range =
+      ref.count() == 0
+          ? 0
+          : H::bucket_of(ref.max_ns()) - H::bucket_of(ref.min_ns()) + 1;
+  EXPECT_EQ(h.stored_buckets(), range);
+}
+
+TEST(DelayHistogram, RangeStorageMatchesTheDenseReference) {
+  // Per seed: six parts, each recording a stream over its own octave
+  // window (some empty, some reaching the top bucket), so the merges meet
+  // an empty target, disjoint ranges below and above, and overlapping and
+  // nested ones. Then a reset and fresh records on the merged result.
+  constexpr int kParts = 6;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    std::vector<stats::DelayHistogram> parts(kParts);
+    std::vector<reference::DenseDelayHistogram> refs(kParts);
+    for (int p = 0; p < kParts; ++p) {
+      const auto lo = rng.uniform_int(5, 34);
+      const auto hi = lo + rng.uniform_int(0, 5);
+      const auto n = rng.uniform_int(0, 60);
+      for (std::int64_t i = 0; i < n; ++i) {
+        const auto d = random_delay(rng, static_cast<int>(lo),
+                                    static_cast<int>(hi));
+        parts[p].record(d);
+        refs[p].record(d);
+      }
+      expect_matches_reference(parts[p], refs[p]);
+    }
+
+    std::vector<int> order(kParts);
+    for (int p = 0; p < kParts; ++p) order[p] = p;
+    for (int p = kParts - 1; p > 0; --p)
+      std::swap(order[p], order[rng.uniform_int(0, p)]);
+    stats::DelayHistogram whole;
+    reference::DenseDelayHistogram whole_ref;
+    for (int p : order) {
+      whole.merge(parts[p]);
+      whole_ref.merge(refs[p]);
+      expect_matches_reference(whole, whole_ref);
+    }
+    // A part absorbs the whole, which can grow it at both ends at once,
+    // and the whole absorbs itself.
+    parts[order[0]].merge(whole);
+    refs[order[0]].merge(whole_ref);
+    expect_matches_reference(parts[order[0]], refs[order[0]]);
+    whole.merge(whole);
+    whole_ref.merge(whole_ref);
+    expect_matches_reference(whole, whole_ref);
+
+    whole.reset();
+    whole_ref.reset();
+    expect_matches_reference(whole, whole_ref);
+    for (int i = 0; i < 40; ++i) {
+      const auto d = random_delay(rng, 8, 20);
+      whole.record(d);
+      whole_ref.record(d);
+    }
+    expect_matches_reference(whole, whole_ref);
+    if (HasFailure()) return;
+  }
 }
 
 }  // namespace
