@@ -9,7 +9,6 @@
 #include "obs/collect.hpp"
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
-#include "topology/hidden.hpp"
 
 namespace wlan::exp {
 
@@ -136,20 +135,6 @@ void finish_audit(obs::AuditSet* audit, mac::Network& net, RunResult& result) {
   result.metrics.set_count("audit.violations", audit->violations().size());
 }
 
-std::size_t hidden_pairs_of(const ScenarioConfig& scenario) {
-  // Hidden structure is a property of the SENSING graph among stations
-  // (analyze_hidden ignores the AP, so a one-AP Layout view of a
-  // multi-cell plan loses nothing).
-  const auto prop = make_propagation(scenario);
-  if (scenario.cells != 1) {
-    const auto plan = make_plan(scenario);
-    return topology::count_hidden_pairs(
-        topology::Layout{plan.aps[0], plan.stations}, *prop);
-  }
-  const auto layout = make_layout(scenario);
-  return topology::count_hidden_pairs(layout, *prop);
-}
-
 void collect_measurement(mac::Network& net, RunResult& result) {
   const sim::Duration window = net.measured_duration();
   result.total_mbps = net.counters().total_mbps(window);
@@ -233,11 +218,13 @@ RunResult simulate_scenario(const ScenarioConfig& scenario,
                             const SchemeConfig& scheme,
                             const RunOptions& options) {
   RunResult result;
-  result.hidden_pairs = hidden_pairs_of(scenario);
 
   // Declared before `net` so the attached bundle outlives the simulator.
   std::unique_ptr<obs::SimObs> capture_obs;
   auto net = build_network(scenario, scheme);
+  // Hidden station pairs from the built sensing rows (station node ids
+  // start at num_aps()).
+  result.hidden_pairs = net->medium().hidden_pairs(net->num_aps());
   if (options.max_events != 0 || options.max_wall_ms > 0)
     net->simulator().set_watchdog(options.max_events, options.max_wall_ms);
   capture_obs = attach_capture(*net, options.trace);
@@ -293,10 +280,10 @@ RunResult run_dynamic(const ScenarioConfig& scenario,
                       sim::Duration total_duration,
                       sim::Duration sample_period, obs::TraceCapture* trace) {
   RunResult result;
-  result.hidden_pairs = hidden_pairs_of(scenario);
 
   std::unique_ptr<obs::SimObs> capture_obs;
   auto net = build_network(scenario, scheme);
+  result.hidden_pairs = net->medium().hidden_pairs(net->num_aps());
   capture_obs = attach_capture(*net, trace);
   std::unique_ptr<obs::AuditSet> audit = make_audit();
   install_sampler(*net, scheme, sample_period, result, audit.get());

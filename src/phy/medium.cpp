@@ -13,7 +13,7 @@ namespace wlan::phy {
 
 namespace {
 // The decode mask costs one bit per (source, receiver) pair — the same
-// footprint as the corruption marks — so it is built whenever those marks
+// footprint as the corruption marks — so it is kept whenever those marks
 // are affordable anyway.
 constexpr std::size_t kMaskNodeCap = 16384;
 
@@ -22,8 +22,108 @@ constexpr std::size_t kMaskNodeCap = 16384;
 // them is already the optimal algorithm.
 constexpr std::uint64_t kPeerWorkCap = 256u * 1000 * 1000;
 
-// Below this the grid-accelerated adjacency build is pure overhead.
-constexpr std::size_t kGridBuildMin = 64;
+void set_bit(std::uint64_t* row, std::size_t i) {
+  row[i >> 6] |= std::uint64_t{1} << (i & 63u);
+}
+
+/// Transposes a 64x64 bit block in place: bit j of a[i] <-> bit i of a[j].
+/// Each round swaps the off-diagonal j x j sub-blocks of every 2j x 2j
+/// block (j = 32, 16, ..., 1); `m` selects the low j columns of each.
+void transpose64(std::uint64_t* a) {
+  std::uint64_t m = 0x00000000ffffffffULL;
+  for (unsigned j = 32; j != 0; j >>= 1, m ^= m << j) {
+    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & m;
+      a[k] ^= t << j;
+      a[k | j] ^= t;
+    }
+  }
+}
+
+/// Transposes the n x n bit matrix `bits` (n rows of w words) in place, by
+/// 64 x 64 blocks. Rows past n are absent; their bits, and the columns past
+/// n, are zero, so the blocks are padded with zero rows. All-zero block
+/// pairs (most of a sparse ESS) are skipped.
+void transpose_bits(std::vector<std::uint64_t>& bits, std::size_t n,
+                    std::size_t w) {
+  std::uint64_t a[64], b[64];
+  const auto load = [&](std::uint64_t* blk, std::size_t rb, std::size_t word) {
+    const std::size_t rows = std::min<std::size_t>(64, n - rb * 64);
+    std::uint64_t any = 0;
+    for (std::size_t r = 0; r < rows; ++r)
+      any |= blk[r] = bits[(rb * 64 + r) * w + word];
+    std::fill(blk + rows, blk + 64, std::uint64_t{0});
+    return any != 0;
+  };
+  const auto store = [&](const std::uint64_t* blk, std::size_t rb,
+                         std::size_t word) {
+    const std::size_t rows = std::min<std::size_t>(64, n - rb * 64);
+    for (std::size_t r = 0; r < rows; ++r)
+      bits[(rb * 64 + r) * w + word] = blk[r];
+  };
+  for (std::size_t i = 0; i < w; ++i) {
+    if (load(a, i, i)) {
+      transpose64(a);
+      store(a, i, i);
+    }
+    for (std::size_t j = i + 1; j < w; ++j) {
+      if (!(load(a, i, j) | load(b, j, i))) continue;
+      transpose64(a);
+      transpose64(b);
+      store(a, j, i);
+      store(b, i, j);
+    }
+  }
+}
+
+/// Set bits in `n` words. Zero words are skipped: without a popcount
+/// instruction in the baseline ISA std::popcount is a library call, and
+/// sparse rows are mostly zero words.
+std::size_t count_bits(const std::uint64_t* words, std::size_t n) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    if (words[i] != 0)
+      count += static_cast<std::size_t>(std::popcount(words[i]));
+  return count;
+}
+
+/// Writes the indices of the set bits of `row` (w words) to `out`,
+/// ascending.
+void write_bits(const std::uint64_t* row, std::size_t w, NodeId* out) {
+  for (std::size_t i = 0; i < w; ++i) {
+    for (std::uint64_t bits = row[i]; bits != 0; bits &= bits - 1)
+      *out++ = static_cast<NodeId>(
+          i * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+  }
+}
+
+/// Indices of the nonzero words of each of n bit rows of w words, as CSR.
+struct NonzeroWords {
+  std::vector<std::uint32_t> off, idx;
+  NonzeroWords(const std::vector<std::uint64_t>& bits, std::size_t n,
+               std::size_t w)
+      : off(n + 1, 0) {
+    for (std::size_t s = 0; s < n; ++s) {
+      for (std::size_t i = 0; i < w; ++i)
+        if (bits[s * w + i] != 0) idx.push_back(static_cast<std::uint32_t>(i));
+      off[s + 1] = static_cast<std::uint32_t>(idx.size());
+    }
+  }
+};
+
+/// Reads n bit rows of w words out as CSR rows: counts first, so `ids` is
+/// allocated once at its exact size.
+void read_rows(const std::vector<std::uint64_t>& bits, std::size_t n,
+               std::size_t w, std::vector<std::uint32_t>& off,
+               std::vector<NodeId>& ids) {
+  off.assign(n + 1, 0);
+  for (std::size_t s = 0; s < n; ++s)
+    off[s + 1] =
+        off[s] + static_cast<std::uint32_t>(count_bits(bits.data() + s * w, w));
+  ids.assign(off[n], 0);
+  for (std::size_t s = 0; s < n; ++s)
+    write_bits(bits.data() + s * w, w, ids.data() + off[s]);
+}
 }  // namespace
 
 Medium::Medium(sim::Simulator& simulator, const PropagationModel& propagation)
@@ -52,65 +152,52 @@ void Medium::bind_client(NodeId n, MediumClient& client) {
   clients_[static_cast<std::size_t>(n)] = &client;
 }
 
-void Medium::build_adjacency() {
+void Medium::build_link_rows(std::vector<std::uint64_t>& sense,
+                             std::vector<std::uint64_t>& decode) const {
+  // One propagation call per ordered pair, or per unordered pair when the
+  // model is symmetric (both directions' bits from the one answer).
   const std::size_t n = positions_.size();
-  aud_off_.assign(n + 1, 0);
-  dec_off_.assign(n + 1, 0);
-  aud_ids_.clear();
-  dec_ids_.clear();
+  const std::size_t w = words_per_tx_;
+  sense.assign(n * w, 0);
+  decode.assign(n * w, 0);
+  const bool symmetric = propagation_.symmetric();
+  const auto evaluate = [&](std::size_t s, std::size_t o) {
+    const Link l = propagation_.link(positions_[s], positions_[o]);
+    if (l.sense) {
+      set_bit(sense.data() + s * w, o);
+      if (symmetric) set_bit(sense.data() + o * w, s);
+    }
+    if (l.decode) {
+      set_bit(decode.data() + s * w, o);
+      if (symmetric) set_bit(decode.data() + o * w, s);
+    }
+  };
 
   const double range = propagation_.max_range();
   if (range > 0.0 && n >= kGridBuildMin) {
     // Bounded-range model: candidates come from a spatial grid instead of
-    // all n-1 others. query_within returns ids ascending, so after the
-    // exact predicate filter the rows are identical to the all-pairs
-    // build's — iteration order of the busy/idle/delivery cascades (which
-    // is behaviour) does not change.
+    // all n-1 others. The grid's distance test is order-free, so o is a
+    // candidate of s exactly when s is one of o; every linked pair is a
+    // candidate pair, and the bits equal the all-pairs pass's.
     topology::SpatialGrid grid;
     grid.build(positions_, range);
     std::vector<int> cand;
     for (std::size_t s = 0; s < n; ++s) {
       grid.query_within(positions_[s], range, cand);
-      for (const int o : cand) {
-        if (static_cast<std::size_t>(o) == s) continue;
-        const auto& dst = positions_[static_cast<std::size_t>(o)];
-        if (propagation_.can_sense(positions_[s], dst))
-          aud_ids_.push_back(static_cast<NodeId>(o));
-        if (propagation_.can_decode(positions_[s], dst))
-          dec_ids_.push_back(static_cast<NodeId>(o));
+      for (const int c : cand) {
+        const auto o = static_cast<std::size_t>(c);
+        if (symmetric ? o > s : o != s) evaluate(s, o);
       }
-      aud_off_[s + 1] = static_cast<std::uint32_t>(aud_ids_.size());
-      dec_off_[s + 1] = static_cast<std::uint32_t>(dec_ids_.size());
     }
     return;
   }
-
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t o = 0; o < n; ++o) {
-      if (s == o) continue;
-      if (propagation_.can_sense(positions_[s], positions_[o]))
-        aud_ids_.push_back(static_cast<NodeId>(o));
-      if (propagation_.can_decode(positions_[s], positions_[o]))
-        dec_ids_.push_back(static_cast<NodeId>(o));
-    }
-    aud_off_[s + 1] = static_cast<std::uint32_t>(aud_ids_.size());
-    dec_off_[s + 1] = static_cast<std::uint32_t>(dec_ids_.size());
-  }
+  for (std::size_t s = 0; s < n; ++s)
+    for (std::size_t o = symmetric ? s + 1 : 0; o < n; ++o)
+      if (o != s) evaluate(s, o);
 }
 
-void Medium::build_decode_mask() {
-  const std::size_t n = positions_.size();
-  dec_mask_.assign(n * words_per_tx_, 0);
-  for (std::size_t s = 0; s < n; ++s) {
-    std::uint64_t* words = dec_mask_.data() + s * words_per_tx_;
-    for (std::uint32_t k = dec_off_[s]; k < dec_off_[s + 1]; ++k) {
-      const auto r = static_cast<std::size_t>(dec_ids_[k]);
-      words[r >> 6] |= std::uint64_t{1} << (r & 63u);
-    }
-  }
-}
-
-void Medium::build_peer_index() {
+void Medium::build_peer_index(std::vector<std::uint64_t>& sense,
+                              const std::vector<std::uint64_t>& decode) {
   // o is an interference peer of s iff a transmission from o overlapping
   // one from s can change an OBSERVABLE reception, i.e. set a corruption
   // bit that delivery reads. Delivery of s's frame reads exactly the bits
@@ -123,9 +210,9 @@ void Medium::build_peer_index() {
   // The relation is symmetric (1a/1b and 2/3 swap under s<->o). With
   // revD(r) = {o : r ∈ D(o)} and revA(r) = {o : r ∈ A(o)}:
   //   peers(s) = D(s) ∪ revD(s) ∪ (∪_{r∈A(s)} revD(r)) ∪ (∪_{r∈D(s)} revA(r))
-  // Each reverse set is a bit row of words_per_tx_ words, so a row is a
-  // word-parallel OR of a few rows, read out ascending. The two bit
-  // matrices (2·n·⌈n/64⌉ words, twice corrupt_) are freed on return.
+  // `sense` and `decode` hold A and D as bit rows and their transposes are
+  // revA and revD, so a row is a word-parallel OR of a few rows, read out
+  // ascending.
   const std::size_t n = positions_.size();
   peers_built_ = false;
   peer_off_.assign(n + 1, 0);
@@ -139,51 +226,74 @@ void Medium::build_peer_index() {
   // reverse id lists: dense topologies (everyone a peer of everyone) get no
   // index and keep scanning the in-flight list, which for them is already
   // optimal. The decision is behaviour — it sets what pairs_scanned_ counts.
-  std::vector<std::uint32_t> in_aud(n, 0), in_dec(n, 0);
-  for (const NodeId r : aud_ids_) ++in_aud[static_cast<std::size_t>(r)];
-  for (const NodeId r : dec_ids_) ++in_dec[static_cast<std::size_t>(r)];
-  std::uint64_t work = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    work += (dec_off_[s + 1] - dec_off_[s]) + in_dec[s];
-    for (std::uint32_t k = aud_off_[s]; k < aud_off_[s + 1]; ++k)
-      work += in_dec[static_cast<std::size_t>(aud_ids_[k])];
-    for (std::uint32_t k = dec_off_[s]; k < dec_off_[s + 1]; ++k)
-      work += in_aud[static_cast<std::size_t>(dec_ids_[k])];
-    if (work > kPeerWorkCap) return;
+  // Each row visits at most 2(n-1) direct and 2(n-1)^2 reverse entries, so
+  // while 2n^2(n-1) is within the cap (n <= 504) the estimate cannot
+  // decline and is skipped.
+  const auto m = static_cast<std::uint64_t>(n);
+  if (2 * m * m * (m - 1) > kPeerWorkCap) {
+    std::vector<std::uint32_t> in_aud(n, 0), in_dec(n, 0);
+    for (const NodeId r : aud_ids_) ++in_aud[static_cast<std::size_t>(r)];
+    for (const NodeId r : dec_ids_) ++in_dec[static_cast<std::size_t>(r)];
+    std::uint64_t work = 0;
+    for (std::size_t s = 0; s < n; ++s) {
+      work += (dec_off_[s + 1] - dec_off_[s]) + in_dec[s];
+      for (std::uint32_t k = aud_off_[s]; k < aud_off_[s + 1]; ++k)
+        work += in_dec[static_cast<std::size_t>(aud_ids_[k])];
+      for (std::uint32_t k = dec_off_[s]; k < dec_off_[s + 1]; ++k)
+        work += in_aud[static_cast<std::size_t>(dec_ids_[k])];
+      if (work > kPeerWorkCap) return;
+    }
   }
 
+  // A symmetric model's rows were filled both ways from one answer per
+  // pair, so they are their own transposes. Otherwise `sense` is
+  // transposed in place (the CSR rows already hold A) and revD is one more
+  // bit matrix.
   const std::size_t w = words_per_tx_;
-  const auto set_bit = [](std::uint64_t* row, std::size_t i) {
-    row[i >> 6] |= std::uint64_t{1} << (i & 63u);
-  };
-  std::vector<std::uint64_t> rev_dec(n * w, 0), rev_aud(n * w, 0);
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::uint32_t k = dec_off_[s]; k < dec_off_[s + 1]; ++k)
-      set_bit(rev_dec.data() + static_cast<std::size_t>(dec_ids_[k]) * w, s);
-    for (std::uint32_t k = aud_off_[s]; k < aud_off_[s + 1]; ++k)
-      set_bit(rev_aud.data() + static_cast<std::size_t>(aud_ids_[k]) * w, s);
+  const bool symmetric = propagation_.symmetric();
+  std::vector<std::uint64_t> decode_t;
+  if (!symmetric) {
+    transpose_bits(sense, n, w);
+    decode_t = decode;
+    transpose_bits(decode_t, n, w);
   }
+  const std::vector<std::uint64_t>& rev_aud = sense;
+  const std::vector<std::uint64_t>& rev_dec = symmetric ? decode : decode_t;
+  // The ORs touch only a reverse row's nonzero words: in an ESS that is a
+  // few of the ⌈n/64⌉ (the AP's word and the cell's).
+  const NonzeroWords aud_words(rev_aud, n, w), dec_words(rev_dec, n, w);
 
+  // The row carries its padding bits (past n) set, so once an OR leaves
+  // every word all ones, every node is a peer and the rest are skipped. The
+  // test stops at the first word that is not full: word 0 of a sparse row.
+  // (The direct bits alone never fill a row: neither holds bit s.)
+  const std::uint64_t pad =
+      n % 64 == 0 ? 0 : ~std::uint64_t{0} << (n % 64);
   std::vector<std::uint64_t> row(w);
-  const auto or_row = [&](const std::vector<std::uint64_t>& rev, NodeId r) {
-    const std::uint64_t* src = rev.data() + static_cast<std::size_t>(r) * w;
-    for (std::size_t i = 0; i < w; ++i) row[i] |= src[i];
+  const auto or_row = [&](const std::vector<std::uint64_t>& rev,
+                          const NonzeroWords& words, NodeId r) {
+    const auto ri = static_cast<std::size_t>(r);
+    const std::uint64_t* src = rev.data() + ri * w;
+    for (std::uint32_t k = words.off[ri]; k < words.off[ri + 1]; ++k)
+      row[words.idx[k]] |= src[words.idx[k]];
+    return std::all_of(row.begin(), row.end(),
+                       [](std::uint64_t x) { return x == ~std::uint64_t{0}; });
   };
   for (std::size_t s = 0; s < n; ++s) {
-    std::copy_n(rev_dec.data() + s * w, w, row.begin());  // cond1a
-    for (std::uint32_t k = dec_off_[s]; k < dec_off_[s + 1]; ++k) {
-      set_bit(row.data(), static_cast<std::size_t>(dec_ids_[k]));  // cond1b
-      or_row(rev_aud, dec_ids_[k]);                                 // cond3
-    }
-    for (std::uint32_t k = aud_off_[s]; k < aud_off_[s + 1]; ++k)
-      or_row(rev_dec, aud_ids_[k]);  // cond2
+    const std::uint64_t* d = decode.data() + s * w;
+    const std::uint64_t* rd = rev_dec.data() + s * w;
+    for (std::size_t i = 0; i < w; ++i) row[i] = d[i] | rd[i];  // 1b, 1a
+    row[w - 1] |= pad;
+    bool done = false;
+    for (std::uint32_t k = dec_off_[s]; !done && k < dec_off_[s + 1]; ++k)
+      done = or_row(rev_aud, aud_words, dec_ids_[k]);  // cond3
+    for (std::uint32_t k = aud_off_[s]; !done && k < aud_off_[s + 1]; ++k)
+      done = or_row(rev_dec, dec_words, aud_ids_[k]);  // cond2
+    row[w - 1] &= ~pad;
     row[s >> 6] &= ~(std::uint64_t{1} << (s & 63u));
-    for (std::size_t i = 0; i < w; ++i) {
-      for (std::uint64_t bits = row[i]; bits != 0; bits &= bits - 1) {
-        const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
-        peer_ids_.push_back(static_cast<NodeId>(i * 64 + bit));
-      }
-    }
+    const std::size_t at = peer_ids_.size();
+    peer_ids_.resize(at + count_bits(row.data(), w));
+    write_bits(row.data(), w, peer_ids_.data() + at);
     peer_off_[s + 1] = static_cast<std::uint32_t>(peer_ids_.size());
   }
   peers_built_ = true;
@@ -196,18 +306,25 @@ void Medium::finalize() {
       throw std::logic_error("Medium: finalize() with unbound client");
   finalized_ = true;
 
-  build_adjacency();
+  // The sense and decode relations as bit rows (bit o of row s: o senses /
+  // decodes s), from one pass over the node pairs. The CSR rows are read
+  // out of them, the peer index is built from them, and the decode rows
+  // are kept as the decode mask; everything else is freed on return.
+  const std::size_t n = positions_.size();
+  words_per_tx_ = (n + 63) / 64;
+  std::vector<std::uint64_t> sense, decode;
+  build_link_rows(sense, decode);
+  read_rows(sense, n, words_per_tx_, aud_off_, aud_ids_);
+  read_rows(decode, n, words_per_tx_, dec_off_, dec_ids_);
+  build_peer_index(sense, decode);
+  if (n <= kMaskNodeCap) {
+    dec_mask_ = std::move(decode);
+    have_masks_ = true;
+  }
 
   // All per-transmission state is sized once here and reused across every
   // transmission lifetime: one TxSlot per node plus one flat block of
   // corruption-mark bits per (source, receiver) pair.
-  const std::size_t n = positions_.size();
-  words_per_tx_ = (n + 63) / 64;
-  if (n <= kMaskNodeCap) {
-    build_decode_mask();
-    have_masks_ = true;
-  }
-  build_peer_index();
   tx_slots_.assign(n, TxSlot{});
   corrupt_.assign(n * words_per_tx_, 0);
   scratch_corrupt_.assign(words_per_tx_, 0);
@@ -239,15 +356,41 @@ bool Medium::is_transmitting(NodeId n) const {
 }
 
 bool Medium::senses(NodeId source, NodeId observer) const {
-  const NodeId* b = row_begin(aud_off_, aud_ids_, source);
-  const NodeId* e = row_end(aud_off_, aud_ids_, source);
-  return std::find(b, e, observer) != e;
+  const auto row = audible_at(source);
+  return std::binary_search(row.begin(), row.end(), observer);
 }
 
 bool Medium::decodes(NodeId source, NodeId observer) const {
-  const NodeId* b = row_begin(dec_off_, dec_ids_, source);
-  const NodeId* e = row_end(dec_off_, dec_ids_, source);
-  return std::find(b, e, observer) != e;
+  const auto row = decodable_at(source);
+  return std::binary_search(row.begin(), row.end(), observer);
+}
+
+std::span<const std::uint64_t> Medium::decode_mask(NodeId source) const {
+  if (!have_masks_) return {};
+  return {dec_mask_.data() + static_cast<std::size_t>(source) * words_per_tx_,
+          words_per_tx_};
+}
+
+std::size_t Medium::hidden_pairs(NodeId first) const {
+  // Hidden = C(m, 2) minus the mutually sensing pairs, each counted once
+  // from the row of its lower id. A symmetric model's rows were filled
+  // both ways from one answer per pair, so every link there is mutual.
+  const std::size_t n = positions_.size();
+  const auto f = static_cast<std::size_t>(first);
+  if (f >= n) return 0;
+  const bool symmetric = propagation_.symmetric();
+  std::size_t mutual = 0;
+  for (NodeId s = first; static_cast<std::size_t>(s) < n; ++s) {
+    const auto row = audible_at(s);
+    auto p = std::upper_bound(row.begin(), row.end(), s);
+    if (symmetric) {
+      mutual += static_cast<std::size_t>(row.end() - p);
+      continue;
+    }
+    for (; p != row.end(); ++p) mutual += senses(*p, s) ? 1 : 0;
+  }
+  const std::size_t m = n - f;
+  return m * (m - 1) / 2 - mutual;
 }
 
 std::vector<NodeId> Medium::interference_peers(NodeId s) const {

@@ -28,7 +28,9 @@
 // capture) and the differential suites hold this path to it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "phy/frame.hpp"
@@ -59,6 +61,14 @@ class MediumClient {
 
 class Medium {
  public:
+  /// Node count from which finalize() finds a bounded-range model's linked
+  /// pairs through a spatial grid instead of testing all pairs. The rows
+  /// are the same either way; only the build cost differs. Measured: ESS
+  /// plans of 9-25 cells favour the grid from 40-54 nodes, while a single
+  /// BSS (one grid cell) and a 2x2 plan never do, so the paper's single-BSS
+  /// networks (up to 61 nodes) must stay below it.
+  static constexpr std::size_t kGridBuildMin = 64;
+
   /// The propagation model must outlive the Medium.
   Medium(sim::Simulator& simulator, const PropagationModel& propagation);
 
@@ -75,7 +85,8 @@ class Medium {
   /// before finalize(), which rejects unbound nodes.
   void bind_client(NodeId n, MediumClient& client);
 
-  /// Precomputes the audibility/decodability adjacency and the peer index.
+  /// Precomputes the audibility/decodability adjacency, the decode mask and
+  /// the peer index.
   /// Must be called once after the last add_node and before any
   /// transmission.
   void finalize();
@@ -121,6 +132,26 @@ class Medium {
 
   /// True if `observer` can decode frames from `source`.
   bool decodes(NodeId source, NodeId observer) const;
+
+  /// Nodes that sense `source`, ascending: the row the busy/idle cascades
+  /// walk.
+  std::span<const NodeId> audible_at(NodeId source) const {
+    return {row_begin(aud_off_, aud_ids_, source),
+            row_end(aud_off_, aud_ids_, source)};
+  }
+  /// Nodes that decode `source`, ascending: the delivery row.
+  std::span<const NodeId> decodable_at(NodeId source) const {
+    return {row_begin(dec_off_, dec_ids_, source),
+            row_end(dec_off_, dec_ids_, source)};
+  }
+  /// `source`'s decode mask, ⌈n/64⌉ words with bit r set when r decodes
+  /// `source`; empty when no mask is kept (above 16,384 nodes).
+  std::span<const std::uint64_t> decode_mask(NodeId source) const;
+
+  /// Unordered pairs of nodes with ids >= `first` in which at least one
+  /// cannot sense the other: topology::count_hidden_pairs over the built
+  /// sensing rows (pass mac::Network::num_aps() to count station pairs).
+  std::size_t hidden_pairs(NodeId first) const;
 
   /// Lifetime counters (for stats and micro-benchmarks).
   std::uint64_t transmissions_started() const { return tx_started_; }
@@ -189,9 +220,13 @@ class Medium {
   void mark_pair_masked(NodeId src, NodeId o);
   void end_transmission(NodeId src, std::uint64_t tx_id);
 
-  void build_adjacency();
-  void build_decode_mask();
-  void build_peer_index();
+  /// Fills `sense`/`decode` (n rows of words_per_tx_ words): bit o of row
+  /// s is set when o senses / decodes s.
+  void build_link_rows(std::vector<std::uint64_t>& sense,
+                       std::vector<std::uint64_t>& decode) const;
+  /// Builds the peer CSR from the link rows; may transpose `sense` in place.
+  void build_peer_index(std::vector<std::uint64_t>& sense,
+                        const std::vector<std::uint64_t>& decode);
 
   std::uint64_t* corrupt_words(NodeId tx_src) {
     return corrupt_.data() + static_cast<std::size_t>(tx_src) * words_per_tx_;
@@ -240,8 +275,9 @@ class Medium {
   // Marking index (built at finalize):
   //  * peer CSR — sources whose concurrent transmission could observably
   //    interact with s's (see build_peer_index for the four conditions);
-  //  * dec_mask_ — per-source receiver bitmask mirroring dec CSR, for O(1)
-  //    "would this mark ever be read?" filtering.
+  //  * dec_mask_ — per-source receiver bitmask (the decode bit rows the
+  //    dec CSR is read from), for O(1) "would this mark ever be read?"
+  //    filtering.
   std::vector<std::uint32_t> peer_off_;
   std::vector<NodeId> peer_ids_;
   std::vector<std::uint64_t> dec_mask_;

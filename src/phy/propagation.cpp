@@ -43,6 +43,11 @@ bool DiscPropagation::can_decode(const Vec2& from, const Vec2& to) const {
   return distance(from, to) <= decode_radius_;
 }
 
+Link DiscPropagation::link(const Vec2& from, const Vec2& to) const {
+  const double d = distance(from, to);
+  return {d <= sense_radius_, d <= decode_radius_};
+}
+
 namespace {
 
 std::uint64_t hash_double(double v) {
@@ -95,6 +100,12 @@ bool ShadowedDisc::can_sense(const Vec2& from, const Vec2& to) const {
 
 bool ShadowedDisc::can_decode(const Vec2& from, const Vec2& to) const {
   return base_.can_decode(from, to) && !shadowed(from, to);
+}
+
+Link ShadowedDisc::link(const Vec2& from, const Vec2& to) const {
+  const Link disc = base_.link(from, to);
+  if ((disc.sense || disc.decode) && shadowed(from, to)) return {};
+  return disc;
 }
 
 double ShadowedDisc::rx_power(const Vec2& from, const Vec2& to) const {

@@ -15,6 +15,12 @@
 
 namespace wlan::phy {
 
+/// Both predicates of one ordered pair (see PropagationModel::link).
+struct Link {
+  bool sense = false;
+  bool decode = false;
+};
+
 class PropagationModel {
  public:
   virtual ~PropagationModel() = default;
@@ -25,6 +31,17 @@ class PropagationModel {
 
   /// True if a frame from `from` is decodable at `to` absent interference.
   virtual bool can_decode(const Vec2& from, const Vec2& to) const = 0;
+
+  /// can_sense and can_decode of one ordered pair from one call: phy::Medium
+  /// builds its adjacency through this. An override must return exactly
+  /// the two predicates; the default calls them.
+  virtual Link link(const Vec2& from, const Vec2& to) const {
+    return {can_sense(from, to), can_decode(from, to)};
+  }
+
+  /// True when link(a, b) == link(b, a) for every pair of positions; the
+  /// Medium then evaluates each unordered pair once. Default: no claim.
+  virtual bool symmetric() const { return false; }
 
   /// Relative received power of a transmission from `from` at `to`
   /// (arbitrary linear units; only ratios matter — used by the optional
@@ -49,6 +66,9 @@ class DiscPropagation final : public PropagationModel {
 
   bool can_sense(const Vec2& from, const Vec2& to) const override;
   bool can_decode(const Vec2& from, const Vec2& to) const override;
+  /// One distance, the same two `<=` comparisons.
+  Link link(const Vec2& from, const Vec2& to) const override;
+  bool symmetric() const override { return true; }
 
   /// Log-distance power law: (1 + d)^(-path_loss_exponent). The +1 keeps
   /// zero-distance links finite; only ratios matter.
@@ -93,6 +113,10 @@ class ShadowedDisc final : public PropagationModel {
 
   bool can_sense(const Vec2& from, const Vec2& to) const override;
   bool can_decode(const Vec2& from, const Vec2& to) const override;
+  /// The disc link, then the shadowing hash only when the disc admits one.
+  Link link(const Vec2& from, const Vec2& to) const override;
+  /// Distance and the pair hash are both order-free.
+  bool symmetric() const override { return true; }
   double rx_power(const Vec2& from, const Vec2& to) const override;
   /// Shadowing only removes links, so the disc bound still holds.
   double max_range() const override { return base_.max_range(); }

@@ -8,18 +8,24 @@
 //    adjacency), on ESS, shadowed and the benchmark's own geometries, and
 //    is symmetric cell-to-cell (corruption marks can only flow between
 //    mutual peers);
+//  * the sense/decode rows and decode masks it reads out of its bit rows
+//    match can_sense/can_decode pair by pair, for disc, shadowed and
+//    asymmetric models at sizes on both sides of every 64-bit word
+//    boundary and of the grid-build threshold;
 //  * the index-or-not decision at its build-work cap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "exp/scenario.hpp"
 #include "mac/network.hpp"
 #include "phy/geometry.hpp"
 #include "phy/medium.hpp"
+#include "phy/propagation.hpp"
 #include "reference/full_scan.hpp"
 #include "topology/cell_plan.hpp"
 #include "topology/spatial_grid.hpp"
@@ -280,12 +286,12 @@ TEST(SpatialGrid, EmptyAndDegenerate) {
 
 // ---------------------------------------------- interference-peer relation
 
-/// Brute-force the Medium's documented peer definition on the reference
-/// geometry: o is a peer of s iff a transmission from o overlapping one
-/// from s can change an observable reception (see build_peer_index in
-/// phy/medium.cpp).
-std::vector<phy::NodeId> brute_peers(const reference::Geometry& geo,
-                                     phy::NodeId s) {
+/// Brute-force the Medium's documented peer definition on a geometry (the
+/// reference one, or a PairTable): o is a peer of s iff a transmission
+/// from o overlapping one from s can change an observable reception (see
+/// build_peer_index in phy/medium.cpp).
+template <class Geo>
+std::vector<phy::NodeId> brute_peers(const Geo& geo, phy::NodeId s) {
   const int n = geo.num_nodes();
   std::vector<phy::NodeId> peers;
   for (phy::NodeId o = 0; o < n; ++o) {
@@ -300,12 +306,46 @@ std::vector<phy::NodeId> brute_peers(const reference::Geometry& geo,
   return peers;
 }
 
+/// The sense and decode rows, the decode mask and the senses()/decodes()
+/// queries of `medium` against the geometry's predicates, pair by pair.
+template <class Geo>
+void expect_rows_exact(const Geo& geo, const phy::Medium& medium) {
+  const int n = static_cast<int>(medium.num_nodes());
+  ASSERT_EQ(n, geo.num_nodes());
+  const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
+  for (phy::NodeId s = 0; s < n; ++s) {
+    std::vector<phy::NodeId> sensed, decoded;
+    std::vector<std::uint64_t> mask(words, 0);
+    for (phy::NodeId o = 0; o < n; ++o) {
+      const bool sense = geo.senses(s, o);
+      const bool decode = geo.decodes(s, o);
+      if (sense) sensed.push_back(o);
+      if (decode) {
+        decoded.push_back(o);
+        mask[static_cast<std::size_t>(o) / 64] |= std::uint64_t{1} << (o % 64);
+      }
+      ASSERT_EQ(medium.senses(s, o), sense) << s << " -> " << o;
+      ASSERT_EQ(medium.decodes(s, o), decode) << s << " -> " << o;
+    }
+    const auto a = medium.audible_at(s);
+    const auto d = medium.decodable_at(s);
+    const auto m = medium.decode_mask(s);
+    ASSERT_EQ(std::vector<phy::NodeId>(a.begin(), a.end()), sensed)
+        << "sense row " << s;
+    ASSERT_EQ(std::vector<phy::NodeId>(d.begin(), d.end()), decoded)
+        << "decode row " << s;
+    ASSERT_EQ(std::vector<std::uint64_t>(m.begin(), m.end()), mask)
+        << "decode mask " << s;
+  }
+}
+
 void expect_peer_index_exact(const exp::ScenarioConfig& scenario,
                              const phy::Medium& medium) {
   ASSERT_TRUE(medium.has_peer_index());
   const reference::Geometry geo(scenario);
   const int n = static_cast<int>(medium.num_nodes());
   ASSERT_EQ(n, geo.num_nodes());
+  expect_rows_exact(geo, medium);
   for (phy::NodeId s = 0; s < n; ++s) {
     const auto row = medium.interference_peers(s);
     EXPECT_TRUE(std::is_sorted(row.begin(), row.end()));
@@ -323,6 +363,83 @@ void expect_peer_index_exact(const exp::ScenarioConfig& scenario,
 void expect_peer_index_exact(const exp::ScenarioConfig& scenario) {
   const auto net = exp::build_network(scenario, exp::SchemeConfig::standard());
   expect_peer_index_exact(scenario, net->medium());
+}
+
+/// can_sense/can_decode of every ordered pair of `positions`, straight from
+/// the model (the diagonal is false, as in reference::Geometry).
+class PairTable {
+ public:
+  PairTable(const phy::PropagationModel& model,
+            const std::vector<phy::Vec2>& positions)
+      : n_(static_cast<int>(positions.size())) {
+    sense_.assign(positions.size() * positions.size(), 0);
+    decode_ = sense_;
+    for (int s = 0; s < n_; ++s) {
+      for (int o = 0; o < n_; ++o) {
+        if (o == s) continue;
+        const auto& from = positions[static_cast<std::size_t>(s)];
+        const auto& to = positions[static_cast<std::size_t>(o)];
+        sense_[at(s, o)] = model.can_sense(from, to);
+        decode_[at(s, o)] = model.can_decode(from, to);
+      }
+    }
+  }
+  int num_nodes() const { return n_; }
+  bool senses(int source, int observer) const {
+    return sense_[at(source, observer)] != 0;
+  }
+  bool decodes(int source, int observer) const {
+    return decode_[at(source, observer)] != 0;
+  }
+
+ private:
+  std::size_t at(int s, int o) const {
+    return static_cast<std::size_t>(s) * static_cast<std::size_t>(n_) +
+           static_cast<std::size_t>(o);
+  }
+  int n_;
+  std::vector<char> sense_, decode_;
+};
+
+struct SilentClient final : phy::MediumClient {
+  void on_channel_busy(sim::Time) override {}
+  void on_channel_idle(sim::Time) override {}
+  void on_frame_received(const phy::Frame&, bool, sim::Time) override {}
+};
+
+/// Finalizes a medium over `positions` under `model`, then holds its rows,
+/// mask and hidden-pair counts to the model pair by pair and its peer rows
+/// to brute force.
+void expect_medium_exact(const phy::PropagationModel& model,
+                         const std::vector<phy::Vec2>& positions) {
+  sim::Simulator simulator;
+  phy::Medium medium(simulator, model);
+  SilentClient client;
+  for (const auto& p : positions) medium.add_node(p, client);
+  medium.finalize();
+  const PairTable table(model, positions);
+  const int n = table.num_nodes();
+  expect_rows_exact(table, medium);
+  for (const int first : {0, 1, n / 2}) {
+    std::size_t hidden = 0;
+    for (int a = first; a < n; ++a)
+      for (int b = a + 1; b < n; ++b)
+        if (!table.senses(a, b) || !table.senses(b, a)) ++hidden;
+    EXPECT_EQ(medium.hidden_pairs(first), hidden) << "from node " << first;
+  }
+  ASSERT_TRUE(medium.has_peer_index());
+  for (phy::NodeId s = 0; s < n; ++s)
+    ASSERT_EQ(medium.interference_peers(s), brute_peers(table, s))
+        << "peer row " << s;
+}
+
+/// n x n link matrix with independent entries, true with probability p.
+std::vector<std::vector<bool>> random_links(int n, double p, util::Rng& rng) {
+  const auto size = static_cast<std::size_t>(n);
+  std::vector<std::vector<bool>> m(size, std::vector<bool>(size));
+  for (auto& row : m)
+    for (std::size_t o = 0; o < row.size(); ++o) row[o] = rng.bernoulli(p);
+  return m;
 }
 
 /// Every node but `s`, ascending: the peer row of a fully connected node.
@@ -377,6 +494,53 @@ TEST(CellPlan, PeerIndexMatchesBruteForceOnBenchmarkGeometries) {
   }
   // ess9x10_std: nine cells of ten stations.
   expect_peer_index_exact(exp::ScenarioConfig::multicell(9, 10, 40.0, 1));
+}
+
+TEST(CellPlan, PeerIndexMatchesBruteForceAtWordBoundaries) {
+  // The medium fills sense/decode bit rows from one pass over the pairs,
+  // reads its CSR rows and decode masks out of them, counts hidden pairs
+  // from the sense rows and builds the peer rows by ORing (transposed)
+  // rows, stopping once a row is full. Sizes sit
+  // on both sides of each 64-bit word boundary and of the grid-build
+  // threshold; each model runs sparse (most peer rows partial) and dense
+  // (rows fill early). ExplicitGraph is asymmetric, so only it takes the
+  // block transposes; the disc models are symmetric and bounded, so they
+  // take the halved pair pass and, from kGridBuildMin on, the grid.
+  std::set<int> sizes{1, 2, 63, 64, 65, 127, 128, 129};
+  sizes.insert(static_cast<int>(phy::Medium::kGridBuildMin) - 1);
+  sizes.insert(static_cast<int>(phy::Medium::kGridBuildMin));
+  for (const int n : sizes) {
+    for (const bool dense : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "n=" << n << (dense ? " dense" : " sparse"));
+      util::Rng rng(static_cast<std::uint64_t>(n), dense ? 2 : 1);
+      // Sparse: about 7 sensing and 3 decoding neighbours per node. Dense:
+      // every pair within the 6-unit decode disc. Node 0 sits at the
+      // origin, ShadowedDisc's protected position.
+      const double span = dense ? 2.0 : 3.0 * std::sqrt(static_cast<double>(n));
+      std::vector<phy::Vec2> positions{{0.0, 0.0}};
+      for (int i = 1; i < n; ++i)
+        positions.push_back(
+            {rng.uniform(-span, span), rng.uniform(-span, span)});
+      {
+        SCOPED_TRACE("DiscPropagation");
+        expect_medium_exact(phy::DiscPropagation(6.0, 9.0), positions);
+      }
+      {
+        SCOPED_TRACE("ShadowedDisc");
+        expect_medium_exact(phy::ShadowedDisc(6.0, 9.0, 0.3, 11), positions);
+      }
+      {
+        SCOPED_TRACE("ExplicitGraph");
+        const double p = dense ? 0.6 : std::min(0.5, 6.0 / n);
+        const phy::ExplicitGraph graph(random_links(n, p, rng),
+                                       random_links(n, p / 2, rng));
+        std::vector<phy::Vec2> slots;
+        for (int i = 0; i < n; ++i) slots.push_back(phy::graph_position(i));
+        expect_medium_exact(graph, slots);
+      }
+    }
+  }
 }
 
 TEST(CellPlan, PeerIndexWorkCapAdmitsConnected503ButNot504) {

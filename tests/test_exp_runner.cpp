@@ -1,11 +1,13 @@
 // Tests of the experiment layer: scenario/scheme builders, the runner's
-// measurement bookkeeping, seed averaging, and dynamic population schedules.
+// measurement bookkeeping, its hidden-pair count, seed averaging, and
+// dynamic population schedules.
 // Repeated-run tests go through exp::run_sweep so their independent
 // simulations fan out across the thread pool.
 #include <gtest/gtest.h>
 
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
+#include "topology/hidden.hpp"
 
 namespace {
 
@@ -169,6 +171,50 @@ TEST(Runner, DynamicWTopAdaptsToPopulation) {
   // Throughput stays healthy in both phases.
   EXPECT_GT(r.throughput_series.mean_in_window(20.0, 30.0), 15.0);
   EXPECT_GT(r.throughput_series.mean_in_window(50.0, 60.0), 15.0);
+}
+
+TEST(Runner, HiddenPairsMatchTopologyReference) {
+  // RunResult::hidden_pairs is read from the built medium's sensing rows;
+  // topology::count_hidden_pairs recomputes it pair by pair from a fresh
+  // placement and propagation model. Both runner entry points must agree
+  // with it on every scenario kind whose hidden pairs the drivers report.
+  RunOptions zero;
+  zero.warmup = sim::Duration::zero();
+  zero.measure = sim::Duration::zero();
+  std::size_t hidden_total = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    for (const ScenarioConfig& scenario :
+         {ScenarioConfig::connected(20, seed),
+          ScenarioConfig::hidden(20, 16.0, seed),
+          ScenarioConfig::hidden(20, 20.0, seed),
+          ScenarioConfig::shadowed(20, 0.3, seed),
+          ScenarioConfig::multicell(4, 5, 30.0, seed),
+          ScenarioConfig::multicell(9, 8, 30.0, seed)}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << " cells " << scenario.cells
+                   << " radius " << scenario.radius << " shadow "
+                   << scenario.shadow_probability);
+      const auto model = make_propagation(scenario);
+      // analyze_hidden ignores the AP, so one AP stands in for an ESS's.
+      const topology::Layout layout =
+          scenario.cells == 1
+              ? make_layout(scenario)
+              : [&] {
+                  const auto plan = make_plan(scenario);
+                  return topology::Layout{plan.aps[0], plan.stations};
+                }();
+      const std::size_t expected = topology::count_hidden_pairs(layout, *model);
+      hidden_total += expected;
+      EXPECT_EQ(run_scenario(scenario, SchemeConfig::standard(), zero)
+                    .hidden_pairs,
+                expected);
+      EXPECT_EQ(run_dynamic(scenario, SchemeConfig::standard(), {},
+                            sim::Duration::zero(), sim::Duration::seconds(1.0))
+                    .hidden_pairs,
+                expected);
+    }
+  }
+  EXPECT_GT(hidden_total, 0u);
 }
 
 }  // namespace

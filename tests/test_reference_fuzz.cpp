@@ -4,17 +4,21 @@
 // schemes, RTS/CTS on or off, and optionally a population-step schedule —
 // and requires production to match the reference model (tests/reference/)
 // and pass the full-scan clean-flag check. The production runs carry the
-// conservation-law auditors in throw mode.
+// conservation-law auditors in throw mode. A second, shorter list draws
+// 60–140 stations the same way, so the medium's bit rows spill past one
+// 64-bit word and bounded-range networks take the grid-built pair pass.
 //
 // A failure names the case seed; rerun just that draw by putting the seed
-// alone in kSeeds.
+// alone in its list.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <set>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "obs/audit.hpp"
 #include "reference/differential.hpp"
@@ -44,14 +48,31 @@ constexpr std::uint64_t kSeeds[] = {
     0x5eed0055, 0x5eed0056, 0x5eed0057, 0x5eed0058, 0x5eed0059, 0x5eed005a,
     0x5eed005b, 0x5eed005c, 0x5eed005d, 0x5eed005e, 0x5eed005f, 0x5eed0060};
 
-constexpr double kCaseSeconds = 0.3;
+// The large draws: 60–140 stations over shorter cases.
+constexpr std::uint64_t kLargeSeeds[] = {
+    0x1a46e001, 0x1a46e002, 0x1a46e003, 0x1a46e004, 0x1a46e005, 0x1a46e006,
+    0x1a46e007, 0x1a46e008, 0x1a46e009, 0x1a46e00a, 0x1a46e00b, 0x1a46e00c,
+    0x1a46e00d, 0x1a46e00e, 0x1a46e00f, 0x1a46e010};
+
+/// Station-count range, case length and shortest population-step gap of
+/// one seed list.
+struct Draw {
+  int min_stations;
+  int max_stations;
+  double case_seconds;
+  double min_step_gap;
+};
+constexpr Draw kSmall{4, 30, 0.3, 0.02};
+constexpr Draw kLarge{60, 140, 0.03, 0.005};
 
 int draw_int(util::Rng& rng, int lo, int hi) {
   return static_cast<int>(rng.uniform_int(std::int64_t{lo}, std::int64_t{hi}));
 }
 
-ScenarioConfig draw_topology(util::Rng& rng, std::uint64_t scenario_seed) {
-  const int n = draw_int(rng, 4, 30);
+ScenarioConfig draw_topology(util::Rng& rng, std::uint64_t scenario_seed,
+                             const Draw& draw) {
+  const int lo = draw.min_stations, hi = draw.max_stations;
+  const int n = draw_int(rng, lo, hi);
   switch (rng.uniform_int(std::uint64_t{5})) {
     case 0:
       return ScenarioConfig::connected(n, scenario_seed);
@@ -63,8 +84,8 @@ ScenarioConfig draw_topology(util::Rng& rng, std::uint64_t scenario_seed) {
       return ScenarioConfig::shadowed(n, rng.uniform(0.1, 0.5), scenario_seed);
     default: {
       const int cells = draw_int(rng, 2, 9);
-      const int per_cell = draw_int(rng, std::max(1, (4 + cells - 1) / cells),
-                                    std::max(1, 30 / cells));
+      const int per_cell = draw_int(rng, std::max(1, (lo + cells - 1) / cells),
+                                    std::max(1, hi / cells));
       auto s = ScenarioConfig::multicell(
           cells, per_cell, rng.uniform(24.0, 48.0), scenario_seed);
       if (rng.bernoulli(0.5)) s.phy.capture_ratio = 0.0;
@@ -107,11 +128,12 @@ SchemeConfig draw_scheme(util::Rng& rng, const mac::WifiParams& phy) {
   }
 }
 
-reference::Case draw_case(std::uint64_t seed) {
+reference::Case draw_case(std::uint64_t seed, const Draw& draw) {
   util::Rng rng(seed);
   reference::Case c;
-  c.duration = sim::Duration::seconds(kCaseSeconds);
-  c.scenario = draw_topology(rng, rng.uniform_int(std::uint64_t{1} << 20) + 1);
+  c.duration = sim::Duration::seconds(draw.case_seconds);
+  c.scenario =
+      draw_topology(rng, rng.uniform_int(std::uint64_t{1} << 20) + 1, draw);
   c.scenario.traffic = draw_traffic(rng);
   if (rng.bernoulli(0.3)) c.scenario.phy.rts_threshold_bits = 0;
   c.scheme = draw_scheme(rng, c.scenario.phy);
@@ -120,7 +142,7 @@ reference::Case draw_case(std::uint64_t seed) {
     double t = 0.0;
     for (int k = 0; k < steps; ++k) {
       c.schedule.push_back({t, draw_int(rng, 0, c.scenario.num_stations)});
-      t += rng.uniform(0.02, kCaseSeconds / steps);
+      t += rng.uniform(draw.min_step_gap, draw.case_seconds / steps);
     }
   }
   return c;
@@ -132,13 +154,34 @@ struct AuditThrowGuard {
   ~AuditThrowGuard() { obs::AuditSet::set_override(-1); }
 };
 
+/// Requires every case the seeds draw to match the reference model.
+void expect_cases_match_reference(std::span<const std::uint64_t> seeds,
+                                  const Draw& draw) {
+  AuditThrowGuard audit;
+  for (const std::uint64_t seed : seeds) {
+    const reference::Case c = draw_case(seed, draw);
+    std::string report;
+    try {
+      report = reference::check_case(c);
+    } catch (const std::exception& e) {
+      report = reference::describe(c) + "\nthrew: " + e.what() + "\n";
+    }
+    EXPECT_TRUE(report.empty())
+        << "case seed 0x" << std::hex << seed << std::dec << "\n" << report;
+  }
+}
+
 TEST(ReferenceFuzz, SeedListCoversEveryAxis) {
-  // The fixed seed list must keep drawing every value of every axis the
+  // The fixed seed lists must keep drawing every value of every axis the
   // fuzzer claims to vary; a reweighted draw or a trimmed list that drops
   // one would silently stop testing it.
   std::set<std::string> seen;
-  for (const std::uint64_t seed : kSeeds) {
-    const reference::Case c = draw_case(seed);
+  std::vector<reference::Case> cases;
+  for (const std::uint64_t seed : kSeeds)
+    cases.push_back(draw_case(seed, kSmall));
+  for (const std::uint64_t seed : kLargeSeeds)
+    cases.push_back(draw_case(seed, kLarge));
+  for (const reference::Case& c : cases) {
     const ScenarioConfig& s = c.scenario;
     if (s.cells > 1) {
       seen.insert(s.phy.capture_ratio > 0.0 ? "multicell+capture"
@@ -154,30 +197,25 @@ TEST(ReferenceFuzz, SeedListCoversEveryAxis) {
     seen.insert("traffic " + std::to_string(static_cast<int>(s.traffic.model)));
     seen.insert(s.phy.rts_cts_enabled() ? "rts on" : "rts off");
     seen.insert(c.schedule.empty() ? "static" : "population steps");
+    // Medium nodes: the stations plus one AP per cell.
+    if (s.num_stations + s.cells >= 64) seen.insert(">= 64 nodes");
   }
   const std::set<std::string> axes{
       "connected", "hidden r16", "hidden r20", "shadowed",
       "multicell+capture", "multicell-capture",
       "scheme 0", "scheme 1", "scheme 2", "scheme 3", "scheme 4", "scheme 5",
       "traffic 0", "traffic 1", "traffic 2", "traffic 3",
-      "rts on", "rts off", "static", "population steps"};
+      "rts on", "rts off", "static", "population steps", ">= 64 nodes"};
   for (const std::string& axis : axes)
     EXPECT_TRUE(seen.count(axis) == 1) << "no seed draws " << axis;
 }
 
 TEST(ReferenceFuzz, SeededScenariosMatchReference) {
-  AuditThrowGuard audit;
-  for (const std::uint64_t seed : kSeeds) {
-    const reference::Case c = draw_case(seed);
-    std::string report;
-    try {
-      report = reference::check_case(c);
-    } catch (const std::exception& e) {
-      report = reference::describe(c) + "\nthrew: " + e.what() + "\n";
-    }
-    EXPECT_TRUE(report.empty())
-        << "case seed 0x" << std::hex << seed << std::dec << "\n" << report;
-  }
+  expect_cases_match_reference(kSeeds, kSmall);
+}
+
+TEST(ReferenceFuzz, LargeSeededScenariosMatchReference) {
+  expect_cases_match_reference(kLargeSeeds, kLarge);
 }
 
 }  // namespace
