@@ -58,7 +58,10 @@ void EventQueue::sift_up(std::size_t i) {
   const ColdEntry c = cold_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / kArity;
-    if (!earlier(h, c, hot_[parent], cold_[parent])) break;
+    const HotEntry& p = hot_[parent];
+    if (earlier(h.time_ns, h.seq_flag, c, p.time_ns, p.seq_flag,
+                cold_[parent]) == 0)
+      break;
     hot_[i] = hot_[parent];
     cold_[i] = cold_[parent];
     i = parent;
@@ -67,25 +70,51 @@ void EventQueue::sift_up(std::size_t i) {
   cold_[i] = c;
 }
 
+// The child scan makes exactly the comparisons of the rolled loop
+//   best = first; for k in first+1 .. last-1: if earlier(k, best) best = k;
+// in that order, then earlier(best, sifted entry). The order fixes which
+// ties reach the cold keys and where each entry lands, so it is part of
+// what Stats::cold_compares and stale_skipped count. What changes is how
+// the scan runs: the best child's index, time and packed seq live in
+// registers and are replaced through an and/xor mask instead of a
+// data-dependent jump per child, and a full group of four is unrolled.
 void EventQueue::sift_down(std::size_t i) {
+  static_assert(kArity == 4, "the unrolled child scan covers four children");
+  HotEntry* const hot = hot_.data();
+  ColdEntry* const cold = cold_.data();
   const std::size_t n = hot_.size();
-  const HotEntry h = hot_[i];
-  const ColdEntry c = cold_[i];
+  const HotEntry h = hot[i];
+  const ColdEntry c = cold[i];
   for (;;) {
     const std::size_t first = i * kArity + 1;
     if (first >= n) break;
-    const std::size_t last = first + kArity < n ? first + kArity : n;
     std::size_t best = first;
-    for (std::size_t k = first + 1; k < last; ++k) {
-      if (earlier(hot_[k], cold_[k], hot_[best], cold_[best])) best = k;
+    std::int64_t best_t = hot[first].time_ns;
+    std::uint64_t best_s = hot[first].seq_flag;
+    const auto consider = [&](std::size_t k) {
+      const std::int64_t t = hot[k].time_ns;
+      const std::uint64_t s = hot[k].seq_flag;
+      const std::uint64_t take =
+          0 - earlier(t, s, cold[k], best_t, best_s, cold[best]);
+      best ^= (best ^ k) & take;
+      best_t ^= (best_t ^ t) & static_cast<std::int64_t>(take);
+      best_s ^= (best_s ^ s) & take;
+    };
+    if (first + kArity <= n) {
+      consider(first + 1);
+      consider(first + 2);
+      consider(first + 3);
+    } else {  // the heap's one partial group
+      for (std::size_t k = first + 1; k < n; ++k) consider(k);
     }
-    if (!earlier(hot_[best], cold_[best], h, c)) break;
-    hot_[i] = hot_[best];
-    cold_[i] = cold_[best];
+    if (earlier(best_t, best_s, cold[best], h.time_ns, h.seq_flag, c) == 0)
+      break;
+    hot[i] = HotEntry{best_t, best_s};
+    cold[i] = cold[best];
     i = best;
   }
-  hot_[i] = h;
-  cold_[i] = c;
+  hot[i] = h;
+  cold[i] = c;
 }
 
 void EventQueue::drop_top() {

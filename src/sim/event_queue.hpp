@@ -209,15 +209,24 @@ class EventQueue {
     return a.order_seq < b.order_seq;
   }
 
-  bool earlier(const HotEntry& ah, const ColdEntry& ac, const HotEntry& bh,
-               const ColdEntry& bc) {
-    if (ah.time_ns != bh.time_ns) return ah.time_ns < bh.time_ns;
-    // Two seq-ordered events tie in insertion order — the packed seqs
-    // compare directly (equal flag bits, both clear).
-    if (((ah.seq_flag | bh.seq_flag) & kAnchoredBit) == 0)
-      return ah.seq_flag < bh.seq_flag;
-    ++cold_compares_;
-    return cold_earlier(ac, bc);
+  /// Is event a (time `at`, packed seq `as`) ordered before event b? 0 or
+  /// 1, as an integer the sift can turn into a select mask. Different
+  /// times decide on time; a tie between two seq-ordered events decides on
+  /// the packed seqs (both flag bits clear). The one branch is the rare
+  /// case of a tie with an anchored side (kAnchoredBit is bit 63), which
+  /// reads the cold keys. Comparisons are combined as integers, not as
+  /// `bool | bool`, so the common path compiles to straight-line flag
+  /// arithmetic.
+  std::uint64_t earlier(std::int64_t at, std::uint64_t as,
+                        const ColdEntry& ac, std::int64_t bt,
+                        std::uint64_t bs, const ColdEntry& bc) {
+    const auto tie = static_cast<std::uint64_t>(at == bt);
+    if ((tie & ((as | bs) >> 63)) != 0) [[unlikely]] {
+      ++cold_compares_;
+      return cold_earlier(ac, bc);
+    }
+    return static_cast<std::uint64_t>(at < bt) |
+           (tie & static_cast<std::uint64_t>(as < bs));
   }
 
   void sift_up(std::size_t i);

@@ -1,16 +1,21 @@
 // Unit tests for the event queue: ordering, tie-breaks, cancellation,
-// randomized differential tests against a naive reference queue, and the
+// randomized differential tests against naive reference queues and against
+// the reference heap (tests/reference/event_queue.hpp), and the
 // zero-allocation guarantee of the pooled/inline-callback design.
 #include "sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
+
+#include "reference/event_queue.hpp"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter: the steady-state scheduling hot path must not
@@ -571,6 +576,185 @@ TEST(EventQueueAnchored, RandomAnchoredSchedulesMatchFullKeyReference) {
       fired.callback();
       ASSERT_EQ(popped.back(), expect.second);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Heap oracle: production against the pre-branch-free heap kept verbatim in
+// tests/reference/, operation by operation. The linear-scan references
+// above check pop order only; equal Stats after every operation also pin
+// the heap counters (cold_compares, stale_skipped, heap_entries) that
+// depend on which comparisons the sift makes and in what order.
+// ---------------------------------------------------------------------------
+
+using wlan::reference::ReferenceEventQueue;
+
+std::vector<std::pair<const char*, std::uint64_t>> stat_fields(
+    const EventQueue::Stats& s) {
+  return {{"scheduled", s.scheduled},          {"fired", s.fired},
+          {"cancelled", s.cancelled},          {"stale_skipped", s.stale_skipped},
+          {"heap_callbacks", s.heap_callbacks}, {"cold_compares", s.cold_compares},
+          {"live", s.live},                    {"heap_entries", s.heap_entries},
+          {"pool_slots", s.pool_slots}};
+}
+
+::testing::AssertionResult same_stats(const EventQueue::Stats& got,
+                                      const EventQueue::Stats& want) {
+  const auto g = stat_fields(got);
+  const auto w = stat_fields(want);
+  for (std::size_t f = 0; f < g.size(); ++f) {
+    if (g[f].second != w[f].second)
+      return ::testing::AssertionFailure()
+             << g[f].first << " " << g[f].second << " != reference "
+             << w[f].second;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(EventQueueProperty, MatchesReferenceHeapAndCounters) {
+  constexpr int kGrowOps = 4000;
+  for (std::uint64_t trial = 0; trial < 24; ++trial) {
+    SCOPED_TRACE(trial);
+    std::uint64_t x = 0xB1A5F00DULL + trial;
+    EventQueue q;
+    ReferenceEventQueue ref;
+    std::vector<std::pair<EventId, ReferenceEventQueue::Handle>> handles;
+    std::vector<int> got_tags;
+    std::vector<int> want_tags;
+    int next_tag = 0;
+    std::size_t peak_entries = 0;
+    bool residue_seen[4] = {};
+
+    const auto schedule = [&](int op) {
+      // Mostly a coarse grid (frequent exact ties), sometimes a fine one.
+      const auto t = static_cast<std::int64_t>(lcg(x) % 4 == 0 ? lcg(x) % 4096
+                                                               : lcg(x) % 64);
+      EventQueue::OrderKey key;
+      switch (lcg(x) % 4) {
+        case 0:
+        case 1:  // plain
+          break;
+        case 2:  // anchored, explicit unique order_seq
+          key.sched_lookback = static_cast<std::uint32_t>(lcg(x) % 8);
+          key.entry_lookback = static_cast<std::uint32_t>(lcg(x) % 8);
+          key.order_seq =
+              ((1 + lcg(x) % 64) << 20) + static_cast<std::uint64_t>(op);
+          break;
+        default:  // anchored chain head: distinct lookbacks, own seq
+          key.sched_lookback = static_cast<std::uint32_t>(lcg(x) % 8);
+          key.entry_lookback =
+              key.sched_lookback + 1 + static_cast<std::uint32_t>(lcg(x) % 8);
+          break;
+      }
+      const int tag = next_tag++;
+      if (lcg(x) % 32 == 0) {  // too big for the inline buffer
+        const std::array<std::uint64_t, 8> pad{};
+        handles.emplace_back(
+            q.schedule(Time::from_ns(t),
+                       [tag, pad, &got_tags] {
+                         (void)pad;
+                         got_tags.push_back(tag);
+                       },
+                       key),
+            ref.schedule(Time::from_ns(t),
+                         [tag, pad, &want_tags] {
+                           (void)pad;
+                           want_tags.push_back(tag);
+                         },
+                         key));
+      } else {
+        handles.emplace_back(
+            q.schedule(Time::from_ns(t),
+                       [tag, &got_tags] { got_tags.push_back(tag); }, key),
+            ref.schedule(Time::from_ns(t),
+                         [tag, &want_tags] { want_tags.push_back(tag); }, key));
+      }
+    };
+    // Fires both popped events; equal (time, tag).
+    const auto same_fired = [&](EventQueue::Fired& got,
+                                ReferenceEventQueue::Fired& want)
+        -> ::testing::AssertionResult {
+      got.callback();
+      want.callback();
+      if (got.time != want.time || got_tags.back() != want_tags.back())
+        return ::testing::AssertionFailure()
+               << "popped (" << got.time.ns() << ", " << got_tags.back()
+               << ") != reference (" << want.time.ns() << ", "
+               << want_tags.back() << ")";
+      return ::testing::AssertionSuccess();
+    };
+    const auto pop = [&]() -> ::testing::AssertionResult {
+      if (q.empty() != ref.empty())
+        return ::testing::AssertionFailure() << "empty() differs";
+      if (q.empty()) return ::testing::AssertionSuccess();
+      auto got = q.pop();
+      auto want = ref.pop();
+      return same_fired(got, want);
+    };
+    // pop_until on both; equal verdicts, and equal (time, tag) if popped.
+    const auto pop_until = [&](Time limit) -> ::testing::AssertionResult {
+      EventQueue::Fired got;
+      ReferenceEventQueue::Fired want;
+      const bool g = q.pop_until(limit, got);
+      const bool w = ref.pop_until(limit, want);
+      if (g != w)
+        return ::testing::AssertionFailure() << "pop_until(" << limit.ns()
+                                             << ") " << g << " != reference "
+                                             << w;
+      return g ? same_fired(got, want) : ::testing::AssertionSuccess();
+    };
+    // pop_until with the limit just before, at or just after the live top.
+    const auto pop_near_top = [&]() -> ::testing::AssertionResult {
+      if (q.empty() != ref.empty())
+        return ::testing::AssertionFailure() << "empty() differs";
+      if (q.empty()) return ::testing::AssertionSuccess();
+      const Time top = q.next_time();
+      if (top != ref.next_time())
+        return ::testing::AssertionFailure() << "next_time() differs";
+      const auto offset = static_cast<std::int64_t>(lcg(x) % 3) - 1;
+      return pop_until(Time::from_ns(top.ns() + offset));
+    };
+    const auto check = [&]() -> ::testing::AssertionResult {
+      if (q.size() != ref.size())
+        return ::testing::AssertionFailure()
+               << "size " << q.size() << " != reference " << ref.size();
+      const auto s = q.stats();
+      peak_entries = std::max(peak_entries, s.heap_entries);
+      residue_seen[s.heap_entries % 4] = true;
+      return same_stats(s, ref.stats());
+    };
+
+    for (int op = 0; op < kGrowOps; ++op) {
+      SCOPED_TRACE(op);
+      const std::uint64_t r = lcg(x) % 100;
+      if (r < 56) {
+        schedule(op);
+      } else if (r < 66) {
+        ASSERT_TRUE(pop());
+      } else if (r < 74) {
+        ASSERT_TRUE(pop_near_top());
+      } else if (r < 78) {  // a limit anywhere on the grid, unskimmed top
+        ASSERT_TRUE(
+            pop_until(Time::from_ns(static_cast<std::int64_t>(lcg(x) % 64))));
+      } else if (!handles.empty()) {  // cancel, live or stale
+        const auto& h = handles[lcg(x) % handles.size()];
+        q.cancel(h.first);
+        ref.cancel(h.second);
+      }
+      ASSERT_TRUE(check());
+    }
+    // Drain through every heap size down to the last live event.
+    while (!ref.empty()) {
+      ASSERT_TRUE(lcg(x) % 2 == 0 ? pop_near_top() : pop());
+      ASSERT_TRUE(check());
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(got_tags, want_tags);
+    EXPECT_GE(peak_entries, 1000u);
+    for (int residue = 0; residue < 4; ++residue)
+      EXPECT_TRUE(residue_seen[residue]) << "heap size % 4 == " << residue;
+    EXPECT_GT(q.stats().cold_compares, 0u);
+    EXPECT_GT(q.stats().heap_callbacks, 0u);
   }
 }
 
