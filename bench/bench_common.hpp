@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "exp/runner.hpp"
-#include "exp/shard.hpp"
 #include "exp/sweep.hpp"
 #include "par/thread_pool.hpp"
 #include "util/cli.hpp"
@@ -41,23 +40,16 @@ inline void log_peak_rss() {
   if (kib >= 0) std::printf("[bench] VmHWM: %ld kB\n", kib);
 }
 
-/// Standard driver startup: parse flags (currently `--threads N` plus the
-/// hidden `--wlan-shard=<dir>:<lo>:<hi>` the sweep-shard supervisor passes
-/// its children), size the global pool before the first sweep builds it,
-/// and install the SIGINT/SIGTERM handlers that flush partial CSVs on
-/// interruption (the result store itself needs no flushing — every entry
-/// is an atomic rename the moment its job completes). Capturing argv here
-/// is what lets exp::run_sweep re-exec this driver as shard children when
-/// WLAN_SWEEP_PROCS asks for process isolation — every driver gets
-/// multi-process sweeps for free by calling init. On a normal exit the
-/// driver logs its peak memory last (log_peak_rss).
+/// Standard driver startup: parse flags (currently `--threads N`), size
+/// the global pool before the first sweep builds it, and install the
+/// SIGINT/SIGTERM handlers that flush partial CSVs on interruption (the
+/// result store itself needs no flushing — every entry is an atomic
+/// rename the moment its job completes). On a normal exit the driver logs
+/// its peak memory last (log_peak_rss).
 inline util::Cli init(int argc, const char* const* argv) {
   util::Cli cli(argc, argv);
   util::install_shutdown_handlers();
   std::atexit(log_peak_rss);
-  exp::shard::capture_argv(argc, argv);
-  if (cli.has("wlan-shard"))
-    exp::shard::configure_child(cli.get_string("wlan-shard", ""));
   par::ThreadPool::configure_global(cli.threads(0));
   return cli;
 }

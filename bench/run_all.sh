@@ -33,16 +33,6 @@
 #                       no .failed marker); interrupted or failed drivers
 #                       re-run. Pair with WLAN_RUN_CACHE_KEEP=1 to make a
 #                       killed invocation cheap to finish.
-#   WLAN_SWEEP_PROCS    shard processes per sweep (src/exp/shard.hpp): > 1
-#                       fans each driver's sweeps across supervised child
-#                       processes that report through the store, so a
-#                       SIGSEGV or hard hang in one job cannot take the
-#                       driver down — crashed shards are respawned, skipping
-#                       the jobs they stored, poison jobs quarantined, and
-#                       the folded CSV stays byte-identical to an
-#                       in-process run.
-#                       Tuning: WLAN_SHARD_CRASH_LIMIT, WLAN_SHARD_STALL_MS,
-#                       WLAN_SHARD_POLL_MS (docs/REPRODUCING.md).
 #   WLAN_RUN_CACHE_MAX_MB  size bound on the run-cache directory in MiB;
 #                       the oldest entries are pruned when a process first
 #                       opens the cache. 0/unset = unbounded.

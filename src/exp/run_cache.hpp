@@ -27,11 +27,10 @@
 //
 // The cache is also the sweep engine's only result store: run_sweep looks
 // every job up before it fans out, so an interrupted sweep resumes from
-// the entries it already stored, and the shard children of a
-// multi-process sweep report through it (exp/shard.hpp). Each entry
-// therefore carries the run's per-run counters (RunResult::metrics minus
-// the process-cumulative cache.*/exp.fault.*/profile.* names), so a hit
-// folds into SweepResult::metrics exactly like a fresh run.
+// the entries it already stored. Each entry therefore carries the run's
+// per-run counters (RunResult::metrics minus the process-cumulative
+// cache.*/exp.fault.*/profile.* names), so a hit folds into
+// SweepResult::metrics exactly like a fresh run.
 //
 // Storage: one little-endian binary file per key, written to a temp name
 // and atomically renamed — concurrent drivers (run_all.sh runs many) may
@@ -78,9 +77,9 @@ std::uint64_t max_bytes_from_env();
 /// total at most `max_bytes`. Returns the number of entries removed and
 /// adds them to Stats::pruned. Lookup/store run this once per process per
 /// directory when $WLAN_RUN_CACHE_MAX_MB is set; exposed for tests and
-/// tools. Only prunes entries at the top level: the per-sweep shard work
-/// directories (exp/shard.hpp) are never touched. A pruned entry is
-/// simply simulated again, so a resumed sweep re-runs what was pruned.
+/// tools. Only prunes *.run entries at the top level: subdirectories and
+/// other files are never touched. A pruned entry is simply simulated
+/// again, so a resumed sweep re-runs what was pruned.
 std::size_t prune_dir(const std::string& dir, std::uint64_t max_bytes);
 
 /// Content hash of a run's full identity (FNV-1a over a canonical field

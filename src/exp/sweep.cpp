@@ -1,28 +1,22 @@
 #include "exp/sweep.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <limits>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "exp/progress.hpp"
 #include "exp/run_cache.hpp"
-#include "exp/shard.hpp"
 #include "obs/audit.hpp"
 #include "obs/collect.hpp"
 #include "obs/trace.hpp"
 #include "par/thread_pool.hpp"
 #include "sim/simulator.hpp"
 #include "util/env.hpp"
-#include "util/liveness.hpp"
 
 namespace wlan::exp {
 
@@ -44,6 +38,8 @@ std::vector<SweepJob> expand(const SweepSpec& spec) {
     throw std::invalid_argument("SweepSpec: schemes axis is empty");
   if (spec.seeds < 1)
     throw std::invalid_argument("SweepSpec: seeds must be >= 1");
+  if (spec.processes != 1)
+    throw std::invalid_argument("SweepSpec: processes must be 1");
   if (!spec.params.empty() && !spec.bind)
     throw std::invalid_argument("SweepSpec: params axis needs a bind");
   const std::size_t num_params = spec.params.empty() ? 1 : spec.params.size();
@@ -135,33 +131,33 @@ AveragedResult fold_seeds(const std::vector<RunResult>& runs) {
 }
 
 /// With WLAN_PROFILE on, reports each pool lane's aggregate phase profile
-/// (the per-run registries carry profile.* buckets; shard = the contiguous
-/// block of PENDING jobs the lane executed — jobs replayed from the store
-/// carry no profile and never reached a lane). Pure reporting.
-void report_shard_profiles(const par::ThreadPool& pool,
-                           const std::vector<RunResult>& raw,
-                           const std::vector<std::size_t>& pending) {
+/// over the contiguous block of PENDING jobs the lane executed (the per-run
+/// registries carry profile.* buckets; jobs replayed from the store carry
+/// no profile and never reached a lane). Pure reporting.
+void report_lane_profiles(const par::ThreadPool& pool,
+                          const std::vector<RunResult>& raw,
+                          const std::vector<std::size_t>& pending) {
   if (!obs::SimObs::profile_enabled_by_env()) return;
   for (int lane = 0; lane < pool.thread_count(); ++lane) {
     const auto [first, last] = pool.block_of(lane, pending.size());
     if (first >= last) continue;
-    obs::PhaseProfiler shard;
+    obs::PhaseProfiler sum;
     for (std::size_t i = first; i < last; ++i) {
       for (unsigned c = 0; c < obs::kNumCategories; ++c) {
         const auto cat = static_cast<obs::Category>(c);
         const std::string base =
             std::string("profile.") + obs::category_name(cat);
-        shard.add_bucket(cat,
-                         static_cast<std::uint64_t>(
-                             raw[pending[i]].metrics.get(base + ".events")),
-                         static_cast<std::int64_t>(
-                             raw[pending[i]].metrics.get(base + ".wall_ns")));
+        sum.add_bucket(cat,
+                       static_cast<std::uint64_t>(
+                           raw[pending[i]].metrics.get(base + ".events")),
+                       static_cast<std::int64_t>(
+                           raw[pending[i]].metrics.get(base + ".wall_ns")));
       }
     }
-    const std::string label = "sweep shard " + std::to_string(lane) +
+    const std::string label = "sweep lane " + std::to_string(lane) +
                               " (jobs " + std::to_string(pending[first]) +
                               ".." + std::to_string(pending[last - 1]) + ")";
-    std::fputs(shard.report(label).c_str(), stderr);
+    std::fputs(sum.report(label).c_str(), stderr);
   }
 }
 
@@ -227,18 +223,11 @@ void run_guarded(const SweepJob& job, std::size_t job_index,
     fault_counters::add_retry();
     if (policy.backoff_ms > 0) {
       // Exponential backoff: base, 2*base, 4*base, ... capped at 30 s.
-      // Slept in short slices with a liveness tick per slice, so a shard
-      // child waiting out a backoff reads as slow — not hung — to the
-      // supervisor's heartbeat stall detector.
       const std::int64_t delay =
           std::min<std::int64_t>(static_cast<std::int64_t>(policy.backoff_ms)
                                      << std::min(attempt - 1, 20),
                                  30'000);
-      for (std::int64_t slept = 0; slept < delay; slept += 50) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            std::min<std::int64_t>(50, delay - slept)));
-        util::progress_tick();
-      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(delay));
     }
   }
 }
@@ -253,60 +242,6 @@ void report_errors(const std::vector<JobError>& errors) {
         static_cast<unsigned long long>(e.config_fingerprint), e.attempts,
         e.attempts == 1 ? "" : "s", kind_name(e.kind), e.what.c_str());
   }
-}
-
-/// Executes this shard child's assigned job block and exits the process.
-/// The block is whittled down first — jobs already in the store (from the
-/// parent or a previous attempt), tombstones, and poisoned jobs are
-/// skipped — then fanned over the normal in-process pool under the normal
-/// job guard, with every outcome persisted (store entry or tombstone)
-/// through atomic renames. The heartbeat thread keeps the supervisor's
-/// liveness view fresh. _Exit (not exit) so the parent-registered atexit
-/// cleanups never run here.
-[[noreturn]] void run_child_block(const shard::ChildBlock& child,
-                                  const std::string& store,
-                                  const SweepSpec& spec,
-                                  const std::vector<SweepJob>& jobs,
-                                  const std::vector<std::uint64_t>& job_keys,
-                                  par::ThreadPool* pool) {
-  const std::size_t lo = std::min(child.lo, jobs.size());
-  const std::size_t hi = std::min(child.hi, jobs.size());
-  const std::vector<std::size_t> poison = shard::read_poison_list(child.dir);
-  std::vector<std::size_t> block;
-  block.reserve(hi - lo);
-  for (std::size_t i = lo; i < hi; ++i) {
-    if (std::binary_search(poison.begin(), poison.end(), i)) continue;
-    RunResult stored;
-    if (run_cache::lookup(store, job_keys[i], stored)) continue;
-    shard::Tombstone tomb;
-    if (shard::read_tombstone(child.dir, i, tomb)) continue;
-    block.push_back(i);
-  }
-  std::fprintf(stderr, "[shard %d] jobs %zu..%zu: %zu left to run\n",
-               child.index, lo, hi, block.size());
-
-  shard::Heartbeat heartbeat(child.dir, child.index);
-  const GuardPolicy policy = resolve_policy(spec);
-  std::atomic<bool> io_failed{false};
-  pool->parallel_for(block.size(), [&](std::size_t p) {
-    const std::size_t i = block[p];
-    RunResult result;
-    std::optional<JobError> error;
-    run_guarded(jobs[i], i, job_keys[i], spec.options, policy, result, error);
-    if (error.has_value()) {
-      shard::Tombstone tomb;
-      tomb.kind = error->kind;
-      tomb.attempts = error->attempts;
-      tomb.what = error->what;
-      if (!shard::write_tombstone(child.dir, i, tomb))
-        io_failed.store(true, std::memory_order_relaxed);
-    } else if (!run_cache::store(store, job_keys[i], result)) {
-      io_failed.store(true, std::memory_order_relaxed);
-    }
-    heartbeat.note_job_done();
-  });
-  std::fflush(nullptr);
-  std::_Exit(io_failed.load(std::memory_order_relaxed) ? 3 : 0);
 }
 
 }  // namespace
@@ -345,43 +280,8 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
   // Series/trace runs bypass the store: neither is serialized.
   const bool series_or_trace =
       spec.options.record_series || spec.options.trace != nullptr;
-  std::string store = series_or_trace ? std::string() : run_cache::directory();
-
-  // Shard child fast-path: a supervisor-spawned child re-executes its
-  // whole driver; the sweep whose fingerprint names the assigned work
-  // directory is THE sharded sweep — run the block and exit. Any other
-  // run_sweep call in the driver executes normally (and near-instantly
-  // when the parent already stored its jobs).
-  if (const shard::ChildBlock* child = shard::child_block();
-      child != nullptr && !store.empty() &&
-      std::filesystem::path(child->dir).filename() ==
-          std::filesystem::path(shard::work_directory(store, job_keys))
-              .filename())
-    run_child_block(*child, store, spec, jobs, job_keys, pool);  // no return
-
-  const GuardPolicy policy = resolve_policy(spec);
-  const shard::Policy spolicy =
-      shard::resolve_policy(spec.processes, policy.backoff_ms);
-  bool supervise_mode = spolicy.processes > 1 &&
-                        shard::child_block() == nullptr && !jobs.empty();
-  if (supervise_mode && series_or_trace) {
-    std::fprintf(stderr,
-                 "[sweep] WLAN_SWEEP_PROCS ignored: series/trace runs cannot "
-                 "go through the store, running in-process\n");
-    supervise_mode = false;
-  }
-  if (supervise_mode && store.empty()) {
-    // The store is the supervisor's IPC substrate; without WLAN_RUN_CACHE,
-    // use an invocation-scoped scratch one (handed to the children,
-    // removed at parent exit).
-    store = shard::scratch_store();
-    if (store.empty()) {
-      std::fprintf(stderr,
-                   "[sweep] no scratch store directory available; "
-                   "running in-process\n");
-      supervise_mode = false;
-    }
-  }
+  const std::string store =
+      series_or_trace ? std::string() : run_cache::directory();
 
   // Resume is a store hit: every job is looked up once, before the
   // fan-out. Hits fill their slots (per-run counters included, so they
@@ -397,70 +297,19 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
     std::fprintf(stderr, "[sweep] store: replayed %zu/%zu jobs from %s\n",
                  replayed, jobs.size(), store.c_str());
 
+  const GuardPolicy policy = resolve_policy(spec);
   const FaultStats fs_before = fault_stats();
   ProgressTracker progress(jobs.size(), replayed);
   std::vector<std::optional<JobError>> job_errors(jobs.size());
 
-  // Jobs that must run in THIS process: all pending ones in-process mode;
-  // under supervision only the safety-net leftovers the shard fleet
-  // somehow failed to resolve (e.g. a corrupt store entry).
-  std::vector<std::size_t> inline_jobs;
-  if (supervise_mode && !pending.empty()) {
-    const std::string work_dir = shard::work_directory(store, job_keys);
-    const shard::SuperviseOutcome outcome =
-        shard::supervise(work_dir, job_keys, spolicy, &progress);
-    const std::set<std::size_t> poisoned(outcome.poisoned.begin(),
-                                         outcome.poisoned.end());
-    // Deterministic merge: look the shard fleet's results up in ascending
-    // job-index order and materialize the supervisor's failure verdicts.
-    // Every double travels as raw bits through the entry format, and the
-    // fold below never changes order, so the result is byte-identical to
-    // processes=1 at any thread count.
-    for (std::size_t i : pending) {
-      if (run_cache::lookup(store, job_keys[i], raw[i])) continue;
-      JobError err;
-      err.job_index = i;
-      err.point_index = jobs[i].point_index;
-      err.seed_index = jobs[i].seed_index;
-      err.config_fingerprint = job_keys[i];
-      shard::Tombstone tomb;
-      if (shard::read_tombstone(work_dir, i, tomb)) {
-        // A child exhausted the in-process retries; same verdict it would
-        // have produced here.
-        err.kind = tomb.kind;
-        err.attempts = tomb.attempts;
-        err.what = tomb.what;
-      } else if (poisoned.count(i) != 0) {
-        err.kind = JobError::Kind::kCrash;
-        err.attempts = spolicy.crash_limit;
-        err.what = "poison job: crashed its shard " +
-                   std::to_string(spolicy.crash_limit) +
-                   " time(s) in a row; quarantined by the supervisor";
-      } else {
-        inline_jobs.push_back(i);
-        continue;
-      }
-      fault_counters::add_failure();
-      raw[i] = RunResult{};
-      job_errors[i] = std::move(err);
-    }
-    if (!inline_jobs.empty())
-      std::fprintf(stderr,
-                   "[sweep] %zu job(s) unresolved after supervision; "
-                   "running them in-process\n",
-                   inline_jobs.size());
-  } else {
-    inline_jobs = pending;
-  }
-
-  // Guarded fan-out over the in-process jobs, each stored once when it
-  // succeeds. Each lane writes only its own jobs' raw/error slots
-  // (distinct indices), so no synchronization is needed beyond the pool's
-  // fork-join barrier. The progress tracker is the only shared mutable
-  // state and is internally locked; it reads nothing back into the jobs,
-  // so results stay byte-identical with telemetry on or off.
-  pool->parallel_for(inline_jobs.size(), [&](std::size_t p) {
-    const std::size_t i = inline_jobs[p];
+  // Guarded fan-out over the misses, each stored once when it succeeds.
+  // Each lane writes only its own jobs' raw/error slots (distinct
+  // indices), so no synchronization is needed beyond the pool's fork-join
+  // barrier. The progress tracker is the only shared mutable state and is
+  // internally locked; it reads nothing back into the jobs, so results
+  // stay byte-identical with telemetry on or off.
+  pool->parallel_for(pending.size(), [&](std::size_t p) {
+    const std::size_t i = pending[p];
     const auto t0 = std::chrono::steady_clock::now();
     run_guarded(jobs[i], i, job_keys[i], spec.options, policy, raw[i],
                 job_errors[i]);
@@ -475,7 +324,7 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
   note_sweep_completed();
   progress.finish();
 
-  report_shard_profiles(*pool, raw, inline_jobs);
+  report_lane_profiles(*pool, raw, pending);
 
   SweepResult result;
   for (std::size_t i = 0; i < jobs.size(); ++i)

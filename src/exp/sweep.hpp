@@ -64,14 +64,9 @@ struct SweepSpec {
   /// the sleep (tests want retries without wall-clock cost).
   int job_backoff_ms = -1;
 
-  /// Shard process count for crash containment; -1 = $WLAN_SWEEP_PROCS
-  /// (default 1 = in-process). With more than one process the expanded
-  /// grid is partitioned into contiguous blocks, each executed by a
-  /// supervised child process that stores every completed job in the run
-  /// cache; the parent looks them up in job-index order, so the result is
-  /// byte-identical to processes=1 at any thread count. Ignored (with a
-  /// stderr note) for series/trace runs, which the store cannot hold.
-  int processes = -1;
+  /// Fixed at 1: every sweep runs in this process. expand() rejects any
+  /// other value.
+  int processes = 1;
 
   /// One-point spec: a single (scenario, scheme) pair averaged over seeds.
   static SweepSpec single(const ScenarioConfig& scenario,
@@ -90,7 +85,7 @@ struct SweepJob {
 
 /// Expands the grid into jobs in deterministic row-major order. Throws
 /// std::invalid_argument on an ill-formed spec (empty axis, seeds < 1,
-/// params without bind, loads with a saturated scenario).
+/// processes != 1, params without bind, loads with a saturated scenario).
 std::vector<SweepJob> expand(const SweepSpec& spec);
 
 /// Results for one grid point, folded over the seed axis in seed order
@@ -154,15 +149,6 @@ struct SweepResult {
 /// runs only the remainder, with byte-identical final output. Failing jobs
 /// are guarded (retry + backoff, watchdog timeouts converted to errors)
 /// and reported through SweepResult::errors instead of aborting the sweep.
-///
-/// Process isolation: with $WLAN_SWEEP_PROCS > 1 (or SweepSpec::processes)
-/// the jobs are executed by supervised child processes (see exp/shard.hpp)
-/// that report through the store, so a SIGSEGV or hard hang in one job
-/// cannot take the sweep down; a crashed shard is respawned, skipping the
-/// jobs it already stored, and a job that repeatedly kills its shard is
-/// quarantined as a JobError{kind=kCrash}. Without $WLAN_RUN_CACHE, a
-/// supervised sweep uses an invocation-scoped scratch store that is
-/// removed at exit.
 SweepResult run_sweep(const SweepSpec& spec,
                       par::ThreadPool* pool = nullptr);
 

@@ -66,10 +66,6 @@ void add_fault_metrics(MetricsRegistry& reg) {
   reg.set_count("exp.fault.job_timeouts", fs.job_timeouts);
   reg.set_count("exp.fault.job_retries", fs.job_retries);
   reg.set_count("exp.fault.job_failures", fs.job_failures);
-  reg.set_count("exp.fault.shard_crashes", fs.shard_crashes);
-  reg.set_count("exp.fault.shard_respawns", fs.shard_respawns);
-  reg.set_count("exp.fault.shard_stall_kills", fs.shard_stall_kills);
-  reg.set_count("exp.fault.jobs_poisoned", fs.jobs_poisoned);
 }
 
 void add_profile_metrics(MetricsRegistry& reg, const PhaseProfiler& p) {

@@ -51,11 +51,11 @@ class PhaseProfiler {
   std::uint64_t total_events() const;
   std::int64_t total_wall_ns() const;
 
-  /// Merges another profiler's buckets (sweep-shard aggregation).
+  /// Merges another profiler's buckets.
   void add(const PhaseProfiler& other);
 
-  /// Adds directly into one category's bucket — rebuilds shard aggregates
-  /// from per-run exported metrics (obs::add_profile_metrics).
+  /// Adds directly into one category's bucket — rebuilds per-lane
+  /// aggregates from per-run exported metrics (obs::add_profile_metrics).
   void add_bucket(Category c, std::uint64_t events, std::int64_t wall_ns) {
     events_[static_cast<unsigned>(c)] += events;
     wall_ns_[static_cast<unsigned>(c)] += wall_ns;
@@ -65,7 +65,7 @@ class PhaseProfiler {
 
   /// Multi-line table, one category per line with event counts, wall ms
   /// and percentages; empty categories are omitted. `label` heads the
-  /// first line (e.g. "run" or "sweep shard 2").
+  /// first line (e.g. "run" or "sweep lane 2").
   std::string report(const std::string& label) const;
 
  private:

@@ -168,7 +168,7 @@ struct SimObs {
   static void set_flight_override(int value);
 
   /// True when WLAN_PROFILE (or an attached profiler) would be enabled —
-  /// used by run_sweep to decide whether to print shard reports.
+  /// used by run_sweep to decide whether to print per-lane reports.
   static bool profile_enabled_by_env();
 };
 

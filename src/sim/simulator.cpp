@@ -7,7 +7,6 @@
 
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
-#include "util/liveness.hpp"
 
 namespace wlan::sim {
 
@@ -130,7 +129,6 @@ std::uint64_t Simulator::run_until(Time limit) {
     invoke(fired);
     ++ran;
     ++events_executed_;
-    if (events_executed_ % util::kLivenessStride == 0) util::progress_tick();
     if (watchdog_armed_) check_watchdog();
   }
   if (!stop_requested_ && now_ < limit) now_ = limit;
@@ -146,7 +144,6 @@ std::uint64_t Simulator::run_all() {
     invoke(fired);
     ++ran;
     ++events_executed_;
-    if (events_executed_ % util::kLivenessStride == 0) util::progress_tick();
     if (watchdog_armed_) check_watchdog();
   }
   return ran;

@@ -236,25 +236,64 @@ std::vector<std::pair<std::string, double>> per_run_totals(
   return out;
 }
 
-TEST(RunCache, WarmSweepReplaysEveryJobAndFoldsTheColdCounters) {
-  // A sweep re-run against WLAN_RUN_CACHE alone is served entirely by the
-  // store, says so in sweep.jobs_replayed, and folds the same per-run
-  // counters (sim.*, medium.*, mac.*) as the cold pass that simulated.
-  CacheDirGuard guard("warm_sweep");
+/// The 2 x 2 x 2 grid of eight short jobs the lane-count test sweeps.
+exp::SweepSpec eight_job_grid() {
   exp::SweepSpec spec;
-  spec.scenarios = {ScenarioConfig::connected(4, 1)};
-  spec.schemes = {SchemeConfig::standard()};
-  spec.seeds = 3;
-  spec.options = tiny_options();
-  par::ThreadPool pool(2);
+  spec.scenarios = {ScenarioConfig::connected(3, 1),
+                    ScenarioConfig::hidden(4, 16.0, 2)};
+  spec.schemes = {SchemeConfig::standard(),
+                  SchemeConfig::fixed_p_persistent(0.05)};
+  spec.seeds = 2;
+  spec.options.warmup = sim::Duration::zero();
+  spec.options.measure = sim::Duration::seconds(0.2);
+  spec.job_retries = 0;
+  spec.job_backoff_ms = 0;
+  return spec;
+}
 
-  const auto cold = exp::run_sweep(spec, &pool);
-  const auto warm = exp::run_sweep(spec, &pool);
-  EXPECT_EQ(cold.metrics.get("sweep.jobs_replayed", -1.0), 0.0);
-  EXPECT_EQ(warm.metrics.get("sweep.jobs_replayed", -1.0), 3.0);
-  EXPECT_EQ(rc::stats().hits, 3u);
-  ASSERT_GT(cold.metrics.get("sim.events_executed", 0.0), 0.0);
-  EXPECT_EQ(per_run_totals(warm.metrics), per_run_totals(cold.metrics));
+/// Every point's seed-averaged fields, in point order.
+std::vector<double> averaged_fields(const exp::SweepResult& result) {
+  std::vector<double> out;
+  for (const auto& point : result.points) {
+    const exp::AveragedResult& a = point.averaged;
+    out.insert(out.end(),
+               {a.mean_mbps, a.min_mbps, a.max_mbps, a.mean_idle_slots,
+                a.mean_hidden_pairs, a.mean_offered_mbps, a.mean_drop_rate,
+                a.mean_queue_occupancy, a.mean_delay_s, a.mean_delay_p50_s,
+                a.mean_delay_p95_s, a.mean_delay_p99_s});
+  }
+  return out;
+}
+
+TEST(RunCache, WarmSweepReplaysEveryJobAndFoldsTheColdCounters) {
+  // At 1, 2 and 4 lanes, a cold sweep into a fresh store and the warm
+  // re-run the store serves entirely fold the same averages and per-run
+  // counters (sim.*, medium.*, mac.*) as one lane with no store, and the
+  // warm pass says so in sweep.jobs_replayed.
+  ::unsetenv("WLAN_RUN_CACHE");
+  const exp::SweepSpec spec = eight_job_grid();
+  par::ThreadPool one_lane(1);
+  const auto reference = exp::run_sweep(spec, &one_lane);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_GT(reference.metrics.get("sim.events_executed", 0.0), 0.0);
+
+  for (const int lanes : {1, 2, 4}) {
+    const std::string tag = "warm_sweep_" + std::to_string(lanes);
+    CacheDirGuard guard(tag.c_str());
+    par::ThreadPool pool(lanes);
+    const auto cold = exp::run_sweep(spec, &pool);
+    const auto warm = exp::run_sweep(spec, &pool);
+    EXPECT_EQ(cold.metrics.get("sweep.jobs_replayed", -1.0), 0.0) << tag;
+    EXPECT_EQ(warm.metrics.get("sweep.jobs_replayed", -1.0), 8.0) << tag;
+    EXPECT_EQ(rc::stats().hits, 8u) << tag;
+    for (const exp::SweepResult* pass : {&cold, &warm}) {
+      EXPECT_TRUE(pass->ok()) << tag;
+      EXPECT_EQ(per_run_totals(pass->metrics),
+                per_run_totals(reference.metrics))
+          << tag;
+      EXPECT_EQ(averaged_fields(*pass), averaged_fields(reference)) << tag;
+    }
+  }
 }
 
 TEST(RunCache, CorruptEntryIsQuarantinedAndRecomputed) {

@@ -79,6 +79,11 @@ TEST(Sweep, RejectsIllFormedSpecs) {
   spec.seeds = 0;
   EXPECT_THROW(expand(spec), std::invalid_argument);  // seeds < 1
   spec.seeds = 1;
+  for (const int processes : {0, 2, -1}) {
+    spec.processes = processes;
+    EXPECT_THROW(expand(spec), std::invalid_argument);  // processes != 1
+  }
+  spec.processes = 1;
   spec.params = {0.5};
   EXPECT_THROW(expand(spec), std::invalid_argument);  // params without bind
 }
@@ -204,6 +209,7 @@ TEST(Sweep, ExceptionInsideAJobIsCapturedAsAJobError) {
   EXPECT_EQ(e.point_index, 0u);
   EXPECT_EQ(e.seed_index, 0);
   EXPECT_EQ(e.kind, JobError::Kind::kException);
+  EXPECT_STREQ(kind_name(e.kind), "exception");
   EXPECT_EQ(e.attempts, 2);  // 1 + job_retries
   EXPECT_FALSE(e.what.empty());
   EXPECT_DOUBLE_EQ(result.points[0].averaged.mean_mbps, 0.0);

@@ -275,6 +275,7 @@ TEST(SweepFault, WatchdogTimeoutBecomesAStructuredJobError) {
   ASSERT_EQ(r.errors.size(), 1u);
   EXPECT_EQ(r.errors[0].job_index, 1u);
   EXPECT_EQ(r.errors[0].kind, JobError::Kind::kTimeout);
+  EXPECT_STREQ(exp::kind_name(r.errors[0].kind), "timeout");
   EXPECT_EQ(r.errors[0].attempts, 2);
   const auto fs = exp::fault_stats();
   EXPECT_EQ(fs.job_timeouts, 2u);
