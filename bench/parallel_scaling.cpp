@@ -7,7 +7,12 @@
 // (the seeds are independent Simulator instances), then flat. On a
 // single-core host every row reports ~1x; the determinism check still
 // runs and the bench still exits 0 so CI smoke runs pass anywhere.
+//
+// Every job is simulated: the driver clears WLAN_RUN_CACHE before its
+// sweeps, since a store hit would time a file read instead of a lane, and
+// it exits 1 if a sweep still reports a replayed job.
 #include <chrono>
+#include <cstdlib>
 
 #include "bench_common.hpp"
 
@@ -35,6 +40,7 @@ int main(int argc, char** argv) {
       exp::SchemeConfig::fixed_p_persistent(0.02), bench::fixed_options(),
       seeds);
   spec.keep_runs = false;
+  unsetenv("WLAN_RUN_CACHE");
 
   const int hw = par::ThreadPool::default_thread_count();
   std::vector<int> counts{1, 2, 4};
@@ -47,11 +53,19 @@ int main(int argc, char** argv) {
   double serial_seconds = 0.0;
   exp::AveragedResult baseline;
   bool all_identical = true;
+  bool any_replayed = false;
   for (const int threads : counts) {
     par::ThreadPool pool(threads);
-    exp::AveragedResult avg;
-    const double wall = wall_seconds_of(
-        [&] { avg = exp::run_sweep(spec, &pool).points[0].averaged; });
+    exp::SweepResult sweep;
+    const double wall =
+        wall_seconds_of([&] { sweep = exp::run_sweep(spec, &pool); });
+    const exp::AveragedResult& avg = sweep.points[0].averaged;
+    const double replayed = sweep.metrics.get("sweep.jobs_replayed");
+    if (replayed > 0) {
+      std::printf("ERROR: %d threads: %.0f job(s) replayed from a store\n",
+                  threads, replayed);
+      any_replayed = true;
+    }
     if (threads == 1) {
       serial_seconds = wall;
       baseline = avg;
@@ -73,6 +87,10 @@ int main(int argc, char** argv) {
               "and ~4x at 4 on >=4 cores; flat on fewer.\n", hw);
   if (!all_identical) {
     std::printf("ERROR: parallel averages diverged from the serial run\n");
+    return 1;
+  }
+  if (any_replayed) {
+    std::printf("ERROR: replayed jobs make the wall times store reads\n");
     return 1;
   }
   std::printf("Determinism: all thread counts produced bit-identical "

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/flight.hpp"
@@ -12,15 +14,14 @@
 namespace wlan::phy {
 
 namespace {
-// The decode mask costs one bit per (source, receiver) pair — the same
-// footprint as the corruption marks — so it is kept whenever those marks
-// are affordable anyway.
-constexpr std::size_t kMaskNodeCap = 16384;
-
 // Peer-index build work cap (candidate visits). Dense all-pairs topologies
 // blow past this and simply keep scanning the in-flight list, which for
 // them is already the optimal algorithm.
 constexpr std::uint64_t kPeerWorkCap = 256u * 1000 * 1000;
+
+// An unfilled power-cache entry. A received power is never NaN; a model
+// that returned one anyway would only be asked again, never misread.
+constexpr double kUnfilled = std::numeric_limits<double>::quiet_NaN();
 
 void set_bit(std::uint64_t* row, std::size_t i) {
   row[i >> 6] |= std::uint64_t{1} << (i & 63u);
@@ -150,6 +151,12 @@ void Medium::bind_client(NodeId n, MediumClient& client) {
   if (n < 0 || static_cast<std::size_t>(n) >= positions_.size())
     throw std::out_of_range("Medium: bind_client of unknown node");
   clients_[static_cast<std::size_t>(n)] = &client;
+}
+
+void Medium::set_capture_ratio(double ratio) {
+  if (finalized_)
+    throw std::logic_error("Medium: set_capture_ratio after finalize()");
+  capture_ratio_ = ratio;
 }
 
 void Medium::build_link_rows(std::vector<std::uint64_t>& sense,
@@ -317,10 +324,7 @@ void Medium::finalize() {
   read_rows(sense, n, words_per_tx_, aud_off_, aud_ids_);
   read_rows(decode, n, words_per_tx_, dec_off_, dec_ids_);
   build_peer_index(sense, decode);
-  if (n <= kMaskNodeCap) {
-    dec_mask_ = std::move(decode);
-    have_masks_ = true;
-  }
+  dec_mask_ = std::move(decode);
 
   // All per-transmission state is sized once here and reused across every
   // transmission lifetime: one TxSlot per node plus one flat block of
@@ -366,7 +370,6 @@ bool Medium::decodes(NodeId source, NodeId observer) const {
 }
 
 std::span<const std::uint64_t> Medium::decode_mask(NodeId source) const {
-  if (!have_masks_) return {};
   return {dec_mask_.data() + static_cast<std::size_t>(source) * words_per_tx_,
           words_per_tx_};
 }
@@ -400,7 +403,7 @@ std::vector<NodeId> Medium::interference_peers(NodeId s) const {
 }
 
 void Medium::mark_corrupt(NodeId tx_src, NodeId receiver) {
-  if (receiver == tx_src) return;  // the source is never its own receiver
+  assert(receiver != tx_src);  // no source decodes itself
   // kCatMark, not kCatMedium: the profiler's marking bucket. Mark volume
   // is a marking detail (the decode mask skips unread marks), not part of
   // the medium's observable record.
@@ -410,62 +413,76 @@ void Medium::mark_corrupt(NodeId tx_src, NodeId receiver) {
       std::uint64_t{1} << (static_cast<unsigned>(receiver) & 63u);
 }
 
-void Medium::interfere(NodeId victim_src, NodeId interferer, NodeId receiver) {
-  if (receiver == victim_src) return;
-  if (capture_ratio_ > 0.0) {
-    const auto& rx = positions_[static_cast<std::size_t>(receiver)];
-    const double wanted = propagation_.rx_power(
-        positions_[static_cast<std::size_t>(victim_src)], rx);
-    const double noise = propagation_.rx_power(
-        positions_[static_cast<std::size_t>(interferer)], rx);
-    if (wanted >= capture_ratio_ * noise) return;  // captured: copy survives
-  }
-  mark_corrupt(victim_src, receiver);
-}
-
 // Mutual-corruption bookkeeping for the pair (new tx from `src`, in-flight
 // tx from `o`):
 //  * each source is a dead receiver for the other frame (half-duplex),
 //    capture or not;
 //  * every receiver audible to either source has that source's frame as a
 //    (capture-aware) interferer of the other.
-// Mark order is irrelevant — marking only sets per-receiver bits. Unmasked:
-// only networks above kMaskNodeCap, where no decode mask is built, use it.
-void Medium::mark_pair_legacy(NodeId src, NodeId o) {
-  mark_corrupt(o, src);
-  mark_corrupt(src, o);
-  const NodeId* e = row_end(aud_off_, aud_ids_, src);
-  for (const NodeId* p = row_begin(aud_off_, aud_ids_, src); p != e; ++p) {
-    ++interference_checks_;
-    interfere(o, src, *p);
+// Every mark is pre-filtered by the decode mask: a mark on source f's frame
+// at receiver r is only ever READ by delivery when r is in D(f), so marks
+// failing that test can be skipped without changing any delivered `clean`
+// flag. Mark order is irrelevant — marking only sets per-receiver bits.
+void Medium::mark_pair(NodeId src, NodeId o) {
+  if (decode_bit(o, src)) mark_corrupt(o, src);
+  if (decode_bit(src, o)) mark_corrupt(src, o);
+  mark_interference(o, src);
+  mark_interference(src, o);
+}
+
+void Medium::mark_interference(NodeId victim, NodeId interferer) {
+  const auto ii = static_cast<std::size_t>(interferer);
+  const std::uint32_t end = aud_off_[ii + 1];
+  if (capture_ratio_ <= 0.0) {
+    for (std::uint32_t k = aud_off_[ii]; k < end; ++k) {
+      if (!decode_bit(victim, aud_ids_[k])) continue;
+      ++interference_checks_;
+      mark_corrupt(victim, aud_ids_[k]);
+    }
+    return;
   }
-  e = row_end(aud_off_, aud_ids_, o);
-  for (const NodeId* p = row_begin(aud_off_, aud_ids_, o); p != e; ++p) {
+  if (aud_power_.size() != aud_ids_.size()) {
+    aud_power_.assign(aud_ids_.size(), kUnfilled);
+    dec_power_.assign(dec_ids_.size(), kUnfilled);
+  }
+  // The interferer's power at r is entry k of its own sense row. r decodes
+  // the victim, so it is in the victim's ascending decode row too: that
+  // row is walked alongside this ascending one to r's entry.
+  std::uint32_t d = dec_off_[static_cast<std::size_t>(victim)];
+  for (std::uint32_t k = aud_off_[ii]; k < end; ++k) {
+    const NodeId r = aud_ids_[k];
+    if (!decode_bit(victim, r)) continue;
     ++interference_checks_;
-    interfere(src, o, *p);
+    while (dec_ids_[d] != r) ++d;
+    const double wanted = link_power(dec_power_, d, victim, r);
+    const double noise = link_power(aud_power_, k, interferer, r);
+    if (wanted >= capture_ratio_ * noise) continue;  // captured: copy survives
+    mark_corrupt(victim, r);
   }
 }
 
-// Same pair, but every mark is pre-filtered by the decode mask: a mark on
-// source f's frame at receiver r is only ever READ by delivery when r is in
-// D(f), so marks failing that test can be skipped without changing any
-// delivered `clean` flag. This skips both the bit write and — the expensive
-// part under capture — the rx_power evaluations.
-void Medium::mark_pair_masked(NodeId src, NodeId o) {
-  if (decode_bit(o, src)) mark_corrupt(o, src);
-  if (decode_bit(src, o)) mark_corrupt(src, o);
-  const NodeId* e = row_end(aud_off_, aud_ids_, src);
-  for (const NodeId* p = row_begin(aud_off_, aud_ids_, src); p != e; ++p) {
-    if (!decode_bit(o, *p)) continue;
-    ++interference_checks_;
-    interfere(o, src, *p);
-  }
-  e = row_end(aud_off_, aud_ids_, o);
-  for (const NodeId* p = row_begin(aud_off_, aud_ids_, o); p != e; ++p) {
-    if (!decode_bit(src, *p)) continue;
-    ++interference_checks_;
-    interfere(src, o, *p);
-  }
+double Medium::link_power(const std::vector<double>& power, std::uint32_t k,
+                          NodeId from, NodeId to) {
+  const double p = power[k];
+  return std::isnan(p) ? fill_power(from, to) : p;
+}
+
+double Medium::fill_power(NodeId from, NodeId to) {
+  // A pair that both senses and decodes has an entry in each row set; one
+  // model call fills both, so each ordered pair is asked at most once.
+  const double p = propagation_.rx_power(position(from), position(to));
+  const auto fill = [&](const std::vector<std::uint32_t>& off,
+                        const std::vector<NodeId>& ids,
+                        std::vector<double>& power) {
+    const NodeId* b = row_begin(off, ids, from);
+    const NodeId* e = row_end(off, ids, from);
+    const NodeId* at = std::lower_bound(b, e, to);
+    if (at != e && *at == to)
+      power[static_cast<std::size_t>(at - ids.data())] = p;
+  };
+  fill(aud_off_, aud_ids_, aud_power_);
+  fill(dec_off_, dec_ids_, dec_power_);
+  return p;
 }
 
 void Medium::start_transmission(NodeId src, const Frame& frame,
@@ -510,10 +527,7 @@ void Medium::start_transmission(NodeId src, const Frame& frame,
       if (!transmitting_[static_cast<std::size_t>(o)]) continue;
       ++pairs_scanned_;
       if (tx_slots_[static_cast<std::size_t>(o)].end <= start) continue;
-      if (have_masks_)
-        mark_pair_masked(src, o);
-      else
-        mark_pair_legacy(src, o);
+      mark_pair(src, o);
     }
   } else {
     // Peer index declined (dense topology): scan the in-flight list,
@@ -521,10 +535,7 @@ void Medium::start_transmission(NodeId src, const Frame& frame,
     for (const NodeId o : active_) {
       ++pairs_scanned_;
       if (tx_slots_[static_cast<std::size_t>(o)].end <= start) continue;
-      if (have_masks_)
-        mark_pair_masked(src, o);
-      else
-        mark_pair_legacy(src, o);
+      mark_pair(src, o);
     }
   }
 

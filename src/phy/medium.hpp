@@ -1,7 +1,8 @@
 // The shared wireless medium: tracks in-flight transmissions, drives
 // per-node carrier sensing, and resolves receptions per receiver.
 //
-// Semantics (zero propagation delay, no capture, half-duplex radios):
+// Semantics (zero propagation delay, half-duplex radios, optional pairwise
+// capture):
 //  * A node senses BUSY while at least one OTHER node audible to it (per the
 //    propagation model) is transmitting. Its own transmissions never
 //    contribute to its own sensed state.
@@ -9,9 +10,12 @@
 //    receives the frame (promiscuous delivery — stations overhear ACKs
 //    addressed to others, which wTOP-CSMA relies on). The reception at
 //    receiver r is CLEAN iff (a) r never transmitted during the frame and
-//    (b) no other transmission audible at r overlapped the frame in time.
-//    Corrupted receptions are delivered with clean=false so receivers can
-//    count collisions.
+//    (b) every other transmission audible at r that overlapped the frame in
+//    time is captured away: capture is on (set_capture_ratio) and s's
+//    received power at r is at least the ratio times the interferer's.
+//    With capture off, (b) means no audible overlap at all. Corrupted
+//    receptions are delivered with clean=false so receivers can count
+//    collisions.
 //
 // This reproduces both the fully connected behaviour (slot-synchronized
 // collisions) and the hidden-node behaviour (partial-overlap collisions
@@ -23,9 +27,10 @@
 // reception) and marks only receivers that can decode the victim — bits of
 // undecodable receivers are never read by delivery, so skipping them is
 // invisible. In a multi-cell plan the peer list is the local neighbourhood,
-// not the whole ESS. The full-scan checker in tests/reference/ recomputes
-// every delivered `clean` flag from the definition above (plus pairwise
-// capture) and the differential suites hold this path to it.
+// not the whole ESS. Capture compares received powers cached per link, each
+// asked of the propagation model once per run. The full-scan checker in
+// tests/reference/ recomputes every delivered `clean` flag from the
+// definition above and the differential suites hold this path to it.
 #pragma once
 
 #include <cstddef>
@@ -95,9 +100,9 @@ class Medium {
   /// frame despite an overlapping interferer when the frame's received
   /// power is at least `ratio` times the interferer's. `ratio` <= 0
   /// disables capture (default: any overlap corrupts). Must be set before
-  /// transmissions begin. Half-duplex corruption (the receiver itself
-  /// transmitting) is never captured away.
-  void set_capture_ratio(double ratio) { capture_ratio_ = ratio; }
+  /// finalize(); throws std::logic_error after. Half-duplex corruption (the
+  /// receiver itself transmitting) is never captured away.
+  void set_capture_ratio(double ratio);
   double capture_ratio() const { return capture_ratio_; }
 
   /// Sensed-busy state for node `n` (excludes n's own transmissions).
@@ -145,7 +150,7 @@ class Medium {
             row_end(dec_off_, dec_ids_, source)};
   }
   /// `source`'s decode mask, ⌈n/64⌉ words with bit r set when r decodes
-  /// `source`; empty when no mask is kept (above 16,384 nodes).
+  /// `source`.
   std::span<const std::uint64_t> decode_mask(NodeId source) const;
 
   /// Unordered pairs of nodes with ids >= `first` in which at least one
@@ -161,7 +166,7 @@ class Medium {
   /// marking — the quantity the peer index shrinks.
   std::uint64_t marking_pairs_scanned() const { return pairs_scanned_; }
   /// Per-receiver interference checks performed (filtered to receivers
-  /// that decode the victim whenever the decode mask is built).
+  /// that decode the victim).
   std::uint64_t interference_checks() const { return interference_checks_; }
 
   /// True when the peer index was built (the estimated build work stayed
@@ -212,12 +217,18 @@ class Medium {
 
   /// Marks `receiver`'s copy of `tx_src`'s current frame corrupt.
   void mark_corrupt(NodeId tx_src, NodeId receiver);
-  /// Marks `receiver`'s copy of `victim_src`'s frame corrupt unless
-  /// capture saves it from `interferer`.
-  void interfere(NodeId victim_src, NodeId interferer, NodeId receiver);
   /// Mutual marking for one (new tx `src`, in-flight tx `o`) pair.
-  void mark_pair_legacy(NodeId src, NodeId o);
-  void mark_pair_masked(NodeId src, NodeId o);
+  void mark_pair(NodeId src, NodeId o);
+  /// Marks `victim`'s frame at every receiver that senses `interferer` and
+  /// decodes `victim`, unless capture saves the copy there.
+  void mark_interference(NodeId victim, NodeId interferer);
+  /// Received power of CSR link `k` (from -> to) of the row set `power`
+  /// caches: the cached entry, or fill_power's answer on first read.
+  double link_power(const std::vector<double>& power, std::uint32_t k,
+                    NodeId from, NodeId to);
+  /// Asks the model for from -> to and caches the answer in the link's
+  /// sense-row and decode-row entries, whichever exist.
+  double fill_power(NodeId from, NodeId to);
   void end_transmission(NodeId src, std::uint64_t tx_id);
 
   /// Fills `sense`/`decode` (n rows of words_per_tx_ words): bit o of row
@@ -282,7 +293,13 @@ class Medium {
   std::vector<NodeId> peer_ids_;
   std::vector<std::uint64_t> dec_mask_;
   bool peers_built_ = false;
-  bool have_masks_ = false;
+
+  // Capture's received powers, one per CSR link, parallel to aud_ids_ /
+  // dec_ids_: entry k of aud_power_ is rx_power(s -> aud_ids_[k]) for the
+  // s whose row holds k. Sized by the first marking pair with capture on,
+  // so set-up-only uses never allocate them; NaN until first read.
+  std::vector<double> aud_power_;
+  std::vector<double> dec_power_;
 
   std::vector<TxSlot> tx_slots_;  // one per node, sized at finalize()
   std::vector<NodeId> active_;    // sources in flight (swap-removed, unordered)

@@ -1,12 +1,21 @@
 // Unit tests for the Medium: carrier sensing, collision resolution per
-// receiver, promiscuous delivery, hidden-node overlap semantics.
+// receiver, promiscuous delivery, hidden-node overlap semantics, and the
+// per-link received-power cache behind capture.
 #include "phy/medium.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <cstdint>
+#include <map>
+#include <memory>
 #include <vector>
 
+#include "exp/scenario.hpp"
+#include "mac/network.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -386,6 +395,173 @@ TEST(Medium, ThreeWayCollisionAllCorrupt) {
   ASSERT_EQ(w.ap.received.size(), 2u);
   EXPECT_FALSE(w.ap.received[0].clean);
   EXPECT_FALSE(w.ap.received[1].clean);
+}
+
+TEST(Medium, ThrowsOnCaptureRatioAfterFinalize) {
+  ConnectedWorld w;
+  EXPECT_THROW(w.medium.set_capture_ratio(4.0), std::logic_error);
+  EXPECT_EQ(w.medium.capture_ratio(), 0.0);
+}
+
+/// DiscPropagation that counts its rx_power calls per ordered pair of
+/// positions (from.x, from.y, to.x, to.y).
+class CountingDisc final : public PropagationModel {
+ public:
+  using Calls = std::map<std::array<double, 4>, int>;
+  CountingDisc(double decode_radius, double sense_radius, Calls& calls)
+      : base_(decode_radius, sense_radius), calls_(calls) {}
+
+  bool can_sense(const Vec2& from, const Vec2& to) const override {
+    return base_.can_sense(from, to);
+  }
+  bool can_decode(const Vec2& from, const Vec2& to) const override {
+    return base_.can_decode(from, to);
+  }
+  Link link(const Vec2& from, const Vec2& to) const override {
+    return base_.link(from, to);
+  }
+  bool symmetric() const override { return true; }
+  double max_range() const override { return base_.max_range(); }
+  double rx_power(const Vec2& from, const Vec2& to) const override {
+    ++calls_[{from.x, from.y, to.x, to.y}];
+    return base_.rx_power(from, to);
+  }
+
+ private:
+  DiscPropagation base_;
+  Calls& calls_;
+};
+
+TEST(MediumPowerCache, FinalizeAsksNoPowerAndARunAsksEachLinkOnce) {
+  // The ess9x10_std geometry: 9 cells x 10 stations, 16/24 discs, capture 4.
+  const auto s = exp::ScenarioConfig::multicell(9, 10, 40.0, 3);
+  ASSERT_GT(s.phy.capture_ratio, 0.0);
+  const auto plan = exp::make_plan(s);
+  CountingDisc::Calls calls;
+  mac::Network net(
+      s.phy,
+      std::make_unique<CountingDisc>(s.decode_radius, s.sense_radius, calls),
+      plan.aps, s.seed);
+  for (int i = 0; i < s.num_stations; ++i) {
+    const auto si = static_cast<std::size_t>(i);
+    net.add_station(plan.stations[si],
+                    exp::make_strategy(exp::SchemeConfig::standard(), s.phy, i),
+                    plan.cell_of[si]);
+  }
+  net.finalize();
+  EXPECT_TRUE(calls.empty()) << "finalize() asked " << calls.size()
+                             << " powers";
+
+  net.start();
+  net.run_for(Duration::seconds(0.5));
+  const Medium& m = net.medium();
+  std::map<std::array<double, 2>, NodeId> node_at;
+  for (NodeId n = 0; static_cast<std::size_t>(n) < m.num_nodes(); ++n)
+    node_at[{m.position(n).x, m.position(n).y}] = n;
+  ASSERT_EQ(node_at.size(), m.num_nodes()) << "positions must be distinct";
+  std::uint64_t asked = 0;
+  for (const auto& [link, count] : calls) {
+    const NodeId from = node_at.at({link[0], link[1]});
+    const NodeId to = node_at.at({link[2], link[3]});
+    EXPECT_EQ(count, 1) << from << " -> " << to;
+    EXPECT_TRUE(m.senses(from, to) || m.decodes(from, to))
+        << from << " -> " << to << " is not a link";
+    asked += static_cast<std::uint64_t>(count);
+  }
+  // Each check reads two powers; the cache must answer most of them.
+  EXPECT_GT(asked, 0u);
+  EXPECT_LT(asked, m.interference_checks());
+}
+
+/// Every node senses and decodes every other, and a link's power depends
+/// on its direction: P(a -> b) = 1 + (3a + 7b) mod 11, which differs from
+/// P(b -> a) for every pair of distinct nodes below 11.
+class DirectedPower final : public PropagationModel {
+ public:
+  bool can_sense(const Vec2&, const Vec2&) const override { return true; }
+  bool can_decode(const Vec2&, const Vec2&) const override { return true; }
+  double rx_power(const Vec2& from, const Vec2& to) const override {
+    return power(std::llround(from.x), std::llround(to.x));
+  }
+  static double power(long long a, long long b) {
+    return 1.0 + static_cast<double>((3 * a + 7 * b) % 11);
+  }
+};
+
+TEST(MediumPowerCache, CaptureReadsEachDirectionsOwnPower) {
+  // Random overlapping frames among 8 mutually audible nodes; every
+  // delivered flag must equal the pairwise-capture definition evaluated
+  // with the model's own directed powers. The same schedule under the
+  // transposed powers must disagree somewhere, so a cache that assumed
+  // P(a -> b) == P(b -> a) fails here.
+  constexpr int kNodes = 8;
+  constexpr double kRatio = 1.5;
+  sim::Simulator simulator;
+  DirectedPower prop;
+  Medium medium(simulator, prop);
+  std::vector<Probe> probes(kNodes);
+  for (int i = 0; i < kNodes; ++i)
+    medium.add_node(graph_position(static_cast<std::size_t>(i)),
+                    probes[static_cast<std::size_t>(i)]);
+  medium.set_capture_ratio(kRatio);
+  medium.finalize();
+
+  struct Tx {
+    NodeId src;
+    std::int64_t start, end;  // ns, half-open
+  };
+  std::vector<Tx> txs;
+  util::Rng rng(7);
+  for (NodeId i = 0; i < kNodes; ++i) {
+    std::int64_t t = rng.uniform_int(std::int64_t{0}, std::int64_t{100'000});
+    for (int k = 0; k < 25; ++k) {
+      const std::int64_t len =
+          rng.uniform_int(std::int64_t{10'000}, std::int64_t{100'000});
+      txs.push_back({i, t, t + len});
+      // A gap of at least 1 ns: the previous frame's end event must fire
+      // before the node's next start.
+      t += len + rng.uniform_int(std::int64_t{1}, std::int64_t{300'000});
+    }
+  }
+  for (std::size_t k = 0; k < txs.size(); ++k) {
+    simulator.schedule_at(Time::from_ns(txs[k].start), [&, k] {
+      Frame f = data_frame(txs[k].src, 0);
+      f.seq = k;
+      medium.start_transmission(
+          txs[k].src, f, Duration::nanoseconds(txs[k].end - txs[k].start));
+    });
+  }
+  simulator.run_until(Time::from_seconds(1));
+
+  // Receiver r's copy of v is clean iff r sent nothing overlapping v and
+  // v's power at r is at least kRatio times every overlapping frame's.
+  const auto clean_by_definition = [&](const Tx& v, NodeId r, bool transpose) {
+    const auto p = [&](NodeId a, NodeId b) {
+      return transpose ? DirectedPower::power(b, a)
+                       : DirectedPower::power(a, b);
+    };
+    for (const Tx& i : txs) {
+      if (i.src == v.src || i.start >= v.end || v.start >= i.end) continue;
+      if (i.src == r || p(v.src, r) < kRatio * p(i.src, r)) return false;
+    }
+    return true;
+  };
+  std::size_t deliveries = 0, clean = 0, transposed_differs = 0;
+  for (NodeId r = 0; r < kNodes; ++r) {
+    for (const Probe::Rx& rx : probes[static_cast<std::size_t>(r)].received) {
+      const Tx& v = txs[static_cast<std::size_t>(rx.frame.seq)];
+      ++deliveries;
+      clean += rx.clean ? 1 : 0;
+      EXPECT_EQ(rx.clean, clean_by_definition(v, r, false))
+          << "frame " << rx.frame.seq << " from " << v.src << " at " << r;
+      transposed_differs +=
+          clean_by_definition(v, r, true) != clean_by_definition(v, r, false);
+    }
+  }
+  EXPECT_EQ(deliveries, txs.size() * (kNodes - 1));
+  EXPECT_GT(clean, 0u);
+  EXPECT_LT(clean, deliveries);
+  EXPECT_GT(transposed_differs, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Seeded scenario fuzzer: each seed in a fixed list draws one scenario —
-// topology (connected, hidden r16/r20, shadowed, or a 2–9 cell ESS with
-// capture on or off), 4–30 stations, a traffic model, one of the six
+// topology (connected, hidden r16/r20, shadowed, or a 2–9 cell ESS) with
+// capture on or off, 4–30 stations, a traffic model, one of the six
 // schemes, RTS/CTS on or off, and optionally a population-step schedule —
 // and requires production to match the reference model (tests/reference/)
 // and pass the full-scan clean-flag check. The production runs carry the
@@ -145,6 +145,12 @@ reference::Case draw_case(std::uint64_t seed, const Draw& draw) {
       t += rng.uniform(draw.min_step_gap, draw.case_seconds / steps);
     }
   }
+  // Single-BSS capture, drawn last so that a seed's other axes stay as
+  // before. A single BSS decodes at any distance but senses only within
+  // 24, so its decode rows, which the capture check walks, hold receivers
+  // that do not sense the source; an ESS's never do (16 <= 24).
+  if (c.scenario.cells == 1 && rng.bernoulli(0.3))
+    c.scenario.phy.capture_ratio = rng.uniform(1.5, 8.0);
   return c;
 }
 
@@ -193,6 +199,8 @@ TEST(ReferenceFuzz, SeedListCoversEveryAxis) {
     } else {
       seen.insert("hidden r" + std::to_string(static_cast<int>(s.radius)));
     }
+    if (s.cells == 1 && s.phy.capture_ratio > 0.0)
+      seen.insert("single BSS+capture");
     seen.insert("scheme " + std::to_string(static_cast<int>(c.scheme.kind)));
     seen.insert("traffic " + std::to_string(static_cast<int>(s.traffic.model)));
     seen.insert(s.phy.rts_cts_enabled() ? "rts on" : "rts off");
@@ -202,7 +210,7 @@ TEST(ReferenceFuzz, SeedListCoversEveryAxis) {
   }
   const std::set<std::string> axes{
       "connected", "hidden r16", "hidden r20", "shadowed",
-      "multicell+capture", "multicell-capture",
+      "single BSS+capture", "multicell+capture", "multicell-capture",
       "scheme 0", "scheme 1", "scheme 2", "scheme 3", "scheme 4", "scheme 5",
       "traffic 0", "traffic 1", "traffic 2", "traffic 3",
       "rts on", "rts off", "static", "population steps", ">= 64 nodes"};
