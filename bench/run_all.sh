@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Runs every figure/table/ablation/extension bench binary — up to
-# WLAN_BENCH_JOBS of them in parallel (they are independent processes) —
-# and collects each driver's CSV/JSON plus its console log under
-# <build-dir>/results/<driver>/. Drivers are discovered by the bench_*
-# glob below, so a new bench/*.cpp (e.g. ext_load_delay_curve,
-# ext_load_sweep_fairness) registers itself once CMake builds it.
+# WLAN_BENCH_JOBS of them in parallel (they are independent processes),
+# then bench_parallel_scaling alone — and collects each driver's CSV plus
+# its console log under <build-dir>/results/<driver>/. Drivers are
+# discovered by the bench_* glob below, so a new bench/*.cpp (e.g.
+# ext_load_delay_curve, ext_load_sweep_fairness) registers itself once
+# CMake builds it, and a binary whose bench/*.cpp is gone is left out.
 #
 # Usage:
 #   bench/run_all.sh [build-dir]          # default build-dir: ./build
@@ -78,7 +79,16 @@ if [[ -z ${WLAN_RUN_CACHE+x} ]]; then
 fi
 
 shopt -s nullglob
-benches=("${build_dir}"/bench_*)
+# A build directory keeps the binaries of deleted drivers; only those with
+# a source next to this script run.
+bench_src="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
+benches=()
+for bin in "${build_dir}"/bench_*; do
+  name="$(basename "${bin}")"
+  if [[ -e "${bench_src}/${name#bench_}.cpp" ]]; then
+    benches+=("${bin}")
+  fi
+done
 if [[ ${#benches[@]} -eq 0 ]]; then
   echo "error: no bench_* binaries in ${build_dir};" \
        "configure with -DWLAN_BUILD_BENCH=ON and build first" >&2
@@ -98,24 +108,10 @@ has_complete_run() {
   return 1
 }
 
-# One attempt of one driver binary, from inside its results dir; appends
-# console output to driver.log.
-launch_one() {
-  local bin="$1" name="$2" out="$3"
-  if [[ ${name} == bench_micro_substrate ]]; then
-    # google-benchmark driver: emits JSON instead of a CSV.
-    (cd "${out}" && WLAN_PROGRESS_JSON="${out}/progress.json" "${bin}" \
-                    --benchmark_out="${out}/micro_substrate.json" \
-                    --benchmark_out_format=json) >> "${out}/driver.log" 2>&1
-  else
-    (cd "${out}" && WLAN_PROGRESS_JSON="${out}/progress.json" \
-                    "${bin}") >> "${out}/driver.log" 2>&1
-  fi
-}
-
 # One driver: run it inside its own results/<driver>/ directory so the CSV
-# it writes to the CWD lands there, tee the console output to driver.log,
-# retry once on failure, and leave a .failed marker for the final tally.
+# it writes to the CWD lands there, append its console output to
+# driver.log, retry once on failure, and leave a .failed marker for the
+# final tally.
 run_one() {
   local bin="$1" name out t0 t1 attempt ok=0 retries=0
   name="$(basename "${bin}")"
@@ -126,7 +122,8 @@ run_one() {
   : > "${out}/driver.log"
   t0="$(date +%s.%N)"
   for attempt in 1 2; do
-    if launch_one "${bin}" "${name}" "${out}"; then
+    if (cd "${out}" && WLAN_PROGRESS_JSON="${out}/progress.json" \
+                       "${bin}") >> "${out}/driver.log" 2>&1; then
       ok=1
       break
     fi
@@ -228,11 +225,18 @@ if command -v python3 >/dev/null 2>&1; then
 fi
 
 echo "Running ${#benches[@]} drivers, ${jobs} at a time ..."
+# bench_parallel_scaling measures lane speedups, so it runs alone after the
+# others: beside them its lanes would compete for cores.
+scaling=""
 for bin in "${benches[@]}"; do
   [[ -x ${bin} && ! -d ${bin} ]] || continue
   name="$(basename "${bin}")"
   if [[ -n ${resume} ]] && has_complete_run "${results_dir}/${name#bench_}"; then
     echo "==> ${name} (already complete, skipped by WLAN_BENCH_RESUME)"
+    continue
+  fi
+  if [[ ${name} == bench_parallel_scaling ]]; then
+    scaling="${bin}"
     continue
   fi
   while (( $(jobs -rp | wc -l) >= jobs )); do
@@ -244,6 +248,10 @@ for bin in "${benches[@]}"; do
   run_one "${bin}" &
 done
 wait || true
+if [[ -n ${scaling} ]]; then
+  echo "==> bench_parallel_scaling (alone)"
+  run_one "${scaling}"
+fi
 if [[ -n ${status_pid} ]]; then
   kill "${status_pid}" 2>/dev/null || true
 fi

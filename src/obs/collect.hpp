@@ -20,11 +20,11 @@ class FlightRecorder;
 /// Snapshot of a finished run's counters: sim.* (executive + event heap),
 /// medium.*, mac.cohort.* (cohort path only) and traffic.* (finite-source
 /// runs only). Deterministic for a deterministic run — these are exactly
-/// the counters compare_bench.py tracks for drift.
+/// the counters wlanbench hashes and CounterGolden pins.
 MetricsRegistry collect_metrics(mac::Network& net);
 
 /// Appends process-wide exp::run_cache hit/miss counters (cache.*).
-/// Cumulative across the process, so bench cases exclude them.
+/// Cumulative across the process, so wlanbench and CounterGolden skip them.
 void add_run_cache_metrics(MetricsRegistry& reg);
 
 /// Appends the process-wide fault-tolerance counters (exp.fault.*): job

@@ -2,8 +2,8 @@
 // churn, medium scans/marks, cohort lifecycle, run-cache hits, traffic
 // drops — flattened into one ordered name→value snapshot with an exact
 // JSON round-trip. exp::runner fills one per run (RunResult::metrics),
-// bench_macro_dynamic embeds the deterministic subset per case so
-// compare_bench.py can report counter drift alongside timings, and
+// wlanbench hashes the deterministic subset into its seed-1 check,
+// the CounterGolden tests pin it for four short runs, and
 // WLAN_METRICS=<dir> dumps one file per run for ad-hoc inspection.
 #pragma once
 

@@ -1,10 +1,10 @@
 // FNV-1a, the one hash core everything content-addressed shares: the run
-// cache's config keys (src/exp/run_cache.cpp), and the bit-pattern series
-// hashes of bench_macro_dynamic and the cohort differential tests. Keeping
-// a single definition means a future change cannot silently diverge cache
-// keys from series hashes — and since recorded baselines
-// (bench/BENCH_substrate.json) store these values, any change here
-// requires re-recording them.
+// cache's config keys (src/exp/run_cache.cpp), and the bit-pattern output
+// hashes of wlanbench and the repeat-run determinism tests. Keeping a
+// single definition means a future change cannot silently diverge cache
+// keys from output hashes — and since wlanbench/expected.json records
+// these values for seed 1, any change here requires re-recording them
+// (and makes every stored run-cache entry a miss).
 #pragma once
 
 #include <cstdint>
@@ -28,9 +28,9 @@ class Fnv1a {
     std::memcpy(&bits, &d, sizeof bits);
     mix_u64(bits);
   }
-  /// Legacy whole-word step used by the series hashes: xor-multiply the
-  /// 64-bit value in one round (NOT byte-wise; matches the recorded
-  /// BENCH_substrate.json hashes).
+  /// Whole-word step used by the output hashes: xor-multiply the 64-bit
+  /// value in one round (NOT byte-wise; wlanbench/expected.json records
+  /// hashes built this way).
   void mix_u64_word(std::uint64_t v) {
     h_ ^= v;
     h_ *= 1099511628211ULL;

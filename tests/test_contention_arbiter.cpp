@@ -128,7 +128,7 @@ TEST(ContentionArbiter, CohortsActuallyMergeContenders) {
 }
 
 /// FNV-1a (shared core: util::Fnv1a) over the bit patterns of a series'
-/// samples — the same construction as bench_macro_dynamic's series hash.
+/// samples — the same whole-word construction as wlanbench's hash_run.
 std::uint64_t hash_run(const exp::RunResult& r) {
   util::Fnv1a h;
   for (const auto* series : {&r.throughput_series, &r.control_series,

@@ -10,14 +10,20 @@
 // these counters. A change that moves them on purpose re-records the
 // tables below: a failure prints the full table of actual values in this
 // file's format.
+//
+// One case runs the wTOP population step twice in one process and holds
+// the two runs' series to the same bits, the determinism every figure
+// depends on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
+#include "util/fnv.hpp"
 
 namespace {
 
@@ -66,12 +72,30 @@ void expect_counters(const exp::RunResult& r,
   EXPECT_TRUE(same) << "counters moved; actual values:\n" << table;
 }
 
+/// 20 saturated wTOP stations, 8 of them deactivated mid-run: cohort
+/// withdrawals from both the busy cascade and deactivation.
+exp::RunResult wtop_population_step() {
+  return exp::run_dynamic(ScenarioConfig::connected(20, 1),
+                          SchemeConfig::wtop_csma(), {{0.0, 20}, {1.5, 12}},
+                          sim::Duration::seconds(3.0));
+}
+
+/// FNV-1a whole-word steps over the raw bits of the throughput, control
+/// and active-node series, as wlanbench's hash_run mixes them.
+std::uint64_t series_hash(const exp::RunResult& r) {
+  util::Fnv1a h;
+  for (const stats::TimeSeries* s :
+       {&r.throughput_series, &r.control_series, &r.active_nodes_series}) {
+    for (const auto& sample : s->samples()) {
+      h.mix_double_word(sample.t_seconds);
+      h.mix_double_word(sample.value);
+    }
+  }
+  return h.digest();
+}
+
 TEST(CounterGolden, ConnectedWTopPopulationStep) {
-  // 20 saturated wTOP stations, 8 of them deactivated mid-run: cohort
-  // withdrawals from both the busy cascade and deactivation.
-  const exp::RunResult r = exp::run_dynamic(
-      ScenarioConfig::connected(20, 1), SchemeConfig::wtop_csma(),
-      {{0.0, 20}, {1.5, 12}}, sim::Duration::seconds(3.0));
+  const exp::RunResult r = wtop_population_step();
   expect_counters(r, {
       {"sim.events_executed", 125622},
       {"sim.queue.scheduled", 218017},
@@ -91,6 +115,15 @@ TEST(CounterGolden, ConnectedWTopPopulationStep) {
       {"mac.cohort.decisions_fired", 11191},
       {"mac.cohort.withdrawals", 138550},
   });
+}
+
+TEST(CounterGolden, ConnectedWTopPopulationStepRepeatsBitIdentically) {
+  const exp::RunResult a = wtop_population_step();
+  const exp::RunResult b = wtop_population_step();
+  ASSERT_FALSE(a.throughput_series.samples().empty());
+  ASSERT_FALSE(a.control_series.samples().empty());
+  ASSERT_FALSE(a.active_nodes_series.samples().empty());
+  EXPECT_EQ(series_hash(a), series_hash(b));
 }
 
 TEST(CounterGolden, HiddenToraPoisson) {
