@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
   spec.options = opts;
   spec.keep_runs = true;  // Jain needs the per-station throughputs
   const auto sweep = exp::run_sweep(spec);
-  // A science run with failed jobs must fail the driver (run_all.sh then
-  // retries it once), never publish zero-folded rows.
+  // A science run with failed jobs must fail the driver, never publish
+  // zero-folded rows.
   sweep.throw_if_failed();
 
   std::vector<std::string> cols{"load_per_sta_mbps"};

@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
   spec.options = opts;
   spec.keep_runs = false;
   const auto sweep = exp::run_sweep(spec);
-  // A science run with failed jobs must fail the driver (run_all.sh then
-  // retries it once), never publish zero-folded rows.
+  // A science run with failed jobs must fail the driver, never publish
+  // zero-folded rows.
   sweep.throw_if_failed();
 
   util::Table table({"p0", "20 nodes (model)", "40 nodes (model)",

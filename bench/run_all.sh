@@ -34,20 +34,16 @@
 #                       no .failed marker); interrupted or failed drivers
 #                       re-run. Pair with WLAN_RUN_CACHE_KEEP=1 to make a
 #                       killed invocation cheap to finish.
-#   WLAN_RUN_CACHE_MAX_MB  size bound on the run-cache directory in MiB;
-#                       the oldest entries are pruned when a process first
-#                       opens the cache. 0/unset = unbounded.
 #
 # Live telemetry: every driver runs with WLAN_PROGRESS_JSON pointed at its
 # own results/<driver>/progress.json (src/exp/progress.hpp heartbeat); a
 # background aggregator folds them into results/status.json every few
 # seconds while drivers run, so one `watch cat results/status.json` follows
-# the whole invocation. summary.csv carries each driver's retry count and
-# final run-cache hit/miss tallies next to wall clock and peak RSS.
+# the whole invocation. summary.csv carries each driver's final run-cache
+# hit/miss tallies next to wall clock and peak RSS.
 #
-# Robustness: each driver that fails is retried once (transient failures —
-# OOM kills, flaky filesystems — should not cost the whole invocation);
-# only a second failure writes the .failed marker that fails the script.
+# Each driver runs once. Drivers are deterministic, so one that failed
+# would fail again; its .failed marker fails the script.
 set -euo pipefail
 
 build_dir="$(cd "${1:-build}" && pwd)"
@@ -109,38 +105,25 @@ has_complete_run() {
 }
 
 # One driver: run it inside its own results/<driver>/ directory so the CSV
-# it writes to the CWD lands there, append its console output to
-# driver.log, retry once on failure, and leave a .failed marker for the
-# final tally.
+# it writes to the CWD lands there, write its console output to
+# driver.log, and leave a .failed marker for the final tally.
 run_one() {
-  local bin="$1" name out t0 t1 attempt ok=0 retries=0
+  local bin="$1" name out t0 t1
   name="$(basename "${bin}")"
   out="${results_dir}/${name#bench_}"
   mkdir -p "${out}"
   rm -f "${out}/.failed" "${out}/.wall_seconds" "${out}/.max_rss_kb" \
-        "${out}/.retries" "${out}/progress.json"
-  : > "${out}/driver.log"
+        "${out}/progress.json"
   t0="$(date +%s.%N)"
-  for attempt in 1 2; do
-    if (cd "${out}" && WLAN_PROGRESS_JSON="${out}/progress.json" \
-                       "${bin}") >> "${out}/driver.log" 2>&1; then
-      ok=1
-      break
-    fi
-    if [[ ${attempt} -eq 1 ]]; then
-      retries=1
-      echo "[run_all] ${name}: attempt 1 failed; retrying once" \
-          | tee -a "${out}/driver.log"
-    fi
-  done
-  echo "${retries}" > "${out}/.retries"
-  [[ ${ok} -eq 1 ]] || touch "${out}/.failed"
+  if ! (cd "${out}" && WLAN_PROGRESS_JSON="${out}/progress.json" \
+                       "${bin}") > "${out}/driver.log" 2>&1; then
+    touch "${out}/.failed"
+  fi
   t1="$(date +%s.%N)"
   # Per-driver wall clock, assembled into results/summary.csv at the end.
   awk -v a="${t0}" -v b="${t1}" 'BEGIN { printf "%.2f\n", b - a }' \
       > "${out}/.wall_seconds"
-  # Peak RSS: bench::init makes every driver log its VmHWM as it exits;
-  # the last such line is the final attempt's.
+  # Peak RSS: bench::init makes every driver log its VmHWM as it exits.
   sed -n 's/^\[bench\] VmHWM: \([0-9]*\) kB$/\1/p' "${out}/driver.log" \
       | tail -n 1 > "${out}/.max_rss_kb"
   if [[ -e "${out}/.failed" ]]; then
@@ -159,8 +142,7 @@ resume="${WLAN_BENCH_RESUME:-}"
 # theirs (and their summary row); drivers that re-run reset their own.
 if [[ -z ${resume} ]]; then
   rm -f "${results_dir}"/*/.failed "${results_dir}"/*/.wall_seconds \
-        "${results_dir}"/*/.max_rss_kb "${results_dir}"/*/.retries \
-        "${results_dir}"/*/progress.json
+        "${results_dir}"/*/.max_rss_kb "${results_dir}"/*/progress.json
 fi
 
 # Folds every per-driver progress.json heartbeat (plus the run markers)
@@ -173,8 +155,7 @@ import json, os, sys, time
 results = sys.argv[1]
 status = {"updated_unix": int(time.time()), "drivers": {}}
 totals = {"jobs_total": 0, "jobs_done": 0, "jobs_failed": 0,
-          "drivers_done": 0, "drivers_failed": 0, "drivers_running": 0,
-          "driver_retries": 0}
+          "drivers_done": 0, "drivers_failed": 0, "drivers_running": 0}
 for name in sorted(os.listdir(results)):
     d = os.path.join(results, name)
     if not os.path.isdir(d):
@@ -196,12 +177,6 @@ for name in sorted(os.listdir(results)):
         totals["drivers_running"] += 1
     else:
         continue  # no heartbeat and no markers: not started yet
-    try:
-        with open(os.path.join(d, ".retries")) as f:
-            entry["driver_retries"] = int(f.read().strip())
-            totals["driver_retries"] += entry["driver_retries"]
-    except (OSError, ValueError):
-        pass
     totals["jobs_total"] += int(entry.get("total", 0))
     totals["jobs_done"] += int(entry.get("done", 0))
     totals["jobs_failed"] += int(entry.get("failed", 0))
@@ -264,12 +239,11 @@ ls -1 "${results_dir}"
 # Wall-clock + peak-RSS summary across drivers (the slow ones are the
 # optimization targets — see ROADMAP's perf item). max_rss_kb is empty when
 # the driver logged no VmHWM line (no /proc, a driver that does not call
-# bench::init, or a run killed before exit); retries is the script-level
-# re-launch count;
+# bench::init, or a run killed before exit);
 # cache_hits/cache_misses come from the driver's final progress.json
 # heartbeat (empty when the driver predates the heartbeat or ran no sweep).
 summary="${results_dir}/summary.csv"
-echo "driver,wall_seconds,max_rss_kb,retries,cache_hits,cache_misses,status" > "${summary}"
+echo "driver,wall_seconds,max_rss_kb,cache_hits,cache_misses,status" > "${summary}"
 for wall in "${results_dir}"/*/.wall_seconds; do
   [[ -e ${wall} ]] || continue
   dir="$(dirname "${wall}")"
@@ -277,15 +251,13 @@ for wall in "${results_dir}"/*/.wall_seconds; do
   [[ -e "${dir}/.failed" ]] && status=failed
   rss=""
   [[ -s "${dir}/.max_rss_kb" ]] && rss="$(cat "${dir}/.max_rss_kb")"
-  retries=""
-  [[ -s "${dir}/.retries" ]] && retries="$(cat "${dir}/.retries")"
   hits=""
   misses=""
   if [[ -s "${dir}/progress.json" ]]; then
     hits="$(sed -n 's/.*"cache_hits": \([0-9]*\).*/\1/p' "${dir}/progress.json")"
     misses="$(sed -n 's/.*"cache_misses": \([0-9]*\).*/\1/p' "${dir}/progress.json")"
   fi
-  echo "$(basename "${dir}"),$(cat "${wall}"),${rss},${retries},${hits},${misses},${status}"
+  echo "$(basename "${dir}"),$(cat "${wall}"),${rss},${hits},${misses},${status}"
 done | sort >> "${summary}"
 echo
 echo "Wall-clock summary (${summary}):"

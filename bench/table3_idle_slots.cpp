@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
                   exp::SchemeConfig::wtop_csma()};
   spec.options = opts;
   const auto sweep = exp::run_sweep(spec);
-  // A science run with failed jobs must fail the driver (run_all.sh then
-  // retries it once), never publish zero-folded rows.
+  // A science run with failed jobs must fail the driver, never publish
+  // zero-folded rows.
   sweep.throw_if_failed();
 
   util::Table is_table({"IdleSense", "Avg idle slots", "Throughput (Mbps)"});

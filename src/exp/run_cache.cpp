@@ -6,20 +6,16 @@
 #include <unistd.h>
 #endif
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <mutex>
-#include <set>
 #include <system_error>
 #include <utility>
 #include <vector>
 
 #include "obs/collect.hpp"
-#include "util/env.hpp"
 #include "util/fnv.hpp"
 
 namespace wlan::exp::run_cache {
@@ -31,7 +27,6 @@ std::atomic<std::uint64_t> g_misses{0};
 std::atomic<std::uint64_t> g_stores{0};
 std::atomic<std::uint64_t> g_store_failures{0};
 std::atomic<std::uint64_t> g_quarantined{0};
-std::atomic<std::uint64_t> g_pruned{0};
 
 // ------------------------------------------------------------- key hashing
 
@@ -350,75 +345,6 @@ std::string directory() {
   return dir == nullptr ? std::string() : std::string(dir);
 }
 
-std::uint64_t max_bytes_from_env() {
-  const std::int64_t mb =
-      std::max<std::int64_t>(0, util::env_int("WLAN_RUN_CACHE_MAX_MB", 0));
-  return static_cast<std::uint64_t>(mb) * 1024 * 1024;
-}
-
-std::size_t prune_dir(const std::string& dir, std::uint64_t max_bytes) {
-  namespace fs = std::filesystem;
-  struct Entry {
-    fs::path path;
-    fs::file_time_type mtime;
-    std::uint64_t size = 0;
-  };
-  std::vector<Entry> entries;
-  std::uint64_t total = 0;
-  std::error_code ec;
-  for (const auto& de : fs::directory_iterator(dir, ec)) {
-    if (!de.is_regular_file(ec)) continue;
-    if (de.path().extension() != ".run") continue;  // never temp/quarantine
-    Entry e;
-    e.path = de.path();
-    e.mtime = de.last_write_time(ec);
-    if (ec) continue;
-    e.size = de.file_size(ec);
-    if (ec) continue;
-    total += e.size;
-    entries.push_back(std::move(e));
-  }
-  if (total <= max_bytes) return 0;
-  // Oldest-first: the least recently written entries go before anything a
-  // recent run produced (store rewrites refresh an entry's position).
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.mtime < b.mtime; });
-  std::size_t removed = 0;
-  for (const Entry& e : entries) {
-    if (total <= max_bytes) break;
-    if (!fs::remove(e.path, ec) || ec) continue;
-    total -= e.size;
-    ++removed;
-  }
-  g_pruned.fetch_add(removed, std::memory_order_relaxed);
-  return removed;
-}
-
-namespace {
-
-/// Runs the WLAN_RUN_CACHE_MAX_MB prune once per process per directory —
-/// "at open", i.e. the first time the cache touches the directory. One
-/// pass bounds a previous invocation's leftovers; growth within this
-/// process is bounded again by the next process that opens the cache.
-void maybe_prune_once(const std::string& dir) {
-  const std::uint64_t max_bytes = max_bytes_from_env();
-  if (max_bytes == 0) return;
-  static std::mutex mu;
-  static std::set<std::string> seen;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    if (!seen.insert(dir).second) return;
-  }
-  const std::size_t removed = prune_dir(dir, max_bytes);
-  if (removed > 0)
-    std::fprintf(stderr,
-                 "[run_cache] pruned %zu oldest entr%s from %s "
-                 "(WLAN_RUN_CACHE_MAX_MB bound)\n",
-                 removed, removed == 1 ? "y" : "ies", dir.c_str());
-}
-
-}  // namespace
-
 std::uint64_t key_hash(const ScenarioConfig& scenario,
                        const SchemeConfig& scheme,
                        const RunOptions& options) {
@@ -532,7 +458,6 @@ void quarantine_entry(const std::string& path) {
 }  // namespace
 
 bool lookup(const std::string& dir, std::uint64_t key, RunResult& out) {
-  maybe_prune_once(dir);
   const std::string path = entry_path(dir, key);
   switch (read_entry_file(path, key, out)) {
     case EntryStatus::kOk:
@@ -553,7 +478,6 @@ bool store(const std::string& dir, std::uint64_t key,
            const RunResult& result) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
-  maybe_prune_once(dir);
   const bool ok = write_entry_file(entry_path(dir, key), key, result);
   (ok ? g_stores : g_store_failures).fetch_add(1, std::memory_order_relaxed);
   return ok;
@@ -566,7 +490,6 @@ Stats stats() {
   s.stores = g_stores.load(std::memory_order_relaxed);
   s.store_failures = g_store_failures.load(std::memory_order_relaxed);
   s.quarantined = g_quarantined.load(std::memory_order_relaxed);
-  s.pruned = g_pruned.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -576,7 +499,6 @@ void reset_stats() {
   g_stores = 0;
   g_store_failures = 0;
   g_quarantined = 0;
-  g_pruned = 0;
 }
 
 }  // namespace wlan::exp::run_cache

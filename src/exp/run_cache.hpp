@@ -9,8 +9,8 @@
 // re-running `bench/run_all.sh` repeats everything — so identical
 // (scenario, scheme, params, seed) points should be simulated once and
 // read back everywhere else. Since simulation output is deterministic and
-// bit-identical across thread counts and the batched/cohort knobs, a
-// cached result is indistinguishable from a fresh run.
+// bit-identical across thread counts, a cached result is
+// indistinguishable from a fresh run.
 //
 // Enabling: set WLAN_RUN_CACHE to a directory (created on demand).
 // Unset/empty disables every cache path (the default — a cache must be
@@ -69,19 +69,6 @@ inline constexpr std::uint32_t kFormatVersion = 4;
 /// every call so tests (and long-lived tools) can retarget it.
 std::string directory();
 
-/// Size bound from $WLAN_RUN_CACHE_MAX_MB in bytes; 0 = unbounded
-/// (default). Exits(2) on a malformed value like the other strict knobs.
-std::uint64_t max_bytes_from_env();
-
-/// Prunes `dir` oldest-first (by last-write time) until its *.run entries
-/// total at most `max_bytes`. Returns the number of entries removed and
-/// adds them to Stats::pruned. Lookup/store run this once per process per
-/// directory when $WLAN_RUN_CACHE_MAX_MB is set; exposed for tests and
-/// tools. Only prunes *.run entries at the top level: subdirectories and
-/// other files are never touched. A pruned entry is simply simulated
-/// again, so a resumed sweep re-runs what was pruned.
-std::size_t prune_dir(const std::string& dir, std::uint64_t max_bytes);
-
 /// Content hash of a run's full identity (FNV-1a over a canonical field
 /// serialization of the scenario, the scheme, and the options' warmup and
 /// measure windows).
@@ -132,8 +119,6 @@ struct Stats {
   std::uint64_t store_failures = 0;
   /// Checksum-failing cache entries renamed aside and recomputed.
   std::uint64_t quarantined = 0;
-  /// Entries removed oldest-first by the WLAN_RUN_CACHE_MAX_MB bound.
-  std::uint64_t pruned = 0;
 };
 Stats stats();
 void reset_stats();

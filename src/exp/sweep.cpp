@@ -16,7 +16,6 @@
 #include "obs/trace.hpp"
 #include "par/thread_pool.hpp"
 #include "sim/simulator.hpp"
-#include "util/env.hpp"
 
 namespace wlan::exp {
 
@@ -38,6 +37,9 @@ std::vector<SweepJob> expand(const SweepSpec& spec) {
     throw std::invalid_argument("SweepSpec: schemes axis is empty");
   if (spec.seeds < 1)
     throw std::invalid_argument("SweepSpec: seeds must be >= 1");
+  if (spec.job_retries < 0 || spec.job_backoff_ms < 0)
+    throw std::invalid_argument(
+        "SweepSpec: job_retries and job_backoff_ms must be >= 0");
   if (spec.processes != 1)
     throw std::invalid_argument("SweepSpec: processes must be 1");
   if (!spec.params.empty() && !spec.bind)
@@ -161,41 +163,21 @@ void report_lane_profiles(const par::ThreadPool& pool,
   }
 }
 
-/// Retry policy resolved from the spec with env fallbacks.
-struct GuardPolicy {
-  int retries = 2;
-  int backoff_ms = 100;
-};
-
-GuardPolicy resolve_policy(const SweepSpec& spec) {
-  GuardPolicy p;
-  p.retries = spec.job_retries >= 0
-                  ? spec.job_retries
-                  : static_cast<int>(std::max<std::int64_t>(
-                        0, util::env_int("WLAN_JOB_RETRIES", 2)));
-  p.backoff_ms = spec.job_backoff_ms >= 0
-                     ? spec.job_backoff_ms
-                     : static_cast<int>(std::max<std::int64_t>(
-                           0, util::env_int("WLAN_JOB_BACKOFF_MS", 100)));
-  return p;
-}
-
 /// Runs one job under the guard: fault injection, retry with exponential
 /// backoff, watchdog-timeout classification. Simulates without touching
 /// the store (run_sweep looked the job up already and stores the result
 /// itself). On terminal failure fills `error` and leaves `out` default
 /// (deterministic zeros for the fold).
 void run_guarded(const SweepJob& job, std::size_t job_index,
-                 std::uint64_t config_fingerprint, const RunOptions& options,
-                 const GuardPolicy& policy, RunResult& out,
-                 std::optional<JobError>& error) {
+                 std::uint64_t config_fingerprint, const SweepSpec& spec,
+                 RunResult& out, std::optional<JobError>& error) {
   JobError last;
   last.job_index = job_index;
   last.point_index = job.point_index;
   last.seed_index = job.seed_index;
   last.config_fingerprint = config_fingerprint;
   for (int attempt = 1;; ++attempt) {
-    RunOptions opts = options;
+    RunOptions opts = spec.options;
     try {
       fault_injection::apply_before_attempt(job_index, opts);
       out = simulate_scenario(job.scenario, job.scheme, opts);
@@ -214,17 +196,17 @@ void run_guarded(const SweepJob& job, std::size_t job_index,
       fault_counters::add_exception();
     }
     last.attempts = attempt;
-    if (attempt > policy.retries) {
+    if (attempt > spec.job_retries) {
       fault_counters::add_failure();
       out = RunResult{};
       error = std::move(last);
       return;
     }
     fault_counters::add_retry();
-    if (policy.backoff_ms > 0) {
+    if (spec.job_backoff_ms > 0) {
       // Exponential backoff: base, 2*base, 4*base, ... capped at 30 s.
       const std::int64_t delay =
-          std::min<std::int64_t>(static_cast<std::int64_t>(policy.backoff_ms)
+          std::min<std::int64_t>(static_cast<std::int64_t>(spec.job_backoff_ms)
                                      << std::min(attempt - 1, 20),
                                  30'000);
       std::this_thread::sleep_for(std::chrono::milliseconds(delay));
@@ -297,7 +279,6 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
     std::fprintf(stderr, "[sweep] store: replayed %zu/%zu jobs from %s\n",
                  replayed, jobs.size(), store.c_str());
 
-  const GuardPolicy policy = resolve_policy(spec);
   const FaultStats fs_before = fault_stats();
   ProgressTracker progress(jobs.size(), replayed);
   std::vector<std::optional<JobError>> job_errors(jobs.size());
@@ -311,8 +292,7 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
   pool->parallel_for(pending.size(), [&](std::size_t p) {
     const std::size_t i = pending[p];
     const auto t0 = std::chrono::steady_clock::now();
-    run_guarded(jobs[i], i, job_keys[i], spec.options, policy, raw[i],
-                job_errors[i]);
+    run_guarded(jobs[i], i, job_keys[i], spec, raw[i], job_errors[i]);
     if (!store.empty() && !job_errors[i].has_value())
       run_cache::store(store, job_keys[i], raw[i]);
     const double wall_ms =

@@ -57,12 +57,12 @@ struct SweepSpec {
   // with exponential backoff; when every attempt fails the job folds as a
   // zeroed RunResult and a structured JobError lands in
   // SweepResult::errors — the sweep itself never aborts.
-  /// Retries per failing job; -1 = $WLAN_JOB_RETRIES (default 2).
-  int job_retries = -1;
+  /// Retries per failing job. Must be >= 0.
+  int job_retries = 2;
   /// Base backoff before the first retry, doubling per attempt, in
-  /// milliseconds; -1 = $WLAN_JOB_BACKOFF_MS (default 100). 0 disables
-  /// the sleep (tests want retries without wall-clock cost).
-  int job_backoff_ms = -1;
+  /// milliseconds. Must be >= 0; 0 disables the sleep (tests want retries
+  /// without wall-clock cost).
+  int job_backoff_ms = 100;
 
   /// Fixed at 1: every sweep runs in this process. expand() rejects any
   /// other value.
@@ -85,7 +85,8 @@ struct SweepJob {
 
 /// Expands the grid into jobs in deterministic row-major order. Throws
 /// std::invalid_argument on an ill-formed spec (empty axis, seeds < 1,
-/// processes != 1, params without bind, loads with a saturated scenario).
+/// negative job_retries or job_backoff_ms, processes != 1, params without
+/// bind, loads with a saturated scenario).
 std::vector<SweepJob> expand(const SweepSpec& spec);
 
 /// Results for one grid point, folded over the seed axis in seed order

@@ -57,7 +57,6 @@ void add_run_cache_metrics(MetricsRegistry& reg) {
   reg.set_count("cache.hits", cs.hits);
   reg.set_count("cache.misses", cs.misses);
   reg.set_count("cache.quarantined", cs.quarantined);
-  reg.set_count("cache.pruned", cs.pruned);
 }
 
 void add_fault_metrics(MetricsRegistry& reg) {

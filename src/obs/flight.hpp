@@ -12,9 +12,9 @@
 // CI fig04 cmp gate pins this.
 //
 // Runtime gating: WLAN_FLIGHT (off by default; a path-like value doubles as
-// the auto-export prefix, mirroring WLAN_TRACE), WLAN_FLIGHT_BUFFER
-// (per-node ring capacity), WLAN_FLIGHT_FRAMES (completed-frame table
-// capacity). SimObs::set_flight_override lets tests force it in-process.
+// the auto-export prefix, mirroring WLAN_TRACE). An environment-built
+// recorder keeps the constructor's default capacities.
+// SimObs::set_flight_override lets tests force it in-process.
 #pragma once
 
 #include <cstdint>
@@ -161,8 +161,8 @@ class FlightRecorder {
   /// rings — loads in ui.perfetto.dev next to the PR-7 trace export.
   std::string chrome_json() const;
 
-  /// Non-empty: destructor-time auto-export path prefix (bounded
-  /// process-wide by WLAN_TRACE_EXPORTS, same cap as the trace export).
+  /// Non-empty: destructor-time auto-export path prefix (at most 8 files
+  /// per process, the same cap as the trace export).
   std::string export_path;
 
  private:

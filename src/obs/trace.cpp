@@ -21,7 +21,9 @@ std::atomic<int> g_flight_override{-1};
 // turns it on for every simulator a sweep constructs.
 constexpr std::size_t kOverrideCapacity = 1u << 14;
 
-constexpr std::size_t kDefaultCapacity = 1u << 18;
+// Environment-built rings: 262,144 records (8 MiB at most, grown on
+// demand).
+constexpr std::size_t kEnvCapacity = 1u << 18;
 
 const char* kCategoryNames[kNumCategories] = {
     "sim", "medium", "mark", "station", "cohort", "traffic", "other",
@@ -54,13 +56,10 @@ bool falsy(const std::string& v) {
 struct EnvConfig {
   bool trace = false;
   std::uint32_t mask = kAllCategories;
-  std::size_t capacity = kDefaultCapacity;
   std::string export_path;  // non-empty when WLAN_TRACE names a path prefix
   bool profile = false;
   bool flight = false;
   std::string flight_export;  // non-empty when WLAN_FLIGHT names a prefix
-  std::size_t flight_buffer = 2048;
-  std::size_t flight_frames = 1u << 16;
 };
 
 // Read once per process: every Simulator construction consults this, and
@@ -78,9 +77,6 @@ const EnvConfig& env_config() {
     if (const char* s = std::getenv("WLAN_TRACE_CATEGORIES");
         s != nullptr && *s != '\0')
       c.mask = parse_categories(s);
-    const std::int64_t cap = util::env_int(
-        "WLAN_TRACE_BUFFER", static_cast<std::int64_t>(kDefaultCapacity));
-    c.capacity = cap > 0 ? static_cast<std::size_t>(cap) : std::size_t{1};
     c.profile = util::env_bool("WLAN_PROFILE", false);
     if (const char* f = std::getenv("WLAN_FLIGHT"); f != nullptr && *f != '\0') {
       const std::string v(f);
@@ -89,12 +85,6 @@ const EnvConfig& env_config() {
         if (!truthy(v)) c.flight_export = v;
       }
     }
-    const std::int64_t fbuf = util::env_int("WLAN_FLIGHT_BUFFER", 2048);
-    c.flight_buffer = fbuf > 0 ? static_cast<std::size_t>(fbuf) : std::size_t{1};
-    const std::int64_t fframes =
-        util::env_int("WLAN_FLIGHT_FRAMES", std::int64_t{1} << 16);
-    c.flight_frames =
-        fframes > 0 ? static_cast<std::size_t>(fframes) : std::size_t{1};
     return c;
   }();
   return cfg;
@@ -167,13 +157,12 @@ std::unique_ptr<SimObs> SimObs::from_env() {
   } else {
     const bool trace_on = forced == 0 ? false : cfg.trace;
     if (!trace_on && !cfg.profile && !flight_on) return nullptr;
-    obs = std::make_unique<SimObs>(trace_on ? cfg.mask : 0u, cfg.capacity);
+    obs = std::make_unique<SimObs>(trace_on ? cfg.mask : 0u, kEnvCapacity);
     if (trace_on) obs->export_path = cfg.export_path;
     if (cfg.profile) obs->profiler.enable();
   }
   if (flight_on) {
-    obs->flight = std::make_unique<FlightRecorder>(cfg.flight_buffer,
-                                                   cfg.flight_frames);
+    obs->flight = std::make_unique<FlightRecorder>();
     // Overrides stay in-memory: only the env path opts into auto-export.
     if (flight_forced == -1) obs->flight->export_path = cfg.flight_export;
   }

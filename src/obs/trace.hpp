@@ -9,10 +9,10 @@
 // mac::Network. Nothing in obs/ is reachable from a simulation decision:
 // trace points read state, they never write any.
 //
-// Runtime gating: WLAN_TRACE (off by default) with WLAN_TRACE_CATEGORIES /
-// WLAN_TRACE_BUFFER refinements — see SimObs::from_env. Compile-time
-// gating: configure with -DWLAN_OBS_TRACE=OFF and every WLAN_OBS_POINT
-// expands to nothing (the obs/ types still build; only the hooks vanish).
+// Runtime gating: WLAN_TRACE (off by default), refined by
+// WLAN_TRACE_CATEGORIES — see SimObs::from_env. Compile-time gating:
+// configure with -DWLAN_OBS_TRACE=OFF and every WLAN_OBS_POINT expands to
+// nothing (the obs/ types still build; only the hooks vanish).
 #pragma once
 
 #include <cstdint>
@@ -122,7 +122,7 @@ struct SimObs {
   /// pointer, so the off cost is the same one branch as a trace point.
   std::unique_ptr<FlightRecorder> flight;
   /// Non-empty: destructor-time Chrome-JSON auto-export path prefix
-  /// (bounded process-wide by WLAN_TRACE_EXPORTS; see trace_export.hpp).
+  /// (at most 8 files per process; see trace_export.hpp).
   std::string export_path;
 
   // Out of line: FlightRecorder is incomplete here.
@@ -146,13 +146,11 @@ struct SimObs {
   ///   WLAN_TRACE            truthy → record; any other non-empty value
   ///                         doubles as the auto-export path prefix
   ///   WLAN_TRACE_CATEGORIES comma list (default all; see parse_categories)
-  ///   WLAN_TRACE_BUFFER     ring capacity in records (default 262144)
-  ///   WLAN_TRACE_EXPORTS    max auto-exported files per process (default 8)
   ///   WLAN_PROFILE          truthy → enable the phase profiler
   ///   WLAN_FLIGHT           truthy → frame flight recorder; any other
   ///                         non-empty value doubles as its export prefix
-  ///   WLAN_FLIGHT_BUFFER    flight events per node (default 2048)
-  ///   WLAN_FLIGHT_FRAMES    completed-frame table capacity (default 65536)
+  /// The trace ring holds 262,144 records and the flight recorder keeps
+  /// its constructor defaults (2,048 events per node, 65,536 frames).
   static std::unique_ptr<SimObs> from_env();
 
   /// Process-wide test override for WLAN_TRACE, mirroring the established

@@ -6,7 +6,6 @@
 #include <set>
 
 #include "obs/flight.hpp"
-#include "util/env.hpp"
 
 namespace wlan::obs {
 
@@ -77,11 +76,8 @@ bool write_chrome_trace(const std::vector<TraceRecord>& records,
 
 namespace {
 
-int export_limit() {
-  static const int limit =
-      static_cast<int>(util::env_int("WLAN_TRACE_EXPORTS", 8));
-  return limit;
-}
+// Auto-exported files per process, per kind (trace, flight).
+constexpr int kExportLimit = 8;
 
 void maybe_export_flight(SimObs& obs) {
   if (obs.flight == nullptr || obs.flight->export_path.empty()) return;
@@ -90,7 +86,7 @@ void maybe_export_flight(SimObs& obs) {
     return;
   static std::atomic<int> g_flight_exports{0};
   const int n = g_flight_exports.fetch_add(1, std::memory_order_relaxed);
-  if (n >= export_limit()) return;
+  if (n >= kExportLimit) return;
   char suffix[48];
   std::snprintf(suffix, sizeof(suffix), "%d.flight.json", n);
   if (std::ofstream f(fr.export_path + suffix, std::ios::binary); f)
@@ -107,7 +103,7 @@ void export_on_destruction(SimObs& obs) {
   if (obs.export_path.empty() || obs.trace.size() == 0) return;
   static std::atomic<int> g_exports{0};
   const int n = g_exports.fetch_add(1, std::memory_order_relaxed);
-  if (n >= export_limit()) return;
+  if (n >= kExportLimit) return;
   char suffix[48];
   std::snprintf(suffix, sizeof(suffix), "%d.trace.json", n);
   write_chrome_trace(obs.trace.snapshot(), obs.export_path + suffix);

@@ -21,13 +21,12 @@ bool write_chrome_trace(const std::vector<TraceRecord>& records,
 /// Destructor-time auto-export used by sim::Simulator: writes the bundle's
 /// surviving records to `<obs.export_path><n>.trace.json` (empty
 /// export_path or an empty ring exports nothing). A process-wide counter
-/// caps the number of files at WLAN_TRACE_EXPORTS (default 8), so tracing
-/// a 10k-run sweep does not write 10k files. When the bundle carries a
-/// flight recorder with its own export prefix (WLAN_FLIGHT=<prefix>), the
-/// per-frame span trees are written alongside as `<prefix><n>.flight.json`
-/// (Chrome trace-event format, one async track per frame) and
-/// `<prefix><n>.flight.csv` (one row per completed frame), capped by the
-/// same WLAN_TRACE_EXPORTS limit on its own counter.
+/// caps the number of files at 8, so tracing a 10k-run sweep does not
+/// write 10k files. When the bundle carries a flight recorder with its own
+/// export prefix (WLAN_FLIGHT=<prefix>), the per-frame span trees are
+/// written alongside as `<prefix><n>.flight.json` (Chrome trace-event
+/// format, one async track per frame) and `<prefix><n>.flight.csv` (one
+/// row per completed frame), capped at 8 on their own counter.
 void export_on_destruction(SimObs& obs);
 
 }  // namespace wlan::obs

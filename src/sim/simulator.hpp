@@ -91,8 +91,8 @@ class Simulator {
   bool idle() const { return queue_.empty(); }
 
   /// The attached observability bundle, or null (the overwhelmingly common
-  /// case — trace points cost one load+branch). Owned when WLAN_TRACE /
-  /// WLAN_PROFILE created it at construction; see attach_obs.
+  /// case — trace points cost one load+branch). Owned when WLAN_TRACE,
+  /// WLAN_PROFILE or WLAN_FLIGHT created it at construction; see attach_obs.
   obs::SimObs* obs() const { return obs_; }
 
   /// Attaches an external bundle (tests/exp-runner capture; NOT owned,

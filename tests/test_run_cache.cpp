@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -518,76 +517,6 @@ TEST(RunCache, InvalidHistogramIsQuarantinedAndMissed) {
   EXPECT_EQ(rc::stats().quarantined, 1u);
   EXPECT_FALSE(
       std::filesystem::exists(rc::entry_path(guard.dir.string(), key)));
-}
-
-// --- WLAN_RUN_CACHE_MAX_MB size bound ---------------------------------------
-
-void write_bytes(const std::filesystem::path& path, std::size_t bytes) {
-  std::ofstream out(path, std::ios::binary);
-  const std::vector<char> buf(bytes, 'x');
-  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-}
-
-TEST(RunCache, PruneDirRemovesOldestEntriesUntilUnderBudget) {
-  CacheDirGuard guard("prune_unit");
-  std::filesystem::create_directories(guard.dir);
-  const char* names[] = {"a.run", "b.run", "c.run", "d.run"};
-  for (const char* name : names) write_bytes(guard.dir / name, 1000);
-  // A non-.run bystander (temp file, quarantined entry, shard work file)
-  // must never be a prune victim regardless of age.
-  write_bytes(guard.dir / "bystander.entry", 1000);
-  // Stagger mtimes explicitly so directory scan order cannot matter:
-  // a.run is the oldest, d.run the newest.
-  const auto now = std::filesystem::file_time_type::clock::now();
-  for (int i = 0; i < 4; ++i)
-    std::filesystem::last_write_time(
-        guard.dir / names[i], now - std::chrono::seconds(40 - 10 * i));
-  std::filesystem::last_write_time(guard.dir / "bystander.entry",
-                                   now - std::chrono::seconds(3600));
-
-  // 4000 bytes of entries against a 2500-byte budget: exactly the two
-  // oldest go.
-  rc::reset_stats();
-  EXPECT_EQ(rc::prune_dir(guard.dir.string(), 2500), 2u);
-  EXPECT_FALSE(std::filesystem::exists(guard.dir / "a.run"));
-  EXPECT_FALSE(std::filesystem::exists(guard.dir / "b.run"));
-  EXPECT_TRUE(std::filesystem::exists(guard.dir / "c.run"));
-  EXPECT_TRUE(std::filesystem::exists(guard.dir / "d.run"));
-  EXPECT_TRUE(std::filesystem::exists(guard.dir / "bystander.entry"));
-  EXPECT_EQ(rc::stats().pruned, 2u);
-
-  // Already under budget: a second pass removes nothing.
-  EXPECT_EQ(rc::prune_dir(guard.dir.string(), 2500), 0u);
-  EXPECT_EQ(rc::stats().pruned, 2u);
-}
-
-TEST(RunCache, MaxBytesEnvParsesAndZeroMeansUnbounded) {
-  ::unsetenv("WLAN_RUN_CACHE_MAX_MB");
-  EXPECT_EQ(rc::max_bytes_from_env(), 0u);
-  ::setenv("WLAN_RUN_CACHE_MAX_MB", "3", 1);
-  EXPECT_EQ(rc::max_bytes_from_env(), 3ull * 1024 * 1024);
-  ::setenv("WLAN_RUN_CACHE_MAX_MB", "-5", 1);  // negative = disabled
-  EXPECT_EQ(rc::max_bytes_from_env(), 0u);
-  ::unsetenv("WLAN_RUN_CACHE_MAX_MB");
-}
-
-TEST(RunCache, MaxMbBoundsTheDirectoryAtOpen) {
-  CacheDirGuard guard("prune_open");
-  std::filesystem::create_directories(guard.dir);
-  // A previous invocation left 2 MiB behind; this invocation runs with a
-  // 1 MiB bound, so the first cache touch of the directory must evict it.
-  write_bytes(guard.dir / "leftover.run", 2 * 1024 * 1024);
-  std::filesystem::last_write_time(
-      guard.dir / "leftover.run",
-      std::filesystem::file_time_type::clock::now() - std::chrono::hours(1));
-  ::setenv("WLAN_RUN_CACHE_MAX_MB", "1", 1);
-  rc::reset_stats();
-
-  exp::RunResult out;
-  EXPECT_FALSE(rc::lookup(rc::directory(), 0x1234u, out));  // miss, but opens
-  EXPECT_FALSE(std::filesystem::exists(guard.dir / "leftover.run"));
-  EXPECT_GE(rc::stats().pruned, 1u);
-  ::unsetenv("WLAN_RUN_CACHE_MAX_MB");
 }
 
 }  // namespace

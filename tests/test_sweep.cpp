@@ -88,6 +88,19 @@ TEST(Sweep, RejectsIllFormedSpecs) {
   EXPECT_THROW(expand(spec), std::invalid_argument);  // params without bind
 }
 
+TEST(Sweep, RejectsANegativeRetryPolicy) {
+  // A negative value is a caller error, never a request for some default.
+  SweepSpec spec = SweepSpec::single(ScenarioConfig::connected(5, 1),
+                                     SchemeConfig::standard());
+  spec.job_retries = -1;
+  EXPECT_THROW(expand(spec), std::invalid_argument);
+  spec.job_retries = 0;
+  spec.job_backoff_ms = -1;
+  EXPECT_THROW(expand(spec), std::invalid_argument);
+  spec.job_backoff_ms = 0;
+  EXPECT_EQ(expand(spec).size(), 1u);
+}
+
 TEST(Sweep, ParallelResultBitIdenticalToSerialSeedLoop) {
   const auto scenario = ScenarioConfig::hidden(8, 16.0, 1);
   const auto scheme = SchemeConfig::standard();

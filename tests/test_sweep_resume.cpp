@@ -302,19 +302,19 @@ TEST(SweepFault, JobErrorCarriesTheConfigFingerprint) {
 
 TEST(SweepFault, RunAveragedThrowsWhenAJobFails) {
   ::unsetenv("WLAN_RUN_CACHE");
-  ::setenv("WLAN_JOB_RETRIES", "0", 1);
-  ::setenv("WLAN_JOB_BACKOFF_MS", "0", 1);
   FaultPlan plan;
   plan.sites.push_back({0, FaultPlan::Action::kThrow, 1000});
   exp::testing::FaultPlanGuard armed(plan);
   exp::RunOptions opts;
   opts.warmup = sim::Duration::zero();
   opts.measure = sim::Duration::seconds(0.1);
+  // run_averaged runs with the SweepSpec defaults: two retries (100 and
+  // 200 ms of backoff), then the JobError that makes it throw.
+  const std::uint64_t retries_before = exp::fault_stats().job_retries;
   EXPECT_THROW(exp::run_averaged(ScenarioConfig::connected(3, 1),
                                  SchemeConfig::standard(), 1, opts),
                std::runtime_error);
-  ::unsetenv("WLAN_JOB_RETRIES");
-  ::unsetenv("WLAN_JOB_BACKOFF_MS");
+  EXPECT_EQ(exp::fault_stats().job_retries - retries_before, 2u);
 }
 
 }  // namespace
