@@ -7,8 +7,8 @@ inside that file. An anchor that follows a backticked name, as in
     `Medium` [[src/phy/medium.hpp:67]]
     `build_peer_index` in [[src/phy/medium.cpp:206]]
 
-must also point at a line holding the name's last identifier (`set_watchdog`
-for `Simulator::set_watchdog`); without a line number, the file must hold it.
+must also point at a line holding the name's last identifier (`run_until`
+for `Simulator::run_until`); without a line number, the file must hold it.
 
 Usage: python3 docs/check_anchors.py [markdown file ...]
 (default: docs/ARCHITECTURE.md). Paths in anchors are relative to the

@@ -9,6 +9,7 @@
 
 #include "exp/fault.hpp"
 #include "exp/run_cache.hpp"
+#include "util/env.hpp"
 
 namespace wlan::exp {
 
@@ -30,11 +31,10 @@ struct SinkConfig {
 const SinkConfig& sink_config() {
   static const SinkConfig cfg = [] {
     SinkConfig c;
+    // Set-but-empty stays off (env_bool would read it as "present").
     if (const char* v = std::getenv("WLAN_PROGRESS");
-        v != nullptr && *v != '\0') {
-      const std::string s(v);
-      c.ticker = !(s == "0" || s == "false" || s == "no" || s == "off");
-    }
+        v != nullptr && *v != '\0')
+      c.ticker = util::env_bool("WLAN_PROGRESS", false);
     c.tty = isatty(fileno(stderr)) != 0;
     if (const char* v = std::getenv("WLAN_PROGRESS_JSON");
         v != nullptr && *v != '\0')
@@ -130,7 +130,6 @@ std::string ProgressTracker::heartbeat_json(const Snapshot& snap) {
   field("failed", static_cast<double>(snap.failed), true);
   field("replayed", static_cast<double>(snap.replayed), true);
   field("retries", static_cast<double>(fs.job_retries), true);
-  field("timeouts", static_cast<double>(fs.job_timeouts), true);
   field("elapsed_seconds", snap.elapsed_s, false);
   field("rate_jobs_per_s", snap.rate_jobs_per_s, false);
   field("eta_seconds", snap.eta_s, false);

@@ -62,7 +62,8 @@ class ProgressTracker {
   static std::string heartbeat_json(const Snapshot& snap);
 
   /// Sink gating, latched once per process: WLAN_PROGRESS truthy enables
-  /// the ticker, WLAN_PROGRESS_JSON names the heartbeat path.
+  /// the ticker (empty or falsy leaves it off, anything else exits 2),
+  /// WLAN_PROGRESS_JSON names the heartbeat path.
   static bool ticker_enabled();
   static const std::string& heartbeat_path();
 

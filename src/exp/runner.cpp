@@ -225,8 +225,6 @@ RunResult simulate_scenario(const ScenarioConfig& scenario,
   // Hidden station pairs from the built sensing rows (station node ids
   // start at num_aps()).
   result.hidden_pairs = net->medium().hidden_pairs(net->num_aps());
-  if (options.max_events != 0 || options.max_wall_ms > 0)
-    net->simulator().set_watchdog(options.max_events, options.max_wall_ms);
   capture_obs = attach_capture(*net, options.trace);
   // Declared before the sampler captures it; checked at every sample tick
   // and once after the measurement window.

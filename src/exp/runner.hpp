@@ -32,19 +32,6 @@ struct RunOptions {
   /// record_series, a capture bypasses the run cache: a cached result has
   /// no simulator to trace. Not owned; must outlive the call.
   obs::TraceCapture* trace = nullptr;
-
-  // Watchdog: converts a hung/runaway run into a sim::WatchdogExpired
-  // exception the sweep job guard retries and then reports as a structured
-  // JobError, instead of wedging the whole sweep. Both knobs are
-  // deliberately excluded from the run-cache key: a run that FINISHES
-  // under a watchdog is bit-identical to one without it.
-  /// Maximum events executed before the run is declared hung (0 = off).
-  /// Deterministic, so timeout fault-injection tests reproduce exactly.
-  std::uint64_t max_events = 0;
-  /// Wall-clock deadline in milliseconds (0 = off). Checked every few
-  /// thousand events; inherently nondeterministic — a safety net for real
-  /// deployments, not for differential tests.
-  std::int64_t max_wall_ms = 0;
 };
 
 struct RunResult {

@@ -15,7 +15,6 @@
 #include "obs/collect.hpp"
 #include "obs/trace.hpp"
 #include "par/thread_pool.hpp"
-#include "sim/simulator.hpp"
 
 namespace wlan::exp {
 
@@ -163,11 +162,11 @@ void report_lane_profiles(const par::ThreadPool& pool,
   }
 }
 
-/// Runs one job under the guard: fault injection, retry with exponential
-/// backoff, watchdog-timeout classification. Simulates without touching
-/// the store (run_sweep looked the job up already and stores the result
-/// itself). On terminal failure fills `error` and leaves `out` default
-/// (deterministic zeros for the fold).
+/// Runs one job under the guard: fault injection, then retry with
+/// exponential backoff. Simulates without touching the store (run_sweep
+/// looked the job up already and stores the result itself). On terminal
+/// failure fills `error` and leaves `out` default (deterministic zeros for
+/// the fold).
 void run_guarded(const SweepJob& job, std::size_t job_index,
                  std::uint64_t config_fingerprint, const SweepSpec& spec,
                  RunResult& out, std::optional<JobError>& error) {
@@ -177,24 +176,16 @@ void run_guarded(const SweepJob& job, std::size_t job_index,
   last.seed_index = job.seed_index;
   last.config_fingerprint = config_fingerprint;
   for (int attempt = 1;; ++attempt) {
-    RunOptions opts = spec.options;
     try {
-      fault_injection::apply_before_attempt(job_index, opts);
-      out = simulate_scenario(job.scenario, job.scheme, opts);
+      fault_injection::apply_before_attempt(job_index);
+      out = simulate_scenario(job.scenario, job.scheme, spec.options);
       return;
-    } catch (const sim::WatchdogExpired& e) {
-      last.kind = JobError::Kind::kTimeout;
-      last.what = e.what();
-      fault_counters::add_timeout();
     } catch (const std::exception& e) {
-      last.kind = JobError::Kind::kException;
       last.what = e.what();
-      fault_counters::add_exception();
     } catch (...) {
-      last.kind = JobError::Kind::kException;
       last.what = "unknown exception";
-      fault_counters::add_exception();
     }
+    fault_counters::add_exception();
     last.attempts = attempt;
     if (attempt > spec.job_retries) {
       fault_counters::add_failure();
@@ -219,10 +210,10 @@ void report_errors(const std::vector<JobError>& errors) {
     std::fprintf(
         stderr,
         "[sweep] job %zu (point %zu, seed %d, config %016llx) failed after "
-        "%d attempt%s [%s]: %s\n",
+        "%d attempt%s: %s\n",
         e.job_index, e.point_index, e.seed_index,
         static_cast<unsigned long long>(e.config_fingerprint), e.attempts,
-        e.attempts == 1 ? "" : "s", kind_name(e.kind), e.what.c_str());
+        e.attempts == 1 ? "" : "s", e.what.c_str());
   }
 }
 
@@ -230,12 +221,10 @@ void report_errors(const std::vector<JobError>& errors) {
 
 void SweepResult::throw_if_failed() const {
   if (errors.empty()) return;
-  std::string msg = "sweep failed: " + std::to_string(errors.size()) +
-                    " job(s) exhausted their retries; first: job " +
-                    std::to_string(errors.front().job_index) + " (" +
-                    kind_name(errors.front().kind) +
-                    "): " + errors.front().what;
-  throw std::runtime_error(msg);
+  throw std::runtime_error("sweep failed: " + std::to_string(errors.size()) +
+                           " job(s) exhausted their retries; first: job " +
+                           std::to_string(errors.front().job_index) + ": " +
+                           errors.front().what);
 }
 
 const SweepPoint& SweepResult::at(std::size_t scenario, std::size_t scheme,

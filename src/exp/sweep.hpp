@@ -53,10 +53,10 @@ struct SweepSpec {
   /// throughput, series, ...). Averages are always computed.
   bool keep_runs = true;
 
-  // Job-guard policy. A job that throws or trips its watchdog is retried
-  // with exponential backoff; when every attempt fails the job folds as a
-  // zeroed RunResult and a structured JobError lands in
-  // SweepResult::errors — the sweep itself never aborts.
+  // Job-guard policy. A job that throws is retried with exponential
+  // backoff; when every attempt fails the job folds as a zeroed RunResult
+  // and a structured JobError lands in SweepResult::errors — the sweep
+  // itself never aborts.
   /// Retries per failing job. Must be >= 0.
   int job_retries = 2;
   /// Base backoff before the first retry, doubling per attempt, in
@@ -148,8 +148,8 @@ struct SweepResult {
 /// simulated job is stored once, so an interrupted sweep re-run replays
 /// the completed jobs ("[sweep] store: replayed K/N jobs" on stderr) and
 /// runs only the remainder, with byte-identical final output. Failing jobs
-/// are guarded (retry + backoff, watchdog timeouts converted to errors)
-/// and reported through SweepResult::errors instead of aborting the sweep.
+/// are guarded (retry + backoff) and reported through SweepResult::errors
+/// instead of aborting the sweep.
 SweepResult run_sweep(const SweepSpec& spec,
                       par::ThreadPool* pool = nullptr);
 

@@ -32,10 +32,12 @@ int env_mode() {
 #endif
     const char* v = std::getenv("WLAN_AUDIT");
     if (v == nullptr || *v == '\0') return fallback;
-    const std::string s(v);
-    if (s == "throw") return 2;
-    if (s == "0" || s == "false" || s == "no" || s == "off") return 0;
-    return 1;
+    if (std::string(v) == "throw") return 2;
+    const auto on = util::parse_bool(v);
+    if (!on)
+      util::reject_env("WLAN_AUDIT", v,
+                       "throw or a boolean (1/true/yes/on or 0/false/no/off)");
+    return *on ? 1 : 0;
   }();
   return mode;
 }

@@ -20,9 +20,10 @@
 //                         cascade
 //
 // Gating: WLAN_AUDIT (truthy → check, "throw" → check and throw
-// AuditFailure on the first violation, falsy → off). Default: ON in debug
-// builds (assert-enabled), OFF in release. set_override forces it
-// in-process for tests. When the run also carries a flight recorder, every
+// AuditFailure on the first violation, falsy → off, anything else exits
+// 2 like every malformed knob). Default: ON in debug builds
+// (assert-enabled), OFF in release. set_override forces it in-process
+// for tests. When the run also carries a flight recorder, every
 // violation appends a flight-recorder excerpt naming the FrameIds last
 // seen at the offending station.
 #pragma once

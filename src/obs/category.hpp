@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace wlan::obs {
@@ -33,7 +34,7 @@ constexpr std::uint32_t kAllCategories = (1u << kNumCategories) - 1;
 const char* category_name(Category c);
 
 /// Parses a comma-separated category list ("medium,station"); "all" (or an
-/// empty spec) selects every category. Unknown names are ignored.
-std::uint32_t parse_categories(const std::string& spec);
+/// empty spec) selects every category. nullopt when any name is unknown.
+std::optional<std::uint32_t> parse_categories(const std::string& spec);
 
 }  // namespace wlan::obs

@@ -62,7 +62,6 @@ void add_run_cache_metrics(MetricsRegistry& reg) {
 void add_fault_metrics(MetricsRegistry& reg) {
   const exp::FaultStats fs = exp::fault_stats();
   reg.set_count("exp.fault.job_exceptions", fs.job_exceptions);
-  reg.set_count("exp.fault.job_timeouts", fs.job_timeouts);
   reg.set_count("exp.fault.job_retries", fs.job_retries);
   reg.set_count("exp.fault.job_failures", fs.job_failures);
 }

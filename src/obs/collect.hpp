@@ -28,8 +28,8 @@ MetricsRegistry collect_metrics(mac::Network& net);
 void add_run_cache_metrics(MetricsRegistry& reg);
 
 /// Appends the process-wide fault-tolerance counters (exp.fault.*): job
-/// exceptions, timeouts, retries and failures. Cumulative across the
-/// process, like cache.*.
+/// exceptions, retries and failures. Cumulative across the process, like
+/// cache.*.
 void add_fault_metrics(MetricsRegistry& reg);
 
 /// Appends per-category profiler buckets (profile.<cat>.events /

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <iterator>
 
 #include "obs/flight.hpp"
 #include "util/env.hpp"
@@ -45,14 +46,6 @@ const char* kEventNames[ev::kNumEvents] = {
     "drop",           // kDrop
 };
 
-bool truthy(const std::string& v) {
-  return v == "1" || v == "true" || v == "yes" || v == "on";
-}
-
-bool falsy(const std::string& v) {
-  return v == "0" || v == "false" || v == "no" || v == "off";
-}
-
 struct EnvConfig {
   bool trace = false;
   std::uint32_t mask = kAllCategories;
@@ -67,23 +60,27 @@ struct EnvConfig {
 const EnvConfig& env_config() {
   static const EnvConfig cfg = [] {
     EnvConfig c;
+    // WLAN_TRACE / WLAN_FLIGHT: a boolean spelling switches the recorder;
+    // any other non-empty value switches it on and names the export prefix.
     if (const char* t = std::getenv("WLAN_TRACE"); t != nullptr && *t != '\0') {
-      const std::string v(t);
-      if (!falsy(v)) {
-        c.trace = true;
-        if (!truthy(v)) c.export_path = v;
-      }
+      const auto on = util::parse_bool(t);
+      c.trace = on.value_or(true);
+      if (!on) c.export_path = t;
     }
     if (const char* s = std::getenv("WLAN_TRACE_CATEGORIES");
-        s != nullptr && *s != '\0')
-      c.mask = parse_categories(s);
+        s != nullptr && *s != '\0') {
+      const auto mask = parse_categories(s);
+      if (!mask)
+        util::reject_env("WLAN_TRACE_CATEGORIES", s,
+                         "a comma list of sim, medium, mark, station, "
+                         "cohort, traffic, other or all");
+      c.mask = *mask;
+    }
     c.profile = util::env_bool("WLAN_PROFILE", false);
     if (const char* f = std::getenv("WLAN_FLIGHT"); f != nullptr && *f != '\0') {
-      const std::string v(f);
-      if (!falsy(v)) {
-        c.flight = true;
-        if (!truthy(v)) c.flight_export = v;
-      }
+      const auto on = util::parse_bool(f);
+      c.flight = on.value_or(true);
+      if (!on) c.flight_export = f;
     }
     return c;
   }();
@@ -101,18 +98,23 @@ const char* event_name(std::uint16_t event) {
   return event < ev::kNumEvents ? kEventNames[event] : "?";
 }
 
-std::uint32_t parse_categories(const std::string& spec) {
-  if (spec.empty() || spec == "all") return kAllCategories;
+std::optional<std::uint32_t> parse_categories(const std::string& spec) {
+  if (spec.empty()) return kAllCategories;
   std::uint32_t mask = 0;
   std::size_t pos = 0;
   while (pos <= spec.size()) {
     std::size_t comma = spec.find(',', pos);
     if (comma == std::string::npos) comma = spec.size();
     const std::string name = spec.substr(pos, comma - pos);
-    if (name == "all") return kAllCategories;
-    for (unsigned i = 0; i < kNumCategories; ++i)
-      if (name == kCategoryNames[i])
-        mask |= category_bit(static_cast<Category>(i));
+    if (name == "all") {
+      mask = kAllCategories;
+    } else {
+      const auto* it = std::find(std::begin(kCategoryNames),
+                                 std::end(kCategoryNames), name);
+      if (it == std::end(kCategoryNames)) return std::nullopt;
+      mask |= category_bit(
+          static_cast<Category>(it - std::begin(kCategoryNames)));
+    }
     pos = comma + 1;
   }
   return mask;

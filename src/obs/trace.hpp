@@ -143,12 +143,14 @@ struct SimObs {
   /// Builds a bundle from the environment, or null when nothing requests
   /// observability (the common case — a null return costs one branch per
   /// trace point at runtime):
-  ///   WLAN_TRACE            truthy → record; any other non-empty value
-  ///                         doubles as the auto-export path prefix
+  ///   WLAN_TRACE            truthy → record, falsy → off; any other
+  ///                         non-empty value records and doubles as the
+  ///                         auto-export path prefix
   ///   WLAN_TRACE_CATEGORIES comma list (default all; see parse_categories)
   ///   WLAN_PROFILE          truthy → enable the phase profiler
-  ///   WLAN_FLIGHT           truthy → frame flight recorder; any other
-  ///                         non-empty value doubles as its export prefix
+  ///   WLAN_FLIGHT           like WLAN_TRACE, for the frame flight recorder
+  /// (truthy/falsy are util::parse_bool's spellings). An unknown category
+  /// or a non-boolean WLAN_PROFILE exits 2 (util::reject_env).
   /// The trace ring holds 262,144 records and the flight recorder keeps
   /// its constructor defaults (2,048 events per node, 65,536 frames).
   static std::unique_ptr<SimObs> from_env();

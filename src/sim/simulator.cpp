@@ -77,86 +77,18 @@ EventId Simulator::schedule_anchored(Time t, Duration sched_lookback,
 
 void Simulator::cancel(EventId id) { queue_.cancel(id); }
 
-void Simulator::set_watchdog(std::uint64_t max_events,
-                             std::int64_t max_wall_ms) {
-  watchdog_event_budget_ =
-      max_events == 0 ? 0 : events_executed_ + max_events;
-  watchdog_wall_deadline_ns_ =
-      max_wall_ms <= 0
-          ? 0
-          : std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                    .count() +
-                max_wall_ms * 1'000'000;
-  watchdog_armed_ = max_events != 0 || max_wall_ms > 0;
-}
-
-void Simulator::check_watchdog() {
-  if (watchdog_event_budget_ != 0 &&
-      events_executed_ >= watchdog_event_budget_) {
-    watchdog_armed_ = false;  // a rethrowing caller must not re-trip
-    throw WatchdogExpired(WatchdogExpired::Kind::kEvents,
-                          "simulation watchdog: event budget exhausted after " +
-                              std::to_string(events_executed_) + " events");
-  }
-  if (watchdog_wall_deadline_ns_ != 0 &&
-      events_executed_ % kWatchdogWallStride == 0) {
-    const std::int64_t now_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count();
-    if (now_ns >= watchdog_wall_deadline_ns_) {
-      watchdog_armed_ = false;
-      throw WatchdogExpired(
-          WatchdogExpired::Kind::kWall,
-          "simulation watchdog: wall-clock deadline exceeded at simulated "
-          "time " +
-              std::to_string(now_.s()) + " s");
-    }
-  }
-}
-
 std::uint64_t Simulator::run_until(Time limit) {
-  std::uint64_t ran = 0;
-  stop_requested_ = false;
-  // Batched dispatch: pop_until is one combined heap walk per event,
-  // replacing the separate empty()/next_time()/pop() calls of the old
-  // loop. (stop_requested_ stays checked per event — a callback may call
-  // stop() — but that is a member load, not a function boundary.)
+  const std::uint64_t before = events_executed_;
+  // pop_until is one combined heap walk per event, replacing separate
+  // empty()/next_time()/pop() calls.
   EventQueue::Fired fired;
-  while (!stop_requested_ && queue_.pop_until(limit, fired)) {
+  while (queue_.pop_until(limit, fired)) {
     now_ = fired.time;
     invoke(fired);
-    ++ran;
     ++events_executed_;
-    if (watchdog_armed_) check_watchdog();
   }
-  if (!stop_requested_ && now_ < limit) now_ = limit;
-  return ran;
-}
-
-std::uint64_t Simulator::run_all() {
-  std::uint64_t ran = 0;
-  stop_requested_ = false;
-  EventQueue::Fired fired;
-  while (!stop_requested_ && queue_.pop_until(Time::max(), fired)) {
-    now_ = fired.time;
-    invoke(fired);
-    ++ran;
-    ++events_executed_;
-    if (watchdog_armed_) check_watchdog();
-  }
-  return ran;
-}
-
-bool Simulator::step() {
-  EventQueue::Fired fired;
-  if (!queue_.pop_until(Time::max(), fired)) return false;
-  now_ = fired.time;
-  invoke(fired);
-  ++events_executed_;
-  if (watchdog_armed_) check_watchdog();
-  return true;
+  if (now_ < limit) now_ = limit;
+  return events_executed_ - before;
 }
 
 }  // namespace wlan::sim

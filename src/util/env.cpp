@@ -6,16 +6,12 @@
 
 namespace wlan::util {
 
-namespace {
-
-[[noreturn]] void reject(const std::string& name, const char* raw,
-                         const char* expected) {
+void reject_env(const std::string& name, const char* raw,
+                const char* expected) {
   std::fprintf(stderr, "error: environment variable %s='%s' is not %s\n",
                name.c_str(), raw, expected);
-  std::exit(2);
+  std::_Exit(2);
 }
-
-}  // namespace
 
 std::optional<double> parse_double(const std::string& text) {
   if (text.empty()) return std::nullopt;
@@ -49,7 +45,7 @@ double env_double(const std::string& name, double fallback) {
   const char* raw = std::getenv(name.c_str());
   if (raw == nullptr || *raw == '\0') return fallback;
   const auto v = parse_double(raw);
-  if (!v) reject(name, raw, "a number");
+  if (!v) reject_env(name, raw, "a number");
   return *v;
 }
 
@@ -57,7 +53,7 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback) {
   const char* raw = std::getenv(name.c_str());
   if (raw == nullptr || *raw == '\0') return fallback;
   const auto v = parse_int(raw);
-  if (!v) reject(name, raw, "an integer");
+  if (!v) reject_env(name, raw, "an integer");
   return *v;
 }
 
@@ -68,7 +64,8 @@ bool env_bool(const std::string& name, bool fallback) {
   // by `WLAN_BENCH_FAST= cmd`-style invocations).
   if (*raw == '\0') return true;
   const auto v = parse_bool(raw);
-  if (!v) reject(name, raw, "a boolean (1/true/yes/on or 0/false/no/off)");
+  if (!v)
+    reject_env(name, raw, "a boolean (1/true/yes/on or 0/false/no/off)");
   return *v;
 }
 

@@ -8,8 +8,8 @@
 //                      exp::run_sweep / run_averaged (0/unset = hardware
 //                      concurrency). A `--threads N` CLI flag wins over it.
 //
-// Malformed values are rejected loudly: a set-but-unparsable numeric knob
-// (e.g. WLAN_THREADS=abc) prints a one-line error to stderr and exits the
+// Malformed values are rejected loudly: a set-but-unparsable knob (e.g.
+// WLAN_THREADS=abc) prints a one-line error to stderr and exits the
 // process with status 2 — silently falling back to a default would make a
 // typo indistinguishable from the default run it silently became. The
 // parse_* helpers expose the underlying (non-exiting) parsers for tests.
@@ -33,6 +33,13 @@ std::optional<std::int64_t> parse_int(const std::string& text);
 /// "0"/"false"/"no"/"off" => false (case-sensitive, matching the
 /// documented knob spellings); nullopt otherwise.
 std::optional<bool> parse_bool(const std::string& text);
+
+/// Prints "error: environment variable NAME='RAW' is not EXPECTED" to
+/// stderr and ends the process with status 2. Ends it with std::_Exit, so
+/// no exit handler runs: a knob first read on a pool lane must not wait
+/// for the global pool's destructor to join that same lane.
+[[noreturn]] void reject_env(const std::string& name, const char* raw,
+                             const char* expected);
 
 /// Reads a double env var; returns `fallback` when unset or empty.
 /// Exits(2) with a one-line error when set but unparsable.

@@ -106,6 +106,11 @@ TEST(ObsTrace, ParseCategoriesBuildsMasks) {
   EXPECT_EQ(obs::parse_categories("medium,station"),
             obs::category_bit(obs::kCatMedium) |
                 obs::category_bit(obs::kCatStation));
+  EXPECT_EQ(obs::parse_categories("station,all"), obs::kAllCategories);
+  // One unknown name rejects the whole list (WLAN_TRACE_CATEGORIES then
+  // exits 2 instead of tracing nothing).
+  EXPECT_FALSE(obs::parse_categories("medum").has_value());
+  EXPECT_FALSE(obs::parse_categories("medium,medum").has_value());
 }
 
 // ---------------------------------------------------------------- profiler

@@ -3,8 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
-#include <memory>
+#include <stdexcept>
 #include <vector>
 
 namespace {
@@ -71,47 +70,20 @@ TEST(Simulator, CancelInsideCallback) {
   EXPECT_FALSE(second_ran);
 }
 
-TEST(Simulator, StopHaltsProcessing) {
-  Simulator sim;
-  int ran = 0;
-  sim.schedule_at(Time::from_ns(1), [&] {
-    ++ran;
-    sim.stop();
-  });
-  sim.schedule_at(Time::from_ns(2), [&] { ++ran; });
-  sim.run_until(Time::from_ns(100));
-  EXPECT_EQ(ran, 1);
-  // A subsequent run resumes with the remaining events.
-  sim.run_until(Time::from_ns(100));
-  EXPECT_EQ(ran, 2);
-}
-
 TEST(Simulator, RunAllDrainsQueue) {
   Simulator sim;
   int ran = 0;
   for (int i = 1; i <= 5; ++i)
     sim.schedule_at(Time::from_ns(i), [&] { ++ran; });
-  EXPECT_EQ(sim.run_all(), 5u);
+  EXPECT_EQ(sim.run_until(Time::max()), 5u);
   EXPECT_EQ(ran, 5);
   EXPECT_TRUE(sim.idle());
-}
-
-TEST(Simulator, StepExecutesOneEvent) {
-  Simulator sim;
-  int ran = 0;
-  sim.schedule_at(Time::from_ns(1), [&] { ++ran; });
-  sim.schedule_at(Time::from_ns(2), [&] { ++ran; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(ran, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
-  EXPECT_EQ(ran, 2);
 }
 
 TEST(Simulator, CountsExecutedEvents) {
   Simulator sim;
   for (int i = 0; i < 7; ++i) sim.schedule_at(Time::from_ns(i + 1), [] {});
-  sim.run_all();
+  sim.run_until(Time::max());
   EXPECT_EQ(sim.events_executed(), 7u);
 }
 
@@ -142,6 +114,20 @@ TEST(Simulator, CancelledEventsDoNotCountAsExecuted) {
   EXPECT_EQ(sim.events_executed(), 1u);
 }
 
+TEST(Simulator, ThrowingCallbackLeavesTheRestPending) {
+  Simulator sim;
+  int ran = 0;
+  sim.schedule_at(Time::from_ns(5), [] { throw std::runtime_error("boom"); });
+  sim.schedule_at(Time::from_ns(8), [&] { ++ran; });
+  EXPECT_THROW(sim.run_until(Time::from_ns(100)), std::runtime_error);
+  EXPECT_EQ(sim.now(), Time::from_ns(5));
+  EXPECT_EQ(sim.events_executed(), 0u);
+  EXPECT_EQ(ran, 0);
+  // The loop can be re-entered: the pending event still runs.
+  EXPECT_EQ(sim.run_until(Time::from_ns(100)), 1u);
+  EXPECT_EQ(ran, 1);
+}
+
 TEST(Simulator, SameTimeEventsRunInScheduleOrder) {
   Simulator sim;
   std::vector<int> order;
@@ -154,78 +140,6 @@ TEST(Simulator, SameTimeEventsRunInScheduleOrder) {
   sim.schedule_at(Time::from_ns(10), [&] { order.push_back(2); });
   sim.run_until(Time::from_ns(10));
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-// --- Watchdog ---------------------------------------------------------------
-
-using wlan::sim::WatchdogExpired;
-
-/// Schedules an endless self-rescheduling tick — the deterministic shape
-/// of a "hung" simulation. The stored body holds only a weak_ptr to
-/// itself, so the pending events are the tick's only owners and it is
-/// freed with the simulator.
-void arm_endless_tick(Simulator& sim) {
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&sim, weak = std::weak_ptr<std::function<void()>>(tick)] {
-    sim.schedule_after(Duration::nanoseconds(10),
-                       [tick = weak.lock()] { (*tick)(); });
-  };
-  sim.schedule_after(Duration::nanoseconds(10), [tick] { (*tick)(); });
-}
-
-TEST(Simulator, WatchdogEventBudgetIsExactAndDeterministic) {
-  Simulator sim;
-  arm_endless_tick(sim);
-  sim.set_watchdog(/*max_events=*/100, /*max_wall_ms=*/0);
-  try {
-    sim.run_all();
-    FAIL() << "watchdog did not fire";
-  } catch (const WatchdogExpired& e) {
-    EXPECT_EQ(e.kind, WatchdogExpired::Kind::kEvents);
-    EXPECT_EQ(sim.events_executed(), 100u);
-  }
-}
-
-TEST(Simulator, WatchdogDoesNotFireUnderBudget) {
-  Simulator sim;
-  int ran = 0;
-  for (int i = 1; i <= 5; ++i)
-    sim.schedule_at(Time::from_ns(i * 10), [&] { ++ran; });
-  sim.set_watchdog(/*max_events=*/100, /*max_wall_ms=*/0);
-  EXPECT_NO_THROW(sim.run_all());
-  EXPECT_EQ(ran, 5);
-}
-
-TEST(Simulator, WatchdogDisarmsAfterFiring) {
-  Simulator sim;
-  arm_endless_tick(sim);
-  sim.set_watchdog(/*max_events=*/10, /*max_wall_ms=*/0);
-  EXPECT_THROW(sim.run_all(), WatchdogExpired);
-  // The throw disarmed the watchdog: stepping further must not re-trip.
-  EXPECT_NO_THROW(sim.step());
-}
-
-TEST(Simulator, WatchdogWallDeadlineFiresOnAHungLoop) {
-  Simulator sim;
-  arm_endless_tick(sim);
-  // A 1 ms wall deadline on an endless loop: fires within the test's own
-  // timeout regardless of machine speed (events are ~free, so the stride
-  // between wall checks passes in microseconds).
-  sim.set_watchdog(/*max_events=*/0, /*max_wall_ms=*/1);
-  try {
-    sim.run_all();
-    FAIL() << "wall watchdog did not fire";
-  } catch (const WatchdogExpired& e) {
-    EXPECT_EQ(e.kind, WatchdogExpired::Kind::kWall);
-  }
-}
-
-TEST(Simulator, ZeroZeroDisarmsTheWatchdog) {
-  Simulator sim;
-  arm_endless_tick(sim);
-  sim.set_watchdog(10, 0);
-  sim.set_watchdog(0, 0);  // disarm before running
-  EXPECT_NO_THROW(sim.run_until(Time::from_ns(10'000)));
 }
 
 }  // namespace

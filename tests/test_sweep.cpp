@@ -221,8 +221,6 @@ TEST(Sweep, ExceptionInsideAJobIsCapturedAsAJobError) {
   EXPECT_EQ(e.job_index, 0u);
   EXPECT_EQ(e.point_index, 0u);
   EXPECT_EQ(e.seed_index, 0);
-  EXPECT_EQ(e.kind, JobError::Kind::kException);
-  EXPECT_STREQ(kind_name(e.kind), "exception");
   EXPECT_EQ(e.attempts, 2);  // 1 + job_retries
   EXPECT_FALSE(e.what.empty());
   EXPECT_DOUBLE_EQ(result.points[0].averaged.mean_mbps, 0.0);
@@ -292,8 +290,7 @@ TEST(SweepMetrics, TransientFaultDoesNotDoubleCountMetrics) {
   const SweepResult clean = run_sweep(spec, &pool);
 
   FaultPlan plan;
-  plan.sites.push_back({/*job_index=*/1, FaultPlan::Action::kThrow,
-                        /*times=*/1});
+  plan.sites.push_back({/*job_index=*/1, /*times=*/1});
   SweepResult faulted;
   {
     wlan::exp::testing::FaultPlanGuard guard(plan);
@@ -304,33 +301,6 @@ TEST(SweepMetrics, TransientFaultDoesNotDoubleCountMetrics) {
   EXPECT_DOUBLE_EQ(faulted.points[0].averaged.mean_mbps,
                    clean.points[0].averaged.mean_mbps);
   // Every per-run (non-process-cumulative) folded total matches exactly.
-  for (const auto& [name, value] : clean.metrics.entries()) {
-    if (obs::is_process_cumulative_metric(name)) continue;
-    EXPECT_EQ(faulted.metrics.get(name, -1.0), value) << name;
-  }
-}
-
-TEST(SweepMetrics, TransientTimeoutDoesNotDoubleCountMetrics) {
-  SweepSpec spec;
-  spec.scenarios = {ScenarioConfig::connected(4, 1)};
-  spec.schemes = {SchemeConfig::standard()};
-  spec.seeds = 2;
-  spec.options = quick_options();
-  spec.job_retries = 1;
-  spec.job_backoff_ms = 0;
-
-  const SweepResult clean = run_sweep(spec);
-
-  FaultPlan plan;
-  plan.sites.push_back({/*job_index=*/0, FaultPlan::Action::kTimeout,
-                        /*times=*/1});
-  SweepResult faulted;
-  {
-    wlan::exp::testing::FaultPlanGuard guard(plan);
-    faulted = run_sweep(spec);
-  }
-
-  EXPECT_TRUE(faulted.ok());
   for (const auto& [name, value] : clean.metrics.entries()) {
     if (obs::is_process_cumulative_metric(name)) continue;
     EXPECT_EQ(faulted.metrics.get(name, -1.0), value) << name;
@@ -390,9 +360,9 @@ TEST(Progress, HeartbeatJsonCarriesEveryKey) {
       exp::ProgressTracker::heartbeat_json(tracker.snapshot());
   for (const char* key :
        {"\"total\"", "\"done\"", "\"failed\"", "\"replayed\"", "\"retries\"",
-        "\"timeouts\"", "\"elapsed_seconds\"", "\"rate_jobs_per_s\"",
-        "\"eta_seconds\"", "\"cache_hits\"", "\"cache_misses\"",
-        "\"sweeps_completed\"", "\"wall_hist_ms\""})
+        "\"elapsed_seconds\"", "\"rate_jobs_per_s\"", "\"eta_seconds\"",
+        "\"cache_hits\"", "\"cache_misses\"", "\"sweeps_completed\"",
+        "\"wall_hist_ms\""})
     EXPECT_NE(doc.find(key), std::string::npos) << key << " missing: " << doc;
   EXPECT_EQ(doc.find("nan"), std::string::npos);
   EXPECT_EQ(doc.front(), '{');

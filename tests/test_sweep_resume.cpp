@@ -2,8 +2,9 @@
 // in the run cache (WLAN_RUN_CACHE) before it fans out, so a re-run after
 // an interruption replays what the first run stored — byte-identically at
 // 1 and 4 threads — and a corrupt entry is quarantined and recomputed.
-// Also covers deterministic fault injection (throw / watchdog-timeout),
-// retry/backoff semantics, and the exp.fault.* counter surface.
+// Also covers deterministic fault injection, a failure raised inside the
+// dispatch loop, retry/backoff semantics, and the exp.fault.* counter
+// surface.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include "exp/run_cache.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
+#include "obs/audit.hpp"
 #include "par/thread_pool.hpp"
 #include "util/fnv.hpp"
 
@@ -123,8 +125,7 @@ TEST(SweepResume, InterruptedSweepResumesByteIdentically) {
   // killed process (each entry is an independent atomic rename, so a real
   // SIGKILL leaves exactly a prefix-complete subset like this one).
   FaultPlan plan;
-  plan.sites.push_back({/*job_index=*/5, FaultPlan::Action::kThrow,
-                        /*times=*/1000});
+  plan.sites.push_back({/*job_index=*/5, /*times=*/1000});
   {
     exp::testing::FaultPlanGuard armed(plan);
     const SweepResult first = exp::run_sweep(spec, &pool);
@@ -163,7 +164,7 @@ TEST(SweepResume, RandomizedKillResumeDifferentialAtBothThreadCounts) {
       FaultPlan plan;
       for (std::size_t j = 0; j < 8; ++j)
         if (rng() % 2 == 0)
-          plan.sites.push_back({j, FaultPlan::Action::kThrow, 1000});
+          plan.sites.push_back({j, 1000});
       {
         exp::testing::FaultPlanGuard armed(plan);
         exp::run_sweep(spec, &pool);
@@ -241,7 +242,7 @@ TEST(SweepFault, TransientFailureIsAbsorbedByARetry) {
   spec.job_retries = 2;
   FaultPlan plan;
   // Job 2 fails twice, then its third attempt succeeds.
-  plan.sites.push_back({2, FaultPlan::Action::kThrow, 2});
+  plan.sites.push_back({2, 2});
   par::ThreadPool pool(2);
 
   par::ThreadPool serial(1);
@@ -259,27 +260,47 @@ TEST(SweepFault, TransientFailureIsAbsorbedByARetry) {
   EXPECT_EQ(result_hash(r), reference);
 }
 
-TEST(SweepFault, WatchdogTimeoutBecomesAStructuredJobError) {
+TEST(SweepFault, AuditFailureInsideTheDispatchLoopBecomesAJobError) {
+  // The sampler's audit check throws from an event callback, so the
+  // failure unwinds out of Simulator::run_until with the sampler and the
+  // rest of the run's events still pending (under ASan, LeakSanitizer
+  // checks that the unwind frees them).
   ::unsetenv("WLAN_RUN_CACHE");
-  exp::reset_fault_stats();
-  SweepSpec spec = small_grid();
+  struct InjectedSkew {
+    InjectedSkew() {
+      obs::AuditSet::set_override(2);
+      obs::audit_testing::set_queue_skew(1);
+    }
+    ~InjectedSkew() {
+      obs::audit_testing::set_queue_skew(0);
+      obs::AuditSet::set_override(-1);
+    }
+  } skew;
+  auto scenario = ScenarioConfig::connected(4, 2);
+  scenario.traffic = traffic::TrafficConfig::poisson(1.0);
+  SweepSpec spec =
+      SweepSpec::single(scenario, SchemeConfig::standard(), {}, /*seeds=*/3);
+  spec.options.warmup = sim::Duration::seconds(0.1);
+  spec.options.measure = sim::Duration::seconds(0.3);
+  spec.options.sample_period = sim::Duration::seconds(0.05);
+  spec.options.record_series = true;
   spec.job_retries = 1;
-  FaultPlan plan;
-  // Every attempt of job 1 runs under a 1-event watchdog budget: the REAL
-  // watchdog machinery fires inside the simulation loop and the guard
-  // classifies it as a timeout.
-  plan.sites.push_back({1, FaultPlan::Action::kTimeout, 1000});
+  spec.job_backoff_ms = 0;
+  const std::uint64_t failures_before = exp::fault_stats().job_failures;
   par::ThreadPool pool(2);
-  exp::testing::FaultPlanGuard armed(plan);
+  // With the auditors throwing, run_sweep itself enforces the
+  // sweep-accounting law: a mismatch would throw here.
   const SweepResult r = exp::run_sweep(spec, &pool);
-  ASSERT_EQ(r.errors.size(), 1u);
-  EXPECT_EQ(r.errors[0].job_index, 1u);
-  EXPECT_EQ(r.errors[0].kind, JobError::Kind::kTimeout);
-  EXPECT_STREQ(exp::kind_name(r.errors[0].kind), "timeout");
-  EXPECT_EQ(r.errors[0].attempts, 2);
-  const auto fs = exp::fault_stats();
-  EXPECT_EQ(fs.job_timeouts, 2u);
-  EXPECT_EQ(fs.job_failures, 1u);
+  ASSERT_EQ(r.errors.size(), 3u);
+  for (std::size_t j = 0; j < r.errors.size(); ++j) {
+    const JobError& e = r.errors[j];
+    EXPECT_EQ(e.job_index, j);
+    EXPECT_NE(e.what.find("queue-conservation"), std::string::npos) << e.what;
+    EXPECT_EQ(e.attempts, spec.job_retries + 1);
+  }
+  EXPECT_EQ(exp::fault_stats().job_failures - failures_before,
+            r.errors.size());
+  EXPECT_EQ(r.metrics.get("sweep.jobs_failed", -1.0), 3.0);
 }
 
 TEST(SweepFault, JobErrorCarriesTheConfigFingerprint) {
@@ -288,7 +309,7 @@ TEST(SweepFault, JobErrorCarriesTheConfigFingerprint) {
   spec.job_retries = 0;
   const auto jobs = exp::expand(spec);
   FaultPlan plan;
-  plan.sites.push_back({4, FaultPlan::Action::kThrow, 1000});
+  plan.sites.push_back({4, 1000});
   par::ThreadPool pool(2);
   exp::testing::FaultPlanGuard armed(plan);
   const SweepResult r = exp::run_sweep(spec, &pool);
@@ -303,7 +324,7 @@ TEST(SweepFault, JobErrorCarriesTheConfigFingerprint) {
 TEST(SweepFault, RunAveragedThrowsWhenAJobFails) {
   ::unsetenv("WLAN_RUN_CACHE");
   FaultPlan plan;
-  plan.sites.push_back({0, FaultPlan::Action::kThrow, 1000});
+  plan.sites.push_back({0, 1000});
   exp::testing::FaultPlanGuard armed(plan);
   exp::RunOptions opts;
   opts.warmup = sim::Duration::zero();

@@ -1,4 +1,5 @@
-// Unit tests for CSV writing, table rendering, CLI parsing and env knobs.
+// Unit tests for CSV writing, table rendering, CLI parsing and env knobs
+// (including the strict parse of the obs and progress switches).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,6 +7,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "exp/progress.hpp"
+#include "obs/audit.hpp"
+#include "par/thread_pool.hpp"
+#include "sim/simulator.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/env.hpp"
@@ -205,6 +210,47 @@ TEST(EnvDeathTest, MalformedBoolExitsWithError) {
   EXPECT_EXIT(env_bool("WLAN_TEST_ENV_BAD", false),
               ::testing::ExitedWithCode(2), "WLAN_TEST_ENV_BAD");
   ::unsetenv("WLAN_TEST_ENV_BAD");
+}
+
+// A knob first read on a worker lane (a sweep's first Simulator reads the
+// obs knobs there) must still end the process: the exit may not wait for
+// the global pool's destructor to join the lane that is exiting.
+TEST(EnvDeathTest, MalformedKnobOnAPoolLaneExitsWithError) {
+  // Re-exec rather than fork, so the child builds its pool from scratch.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ::setenv("WLAN_TEST_ENV_BAD", "maybe", 1);
+  EXPECT_EXIT(
+      {
+        wlan::par::ThreadPool::configure_global(2);
+        // Index 1 is lane 1's block: a worker thread, not the caller.
+        wlan::par::ThreadPool::global().parallel_for(2, [](std::size_t i) {
+          if (i == 1) env_bool("WLAN_TEST_ENV_BAD", false);
+        });
+      },
+      ::testing::ExitedWithCode(2), "WLAN_TEST_ENV_BAD");
+  ::unsetenv("WLAN_TEST_ENV_BAD");
+}
+
+TEST(EnvDeathTest, UnknownTraceCategoryExitsWithError) {
+  ::setenv("WLAN_TRACE_CATEGORIES", "medum", 1);
+  // Every Simulator reads the obs knobs at construction.
+  EXPECT_EXIT({ wlan::sim::Simulator sim; }, ::testing::ExitedWithCode(2),
+              "WLAN_TRACE_CATEGORIES");
+  ::unsetenv("WLAN_TRACE_CATEGORIES");
+}
+
+TEST(EnvDeathTest, MalformedAuditModeExitsWithError) {
+  ::setenv("WLAN_AUDIT", "thorw", 1);
+  EXPECT_EXIT(wlan::obs::AuditSet::enabled(), ::testing::ExitedWithCode(2),
+              "WLAN_AUDIT");
+  ::unsetenv("WLAN_AUDIT");
+}
+
+TEST(EnvDeathTest, MalformedProgressSwitchExitsWithError) {
+  ::setenv("WLAN_PROGRESS", "maybe", 1);
+  EXPECT_EXIT(wlan::exp::ProgressTracker::ticker_enabled(),
+              ::testing::ExitedWithCode(2), "WLAN_PROGRESS");
+  ::unsetenv("WLAN_PROGRESS");
 }
 
 }  // namespace
