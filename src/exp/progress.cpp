@@ -31,10 +31,7 @@ struct SinkConfig {
 const SinkConfig& sink_config() {
   static const SinkConfig cfg = [] {
     SinkConfig c;
-    // Set-but-empty stays off (env_bool would read it as "present").
-    if (const char* v = std::getenv("WLAN_PROGRESS");
-        v != nullptr && *v != '\0')
-      c.ticker = util::env_bool("WLAN_PROGRESS", false);
+    c.ticker = util::env_bool("WLAN_PROGRESS", false);
     c.tty = isatty(fileno(stderr)) != 0;
     if (const char* v = std::getenv("WLAN_PROGRESS_JSON");
         v != nullptr && *v != '\0')

@@ -81,8 +81,8 @@ static_assert(member_count<core::WTopCsmaController::Options>() == 3);
 static_assert(member_count<core::ToraCsmaController::Options>() == 5);
 static_assert(member_count<core::IdleSenseStrategy::Options>() == 7);
 // Only warmup and measure are keyed: sample_period and record_series only
-// shape series (which bypass the cache), and trace bypasses it.
-static_assert(member_count<RunOptions>() == 5);
+// shape series (which bypass the cache).
+static_assert(member_count<RunOptions>() == 4);
 
 void hash_wifi_params(KeyHasher& h, const mac::WifiParams& p) {
   h.add_double(p.data_rate_bps);

@@ -179,32 +179,15 @@ void collect_measurement(mac::Network& net, RunResult& result) {
   obs::maybe_export_metrics(result.metrics);
 }
 
-/// Attaches a capture-owned SimObs for the duration of the run; the
-/// returned owner must be declared before the network so it outlives it.
-std::unique_ptr<obs::SimObs> attach_capture(mac::Network& net,
-                                            obs::TraceCapture* capture) {
-  if (capture == nullptr) return nullptr;
-  auto o = std::make_unique<obs::SimObs>(capture->mask, capture->capacity);
-  net.simulator().attach_obs(o.get());
-  return o;
-}
-
-void finish_capture(obs::SimObs* o, obs::TraceCapture* capture) {
-  if (o == nullptr) return;
-  capture->records = o->trace.snapshot();
-  capture->dropped = o->trace.dropped();
-}
-
 }  // namespace
 
 RunResult run_scenario(const ScenarioConfig& scenario,
                        const SchemeConfig& scheme, const RunOptions& options) {
   // Cross-driver memoization (WLAN_RUN_CACHE): scalar results of the same
   // fully-bound point are simulated once per cache lifetime. Series
-  // recording and trace captures bypass the cache (neither is serialized).
-  const std::string cache_dir = options.record_series || options.trace != nullptr
-                                    ? std::string()
-                                    : run_cache::directory();
+  // recording bypasses the cache (series are not serialized).
+  const std::string cache_dir =
+      options.record_series ? std::string() : run_cache::directory();
   if (cache_dir.empty()) return simulate_scenario(scenario, scheme, options);
   const std::uint64_t cache_key = run_cache::key_hash(scenario, scheme, options);
   if (RunResult cached; run_cache::lookup(cache_dir, cache_key, cached))
@@ -219,13 +202,10 @@ RunResult simulate_scenario(const ScenarioConfig& scenario,
                             const RunOptions& options) {
   RunResult result;
 
-  // Declared before `net` so the attached bundle outlives the simulator.
-  std::unique_ptr<obs::SimObs> capture_obs;
   auto net = build_network(scenario, scheme);
   // Hidden station pairs from the built sensing rows (station node ids
   // start at num_aps()).
   result.hidden_pairs = net->medium().hidden_pairs(net->num_aps());
-  capture_obs = attach_capture(*net, options.trace);
   // Declared before the sampler captures it; checked at every sample tick
   // and once after the measurement window.
   std::unique_ptr<obs::AuditSet> audit = make_audit();
@@ -252,7 +232,6 @@ RunResult simulate_scenario(const ScenarioConfig& scenario,
 
   collect_measurement(*net, result);
   finish_audit(audit.get(), *net, result);
-  finish_capture(capture_obs.get(), options.trace);
   return result;
 }
 
@@ -276,13 +255,11 @@ RunResult run_dynamic(const ScenarioConfig& scenario,
                       const SchemeConfig& scheme,
                       const std::vector<PopulationStep>& schedule,
                       sim::Duration total_duration,
-                      sim::Duration sample_period, obs::TraceCapture* trace) {
+                      sim::Duration sample_period) {
   RunResult result;
 
-  std::unique_ptr<obs::SimObs> capture_obs;
   auto net = build_network(scenario, scheme);
   result.hidden_pairs = net->medium().hidden_pairs(net->num_aps());
-  capture_obs = attach_capture(*net, trace);
   std::unique_ptr<obs::AuditSet> audit = make_audit();
   install_sampler(*net, scheme, sample_period, result, audit.get());
   net->start();
@@ -303,7 +280,6 @@ RunResult run_dynamic(const ScenarioConfig& scenario,
 
   collect_measurement(*net, result);
   finish_audit(audit.get(), *net, result);
-  finish_capture(capture_obs.get(), trace);
   return result;
 }
 

@@ -11,10 +11,6 @@
 #include "stats/delay.hpp"
 #include "stats/timeseries.hpp"
 
-namespace wlan::obs {
-struct TraceCapture;
-}
-
 namespace wlan::exp {
 
 struct RunOptions {
@@ -27,11 +23,6 @@ struct RunOptions {
   sim::Duration sample_period = sim::Duration::seconds(1.0);
   /// Record time series (throughput / control variable / stage).
   bool record_series = false;
-  /// When non-null, the run records an event trace into this capture
-  /// (mask/capacity in, records/dropped out — see obs/trace.hpp). Like
-  /// record_series, a capture bypasses the run cache: a cached result has
-  /// no simulator to trace. Not owned; must outlive the call.
-  obs::TraceCapture* trace = nullptr;
 };
 
 struct RunResult {
@@ -85,7 +76,7 @@ struct RunResult {
 };
 
 /// Runs one scenario under one scheme. With $WLAN_RUN_CACHE set, and no
-/// series or trace recorded, the result is looked up in the run cache
+/// series recorded, the result is looked up in the run cache
 /// first and stored there after a fresh run (exp/run_cache.hpp).
 RunResult run_scenario(const ScenarioConfig& scenario,
                        const SchemeConfig& scheme,
@@ -135,7 +126,6 @@ RunResult run_dynamic(const ScenarioConfig& scenario,
                       const SchemeConfig& scheme,
                       const std::vector<PopulationStep>& schedule,
                       sim::Duration total_duration,
-                      sim::Duration sample_period = sim::Duration::seconds(1),
-                      obs::TraceCapture* trace = nullptr);
+                      sim::Duration sample_period = sim::Duration::seconds(1));
 
 }  // namespace wlan::exp

@@ -248,11 +248,9 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
     job_keys[i] =
         run_cache::key_hash(jobs[i].scenario, jobs[i].scheme, spec.options);
 
-  // Series/trace runs bypass the store: neither is serialized.
-  const bool series_or_trace =
-      spec.options.record_series || spec.options.trace != nullptr;
+  // Series runs bypass the store: series are not serialized.
   const std::string store =
-      series_or_trace ? std::string() : run_cache::directory();
+      spec.options.record_series ? std::string() : run_cache::directory();
 
   // Resume is a store hit: every job is looked up once, before the
   // fan-out. Hits fill their slots (per-run counters included, so they

@@ -13,8 +13,10 @@ ContentionArbiter::ContentionArbiter(sim::Simulator& simulator,
 
 namespace {
 
-/// The first live member's id, which the cohort trace records name.
-phy::NodeId first_live_id(const std::vector<Station*>& members) {
+/// The first live member's id, which the cohort trace records name (and
+/// nothing else reads, hence unused when the trace points compile out).
+[[maybe_unused]] phy::NodeId first_live_id(
+    const std::vector<Station*>& members) {
   for (const Station* s : members)
     if (s != nullptr) return s->id();
   return phy::kInvalidNode;

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "mac/contention_arbiter.hpp"
-#include "obs/flight.hpp"
 #include "obs/trace.hpp"
 #include "traffic/source.hpp"
 
@@ -118,9 +117,8 @@ void Station::resume_contention() {
 
 void Station::begin_ifs_wait(sim::Time) {
   set_state(State::kDifsWait);
-  // First entry per frame opens the contention span (re-entries after busy
-  // interruptions are no-ops inside the recorder).
-  WLAN_OBS_FLIGHT(sim_, on_contention(sim_.now().ns(), self_, audit_consumed_));
+  WLAN_OBS_POINT(sim_, obs::kCatStation, obs::ev::kContention, self_,
+                 audit_consumed_, 0);
   // EIFS after an undecodable busy period, DIFS otherwise (802.11 9.3.2.3.7).
   const sim::Duration wait = eifs_pending_ ? params_.eifs() : params_.difs;
   eifs_pending_ = false;
@@ -238,10 +236,12 @@ void Station::transmit_data_frame(bool slot_committed) {
   frame.payload_bits = params_.payload_bits;
   frame.seq = next_seq_++;
   frame.nav = params_.sifs + params_.ack_airtime();
-  WLAN_OBS_FLIGHT(sim_,
-                  on_attempt(now.ns(), self_, audit_consumed_, cohort_id_));
   medium_.start_transmission(self_, frame, params_.data_airtime(),
                              slot_committed);
+  // After start_transmission: its tx_start stays the callback's first
+  // trace point, which the profiler attributes the event to.
+  WLAN_OBS_POINT(sim_, obs::kCatStation, obs::ev::kAttempt, self_,
+                 audit_consumed_, cohort_id_);
 
   set_state(State::kWaitAck);
   ack_timeout_event_ = sim_.schedule_after(
@@ -251,7 +251,7 @@ void Station::transmit_data_frame(bool slot_committed) {
 void Station::cts_timeout() {
   assert(state_ == State::kWaitCts);
   if (counters_ != nullptr) ++counters_->cts_timeouts;
-  WLAN_OBS_FLIGHT(sim_, on_timeout(sim_.now().ns(), self_));
+  WLAN_OBS_POINT(sim_, obs::kCatStation, obs::ev::kTimeout, self_, 0, 0);
   strategy_->on_failure(rng_);
   finish_exchange();
 }
@@ -259,7 +259,7 @@ void Station::cts_timeout() {
 void Station::ack_timeout() {
   assert(state_ == State::kWaitAck);
   if (counters_ != nullptr) ++counters_->failures;
-  WLAN_OBS_FLIGHT(sim_, on_timeout(sim_.now().ns(), self_));
+  WLAN_OBS_POINT(sim_, obs::kCatStation, obs::ev::kTimeout, self_, 0, 0);
   strategy_->on_failure(rng_);
   finish_exchange();
 }
@@ -359,7 +359,7 @@ void Station::on_frame_received(const phy::Frame& frame, bool clean,
       if (own_ack && state_ == State::kWaitAck) {
         sim_.cancel(ack_timeout_event_);
         if (counters_ != nullptr) ++counters_->successes;
-        WLAN_OBS_FLIGHT(sim_, on_ack(now.ns(), self_));
+        WLAN_OBS_POINT(sim_, obs::kCatStation, obs::ev::kAck, self_, 0, 0);
         strategy_->on_success(rng_);
         // The head packet's MAC journey ends with this ACK.
         if (traffic_ != nullptr) traffic_->complete_head(now);

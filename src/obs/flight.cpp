@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "phy/frame.hpp"
+
 namespace wlan::obs {
 
 namespace {
@@ -25,57 +27,22 @@ const char* flight_event_name(std::uint16_t kind) {
 
 FlightRecorder::FlightRecorder(std::size_t ring_capacity,
                                std::size_t frames_capacity)
-    : ring_capacity_(ring_capacity > 0 ? ring_capacity : 1),
-      frames_capacity_(frames_capacity > 0 ? frames_capacity : 1) {}
+    : ring_capacity_(ring_capacity), completed_(frames_capacity) {}
 
 FlightRecorder::NodeState& FlightRecorder::node_state(std::uint32_t node) {
-  if (node >= nodes_.size()) nodes_.resize(node + 1);
+  if (node >= nodes_.size()) nodes_.resize(node + 1, NodeState(ring_capacity_));
   return nodes_[node];
+}
+
+FlightRecorder::NodeState* FlightRecorder::open_frame(std::uint32_t node) {
+  if (node >= nodes_.size() || !nodes_[node].cur_open) return nullptr;
+  return &nodes_[node];
 }
 
 void FlightRecorder::record(NodeState& st, std::int64_t now_ns, FrameId frame,
                             std::uint32_t node, std::uint16_t kind,
                             std::uint64_t detail) {
-  const FlightEvent e{now_ns, frame, node, kind, 0, detail};
-  if (st.ring.size() < ring_capacity_) {
-    st.ring.push_back(e);
-    return;
-  }
-  st.ring[st.ring_write] = e;
-  if (++st.ring_write == ring_capacity_) st.ring_write = 0;
-  ++st.ring_dropped;
-}
-
-void FlightRecorder::push_completed(const FrameStat& fs) {
-  if (completed_.size() < frames_capacity_) {
-    completed_.push_back(fs);
-    return;
-  }
-  completed_[completed_write_] = fs;
-  if (++completed_write_ == frames_capacity_) completed_write_ = 0;
-  ++frames_dropped_records_;
-}
-
-void FlightRecorder::on_enqueue(std::int64_t now_ns, std::uint32_t node,
-                                std::uint64_t queue_size, bool accepted) {
-  NodeState& st = node_state(node);
-  const FrameId id = next_id_++;
-  record(st, now_ns, id, node, fev::kEnqueue, queue_size);
-  if (accepted) {
-    ++totals_.frames_enqueued;
-    st.fifo.push_back(PendingFrame{id, now_ns});
-    return;
-  }
-  // Tail drop: the frame never reaches the MAC — close it right here.
-  record(st, now_ns, id, node, fev::kDrop, 0);
-  ++totals_.frames_dropped;
-  FrameStat fs;
-  fs.frame = id;
-  fs.node = node;
-  fs.dropped = true;
-  fs.enqueue_ns = now_ns;
-  fs.complete_ns = now_ns;
-  push_completed(fs);
+  st.ring.push(FlightEvent{now_ns, frame, node, kind, 0, detail});
 }
 
 void FlightRecorder::open_current(NodeState& st, std::int64_t now_ns,
@@ -100,7 +67,7 @@ void FlightRecorder::open_current(NodeState& st, std::int64_t now_ns,
 
 void FlightRecorder::close_current(NodeState& st, std::int64_t now_ns) {
   st.cur.complete_ns = now_ns;
-  push_completed(st.cur);
+  completed_.push(st.cur);
   ++totals_.frames_completed;
   totals_.attempts += st.cur.attempts;
   totals_.timeouts += st.cur.timeouts;
@@ -124,88 +91,91 @@ void FlightRecorder::close_current(NodeState& st, std::int64_t now_ns) {
   }
 }
 
-void FlightRecorder::on_contention(std::int64_t now_ns, std::uint32_t node,
-                                   std::uint64_t slots_consumed) {
-  NodeState& st = node_state(node);
-  // Re-entries after busy interruptions stay inside the open span.
-  if (st.cur_open) return;
-  open_current(st, now_ns, node, slots_consumed);
-}
-
-void FlightRecorder::on_attempt(std::int64_t now_ns, std::uint32_t node,
-                                std::uint64_t slots_consumed,
-                                std::uint64_t cohort_id) {
-  NodeState& st = node_state(node);
-  if (!st.cur_open) open_current(st, now_ns, node, slots_consumed);
-  const std::uint64_t slots = slots_consumed - st.slots_mark;
-  st.slots_mark = slots_consumed;
-  ++st.cur.attempts;
-  st.cur.slots_waited += slots;
-  record(st, now_ns, st.cur.frame, node, fev::kAttempt,
-         pack_attempt_detail(slots, cohort_id));
-}
-
-void FlightRecorder::on_air(std::int64_t /*now_ns*/, std::uint32_t node,
-                            std::int64_t air_ns) {
-  if (node >= nodes_.size()) return;  // AP/non-station source: not tracked
-  NodeState& st = nodes_[node];
-  if (!st.cur_open) return;
-  st.cur.air_ns += air_ns;
-}
-
-void FlightRecorder::on_verdict(std::int64_t now_ns, std::uint32_t node,
-                                bool clean) {
-  if (node >= nodes_.size()) return;
-  NodeState& st = nodes_[node];
-  if (!st.cur_open) return;
-  if (!clean) ++st.cur.verdicts_corrupt;
-  record(st, now_ns, st.cur.frame, node, fev::kVerdict, clean ? 1 : 0);
-}
-
-void FlightRecorder::on_timeout(std::int64_t now_ns, std::uint32_t node) {
-  NodeState& st = node_state(node);
-  if (!st.cur_open) return;
-  ++st.cur.timeouts;
-  record(st, now_ns, st.cur.frame, node, fev::kTimeout, st.cur.timeouts);
-}
-
-void FlightRecorder::on_ack(std::int64_t now_ns, std::uint32_t node) {
-  NodeState& st = node_state(node);
-  if (!st.cur_open) return;
-  record(st, now_ns, st.cur.frame, node, fev::kAck, st.cur.attempts);
-  close_current(st, now_ns);
+void FlightRecorder::consume(const TraceRecord& r) {
+  const std::int64_t now = r.time_ns;
+  // tx_start/deliver details carry the frame kind and destination
+  // (pack_frame_detail).
+  const bool data =
+      (r.a >> 60) == static_cast<unsigned>(phy::FrameKind::kData);
+  switch (r.event) {
+    case ev::kArrival: {
+      NodeState& st = node_state(r.node);
+      const FrameId id = next_id_++;
+      record(st, now, id, r.node, fev::kEnqueue, r.a);
+      if (r.b != 0) {
+        ++totals_.frames_enqueued;
+        st.fifo.push_back(PendingFrame{id, now});
+        return;
+      }
+      // Tail drop: the frame never reaches the MAC — close it right here.
+      record(st, now, id, r.node, fev::kDrop, 0);
+      ++totals_.frames_dropped;
+      FrameStat fs;
+      fs.frame = id;
+      fs.node = r.node;
+      fs.dropped = true;
+      fs.enqueue_ns = now;
+      fs.complete_ns = now;
+      completed_.push(fs);
+      return;
+    }
+    case ev::kContention: {
+      // Re-entries after busy interruptions stay inside the open span.
+      NodeState& st = node_state(r.node);
+      if (!st.cur_open) open_current(st, now, r.node, r.a);
+      return;
+    }
+    case ev::kAttempt: {
+      NodeState& st = node_state(r.node);
+      if (!st.cur_open) open_current(st, now, r.node, r.a);
+      const std::uint64_t slots = r.a - st.slots_mark;
+      st.slots_mark = r.a;
+      ++st.cur.attempts;
+      st.cur.slots_waited += slots;
+      record(st, now, st.cur.frame, r.node, fev::kAttempt,
+             pack_attempt_detail(slots, r.b));
+      return;
+    }
+    case ev::kTxStart:
+      if (NodeState* st = open_frame(r.node); st != nullptr && data)
+        st->cur.air_ns += static_cast<std::int64_t>(r.b);
+      return;
+    case ev::kTxEnd:
+      tx_src_ = r.node;
+      return;
+    case ev::kDeliver:
+      // Only the data copy at its destination is a verdict.
+      if (!data || ((r.a >> 40) & 0xFFFFFu) != r.node) return;
+      if (NodeState* st = open_frame(tx_src_)) {
+        if (r.b == 0) ++st->cur.verdicts_corrupt;
+        record(*st, now, st->cur.frame, tx_src_, fev::kVerdict, r.b);
+      }
+      return;
+    case ev::kTimeout:
+      if (NodeState* st = open_frame(r.node)) {
+        ++st->cur.timeouts;
+        record(*st, now, st->cur.frame, r.node, fev::kTimeout,
+               st->cur.timeouts);
+      }
+      return;
+    case ev::kAck:
+      if (NodeState* st = open_frame(r.node)) {
+        record(*st, now, st->cur.frame, r.node, fev::kAck, st->cur.attempts);
+        close_current(*st, now);
+      }
+      return;
+    default:
+      return;
+  }
 }
 
 std::vector<FrameStat> FlightRecorder::completed_frames() const {
-  std::vector<FrameStat> out;
-  out.reserve(completed_.size());
-  if (completed_.size() < frames_capacity_ || completed_write_ == 0) {
-    out.assign(completed_.begin(), completed_.end());
-  } else {
-    out.assign(
-        completed_.begin() + static_cast<std::ptrdiff_t>(completed_write_),
-        completed_.end());
-    out.insert(out.end(), completed_.begin(),
-               completed_.begin() +
-                   static_cast<std::ptrdiff_t>(completed_write_));
-  }
-  return out;
+  return completed_.snapshot();
 }
 
 std::vector<FlightEvent> FlightRecorder::node_events(std::uint32_t node) const {
-  std::vector<FlightEvent> out;
-  if (node >= nodes_.size()) return out;
-  const NodeState& st = nodes_[node];
-  out.reserve(st.ring.size());
-  if (st.ring.size() < ring_capacity_ || st.ring_write == 0) {
-    out.assign(st.ring.begin(), st.ring.end());
-  } else {
-    out.assign(st.ring.begin() + static_cast<std::ptrdiff_t>(st.ring_write),
-               st.ring.end());
-    out.insert(out.end(), st.ring.begin(),
-               st.ring.begin() + static_cast<std::ptrdiff_t>(st.ring_write));
-  }
-  return out;
+  if (node >= nodes_.size()) return {};
+  return nodes_[node].ring.snapshot();
 }
 
 std::vector<FlightEvent> FlightRecorder::all_events() const {

@@ -5,11 +5,15 @@
 // cohort id) → per-delivery clean/corrupt verdict → ACK or drop — is
 // recorded into a per-station overwrite-oldest ring of 32-byte PODs.
 //
-// Zero perturbation, same contract as trace.hpp: hooks only READ simulation
-// state, stamps are SIMULATED time only, and every hook compiles out under
-// -DWLAN_OBS_TRACE=OFF (the WLAN_OBS_FLIGHT macro in trace.hpp). Runs with
-// the recorder on, off, or compiled out produce byte-identical CSVs — the
-// CI fig04 cmp gate pins this.
+// Its only input is the trace-record stream: SimObs::point hands every
+// record to consume(), whatever the trace mask, and the spans are rebuilt
+// from traffic arrivals, medium tx_start/tx_end/deliver records and the
+// station's contention/attempt/timeout/ack events (trace.hpp). The
+// simulation never calls in here, so the recorder inherits the trace
+// points' contract: it only READS state, stamps are SIMULATED time only,
+// and it sees nothing under -DWLAN_OBS_TRACE=OFF. Runs with the recorder
+// on, off, or compiled out produce byte-identical CSVs — the CI fig04 cmp
+// gate pins this.
 //
 // Runtime gating: WLAN_FLIGHT (off by default; a path-like value doubles as
 // the auto-export prefix, mirroring WLAN_TRACE). An environment-built
@@ -20,6 +24,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "obs/trace.hpp"
 
 namespace wlan::obs {
 
@@ -92,9 +98,9 @@ struct FlightTotals {
   std::int64_t queue_ns = 0;       // enqueue-to-first-contention residency
 };
 
-/// The recorder. One per SimObs (see trace.hpp); all hooks arrive through
-/// WLAN_OBS_FLIGHT from a single simulator thread, in event order — state
-/// here is exactly as deterministic as the simulation driving it.
+/// The recorder. One per SimObs (see trace.hpp); records arrive from a
+/// single simulator thread, in event order — state here is exactly as
+/// deterministic as the simulation driving it.
 class FlightRecorder {
  public:
   /// `ring_capacity`: per-node FlightEvent ring; `frames_capacity`:
@@ -102,45 +108,23 @@ class FlightRecorder {
   explicit FlightRecorder(std::size_t ring_capacity = 2048,
                           std::size_t frames_capacity = 1u << 16);
 
-  // ---- hooks (called via WLAN_OBS_FLIGHT; simulation thread only) ----
-
-  /// traffic::TrafficSource arrival. Mints the FrameId; a rejected push
-  /// (tail drop) closes the frame immediately with a kDrop record.
-  void on_enqueue(std::int64_t now_ns, std::uint32_t node,
-                  std::uint64_t queue_size, bool accepted);
-
-  /// mac::Station entered its DIFS/EIFS wait. The first entry per frame
-  /// opens the contention span (and mints the FrameId for saturated
-  /// stations); re-entries after busy interruptions are part of the same
-  /// span and record nothing. `slots_consumed` is the station's lifetime
-  /// backoff-slot counter, the baseline for per-attempt slot deltas.
-  void on_contention(std::int64_t now_ns, std::uint32_t node,
-                     std::uint64_t slots_consumed);
-
-  /// A data-frame tx attempt started. `slots_consumed` as above; the delta
-  /// since the previous mark is this attempt's backoff-slots-waited.
-  void on_attempt(std::int64_t now_ns, std::uint32_t node,
-                  std::uint64_t slots_consumed, std::uint64_t cohort_id);
-
-  /// phy::Medium put this node's data frame on the air for `air_ns`.
-  void on_air(std::int64_t now_ns, std::uint32_t node, std::int64_t air_ns);
-
-  /// phy::Medium delivered this node's data frame to its destination;
-  /// `clean` is the collision/corruption verdict for that copy.
-  void on_verdict(std::int64_t now_ns, std::uint32_t node, bool clean);
-
-  /// CTS/ACK timeout: the attempt failed, the frame stays open.
-  void on_timeout(std::int64_t now_ns, std::uint32_t node);
-
-  /// Own ACK received: the frame's span chain closes as a success.
-  void on_ack(std::int64_t now_ns, std::uint32_t node);
+  /// Folds one trace record into the spans; records that carry no span
+  /// step are ignored. An arrival mints a FrameId (a tail drop closes it
+  /// at once); the first contention entry per frame opens its span (and
+  /// mints the FrameId for saturated stations); an attempt charges the
+  /// backoff slots consumed since the previous mark (both events carry
+  /// the station's lifetime count of consumed slots); a data tx_start adds
+  /// airtime; a data delivery at the frame's destination is the verdict,
+  /// charged to the source of the tx_end record that precedes it; a
+  /// timeout keeps the frame open and an ACK closes it.
+  void consume(const TraceRecord& r);
 
   // ---- inspection / export (no simulation state involved) ----
 
   const FlightTotals& totals() const { return totals_; }
   /// Completed frames surviving the table cap, oldest first.
   std::vector<FrameStat> completed_frames() const;
-  std::uint64_t completed_dropped() const { return frames_dropped_records_; }
+  std::uint64_t completed_dropped() const { return completed_.dropped(); }
   /// One node's surviving flight events, oldest first.
   std::vector<FlightEvent> node_events(std::uint32_t node) const;
   /// All surviving flight events merged in record order (stable across
@@ -172,34 +156,31 @@ class FlightRecorder {
   };
 
   struct NodeState {
+    explicit NodeState(std::size_t ring_capacity) : ring(ring_capacity) {}
     // FIFO mirror of the station's PacketQueue (traffic path only).
     std::vector<PendingFrame> fifo;
     std::size_t fifo_head = 0;
     FrameStat cur;        // head-of-line frame being worked by the MAC
     bool cur_open = false;
-    std::uint64_t slots_mark = 0;  // slots_consumed at the last attempt
-    // Per-node overwrite-oldest event ring (grow-on-demand like
-    // TraceRecorder).
-    std::vector<FlightEvent> ring;
-    std::size_t ring_write = 0;
-    std::uint64_t ring_dropped = 0;
+    std::uint64_t slots_mark = 0;  // slots consumed at the last attempt
+    Ring<FlightEvent> ring;
   };
 
   NodeState& node_state(std::uint32_t node);
+  /// The node's state when it has a frame open; null otherwise (also for
+  /// the AP and other sources that never opened one).
+  NodeState* open_frame(std::uint32_t node);
   void record(NodeState& st, std::int64_t now_ns, FrameId frame,
               std::uint32_t node, std::uint16_t kind, std::uint64_t detail);
   void open_current(NodeState& st, std::int64_t now_ns, std::uint32_t node,
                     std::uint64_t slots_consumed);
   void close_current(NodeState& st, std::int64_t now_ns);
-  void push_completed(const FrameStat& fs);
 
   FrameId next_id_ = 1;
   std::size_t ring_capacity_;
-  std::size_t frames_capacity_;
+  std::uint32_t tx_src_ = 0;  // source of the last tx_end record
   std::vector<NodeState> nodes_;
-  std::vector<FrameStat> completed_;
-  std::size_t completed_write_ = 0;
-  std::uint64_t frames_dropped_records_ = 0;  // FrameStats overwritten
+  Ring<FrameStat> completed_;
   FlightTotals totals_;
 };
 

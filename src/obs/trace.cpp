@@ -44,6 +44,10 @@ const char* kEventNames[ev::kNumEvents] = {
     "withdraw",       // kWithdraw
     "arrival",        // kArrival
     "drop",           // kDrop
+    "contention",     // kContention
+    "attempt",        // kAttempt
+    "timeout",        // kTimeout
+    "ack",            // kAck
 };
 
 struct EnvConfig {
@@ -120,32 +124,6 @@ std::optional<std::uint32_t> parse_categories(const std::string& spec) {
   return mask;
 }
 
-TraceRecorder::TraceRecorder(std::uint32_t mask, std::size_t capacity)
-    : mask_(mask), capacity_(capacity > 0 ? capacity : 1) {
-  // Grow-on-demand: a 256k-record default ring would be 8 MiB up front,
-  // most of it never touched by short runs.
-  buf_.reserve(std::min<std::size_t>(capacity_, 4096));
-}
-
-std::vector<TraceRecord> TraceRecorder::snapshot() const {
-  std::vector<TraceRecord> out;
-  out.reserve(buf_.size());
-  if (buf_.size() < capacity_ || write_ == 0) {
-    out.assign(buf_.begin(), buf_.end());
-  } else {
-    out.assign(buf_.begin() + static_cast<std::ptrdiff_t>(write_), buf_.end());
-    out.insert(out.end(), buf_.begin(),
-               buf_.begin() + static_cast<std::ptrdiff_t>(write_));
-  }
-  return out;
-}
-
-void TraceRecorder::clear() {
-  buf_.clear();
-  write_ = 0;
-  dropped_ = 0;
-}
-
 std::unique_ptr<SimObs> SimObs::from_env() {
   const int forced = g_trace_override.load(std::memory_order_relaxed);
   const int flight_forced = g_flight_override.load(std::memory_order_relaxed);
@@ -172,9 +150,14 @@ std::unique_ptr<SimObs> SimObs::from_env() {
 }
 
 SimObs::SimObs(std::uint32_t mask, std::size_t capacity)
-    : trace(mask, capacity) {}
+    : mask(mask), trace(capacity) {}
 
 SimObs::~SimObs() = default;
+
+void SimObs::record(const TraceRecord& r) {
+  if (wants(static_cast<Category>(r.category))) trace.push(r);
+  if (flight != nullptr) flight->consume(r);
+}
 
 void SimObs::set_trace_override(int value) {
   g_trace_override.store(value < 0 ? -1 : (value != 0 ? 1 : 0),

@@ -1,8 +1,15 @@
-// Event tracing: a fixed-capacity ring of 32-byte POD records, stamped
-// with SIMULATED time only — two runs that make the same decisions in the
-// same order produce byte-identical traces regardless of machine, thread
-// count, or wall-clock jitter. That is what makes obs::first_divergence
-// (trace_diff.hpp) meaningful.
+// Event tracing: 32-byte POD records, stamped with SIMULATED time only —
+// two runs that make the same decisions in the same order produce
+// byte-identical traces regardless of machine, thread count, or wall-clock
+// jitter. That is what makes obs::first_divergence (trace_diff.hpp)
+// meaningful.
+//
+// One hook: every WLAN_OBS_POINT compiles into SimObs::point, the only way
+// sim/, phy/, mac/ and traffic/ report to obs/. It stamps the phase
+// profiler, keeps the record in the trace ring when its category is
+// enabled, and hands it — whatever the mask — to the frame flight
+// recorder (obs/flight.hpp), which rebuilds its per-frame spans from these
+// records alone.
 //
 // Layering: sim/, phy/, mac/ and traffic/ include only this header (plus
 // category.hpp/profile.hpp); obs/collect.hpp looks back down at
@@ -10,9 +17,10 @@
 // trace points read state, they never write any.
 //
 // Runtime gating: WLAN_TRACE (off by default), refined by
-// WLAN_TRACE_CATEGORIES — see SimObs::from_env. Compile-time gating:
-// configure with -DWLAN_OBS_TRACE=OFF and every WLAN_OBS_POINT expands to
-// nothing (the obs/ types still build; only the hooks vanish).
+// WLAN_TRACE_CATEGORIES, and WLAN_FLIGHT — see SimObs::from_env.
+// Compile-time gating: configure with -DWLAN_OBS_TRACE=OFF and every
+// WLAN_OBS_POINT expands to nothing (the obs/ types still build; only the
+// hooks vanish).
 #pragma once
 
 #include <cstdint>
@@ -42,7 +50,11 @@ inline constexpr std::uint16_t kCohortDecision = 9; // cohort: a=members, b=due
 inline constexpr std::uint16_t kWithdraw = 10;      // cohort: a=remaining
 inline constexpr std::uint16_t kArrival = 11;       // traffic: a=queue_len, b=accepted
 inline constexpr std::uint16_t kDrop = 12;          // traffic: a=drops so far
-inline constexpr std::uint16_t kNumEvents = 13;
+inline constexpr std::uint16_t kContention = 13;    // station: a=slots consumed
+inline constexpr std::uint16_t kAttempt = 14;       // station: a=slots consumed, b=cohort
+inline constexpr std::uint16_t kTimeout = 15;       // station: CTS/ACK timeout
+inline constexpr std::uint16_t kAck = 16;           // station: own ACK received
+inline constexpr std::uint16_t kNumEvents = 17;
 }  // namespace ev
 
 /// Short name for an event code ("tx_start", "state", ...); "?" if unknown.
@@ -70,43 +82,44 @@ struct TraceRecord {
 static_assert(sizeof(TraceRecord) == 32, "keep trace records pooled/POD");
 static_assert(std::is_trivially_copyable_v<TraceRecord>);
 
-/// Fixed-capacity overwrite-oldest ring. Storage grows on demand up to
-/// `capacity` (a short run never touches the full allocation), then wraps;
-/// dropped() counts overwritten records so an exporter can say "first N
-/// records lost", and snapshot() returns the survivors oldest-first.
-class TraceRecorder {
+/// Fixed-capacity overwrite-oldest ring: the trace records here, the
+/// flight recorder's per-node events and its completed-frame table.
+/// Storage grows on demand up to `capacity` (a short run never touches the
+/// full allocation), then wraps; dropped() counts overwritten entries so an
+/// exporter can say "first N records lost", and snapshot() returns the
+/// survivors oldest-first.
+template <class T>
+class Ring {
  public:
-  TraceRecorder(std::uint32_t mask, std::size_t capacity);
+  explicit Ring(std::size_t capacity)
+      : capacity_(capacity > 0 ? capacity : 1) {}
 
-  std::uint32_t mask() const { return mask_; }
-  void set_mask(std::uint32_t mask) { mask_ = mask; }
-  bool wants(Category c) const { return (mask_ >> static_cast<unsigned>(c)) & 1u; }
-
-  void push(const TraceRecord& r) {
+  void push(const T& v) {
     if (buf_.size() < capacity_) {
-      buf_.push_back(r);
+      buf_.push_back(v);
       return;
     }
-    buf_[write_] = r;
+    buf_[write_] = v;
     if (++write_ == capacity_) write_ = 0;
     ++dropped_;
   }
 
-  std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return buf_.size(); }
   std::uint64_t dropped() const { return dropped_; }
 
-  /// Surviving records in chronological (push) order.
-  std::vector<TraceRecord> snapshot() const;
-
-  void clear();
+  /// Surviving entries in push order.
+  std::vector<T> snapshot() const {
+    const auto oldest = buf_.begin() + static_cast<std::ptrdiff_t>(write_);
+    std::vector<T> out(oldest, buf_.end());
+    out.insert(out.end(), buf_.begin(), oldest);
+    return out;
+  }
 
  private:
-  std::uint32_t mask_;
   std::size_t capacity_;
-  std::size_t write_ = 0;      // oldest slot once the ring is full
+  std::size_t write_ = 0;  // oldest slot once the ring is full
   std::uint64_t dropped_ = 0;
-  std::vector<TraceRecord> buf_;
+  std::vector<T> buf_;
 };
 
 class FlightRecorder;  // obs/flight.hpp
@@ -115,11 +128,13 @@ class FlightRecorder;  // obs/flight.hpp
 /// (usually null: nothing is allocated unless tracing/profiling/flight
 /// recording is asked for), reached from trace points via Simulator::obs().
 struct SimObs {
-  TraceRecorder trace;
+  /// Categories kept in `trace` (category_bit set); the flight recorder
+  /// sees every point regardless.
+  std::uint32_t mask;
+  Ring<TraceRecord> trace;
   PhaseProfiler profiler;
   /// Frame flight recorder (obs/flight.hpp); null unless WLAN_FLIGHT (or a
-  /// test attachment) requested it. WLAN_OBS_FLIGHT hooks check the
-  /// pointer, so the off cost is the same one branch as a trace point.
+  /// test attachment) requested it.
   std::unique_ptr<FlightRecorder> flight;
   /// Non-empty: destructor-time Chrome-JSON auto-export path prefix
   /// (at most 8 files per process; see trace_export.hpp).
@@ -129,15 +144,19 @@ struct SimObs {
   SimObs(std::uint32_t mask, std::size_t capacity);
   ~SimObs();
 
+  bool wants(Category c) const {
+    return (mask >> static_cast<unsigned>(c)) & 1u;
+  }
+
   /// The one call every trace point compiles into: stamps the profiler's
-  /// attribution (first point in a callback wins) and records into the
-  /// ring when the category is enabled.
+  /// attribution (first point in a callback wins), records into the ring
+  /// when the category is enabled, and feeds the flight recorder.
   void point(std::int64_t time_ns, Category c, std::uint16_t event,
              std::uint32_t node, std::uint64_t a, std::uint64_t b) {
     profiler.stamp(c);
-    if (trace.wants(c))
-      trace.push(TraceRecord{time_ns, static_cast<std::uint16_t>(c), event,
-                             node, a, b});
+    if (wants(c) || flight != nullptr)
+      record(TraceRecord{time_ns, static_cast<std::uint16_t>(c), event, node,
+                         a, b});
   }
 
   /// Builds a bundle from the environment, or null when nothing requests
@@ -149,8 +168,9 @@ struct SimObs {
   ///   WLAN_TRACE_CATEGORIES comma list (default all; see parse_categories)
   ///   WLAN_PROFILE          truthy → enable the phase profiler
   ///   WLAN_FLIGHT           like WLAN_TRACE, for the frame flight recorder
-  /// (truthy/falsy are util::parse_bool's spellings). An unknown category
-  /// or a non-boolean WLAN_PROFILE exits 2 (util::reject_env).
+  /// (truthy/falsy are util::parse_bool's spellings; an empty value reads
+  /// as unset). An unknown category or a non-boolean WLAN_PROFILE exits 2
+  /// (util::reject_env).
   /// The trace ring holds 262,144 records and the flight recorder keeps
   /// its constructor defaults (2,048 events per node, 65,536 frames).
   static std::unique_ptr<SimObs> from_env();
@@ -170,17 +190,11 @@ struct SimObs {
   /// True when WLAN_PROFILE (or an attached profiler) would be enabled —
   /// used by run_sweep to decide whether to print per-lane reports.
   static bool profile_enabled_by_env();
-};
 
-/// Test/tool-facing capture request, handed to exp::RunOptions::trace: the
-/// runner attaches a private SimObs to the run's simulator and copies the
-/// surviving records back here. Runs with a capture bypass the run cache
-/// (a cached result has no simulator to trace).
-struct TraceCapture {
-  std::uint32_t mask = kAllCategories;   // in: categories to record
-  std::size_t capacity = 1u << 20;       // in: ring capacity, records
-  std::vector<TraceRecord> records;      // out: chronological survivors
-  std::uint64_t dropped = 0;             // out: overwritten record count
+ private:
+  /// Out of line, so every inlined trace point stays small: the ring push
+  /// and FlightRecorder::consume (FlightRecorder is incomplete here).
+  void record(const TraceRecord& r);
 };
 
 }  // namespace wlan::obs
@@ -200,23 +214,5 @@ struct TraceCapture {
 #else
 #define WLAN_OBS_POINT(sim, cat, event, node, a, b) \
   do {                                              \
-  } while (0)
-#endif
-
-// The flight-recorder hook macro. `call` is a FlightRecorder member call
-// (e.g. on_ack(now_ns, node)); like WLAN_OBS_POINT its arguments are only
-// evaluated when a recorder is attached, and the whole hook compiles out
-// under -DWLAN_OBS_TRACE=OFF. Use sites include obs/flight.hpp for the
-// complete FlightRecorder type.
-#ifndef WLAN_OBS_NO_TRACE
-#define WLAN_OBS_FLIGHT(sim, call)                                  \
-  do {                                                              \
-    ::wlan::obs::SimObs* wlan_obs_f_ = (sim).obs();                 \
-    if (wlan_obs_f_ != nullptr && wlan_obs_f_->flight != nullptr)   \
-      wlan_obs_f_->flight->call;                                    \
-  } while (0)
-#else
-#define WLAN_OBS_FLIGHT(sim, call) \
-  do {                             \
   } while (0)
 #endif

@@ -7,7 +7,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "obs/flight.hpp"
 #include "obs/trace.hpp"
 #include "topology/spatial_grid.hpp"
 
@@ -503,8 +502,6 @@ void Medium::start_transmission(NodeId src, const Frame& frame,
                  obs::pack_frame_detail(static_cast<unsigned>(frame.kind),
                                         frame.dst, frame.seq),
                  airtime.ns());
-  if (frame.kind == FrameKind::kData)
-    WLAN_OBS_FLIGHT(sim_, on_air(start.ns(), src, airtime.ns()));
 
   // Reuse this node's pooled slot: overwrite the previous occupant in
   // place and reset its corruption marks.
@@ -606,8 +603,6 @@ void Medium::end_transmission(NodeId src, std::uint64_t tx_id) {
                      obs::pack_frame_detail(static_cast<unsigned>(frame.kind),
                                             frame.dst, frame.seq),
                      clean);
-      if (frame.kind == FrameKind::kData && *p == frame.dst)
-        WLAN_OBS_FLIGHT(sim_, on_verdict(now.ns(), frame.src, clean));
       clients_[r]->on_frame_received(frame, clean, now);
     }
   }

@@ -33,7 +33,7 @@ void Simulator::dispatch_observed(EventQueue::Fired& fired) {
   // Pushed directly (not via point()): the dispatch record must not claim
   // the profiler's attribution slot — that belongs to the first trace
   // point INSIDE the callback.
-  if (o.trace.wants(obs::kCatSim))
+  if (o.wants(obs::kCatSim))
     o.trace.push(obs::TraceRecord{now_.ns(), obs::kCatSim, obs::ev::kDispatch,
                                   0, events_executed_, 0});
   if (!o.profiler.enabled()) {

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "obs/flight.hpp"
 #include "obs/trace.hpp"
 
 namespace wlan::traffic {
@@ -39,8 +38,6 @@ void TrafficSource::on_arrival() {
   if (!accepted)
     WLAN_OBS_POINT(sim_, obs::kCatTraffic, obs::ev::kDrop, node_,
                    queue_.drops(), 0);
-  WLAN_OBS_FLIGHT(sim_,
-                  on_enqueue(sim_.now().ns(), node_, queue_.size(), accepted));
   schedule_next_arrival();
   if (accepted && was_empty && wake_cb_) wake_cb_();
 }

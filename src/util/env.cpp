@@ -59,10 +59,7 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback) {
 
 bool env_bool(const std::string& name, bool fallback) {
   const char* raw = std::getenv(name.c_str());
-  if (raw == nullptr) return fallback;
-  // Set-but-empty reads as "flag present" (historical behaviour relied on
-  // by `WLAN_BENCH_FAST= cmd`-style invocations).
-  if (*raw == '\0') return true;
+  if (raw == nullptr || *raw == '\0') return fallback;
   const auto v = parse_bool(raw);
   if (!v)
     reject_env(name, raw, "a boolean (1/true/yes/on or 0/false/no/off)");

@@ -49,9 +49,8 @@ double env_double(const std::string& name, double fallback);
 /// Exits(2) with a one-line error when set but unparsable.
 std::int64_t env_int(const std::string& name, std::int64_t fallback);
 
-/// Reads a boolean env var. Unset => fallback; set-but-empty => true (the
-/// historical "flag is present" reading, e.g. `WLAN_BENCH_FAST= cmd`).
-/// Exits(2) with a one-line error on any other unparsable value.
+/// Reads a boolean env var; returns `fallback` when unset or empty.
+/// Exits(2) with a one-line error when set but unparsable.
 bool env_bool(const std::string& name, bool fallback);
 
 /// Multiplier applied to bench simulated durations (WLAN_BENCH_SECONDS

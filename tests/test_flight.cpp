@@ -1,18 +1,24 @@
 // Tests for the frame-lifecycle flight recorder (src/obs/flight.hpp):
-// unit-level span-chain accounting on a hand-driven recorder, the
-// integration path through run_scenario (flight.* metrics), and the
-// acceptance bar shared with the rest of obs/ — a run with the recorder
-// attached is bit-identical to one without.
+// unit-level span-chain accounting on a recorder fed the trace records a
+// station exchange produces, the integration path through run_scenario
+// (flight.* metrics, and the station events against the MAC counters),
+// and the acceptance bar shared with the rest of obs/ — a run with the
+// recorder attached is bit-identical to one without.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
+#include "mac/network.hpp"
+#include "obs/collect.hpp"
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
+#include "phy/frame.hpp"
 #include "util/fnv.hpp"
 
 namespace {
@@ -29,6 +35,56 @@ struct FlightOverrideGuard {
 
 // ------------------------------------------------------- span accounting
 
+constexpr std::uint32_t kAp = 10;  // receiver of every data frame below
+
+std::uint64_t frame(phy::FrameKind kind, std::uint32_t dst) {
+  return obs::pack_frame_detail(static_cast<unsigned>(kind), dst, 0);
+}
+
+obs::TraceRecord rec(std::int64_t t, obs::Category c, std::uint16_t event,
+                     std::uint32_t node, std::uint64_t a = 0,
+                     std::uint64_t b = 0) {
+  return obs::TraceRecord{t, static_cast<std::uint16_t>(c), event, node, a, b};
+}
+
+/// Feeds a recorder the records SimObs::point hands it during a station's
+/// exchanges with the AP, in the order the traffic source, MAC and medium
+/// emit them.
+struct Feed {
+  obs::FlightRecorder& fr;
+
+  void arrival(std::int64_t t, std::uint32_t node, std::uint64_t queue_size,
+               bool accepted) {
+    fr.consume(rec(t, obs::kCatTraffic, obs::ev::kArrival, node, queue_size,
+                   accepted));
+  }
+  void contention(std::int64_t t, std::uint32_t node, std::uint64_t slots) {
+    fr.consume(rec(t, obs::kCatStation, obs::ev::kContention, node, slots));
+  }
+  /// A data frame goes on air (tx_start), then the station's attempt.
+  void attempt(std::int64_t t, std::uint32_t node, std::uint64_t slots,
+               std::uint64_t cohort, std::int64_t air_ns) {
+    fr.consume(rec(t, obs::kCatMedium, obs::ev::kTxStart, node,
+                   frame(phy::FrameKind::kData, kAp),
+                   static_cast<std::uint64_t>(air_ns)));
+    fr.consume(
+        rec(t, obs::kCatStation, obs::ev::kAttempt, node, slots, cohort));
+  }
+  /// The data frame ends (tx_end) and its copy reaches the AP.
+  void deliver(std::int64_t t, std::uint32_t node, bool clean) {
+    fr.consume(rec(t, obs::kCatMedium, obs::ev::kTxEnd, node,
+                   frame(phy::FrameKind::kData, kAp)));
+    fr.consume(rec(t, obs::kCatMedium, obs::ev::kDeliver, kAp,
+                   frame(phy::FrameKind::kData, kAp), clean));
+  }
+  void timeout(std::int64_t t, std::uint32_t node) {
+    fr.consume(rec(t, obs::kCatStation, obs::ev::kTimeout, node));
+  }
+  void ack(std::int64_t t, std::uint32_t node) {
+    fr.consume(rec(t, obs::kCatStation, obs::ev::kAck, node));
+  }
+};
+
 TEST(Flight, PackAttemptDetailKeepsFieldsSeparate) {
   const std::uint64_t d = obs::pack_attempt_detail(/*slots=*/0xABCDEF,
                                                    /*cohort=*/0x123456);
@@ -38,14 +94,14 @@ TEST(Flight, PackAttemptDetailKeepsFieldsSeparate) {
 
 TEST(Flight, TrafficFrameFullLifecycle) {
   obs::FlightRecorder fr;
+  Feed f{fr};
   // enqueue at t=0 -> contention at t=100 -> attempt after 7 slots at
-  // t=500 -> on air 200ns -> clean verdict -> ACK at t=1000.
-  fr.on_enqueue(0, /*node=*/3, /*queue_size=*/1, /*accepted=*/true);
-  fr.on_contention(100, 3, /*slots_consumed=*/10);
-  fr.on_attempt(500, 3, /*slots_consumed=*/17, /*cohort_id=*/0);
-  fr.on_air(500, 3, /*air_ns=*/200);
-  fr.on_verdict(700, 3, /*clean=*/true);
-  fr.on_ack(1000, 3);
+  // t=500, 200ns on air -> clean copy at the AP -> ACK at t=1000.
+  f.arrival(0, /*node=*/3, /*queue_size=*/1, /*accepted=*/true);
+  f.contention(100, 3, /*slots=*/10);
+  f.attempt(500, 3, /*slots=*/17, /*cohort=*/0, /*air_ns=*/200);
+  f.deliver(700, 3, /*clean=*/true);
+  f.ack(1000, 3);
 
   const obs::FlightTotals& t = fr.totals();
   EXPECT_EQ(t.frames_enqueued, 1u);
@@ -73,16 +129,15 @@ TEST(Flight, TrafficFrameFullLifecycle) {
 
 TEST(Flight, RetryAfterTimeoutAccumulatesOnSameFrame) {
   obs::FlightRecorder fr;
-  fr.on_enqueue(0, 1, 1, true);
-  fr.on_contention(10, 1, 0);
-  fr.on_attempt(100, 1, 5, /*cohort_id=*/42);  // 5 slots waited
-  fr.on_air(100, 1, 50);
-  fr.on_verdict(150, 1, /*clean=*/false);      // collision at the receiver
-  fr.on_timeout(300, 1);
-  fr.on_attempt(600, 1, 14, 42);               // 9 more slots
-  fr.on_air(600, 1, 50);
-  fr.on_verdict(650, 1, true);
-  fr.on_ack(800, 1);
+  Feed f{fr};
+  f.arrival(0, 1, 1, true);
+  f.contention(10, 1, 0);
+  f.attempt(100, 1, 5, /*cohort=*/42, 50);  // 5 slots waited
+  f.deliver(150, 1, /*clean=*/false);       // collision at the receiver
+  f.timeout(300, 1);
+  f.attempt(600, 1, 14, 42, 50);            // 9 more slots
+  f.deliver(650, 1, true);
+  f.ack(800, 1);
 
   const obs::FlightTotals& t = fr.totals();
   EXPECT_EQ(t.frames_completed, 1u);
@@ -96,8 +151,9 @@ TEST(Flight, RetryAfterTimeoutAccumulatesOnSameFrame) {
 
 TEST(Flight, TailDropClosesFrameImmediately) {
   obs::FlightRecorder fr;
-  fr.on_enqueue(0, 2, 1, true);
-  fr.on_enqueue(50, 2, 1, /*accepted=*/false);  // queue full: tail drop
+  Feed f{fr};
+  f.arrival(0, 2, 1, true);
+  f.arrival(50, 2, 1, /*accepted=*/false);  // queue full: tail drop
   const obs::FlightTotals& t = fr.totals();
   EXPECT_EQ(t.frames_enqueued, 1u);  // only the accepted push counts
   EXPECT_EQ(t.frames_dropped, 1u);
@@ -111,17 +167,16 @@ TEST(Flight, TailDropClosesFrameImmediately) {
 
 TEST(Flight, SaturatedStationMintsAtContentionEntry) {
   obs::FlightRecorder fr;
+  Feed f{fr};
   // No enqueue ever happens: the station is backlogged. The first
   // contention entry mints the FrameId; the ACK closes it; the next
   // contention entry mints the next.
-  fr.on_contention(10, 0, 0);
-  fr.on_attempt(50, 0, 3, 0);
-  fr.on_air(50, 0, 20);
-  fr.on_ack(100, 0);
-  fr.on_contention(150, 0, 3);
-  fr.on_attempt(200, 0, 8, 0);
-  fr.on_air(200, 0, 20);
-  fr.on_ack(260, 0);
+  f.contention(10, 0, 0);
+  f.attempt(50, 0, 3, 0, 20);
+  f.ack(100, 0);
+  f.contention(150, 0, 3);
+  f.attempt(200, 0, 8, 0, 20);
+  f.ack(260, 0);
 
   const obs::FlightTotals& t = fr.totals();
   EXPECT_EQ(t.frames_saturated, 2u);
@@ -136,21 +191,59 @@ TEST(Flight, SaturatedStationMintsAtContentionEntry) {
 
 TEST(Flight, ReContentionAfterBusyDoesNotReopenSpan) {
   obs::FlightRecorder fr;
-  fr.on_contention(10, 0, 0);
-  fr.on_contention(400, 0, 2);  // medium went busy, wait restarted
-  fr.on_attempt(500, 0, 6, 0);
-  fr.on_air(500, 0, 20);
-  fr.on_ack(600, 0);
+  Feed f{fr};
+  f.contention(10, 0, 0);
+  f.contention(400, 0, 2);  // medium went busy, wait restarted
+  f.attempt(500, 0, 6, 0, 20);
+  f.ack(600, 0);
   const std::vector<obs::FrameStat> frames = fr.completed_frames();
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].contention_ns, 10);  // first entry won
   EXPECT_EQ(frames[0].slots_waited, 6u);   // delta from the FIRST mark
 }
 
+TEST(Flight, OnlyADataCopyAtItsDestinationIsAVerdict) {
+  obs::FlightRecorder fr;
+  Feed f{fr};
+  f.contention(0, 1, 0);
+  // An RTS on air: a non-data tx_start adds no airtime.
+  fr.consume(rec(10, obs::kCatMedium, obs::ev::kTxStart, 1,
+                 frame(phy::FrameKind::kRts, kAp), 40));
+  f.attempt(100, 1, 2, 0, 50);
+  // The data frame ends; a bystander (station 2) decodes a corrupt copy
+  // before the AP decodes a clean one. Only the AP's copy is a verdict.
+  fr.consume(rec(150, obs::kCatMedium, obs::ev::kTxEnd, 1,
+                 frame(phy::FrameKind::kData, kAp)));
+  fr.consume(rec(150, obs::kCatMedium, obs::ev::kDeliver, 2,
+                 frame(phy::FrameKind::kData, kAp), /*clean=*/0));
+  fr.consume(rec(150, obs::kCatMedium, obs::ev::kDeliver, kAp,
+                 frame(phy::FrameKind::kData, kAp), /*clean=*/1));
+  // The AP's ACK arrives corrupt at its own destination: not a data copy.
+  fr.consume(rec(170, obs::kCatMedium, obs::ev::kTxEnd, kAp,
+                 frame(phy::FrameKind::kAck, 1)));
+  fr.consume(rec(170, obs::kCatMedium, obs::ev::kDeliver, 1,
+                 frame(phy::FrameKind::kAck, 1), /*clean=*/0));
+  f.ack(200, 1);
+
+  const obs::FlightTotals& t = fr.totals();
+  EXPECT_EQ(t.frames_completed, 1u);
+  EXPECT_EQ(t.verdicts_corrupt, 0u);
+  EXPECT_EQ(t.air_ns, 50);
+  std::size_t verdicts = 0;
+  for (const obs::FlightEvent& e : fr.node_events(1))
+    if (e.kind == obs::fev::kVerdict) {
+      ++verdicts;
+      EXPECT_EQ(e.detail, 1u);  // the AP's clean copy
+    }
+  EXPECT_EQ(verdicts, 1u);
+  EXPECT_TRUE(fr.node_events(2).empty());
+}
+
 TEST(Flight, ExcerptNamesFrameIds) {
   obs::FlightRecorder fr;
-  fr.on_enqueue(0, 5, 1, true);
-  fr.on_contention(10, 5, 0);
+  Feed f{fr};
+  f.arrival(0, 5, 1, true);
+  f.contention(10, 5, 0);
   const std::string ex = fr.excerpt(5);
   EXPECT_NE(ex.find("node 5"), std::string::npos);
   EXPECT_NE(ex.find("frame=1"), std::string::npos);
@@ -161,9 +254,10 @@ TEST(Flight, ExcerptNamesFrameIds) {
 
 TEST(Flight, RingOverwritesOldestAndCountsDrops) {
   obs::FlightRecorder fr(/*ring_capacity=*/4, /*frames_capacity=*/2);
+  Feed f{fr};
   for (int i = 0; i < 6; ++i) {
-    fr.on_contention(i * 100, 0, static_cast<std::uint64_t>(i));
-    fr.on_ack(i * 100 + 50, 0);
+    f.contention(i * 100, 0, static_cast<std::uint64_t>(i));
+    f.ack(i * 100 + 50, 0);
   }
   // 12 records pushed through a 4-slot ring: only the newest 4 survive.
   const std::vector<obs::FlightEvent> evs = fr.node_events(0);
@@ -177,11 +271,11 @@ TEST(Flight, RingOverwritesOldestAndCountsDrops) {
 
 TEST(Flight, CsvAndChromeJsonExports) {
   obs::FlightRecorder fr;
-  fr.on_enqueue(0, 1, 1, true);
-  fr.on_contention(100, 1, 0);
-  fr.on_attempt(500, 1, 7, 3);
-  fr.on_air(500, 1, 200);
-  fr.on_ack(1000, 1);
+  Feed f{fr};
+  f.arrival(0, 1, 1, true);
+  f.contention(100, 1, 0);
+  f.attempt(500, 1, 7, 3, 200);
+  f.ack(1000, 1);
 
   const std::string csv = fr.frames_csv();
   EXPECT_NE(csv.find("frame,node,enqueue_us"), std::string::npos);
@@ -236,6 +330,48 @@ TEST(Flight, MetricsAbsentWhenRecorderOff) {
                                    SchemeConfig::standard(),
                                    quick_series_options());
   EXPECT_FALSE(r.metrics.contains("flight.frames_completed"));
+}
+
+/// Builds `scenario` under 802.11, attaches `o` and simulates `seconds`.
+std::unique_ptr<mac::Network> run_attached(const ScenarioConfig& scenario,
+                                           obs::SimObs& o, double seconds) {
+  auto net = exp::build_network(scenario, SchemeConfig::standard());
+  net->simulator().attach_obs(&o);
+  net->start();
+  net->run_for(sim::Duration::seconds(seconds));
+  return net;
+}
+
+TEST(Flight, StationEventsMatchTheCounters) {
+  // The recorder's whole view of a station is these trace points, so each
+  // must fire exactly where the MAC counts: an attempt per data frame
+  // sent, an ack per success, a timeout per ACK or CTS timeout.
+  for (const bool rts : {false, true}) {
+    auto scenario = ScenarioConfig::hidden(12, 16.0, 3);
+    if (rts) scenario.phy.rts_threshold_bits = 0;  // every frame uses RTS/CTS
+    obs::SimObs o(obs::category_bit(obs::kCatStation), 1u << 20);
+    const auto net = run_attached(scenario, o, 1.0);
+    ASSERT_EQ(o.trace.dropped(), 0u);
+
+    std::uint64_t attempts = 0, acks = 0, timeouts = 0;
+    for (const obs::TraceRecord& r : o.trace.snapshot()) {
+      attempts += r.event == obs::ev::kAttempt;
+      acks += r.event == obs::ev::kAck;
+      timeouts += r.event == obs::ev::kTimeout;
+    }
+    std::uint64_t sent = 0, successes = 0, failed = 0;
+    for (std::size_t i = 0; i < net->counters().num_stations(); ++i) {
+      const stats::NodeCounters& n = net->counters().node(i);
+      sent += n.data_tx_attempts;
+      successes += n.successes;
+      failed += n.failures + n.cts_timeouts;
+    }
+    EXPECT_GT(attempts, 0u);
+    EXPECT_GT(timeouts, 0u);  // hidden stations collide
+    EXPECT_EQ(attempts, sent) << "rts=" << rts;
+    EXPECT_EQ(acks, successes) << "rts=" << rts;
+    EXPECT_EQ(timeouts, failed) << "rts=" << rts;
+  }
 }
 
 // ------------------------------------------------- zero-perturbation bar
@@ -297,6 +433,28 @@ TEST(FlightIdentity, RecorderChangesNothingWithTraffic) {
     on_hash = hash_run(exp::run_scenario(scenario, SchemeConfig::standard(), opts));
   }
   EXPECT_EQ(off_hash, on_hash);
+}
+
+TEST(FlightIdentity, MetricsIndependentOfTraceMask) {
+  // The recorder reads every trace point, including the ones the mask
+  // keeps out of the ring.
+  auto loaded = ScenarioConfig::hidden(8, 16.0, 3);
+  loaded.traffic = traffic::TrafficConfig::poisson(1.0);
+  for (const auto& scenario : {ScenarioConfig::hidden(8, 16.0, 3), loaded}) {
+    const auto flight_run = [&](std::uint32_t mask) {
+      obs::SimObs o(mask, 1u << 14);
+      o.flight = std::make_unique<obs::FlightRecorder>();
+      run_attached(scenario, o, 0.4);
+      obs::MetricsRegistry reg;
+      obs::add_flight_metrics(reg, *o.flight);
+      return std::make_pair(reg, o.flight->frames_csv());
+    };
+    const auto off = flight_run(0);
+    const auto all = flight_run(obs::kAllCategories);
+    EXPECT_GT(off.first.get("flight.frames_completed", 0.0), 0.0);
+    EXPECT_EQ(off.first, all.first);
+    EXPECT_EQ(off.second, all.second);
+  }
 }
 
 }  // namespace

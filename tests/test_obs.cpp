@@ -17,6 +17,7 @@
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
+#include "mac/network.hpp"
 #include "obs/category.hpp"
 #include "obs/collect.hpp"
 #include "obs/metrics.hpp"
@@ -41,7 +42,7 @@ obs::TraceRecord rec(std::int64_t t, obs::Category c, std::uint16_t event,
 // ---------------------------------------------------------------- recorder
 
 TEST(ObsTrace, RingGrowsOnDemandThenWrapsOldestFirst) {
-  obs::TraceRecorder ring(obs::kAllCategories, /*capacity=*/8);
+  obs::Ring<obs::TraceRecord> ring(/*capacity=*/8);
   for (std::int64_t i = 0; i < 5; ++i)
     ring.push(rec(i, obs::kCatSim, obs::ev::kDispatch, 0, static_cast<std::uint64_t>(i)));
   EXPECT_EQ(ring.size(), 5u);
@@ -64,7 +65,7 @@ TEST(ObsTrace, RingGrowsOnDemandThenWrapsOldestFirst) {
 }
 
 TEST(ObsTrace, WrapExactlyAtCapacityBoundary) {
-  obs::TraceRecorder ring(obs::kAllCategories, 4);
+  obs::Ring<obs::TraceRecord> ring(4);
   for (std::int64_t i = 0; i < 4; ++i)
     ring.push(rec(i, obs::kCatSim, obs::ev::kDispatch, 0));
   EXPECT_EQ(ring.dropped(), 0u);
@@ -312,22 +313,47 @@ exp::RunOptions series_options(double measure_s = 0.3) {
   return opts;
 }
 
-void expect_tracing_changes_nothing(const ScenarioConfig& scenario,
-                                    const SchemeConfig& scheme) {
-  const exp::RunOptions opts = series_options();
-  const auto untraced = exp::run_scenario(scenario, scheme, opts);
+/// Restores the process-wide trace override on scope exit.
+struct TraceOverrideGuard {
+  explicit TraceOverrideGuard(int v) { obs::SimObs::set_trace_override(v); }
+  ~TraceOverrideGuard() { obs::SimObs::set_trace_override(-1); }
+};
 
-  obs::TraceCapture capture;  // all categories, default capacity
-  exp::RunOptions traced_opts = opts;
-  traced_opts.trace = &capture;
-  const auto traced = exp::run_scenario(scenario, scheme, traced_opts);
+/// Restores the process-wide flight override on scope exit.
+struct FlightOverrideGuard {
+  explicit FlightOverrideGuard(int v) { obs::SimObs::set_flight_override(v); }
+  ~FlightOverrideGuard() { obs::SimObs::set_flight_override(-1); }
+};
 
+/// Runs `run` with every simulator untraced, then traced in every category
+/// with a flight recorder, and expects the same simulation from both.
+template <class Run>
+void expect_tracing_changes_nothing(const Run& run, const char* label) {
+  exp::RunResult untraced, traced;
+  {
+    TraceOverrideGuard trace(0);
+    FlightOverrideGuard flight(0);
+    untraced = run();
+  }
+  {
+    TraceOverrideGuard trace(1);
+    FlightOverrideGuard flight(1);
+    traced = run();
+  }
   EXPECT_EQ(hash_run(untraced), hash_run(traced))
-      << scheme.name() << ": tracing must not perturb the simulation";
+      << label << ": tracing must not perturb the simulation";
   EXPECT_EQ(untraced.successes, traced.successes);
   EXPECT_EQ(untraced.per_station_mbps, traced.per_station_mbps);
-  // And the capture must actually have observed the run.
-  EXPECT_FALSE(capture.records.empty());
+  // And the trace points must actually have observed the run: they are
+  // the flight recorder's only input.
+  EXPECT_GT(traced.metrics.get("flight.frames_completed", 0.0), 0.0) << label;
+}
+
+void expect_tracing_changes_nothing(const ScenarioConfig& scenario,
+                                    const SchemeConfig& scheme) {
+  expect_tracing_changes_nothing(
+      [&] { return exp::run_scenario(scenario, scheme, series_options()); },
+      scheme.name().c_str());
 }
 
 TEST(ObsIdentity, TracedRunsBitIdenticalConnected) {
@@ -370,37 +396,33 @@ TEST(ObsIdentity, TracedDynamicRunBitIdentical) {
   const auto scenario = ScenarioConfig::connected(10, 1);
   const std::vector<exp::PopulationStep> schedule{
       {0.0, 10}, {0.2, 3}, {0.4, 8}};
-  const auto total = sim::Duration::seconds(0.8);
-  const auto sample = sim::Duration::seconds(0.05);
-  const auto untraced = exp::run_dynamic(scenario, SchemeConfig::wtop_csma(),
-                                         schedule, total, sample);
-  obs::TraceCapture capture;
-  const auto traced = exp::run_dynamic(scenario, SchemeConfig::wtop_csma(),
-                                       schedule, total, sample, &capture);
-  EXPECT_EQ(hash_run(untraced), hash_run(traced));
-  EXPECT_FALSE(capture.records.empty());
+  expect_tracing_changes_nothing(
+      [&] {
+        return exp::run_dynamic(scenario, SchemeConfig::wtop_csma(), schedule,
+                                sim::Duration::seconds(0.8),
+                                sim::Duration::seconds(0.05));
+      },
+      "dynamic wTOP");
 }
 
 TEST(ObsIdentity, CapturedTraceIsDeterministicAcrossRepeats) {
   const auto scenario = ScenarioConfig::hidden(8, 16.0, 3);
-  obs::TraceCapture a, b;
-  exp::RunOptions opts = series_options();
-  opts.trace = &a;
-  exp::run_scenario(scenario, SchemeConfig::standard(), opts);
-  opts.trace = &b;
-  exp::run_scenario(scenario, SchemeConfig::standard(), opts);
-  const auto d = obs::first_divergence(a.records, b.records);
-  EXPECT_TRUE(d.identical) << obs::divergence_report(a.records, b.records);
-  EXPECT_EQ(a.dropped, b.dropped);
+  obs::SimObs a(obs::kAllCategories, 1u << 20);
+  obs::SimObs b(obs::kAllCategories, 1u << 20);
+  for (obs::SimObs* o : {&a, &b}) {
+    auto net = exp::build_network(scenario, SchemeConfig::standard());
+    net->simulator().attach_obs(o);
+    net->start();
+    net->run_for(sim::Duration::seconds(0.4));
+  }
+  const auto ra = a.trace.snapshot(), rb = b.trace.snapshot();
+  EXPECT_FALSE(ra.empty());
+  const auto d = obs::first_divergence(ra, rb);
+  EXPECT_TRUE(d.identical) << obs::divergence_report(ra, rb);
+  EXPECT_EQ(a.trace.dropped(), b.trace.dropped());
 }
 
 // --------------------------------------------------------- TSan coverage
-
-/// Restores the process-wide trace override on scope exit.
-struct TraceOverrideGuard {
-  explicit TraceOverrideGuard(int v) { obs::SimObs::set_trace_override(v); }
-  ~TraceOverrideGuard() { obs::SimObs::set_trace_override(-1); }
-};
 
 TEST(ObsSweepTraced, ForcedTracingUnderThreadPoolStaysBitIdentical) {
   // Every simulator in the sweep gets its own private bundle (forced on by
@@ -433,12 +455,6 @@ TEST(ObsSweepTraced, ForcedTracingUnderThreadPoolStaysBitIdentical) {
 }
 
 // ---------------------------------------------- sweep-fold determinism
-
-/// Restores the process-wide flight override on scope exit.
-struct FlightOverrideGuard {
-  explicit FlightOverrideGuard(int v) { obs::SimObs::set_flight_override(v); }
-  ~FlightOverrideGuard() { obs::SimObs::set_flight_override(-1); }
-};
 
 TEST(ObsSweepMetrics, FoldedMetricsExactlyEqualAtAnyThreadCount) {
   // The sweep-level metrics fold runs serially in job-index order after

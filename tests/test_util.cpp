@@ -4,11 +4,13 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "exp/progress.hpp"
 #include "obs/audit.hpp"
+#include "obs/trace.hpp"
 #include "par/thread_pool.hpp"
 #include "sim/simulator.hpp"
 #include "util/cli.hpp"
@@ -157,8 +159,8 @@ TEST(Env, FallsBackWhenUnsetOrEmpty) {
   ::setenv("WLAN_TEST_ENV_X", "", 1);
   EXPECT_DOUBLE_EQ(env_double("WLAN_TEST_ENV_X", 1.5), 1.5);
   EXPECT_EQ(env_int("WLAN_TEST_ENV_X", 9), 9);
-  // Historical reading: a set-but-empty boolean knob means "flag present".
-  EXPECT_TRUE(env_bool("WLAN_TEST_ENV_X", false));
+  EXPECT_FALSE(env_bool("WLAN_TEST_ENV_X", false));
+  EXPECT_TRUE(env_bool("WLAN_TEST_ENV_X", true));
   ::unsetenv("WLAN_TEST_ENV_X");
 }
 
@@ -244,6 +246,17 @@ TEST(EnvDeathTest, MalformedAuditModeExitsWithError) {
   EXPECT_EXIT(wlan::obs::AuditSet::enabled(), ::testing::ExitedWithCode(2),
               "WLAN_AUDIT");
   ::unsetenv("WLAN_AUDIT");
+}
+
+// An empty boolean knob reads as unset, like an empty number: WLAN_PROFILE=
+// leaves the profiler off.
+TEST(EnvDeathTest, EmptyProfileSwitchReadsAsUnset) {
+  // Re-exec rather than fork: the obs knobs are latched once per process.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ::setenv("WLAN_PROFILE", "", 1);
+  EXPECT_EXIT(std::_Exit(wlan::obs::SimObs::profile_enabled_by_env() ? 1 : 0),
+              ::testing::ExitedWithCode(0), "");
+  ::unsetenv("WLAN_PROFILE");
 }
 
 TEST(EnvDeathTest, MalformedProgressSwitchExitsWithError) {
