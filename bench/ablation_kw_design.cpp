@@ -22,11 +22,11 @@ struct Variant {
   bool beacons;
 };
 
-double run_variant(const Variant& v, int n, std::uint64_t seed,
-                   const exp::RunOptions& opts) {
-  auto scenario = exp::ScenarioConfig::connected(n, seed);
+/// Disables the variant's guards on a connected scenario and its wTOP
+/// scheme (the sweep's bind).
+void apply(const Variant& v, exp::ScenarioConfig& scenario,
+           exp::SchemeConfig& scheme) {
   scenario.phy.beacons_enabled = v.beacons;
-  auto scheme = exp::SchemeConfig::wtop_csma();
   auto& kw = scheme.wtop.kw;
   if (!v.log_space) {
     kw.log_space = false;
@@ -35,7 +35,6 @@ double run_variant(const Variant& v, int n, std::uint64_t seed,
   }
   if (!v.dead_zone_escape) kw.dead_measurement_threshold = -1.0;
   if (!v.trust_region) kw.max_step = 0.0;
-  return exp::run_scenario(scenario, scheme, opts).total_mbps;
 }
 
 }  // namespace
@@ -63,9 +62,21 @@ int main(int argc, char** argv) {
       {"paper literal (all guards off)", false, false, false, false},
   };
 
-  util::Table table({"Variant", "N=2 %opt", "N=40 %opt"});
-  util::CsvWriter csv("ablation_kw_design.csv");
-  csv.header({"variant", "n2_pct_of_optimum", "n40_pct_of_optimum"});
+  // One sweep: N=2 (seed 1) and N=40 (seed 2) x the variants, whose
+  // index is the params axis.
+  exp::SweepSpec spec;
+  spec.scenarios = {exp::ScenarioConfig::connected(2, 1),
+                    exp::ScenarioConfig::connected(40, 2)};
+  spec.schemes = {exp::SchemeConfig::wtop_csma()};
+  for (std::size_t i = 0; i < variants.size(); ++i)
+    spec.params.push_back(static_cast<double>(i));
+  spec.bind = [&variants](double index, exp::ScenarioConfig& scenario,
+                          exp::SchemeConfig& scheme) {
+    apply(variants[static_cast<std::size_t>(index)], scenario, scheme);
+  };
+  spec.options = opts;
+  const auto sweep = exp::run_sweep(spec);
+  sweep.throw_if_failed();
 
   const mac::WifiParams phy;
   auto optimum = [&](int n) {
@@ -76,11 +87,14 @@ int main(int argc, char** argv) {
   };
   const double opt2 = optimum(2), opt40 = optimum(40);
 
-  for (const auto& v : variants) {
-    const double pct2 = 100.0 * run_variant(v, 2, /*seed=*/1, opts) / opt2;
-    const double pct40 = 100.0 * run_variant(v, 40, /*seed=*/2, opts) / opt40;
-    table.add_row(v.name, {pct2, pct40});
-    csv.row({v.name, util::format_double(pct2, 4),
+  util::Table table({"Variant", "N=2 %opt", "N=40 %opt"});
+  util::CsvWriter csv("ablation_kw_design.csv");
+  csv.header({"variant", "n2_pct_of_optimum", "n40_pct_of_optimum"});
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    const double pct2 = 100.0 * sweep.at(0, 0, i).runs[0].total_mbps / opt2;
+    const double pct40 = 100.0 * sweep.at(1, 0, i).runs[0].total_mbps / opt40;
+    table.add_row(variants[i].name, {pct2, pct40});
+    csv.row({variants[i].name, util::format_double(pct2, 4),
              util::format_double(pct40, 4)});
   }
   table.print(std::cout);

@@ -30,22 +30,32 @@ int main(int argc, char** argv) {
   opts.record_series = true;
   opts.sample_period = sim::Duration::seconds(1.0);
 
+  // One sweep: 10 and 40 connected stations under wTOP and TORA.
+  const std::vector<int> nodes{10, 40};
+  exp::SweepSpec spec;
+  for (int n : nodes)
+    spec.scenarios.push_back(exp::ScenarioConfig::connected(n, 1));
+  spec.schemes = {exp::SchemeConfig::wtop_csma(),
+                  exp::SchemeConfig::tora_csma()};
+  spec.options = opts;
+  const auto sweep = exp::run_sweep(spec);
+  sweep.throw_if_failed();
+
   util::Table table({"Nodes", "Scheme", "settled Mb/s", "settled stddev",
                      "t to 90% (s)"});
   util::CsvWriter csv("ablation_oscillation.csv");
   csv.header({"nodes", "scheme", "settled_mbps", "settled_stddev",
               "t90_seconds"});
 
-  for (int n : {10, 40}) {
-    for (const auto& scheme :
-         {exp::SchemeConfig::wtop_csma(), exp::SchemeConfig::tora_csma()}) {
-      const auto r = exp::run_scenario(exp::ScenarioConfig::connected(n, 1),
-                                       scheme, opts);
-      const auto report = stats::analyze_convergence(r.throughput_series);
-      table.add_row(std::to_string(n) + " " + scheme.name(),
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    for (std::size_t k = 0; k < spec.schemes.size(); ++k) {
+      const std::string scheme = spec.schemes[k].name();
+      const auto report = stats::analyze_convergence(
+          sweep.at(i, k).runs[0].throughput_series);
+      table.add_row(std::to_string(nodes[i]) + " " + scheme,
                     {report.settled_mean, report.settled_stddev,
                      report.time_to_threshold});
-      csv.row({std::to_string(n), scheme.name(),
+      csv.row({std::to_string(nodes[i]), scheme,
                util::format_double(report.settled_mean, 6),
                util::format_double(report.settled_stddev, 6),
                util::format_double(report.time_to_threshold, 6)});

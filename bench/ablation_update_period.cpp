@@ -25,24 +25,31 @@ int main(int argc, char** argv) {
                          : std::vector<double>{10, 25, 50, 100, 250, 500,
                                                1000, 2000, 4000};
 
+  // One sweep: 20 connected wTOP stations, the period (ms) on the params
+  // axis.
+  exp::SweepSpec spec;
+  spec.scenarios = {exp::ScenarioConfig::connected(20, 1)};
+  spec.schemes = {exp::SchemeConfig::wtop_csma()};
+  spec.params = periods_ms;
+  spec.bind = [](double ms, exp::ScenarioConfig&, exp::SchemeConfig& scheme) {
+    scheme.wtop.update_period =
+        sim::Duration::milliseconds(static_cast<std::int64_t>(ms));
+  };
+  spec.options.warmup = sim::Duration::seconds(budget);
+  spec.options.measure = sim::Duration::seconds(10.0 * s);
+  spec.options.record_series = true;
+  spec.options.sample_period = sim::Duration::seconds(1.0);
+  const auto sweep = exp::run_sweep(spec);
+  sweep.throw_if_failed();
+
   util::Table table({"Period (ms)", "~tx per segment", "Mb/s after budget",
                      "t to 90% (s)"});
   util::CsvWriter csv("ablation_update_period.csv");
   csv.header({"period_ms", "tx_per_segment", "mbps", "t90_seconds"});
 
-  for (double ms : periods_ms) {
-    auto scheme = exp::SchemeConfig::wtop_csma();
-    scheme.wtop.update_period =
-        sim::Duration::milliseconds(static_cast<std::int64_t>(ms));
-
-    exp::RunOptions opts;
-    opts.warmup = sim::Duration::seconds(budget);
-    opts.measure = sim::Duration::seconds(10.0 * s);
-    opts.record_series = true;
-    opts.sample_period = sim::Duration::seconds(1.0);
-
-    const auto r = exp::run_scenario(exp::ScenarioConfig::connected(20, 1),
-                                     scheme, opts);
+  for (std::size_t pi = 0; pi < periods_ms.size(); ++pi) {
+    const double ms = periods_ms[pi];
+    const exp::RunResult& r = sweep.at(0, 0, pi).runs[0];
 
     // Time to first reach 90% of the final measured throughput.
     double t90 = budget + 10.0 * s;

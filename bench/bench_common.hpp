@@ -4,8 +4,10 @@
 // paper's figure or table reports, and (c) writes a CSV into the working
 // directory so the curve can be re-plotted. Durations scale with WLAN_BENCH_SECONDS
 // (a multiplier), seeds with WLAN_BENCH_SEEDS, and WLAN_BENCH_FAST trims
-// the sweep for smoke runs. Simulation grids fan out across the global
-// par::ThreadPool; `--threads N` (or WLAN_THREADS) bounds the lanes.
+// the sweep for smoke runs. Each driver declares its grid as one
+// exp::SweepSpec and runs it before writing its CSV, so the grid fans out
+// across the global par::ThreadPool (`--threads N` or WLAN_THREADS bound
+// the lanes) and resumes from the result store (WLAN_RUN_CACHE).
 #pragma once
 
 #include <cstdio>
@@ -20,7 +22,6 @@
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/env.hpp"
-#include "util/shutdown.hpp"
 #include "util/table.hpp"
 
 namespace wlan::bench {
@@ -40,15 +41,13 @@ inline void log_peak_rss() {
   if (kib >= 0) std::printf("[bench] VmHWM: %ld kB\n", kib);
 }
 
-/// Standard driver startup: parse flags (currently `--threads N`), size
-/// the global pool before the first sweep builds it, and install the
-/// SIGINT/SIGTERM handlers that flush partial CSVs on interruption (the
-/// result store itself needs no flushing — every entry is an atomic
-/// rename the moment its job completes). On a normal exit the driver logs
-/// its peak memory last (log_peak_rss).
+/// Standard driver startup: parse flags (currently `--threads N`) and size
+/// the global pool before the first sweep builds it. An interrupted driver
+/// needs no handler: every store entry is an atomic rename the moment its
+/// job completes. On a normal exit the driver logs its peak memory last
+/// (log_peak_rss).
 inline util::Cli init(int argc, const char* const* argv) {
   util::Cli cli(argc, argv);
-  util::install_shutdown_handlers();
   std::atexit(log_peak_rss);
   par::ThreadPool::configure_global(cli.threads(0));
   return cli;
@@ -94,12 +93,5 @@ inline exp::RunOptions fixed_options() {
 }
 
 inline int default_seeds() { return util::bench_seeds(1); }
-
-/// Mean total throughput over `seeds` seeds.
-inline double mean_mbps(const exp::ScenarioConfig& scenario,
-                        const exp::SchemeConfig& scheme,
-                        const exp::RunOptions& opts, int seeds) {
-  return exp::run_averaged(scenario, scheme, seeds, opts).mean_mbps;
-}
 
 }  // namespace wlan::bench

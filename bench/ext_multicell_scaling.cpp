@@ -60,13 +60,17 @@ int main(int argc, char** argv) {
       util::bench_fast() ? std::vector<int>{1, 4} : std::vector<int>{1, 4, 9, 16};
   const int per_cell = 10;
 
-  exp::RunOptions opts;
-  opts.warmup = sim::Duration::seconds(3.0 * scale);
-  opts.measure = sim::Duration::seconds(10.0 * scale);
-
-  const std::vector<exp::SchemeConfig> schemes{exp::SchemeConfig::standard(),
-                                               exp::SchemeConfig::wtop_csma()};
-  const std::vector<const char*> scheme_tags{"std", "wtop"};
+  // One sweep: every ESS size under 802.11 and wTOP.
+  exp::SweepSpec spec;
+  for (const int cells : cell_grid)
+    spec.scenarios.push_back(
+        exp::ScenarioConfig::multicell(cells, per_cell, /*spacing=*/40.0, 1));
+  spec.schemes = {exp::SchemeConfig::standard(),
+                  exp::SchemeConfig::wtop_csma()};
+  spec.options.warmup = sim::Duration::seconds(3.0 * scale);
+  spec.options.measure = sim::Duration::seconds(10.0 * scale);
+  const auto sweep = exp::run_sweep(spec);
+  sweep.throw_if_failed();
 
   util::CsvWriter csv("ext_multicell_scaling.csv");
   csv.header({"cells", "stations", "hidden_pairs", "std_mbps", "std_jain",
@@ -74,24 +78,20 @@ int main(int argc, char** argv) {
 
   util::Table table({"cells", "stations", "hidden", "scheme", "Mb/s",
                      "Mb/s per cell", "Jain"});
-  for (const int cells : cell_grid) {
-    const auto scenario =
-        exp::ScenarioConfig::multicell(cells, per_cell, /*spacing=*/40.0, 1);
-    std::vector<double> row{static_cast<double>(cells),
-                            static_cast<double>(scenario.num_stations)};
-    bool first = true;
-    for (std::size_t sk = 0; sk < schemes.size(); ++sk) {
-      const auto result = exp::run_scenario(scenario, schemes[sk], opts);
-      if (first) {
-        row.push_back(static_cast<double>(result.hidden_pairs));
-        first = false;
-      }
+  for (std::size_t ci = 0; ci < cell_grid.size(); ++ci) {
+    const int cells = cell_grid[ci];
+    const auto stations =
+        static_cast<double>(spec.scenarios[ci].num_stations);
+    std::vector<double> row{
+        static_cast<double>(cells), stations,
+        static_cast<double>(sweep.at(ci, 0).runs[0].hidden_pairs)};
+    for (std::size_t sk = 0; sk < spec.schemes.size(); ++sk) {
+      const exp::RunResult& result = sweep.at(ci, sk).runs[0];
       const double jain = stats::jain_index(result.per_station_mbps);
       row.push_back(result.total_mbps);
       row.push_back(jain);
       table.add_row(std::to_string(cells),
-                    {static_cast<double>(scenario.num_stations),
-                     static_cast<double>(result.hidden_pairs),
+                    {stations, static_cast<double>(result.hidden_pairs),
                      static_cast<double>(sk), result.total_mbps,
                      result.total_mbps / cells, jain});
     }

@@ -34,22 +34,29 @@ int main(int argc, char** argv) {
       {"connected geometry + 30% shadowing", shadowed},
   };
 
+  // One sweep: the five cases under the three schemes.
+  exp::SweepSpec spec;
+  for (const auto& c : cases) spec.scenarios.push_back(c.scenario);
+  spec.schemes = {exp::SchemeConfig::wtop_csma(), exp::SchemeConfig::tora_csma(),
+                  exp::SchemeConfig::idle_sense_scheme()};
+  spec.options = opts;
+  const auto sweep = exp::run_sweep(spec);
+  sweep.throw_if_failed();
+
   util::Table table({"Scenario", "wTOP-CSMA", "TORA-CSMA", "IdleSense",
                      "hidden pairs"});
   util::CsvWriter csv("ext_robustness.csv");
   csv.header({"scenario", "wtop_mbps", "tora_mbps", "idlesense_mbps",
               "hidden_pairs"});
 
-  for (const auto& c : cases) {
-    const auto wtop =
-        exp::run_scenario(c.scenario, exp::SchemeConfig::wtop_csma(), opts);
-    const auto tora =
-        exp::run_scenario(c.scenario, exp::SchemeConfig::tora_csma(), opts);
-    const auto idle = exp::run_scenario(
-        c.scenario, exp::SchemeConfig::idle_sense_scheme(), opts);
-    table.add_row(c.name, {wtop.total_mbps, tora.total_mbps, idle.total_mbps,
-                           static_cast<double>(wtop.hidden_pairs)});
-    csv.row({c.name, util::format_double(wtop.total_mbps, 6),
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const exp::RunResult& wtop = sweep.at(c, 0).runs[0];
+    const exp::RunResult& tora = sweep.at(c, 1).runs[0];
+    const exp::RunResult& idle = sweep.at(c, 2).runs[0];
+    table.add_row(cases[c].name,
+                  {wtop.total_mbps, tora.total_mbps, idle.total_mbps,
+                   static_cast<double>(wtop.hidden_pairs)});
+    csv.row({cases[c].name, util::format_double(wtop.total_mbps, 6),
              util::format_double(tora.total_mbps, 6),
              util::format_double(idle.total_mbps, 6),
              std::to_string(wtop.hidden_pairs)});

@@ -19,28 +19,43 @@ int main(int argc, char** argv) {
                                      ? std::vector<int>{20}
                                      : std::vector<int>{10, 20, 40};
 
+  // One sweep: per node count, connected and hidden (disc r=16) under
+  // basic access and RTS/CTS, for 802.11 and TORA-CSMA.
+  exp::SweepSpec spec;
+  for (int n : nodes) {
+    for (bool hidden : {false, true}) {
+      for (bool rts : {false, true}) {
+        auto scenario = hidden ? exp::ScenarioConfig::hidden(n, 16.0, 1)
+                               : exp::ScenarioConfig::connected(n, 1);
+        if (rts) scenario.phy.rts_threshold_bits = 0;
+        spec.scenarios.push_back(scenario);
+      }
+    }
+  }
+  spec.schemes = {exp::SchemeConfig::standard(),
+                  exp::SchemeConfig::tora_csma()};
+  spec.options = opts;
+  const auto sweep = exp::run_sweep(spec);
+  sweep.throw_if_failed();
+
   util::Table table({"Nodes", "Scheme", "Connected basic", "Connected RTS/CTS",
                      "Hidden basic", "Hidden RTS/CTS"});
   util::CsvWriter csv("ext_rtscts_tradeoff.csv");
   csv.header({"nodes", "scheme", "connected_basic", "connected_rtscts",
               "hidden_basic", "hidden_rtscts"});
 
-  for (int n : nodes) {
-    for (const auto& scheme :
-         {exp::SchemeConfig::standard(), exp::SchemeConfig::tora_csma()}) {
-      auto run = [&](bool hidden, bool rts) {
-        auto scenario = hidden ? exp::ScenarioConfig::hidden(n, 16.0, 1)
-                               : exp::ScenarioConfig::connected(n, 1);
-        if (rts) scenario.phy.rts_threshold_bits = 0;
-        return exp::run_scenario(scenario, scheme, opts).total_mbps;
-      };
-      const double cb = run(false, false), cr = run(false, true);
-      const double hb = run(true, false), hr = run(true, true);
-      table.add_row(std::to_string(n) + " " + scheme.name(),
-                    {cb, cr, hb, hr});
-      csv.row({std::to_string(n), scheme.name(), util::format_double(cb, 6),
-               util::format_double(cr, 6), util::format_double(hb, 6),
-               util::format_double(hr, 6)});
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    for (std::size_t k = 0; k < spec.schemes.size(); ++k) {
+      std::vector<double> mbps;  // connected basic/RTS, hidden basic/RTS
+      for (std::size_t c = 0; c < 4; ++c)
+        mbps.push_back(sweep.at(4 * i + c, k).runs[0].total_mbps);
+      const std::string label =
+          std::to_string(nodes[i]) + " " + spec.schemes[k].name();
+      table.add_row(label, mbps);
+      csv.row({std::to_string(nodes[i]), spec.schemes[k].name(),
+               util::format_double(mbps[0], 6), util::format_double(mbps[1], 6),
+               util::format_double(mbps[2], 6),
+               util::format_double(mbps[3], 6)});
     }
   }
   table.print(std::cout);

@@ -12,8 +12,22 @@ int main(int argc, char** argv) {
                 "IdleSense vs Standard 802.11, connected (circle r=8) vs "
                 "hidden (disc r=16), Table I PHY");
 
-  const int seeds = bench::default_seeds();
-  const auto opts = bench::adaptive_options();
+  // One sweep: a connected and a hidden scenario per node count, under
+  // IdleSense and 802.11. The hidden-pair count is the topology's, so the
+  // hidden 802.11 point already carries it.
+  const std::vector<int> nodes = bench::node_grid();
+  exp::SweepSpec spec;
+  for (int n : nodes) {
+    spec.scenarios.push_back(exp::ScenarioConfig::connected(n, 1));
+    spec.scenarios.push_back(exp::ScenarioConfig::hidden(n, 16.0, 1));
+  }
+  spec.schemes = {exp::SchemeConfig::idle_sense_scheme(),
+                  exp::SchemeConfig::standard()};
+  spec.seeds = bench::default_seeds();
+  spec.options = bench::adaptive_options();
+  spec.keep_runs = false;
+  const auto sweep = exp::run_sweep(spec);
+  sweep.throw_if_failed();
 
   util::Table table({"Nodes", "IdleSense (no hidden)", "Std 802.11 (no hidden)",
                      "Std 802.11 (hidden)", "IdleSense (hidden)",
@@ -22,27 +36,17 @@ int main(int argc, char** argv) {
   csv.header({"nodes", "idlesense_connected_mbps", "std_connected_mbps",
               "std_hidden_mbps", "idlesense_hidden_mbps", "hidden_pairs"});
 
-  for (int n : bench::node_grid()) {
-    const auto connected = exp::ScenarioConfig::connected(n, 1);
-    const auto hidden = exp::ScenarioConfig::hidden(n, 16.0, 1);
-    const auto hidden_info =
-        exp::run_averaged(hidden, exp::SchemeConfig::standard(), seeds,
-                          bench::fixed_options());
-
-    const double is_conn = bench::mean_mbps(
-        connected, exp::SchemeConfig::idle_sense_scheme(), opts, seeds);
-    const double std_conn = bench::mean_mbps(
-        connected, exp::SchemeConfig::standard(), opts, seeds);
-    const double std_hid = bench::mean_mbps(
-        hidden, exp::SchemeConfig::standard(), opts, seeds);
-    const double is_hid = bench::mean_mbps(
-        hidden, exp::SchemeConfig::idle_sense_scheme(), opts, seeds);
-
-    table.add_row(std::to_string(n),
-                  {is_conn, std_conn, std_hid, is_hid,
-                   hidden_info.mean_hidden_pairs});
-    csv.row_numeric({static_cast<double>(n), is_conn, std_conn, std_hid,
-                     is_hid, hidden_info.mean_hidden_pairs});
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const auto& is_conn = sweep.at(2 * i, 0).averaged;
+    const auto& std_conn = sweep.at(2 * i, 1).averaged;
+    const auto& std_hid = sweep.at(2 * i + 1, 1).averaged;
+    const auto& is_hid = sweep.at(2 * i + 1, 0).averaged;
+    std::vector<double> cols{is_conn.mean_mbps, std_conn.mean_mbps,
+                             std_hid.mean_mbps, is_hid.mean_mbps,
+                             std_hid.mean_hidden_pairs};
+    table.add_row(std::to_string(nodes[i]), cols);
+    cols.insert(cols.begin(), static_cast<double>(nodes[i]));
+    csv.row_numeric(cols);
   }
 
   table.print(std::cout);

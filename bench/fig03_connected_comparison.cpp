@@ -13,8 +13,19 @@ int main(int argc, char** argv) {
                 "Scheme comparison vs number of stations, fully connected "
                 "(circle r=8), Table I PHY");
 
-  const int seeds = bench::default_seeds();
-  const auto opts = bench::adaptive_options();
+  // One sweep: the four schemes at every node count.
+  const std::vector<int> nodes = bench::node_grid();
+  exp::SweepSpec spec;
+  for (int n : nodes)
+    spec.scenarios.push_back(exp::ScenarioConfig::connected(n, 1));
+  spec.schemes = {exp::SchemeConfig::tora_csma(), exp::SchemeConfig::wtop_csma(),
+                  exp::SchemeConfig::idle_sense_scheme(),
+                  exp::SchemeConfig::standard()};
+  spec.seeds = bench::default_seeds();
+  spec.options = bench::adaptive_options();
+  spec.keep_runs = false;
+  const auto sweep = exp::run_sweep(spec);
+  sweep.throw_if_failed();
 
   util::Table table({"Nodes", "TORA-CSMA", "wTOP-CSMA", "IdleSense",
                      "Std 802.11", "analytic optimum"});
@@ -22,27 +33,18 @@ int main(int argc, char** argv) {
   csv.header({"nodes", "tora_mbps", "wtop_mbps", "idlesense_mbps",
               "std_mbps", "analytic_optimum_mbps"});
 
-  for (int n : bench::node_grid()) {
-    const auto scenario = exp::ScenarioConfig::connected(n, 1);
-    const double tora =
-        bench::mean_mbps(scenario, exp::SchemeConfig::tora_csma(), opts, seeds);
-    const double wtop =
-        bench::mean_mbps(scenario, exp::SchemeConfig::wtop_csma(), opts, seeds);
-    const double idle = bench::mean_mbps(
-        scenario, exp::SchemeConfig::idle_sense_scheme(), opts, seeds);
-    const double std80211 =
-        bench::mean_mbps(scenario, exp::SchemeConfig::standard(), opts, seeds);
-
-    std::vector<double> w(static_cast<std::size_t>(n), 1.0);
-    const double s_star =
-        analysis::ppersistent_system_throughput(
-            analysis::optimal_master_probability(w, scenario.phy), w,
-            scenario.phy) /
-        1e6;
-
-    table.add_row(std::to_string(n), {tora, wtop, idle, std80211, s_star});
-    csv.row_numeric(
-        {static_cast<double>(n), tora, wtop, idle, std80211, s_star});
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    std::vector<double> cols;
+    for (std::size_t k = 0; k < spec.schemes.size(); ++k)
+      cols.push_back(sweep.at(i, k).averaged.mean_mbps);
+    const auto& phy = spec.scenarios[i].phy;
+    const std::vector<double> w(static_cast<std::size_t>(nodes[i]), 1.0);
+    cols.push_back(analysis::ppersistent_system_throughput(
+                       analysis::optimal_master_probability(w, phy), w, phy) /
+                   1e6);
+    table.add_row(std::to_string(nodes[i]), cols);
+    cols.insert(cols.begin(), static_cast<double>(nodes[i]));
+    csv.row_numeric(cols);
   }
 
   table.print(std::cout);

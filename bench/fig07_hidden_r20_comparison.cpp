@@ -9,8 +9,20 @@ int main(int argc, char** argv) {
                 "Scheme comparison vs number of stations, uniform disc "
                 "radius 20 m (more hidden pairs), Table I PHY");
 
-  const int seeds = bench::default_seeds();
-  const auto opts = bench::adaptive_options();
+  // One sweep: the four schemes at every node count. The hidden-pair
+  // count is the topology's, so every point of a row carries it.
+  const std::vector<int> nodes = bench::node_grid();
+  exp::SweepSpec spec;
+  for (int n : nodes)
+    spec.scenarios.push_back(exp::ScenarioConfig::hidden(n, 20.0, 1));
+  spec.schemes = {exp::SchemeConfig::tora_csma(), exp::SchemeConfig::wtop_csma(),
+                  exp::SchemeConfig::standard(),
+                  exp::SchemeConfig::idle_sense_scheme()};
+  spec.seeds = bench::default_seeds();
+  spec.options = bench::adaptive_options();
+  spec.keep_runs = false;
+  const auto sweep = exp::run_sweep(spec);
+  sweep.throw_if_failed();
 
   util::Table table({"Nodes", "TORA-CSMA", "wTOP-CSMA", "Std 802.11",
                      "IdleSense", "hidden pairs"});
@@ -18,23 +30,14 @@ int main(int argc, char** argv) {
   csv.header({"nodes", "tora_mbps", "wtop_mbps", "std_mbps",
               "idlesense_mbps", "hidden_pairs"});
 
-  for (int n : bench::node_grid()) {
-    const auto scenario = exp::ScenarioConfig::hidden(n, 20.0, 1);
-    const auto info = exp::run_averaged(scenario, exp::SchemeConfig::standard(),
-                                        seeds, bench::fixed_options());
-    const double tora =
-        bench::mean_mbps(scenario, exp::SchemeConfig::tora_csma(), opts, seeds);
-    const double wtop =
-        bench::mean_mbps(scenario, exp::SchemeConfig::wtop_csma(), opts, seeds);
-    const double std80211 =
-        bench::mean_mbps(scenario, exp::SchemeConfig::standard(), opts, seeds);
-    const double idle = bench::mean_mbps(
-        scenario, exp::SchemeConfig::idle_sense_scheme(), opts, seeds);
-
-    table.add_row(std::to_string(n),
-                  {tora, wtop, std80211, idle, info.mean_hidden_pairs});
-    csv.row_numeric({static_cast<double>(n), tora, wtop, std80211, idle,
-                     info.mean_hidden_pairs});
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    std::vector<double> cols;
+    for (std::size_t k = 0; k < spec.schemes.size(); ++k)
+      cols.push_back(sweep.at(i, k).averaged.mean_mbps);
+    cols.push_back(sweep.at(i, 0).averaged.mean_hidden_pairs);
+    table.add_row(std::to_string(nodes[i]), cols);
+    cols.insert(cols.begin(), static_cast<double>(nodes[i]));
+    csv.row_numeric(cols);
   }
 
   table.print(std::cout);

@@ -20,11 +20,12 @@
 #   WLAN_BENCH_JOBS     concurrent driver processes (default: nproc)
 #   WLAN_RUN_CACHE      run-cache directory, the one result store (default
 #                       here: <build>/results/run_cache, so points shared by
-#                       several drivers — fig06/fig07 vs table2, the std
-#                       columns of the load drivers — are simulated once,
-#                       and a driver killed mid-sweep resumes job-by-job
-#                       from it, byte-identically; export WLAN_RUN_CACHE=
-#                       (empty) to disable)
+#                       several drivers — the connected and hidden r=16
+#                       adaptive points of fig01/fig03/fig06/table3, the
+#                       N=20 points of ext_robustness/ext_rtscts_tradeoff —
+#                       are simulated once, and a driver killed mid-sweep
+#                       resumes job-by-job from it, byte-identically;
+#                       export WLAN_RUN_CACHE= (empty) to disable)
 #   WLAN_RUN_CACHE_KEEP keep the default cache across invocations of this
 #                       script (default: wiped at startup, so results can
 #                       never come from a previous build's binaries)
@@ -59,11 +60,12 @@ jobs="${WLAN_BENCH_JOBS:-${default_jobs}}"
 # run uses ~nproc threads total instead of jobs x lanes.
 export WLAN_THREADS="${WLAN_THREADS:-1}"
 
-# Cross-driver run cache: identical (scenario, scheme, params, seed) points
-# are simulated once and read back by every other driver (and by re-runs of
-# this script while the cache persists). Scoped to this invocation by
-# default so a rebuild can never serve stale physics; WLAN_RUN_CACHE_KEEP=1
-# retains it, and WLAN_RUN_CACHE= (set empty) disables caching entirely.
+# Cross-driver run cache: identical (scenario, scheme, params, seed) sweep
+# jobs are simulated once and read back by every other driver (and by
+# re-runs of this script while the cache persists). Scoped to this
+# invocation by default so a rebuild can never serve stale physics;
+# WLAN_RUN_CACHE_KEEP=1 retains it, and WLAN_RUN_CACHE= (set empty)
+# disables caching entirely.
 if [[ -z ${WLAN_RUN_CACHE+x} ]]; then
   export WLAN_RUN_CACHE="${results_dir}/run_cache"
   # Only the default cache this script owns is ever wiped; a caller's own
@@ -93,8 +95,8 @@ fi
 
 # A driver's previous run counts as complete only when it produced a
 # non-empty CSV/JSON AND wrote .wall_seconds (the last thing run_one does,
-# so a killed run never has it) AND did not fail. A partial CSV flushed by
-# the shutdown handler therefore never masquerades as a finished run.
+# so a killed run never has it) AND did not fail. A killed driver's CSV
+# header therefore never masquerades as a finished run.
 has_complete_run() {
   local out="$1" f
   [[ -e "${out}/.wall_seconds" && ! -e "${out}/.failed" ]] || return 1

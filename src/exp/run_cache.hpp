@@ -1,36 +1,36 @@
-// Cross-driver run cache: memoizes run_scenario results on disk, keyed by
-// a content hash of everything that determines the (bit-exact) outcome —
-// the full ScenarioConfig (topology, PHY, traffic, seed), SchemeConfig
-// (scheme kind + every controller option), and the RunOptions' warmup and
-// measure windows.
+// Result store: memoizes run_sweep jobs on disk, keyed by a content hash
+// of everything that determines the (bit-exact) outcome — the full
+// ScenarioConfig (topology, PHY, traffic, seed), SchemeConfig (scheme kind
+// + every controller option), and the RunOptions' warmup and measure
+// windows. run_sweep is its only client: it looks every job up before it
+// fans out and stores each freshly simulated job, so an interrupted sweep
+// resumes from the entries it already stored. run_scenario never reads or
+// writes it.
 //
-// Purpose: the figure/table drivers overlap — fig06/fig07 and table2 share
-// hidden-topology points, the load drivers share their std columns, and
-// re-running `bench/run_all.sh` repeats everything — so identical
-// (scenario, scheme, params, seed) points should be simulated once and
-// read back everywhere else. Since simulation output is deterministic and
-// bit-identical across thread counts, a cached result is
+// Purpose: re-running a driver (or `bench/run_all.sh`) replays what an
+// earlier run stored, and the few points several drivers share are
+// simulated once: the connected and hidden r = 16 adaptive points of
+// fig01, fig03, fig06 and table3, and the N = 20 points of ext_robustness
+// and ext_rtscts_tradeoff. Since simulation output is deterministic and
+// bit-identical across thread counts, a stored result is
 // indistinguishable from a fresh run.
 //
 // Enabling: set WLAN_RUN_CACHE to a directory (created on demand).
-// Unset/empty disables every cache path (the default — a cache must be
-// opted into because it can serve stale results across *code* changes
-// that alter simulation behaviour). bench/run_all.sh opts in with an
+// Unset/empty disables the store (the default — a store must be opted
+// into because it can serve stale results across *code* changes that
+// alter simulation behaviour). bench/run_all.sh opts in with an
 // invocation-scoped directory under results/, wiped at startup unless
 // WLAN_RUN_CACHE_KEEP asks for cross-invocation reuse, so a rebuilt
 // binary never reads a previous build's physics.
 //
-// Runs that record time series (RunOptions::record_series) bypass the
-// cache: series and the success-source log are deliberately not
+// Sweeps that record time series (RunOptions::record_series) bypass the
+// store: series and the success-source log are deliberately not
 // serialized (they dwarf the scalar results and only the dynamic/series
 // drivers want them).
 //
-// The cache is also the sweep engine's only result store: run_sweep looks
-// every job up before it fans out, so an interrupted sweep resumes from
-// the entries it already stored. Each entry therefore carries the run's
-// per-run counters (RunResult::metrics minus the process-cumulative
-// cache.*/exp.fault.*/profile.* names), so a hit folds into
-// SweepResult::metrics exactly like a fresh run.
+// Each entry carries the run's per-run counters (RunResult::metrics minus
+// the process-cumulative cache.*/exp.fault.*/profile.* names), so a hit
+// folds into SweepResult::metrics exactly like a fresh run.
 //
 // Storage: one little-endian binary file per key, written to a temp name
 // and atomically renamed — concurrent drivers (run_all.sh runs many) may

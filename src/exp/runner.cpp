@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "exp/run_cache.hpp"
-#include "exp/sweep.hpp"
 #include "obs/audit.hpp"
 #include "obs/collect.hpp"
 #include "obs/flight.hpp"
@@ -183,23 +181,6 @@ void collect_measurement(mac::Network& net, RunResult& result) {
 
 RunResult run_scenario(const ScenarioConfig& scenario,
                        const SchemeConfig& scheme, const RunOptions& options) {
-  // Cross-driver memoization (WLAN_RUN_CACHE): scalar results of the same
-  // fully-bound point are simulated once per cache lifetime. Series
-  // recording bypasses the cache (series are not serialized).
-  const std::string cache_dir =
-      options.record_series ? std::string() : run_cache::directory();
-  if (cache_dir.empty()) return simulate_scenario(scenario, scheme, options);
-  const std::uint64_t cache_key = run_cache::key_hash(scenario, scheme, options);
-  if (RunResult cached; run_cache::lookup(cache_dir, cache_key, cached))
-    return cached;
-  RunResult result = simulate_scenario(scenario, scheme, options);
-  run_cache::store(cache_dir, cache_key, result);
-  return result;
-}
-
-RunResult simulate_scenario(const ScenarioConfig& scenario,
-                            const SchemeConfig& scheme,
-                            const RunOptions& options) {
   RunResult result;
 
   auto net = build_network(scenario, scheme);
@@ -233,22 +214,6 @@ RunResult simulate_scenario(const ScenarioConfig& scenario,
   collect_measurement(*net, result);
   finish_audit(audit.get(), *net, result);
   return result;
-}
-
-AveragedResult run_averaged(const ScenarioConfig& scenario,
-                            const SchemeConfig& scheme, int seeds,
-                            const RunOptions& options) {
-  if (seeds < 1) return {};
-  // Seed-level parallelism: one sweep point whose seed axis fans out
-  // across the global thread pool. The fold in run_sweep reproduces the
-  // historical serial arithmetic bit-for-bit.
-  SweepSpec spec = SweepSpec::single(scenario, scheme, options, seeds);
-  spec.keep_runs = false;
-  SweepResult result = run_sweep(spec);
-  // Preserve the historical contract: run_averaged callers expect a
-  // failing run to throw, not to fold zeros silently.
-  result.throw_if_failed();
-  return result.points[0].averaged;
 }
 
 RunResult run_dynamic(const ScenarioConfig& scenario,

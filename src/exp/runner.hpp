@@ -1,6 +1,7 @@
 // Experiment runner: executes a (scenario, scheme) pair and collects every
 // quantity the paper's tables and figures report. Also supports dynamic
-// node-population scenarios (Figs. 8-11) and multi-seed averaging.
+// node-population scenarios (Figs. 8-11). Seed averaging, grids and the
+// result store live in exp/sweep.hpp.
 #pragma once
 
 #include <cstdint>
@@ -75,41 +76,12 @@ struct RunResult {
   stats::TimeSeries drop_series{"drops/s"};   // windowed drop rate
 };
 
-/// Runs one scenario under one scheme. With $WLAN_RUN_CACHE set, and no
-/// series recorded, the result is looked up in the run cache
-/// first and stored there after a fresh run (exp/run_cache.hpp).
+/// Runs one scenario under one scheme. Always simulates: the result
+/// store (exp/run_cache.hpp) is read and written only by run_sweep, which
+/// calls this for the jobs its own lookup missed.
 RunResult run_scenario(const ScenarioConfig& scenario,
                        const SchemeConfig& scheme,
                        const RunOptions& options = {});
-
-/// run_scenario without the run cache: always simulates, never stores.
-/// run_sweep calls it for the jobs its own store lookup missed.
-RunResult simulate_scenario(const ScenarioConfig& scenario,
-                            const SchemeConfig& scheme,
-                            const RunOptions& options);
-
-/// Averages total_mbps (and idle slots / fairness inputs) over `seeds`
-/// seeds: scenario.seed, scenario.seed+1, ... The seed runs fan out across
-/// the global par::ThreadPool (WLAN_THREADS lanes) via exp::run_sweep; the
-/// result is bit-identical to a serial loop for any thread count.
-struct AveragedResult {
-  double mean_mbps = 0.0;
-  double min_mbps = 0.0;
-  double max_mbps = 0.0;
-  double mean_idle_slots = 0.0;
-  double mean_hidden_pairs = 0.0;
-  // Seed means of the traffic metrics (zero for saturated runs).
-  double mean_offered_mbps = 0.0;
-  double mean_drop_rate = 0.0;
-  double mean_queue_occupancy = 0.0;
-  double mean_delay_s = 0.0;
-  double mean_delay_p50_s = 0.0;
-  double mean_delay_p95_s = 0.0;
-  double mean_delay_p99_s = 0.0;
-};
-AveragedResult run_averaged(const ScenarioConfig& scenario,
-                            const SchemeConfig& scheme, int seeds,
-                            const RunOptions& options = {});
 
 /// One step of a dynamic node-population schedule: at `t_seconds`, exactly
 /// `active_stations` stations are active (stations are activated and

@@ -87,8 +87,8 @@ std::vector<SweepJob> expand(const SweepSpec& spec) {
 
 namespace {
 
-/// Seed-axis fold, same arithmetic and order as the historical serial
-/// run_averaged loop so sweep output stays bit-identical to it.
+/// Seed-axis fold, same arithmetic and order as a serial loop over the
+/// seeds, so sweep output stays bit-identical to one.
 AveragedResult fold_seeds(const std::vector<RunResult>& runs) {
   AveragedResult avg;
   if (runs.empty()) return avg;
@@ -163,7 +163,7 @@ void report_lane_profiles(const par::ThreadPool& pool,
 }
 
 /// Runs one job under the guard: fault injection, then retry with
-/// exponential backoff. Simulates without touching the store (run_sweep
+/// exponential backoff. run_scenario never touches the store (run_sweep
 /// looked the job up already and stores the result itself). On terminal
 /// failure fills `error` and leaves `out` default (deterministic zeros for
 /// the fold).
@@ -178,7 +178,7 @@ void run_guarded(const SweepJob& job, std::size_t job_index,
   for (int attempt = 1;; ++attempt) {
     try {
       fault_injection::apply_before_attempt(job_index);
-      out = simulate_scenario(job.scenario, job.scheme, spec.options);
+      out = run_scenario(job.scenario, job.scheme, spec.options);
       return;
     } catch (const std::exception& e) {
       last.what = e.what();

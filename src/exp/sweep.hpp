@@ -2,12 +2,15 @@
 // parameter, seed) once, and `run_sweep` expands it into independent
 // simulation jobs, fans them across the par::ThreadPool, and merges the
 // results in job-index order — so parallel output is bit-identical to a
-// serial loop over the same grid.
+// serial loop over the same grid. run_sweep is also the only code that
+// reads or writes the result store (exp/run_cache.hpp); run_scenario
+// always simulates.
 //
 // Axes, outermost to innermost (row-major expansion order):
 //   scenarios × schemes × params × loads × seeds
-// The seed axis runs scenario.seed, scenario.seed + 1, ... like
-// run_averaged always has. The params axis is an optional free dimension
+// The seed axis runs scenario.seed, scenario.seed + 1, ... and a one-point
+// spec (SweepSpec::single) is how a caller averages one pair over seeds.
+// The params axis is an optional free dimension
 // (attempt probability, reset probability, ...) applied to each point by a
 // user-supplied `bind` callback before the job is built. The loads axis is
 // an optional offered-load dimension (per-station Mb/s written into
@@ -47,7 +50,7 @@ struct SweepSpec {
   /// Axis 5 (innermost): seeds averaged per grid point; the s-th run uses
   /// scenario.seed + s. Must be >= 1.
   int seeds = 1;
-  /// Options forwarded to every run_scenario call.
+  /// Options forwarded to every job's run_scenario call.
   RunOptions options;
   /// Keep the per-seed RunResults in each SweepPoint (per-station
   /// throughput, series, ...). Averages are always computed.
@@ -89,8 +92,26 @@ struct SweepJob {
 /// bind, loads with a saturated scenario).
 std::vector<SweepJob> expand(const SweepSpec& spec);
 
-/// Results for one grid point, folded over the seed axis in seed order
-/// with the same arithmetic as run_averaged.
+/// One grid point's runs folded over the seed axis: means (and the
+/// throughput range) in seed order, with the arithmetic of a serial loop
+/// over the seeds.
+struct AveragedResult {
+  double mean_mbps = 0.0;
+  double min_mbps = 0.0;
+  double max_mbps = 0.0;
+  double mean_idle_slots = 0.0;
+  double mean_hidden_pairs = 0.0;
+  // Seed means of the traffic metrics (zero for saturated runs).
+  double mean_offered_mbps = 0.0;
+  double mean_drop_rate = 0.0;
+  double mean_queue_occupancy = 0.0;
+  double mean_delay_s = 0.0;
+  double mean_delay_p50_s = 0.0;
+  double mean_delay_p95_s = 0.0;
+  double mean_delay_p99_s = 0.0;
+};
+
+/// Results for one grid point, folded over the seed axis.
 struct SweepPoint {
   std::size_t scenario_index = 0;
   std::size_t scheme_index = 0;
@@ -131,8 +152,8 @@ struct SweepResult {
 
   bool ok() const { return errors.empty(); }
   /// Throws std::runtime_error summarizing `errors` when any job failed
-  /// (run_averaged and the figure drivers use this to keep the historical
-  /// failing-run-throws contract).
+  /// (the figure drivers call it so a failed job fails the driver instead
+  /// of publishing zero-folded rows).
   void throw_if_failed() const;
 
   const SweepPoint& at(std::size_t scenario, std::size_t scheme = 0,
@@ -143,7 +164,7 @@ struct SweepResult {
 /// global pool) and merges per-point in job-index order. Output is
 /// bit-identical for any thread count, including 1.
 ///
-/// Resume: with $WLAN_RUN_CACHE set (and no series/trace recording), every
+/// Resume: with $WLAN_RUN_CACHE set (and no series recorded), every
 /// job is looked up in the store once before the fan-out and each freshly
 /// simulated job is stored once, so an interrupted sweep re-run replays
 /// the completed jobs ("[sweep] store: replayed K/N jobs" on stderr) and

@@ -8,10 +8,7 @@ namespace wlan::util {
 
 CsvWriter::CsvWriter(const std::string& path) : out_(path) {
   if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
-  flush_handle_ = register_flush([this] { out_.flush(); });
 }
-
-CsvWriter::~CsvWriter() { unregister_flush(flush_handle_); }
 
 void CsvWriter::header(std::initializer_list<std::string> names) {
   header(std::vector<std::string>(names));

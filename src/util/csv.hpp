@@ -1,5 +1,9 @@
 // Minimal CSV writer used by benches to dump figure series alongside the
 // human-readable console tables, so plots can be regenerated externally.
+// Drivers simulate before they write rows (ext_multicell_scaling's timing
+// rows aside), so nothing flushes a CSV on a signal: an interrupted driver
+// leaves at most a header, and its finished jobs live in the result store
+// (exp/run_cache.hpp), which a re-run replays.
 #pragma once
 
 #include <fstream>
@@ -7,22 +11,15 @@
 #include <string>
 #include <vector>
 
-#include "util/shutdown.hpp"
-
 namespace wlan::util {
 
 /// Writes rows of mixed string/number cells to a CSV file. Quoting follows
 /// RFC 4180: cells containing a comma, quote, or newline are quoted and
 /// embedded quotes doubled.
-///
-/// Every live writer is enrolled in the shutdown-flush registry: a
-/// SIGINT/SIGTERM during a bench run flushes whatever rows were already
-/// written, so the partial CSV ends on a complete line.
 class CsvWriter {
  public:
   /// Opens `path` for writing; throws std::runtime_error on failure.
   explicit CsvWriter(const std::string& path);
-  ~CsvWriter();
 
   CsvWriter(const CsvWriter&) = delete;
   CsvWriter& operator=(const CsvWriter&) = delete;
@@ -46,7 +43,6 @@ class CsvWriter {
 
  private:
   std::ofstream out_;
-  FlushHandle flush_handle_ = 0;
 };
 
 /// Formats a double with the given number of significant digits, trimming

@@ -5,8 +5,8 @@
 // WLAN_BENCH_SEEDS   — number of independent seeds averaged per point.
 // WLAN_BENCH_FAST    — if set truthy, benches shrink sweeps for smoke runs.
 // WLAN_THREADS       — lanes in the global par::ThreadPool used by
-//                      exp::run_sweep / run_averaged (0/unset = hardware
-//                      concurrency). A `--threads N` CLI flag wins over it.
+//                      exp::run_sweep (0/unset = hardware concurrency).
+//                      A `--threads N` CLI flag wins over it.
 //
 // Malformed values are rejected loudly: a set-but-unparsable knob (e.g.
 // WLAN_THREADS=abc) prints a one-line error to stderr and exits the

@@ -133,9 +133,10 @@ TEST(Runner, AveragedRunsSpanSeeds) {
   RunOptions opts;
   opts.warmup = sim::Duration::seconds(0.5);
   opts.measure = sim::Duration::seconds(2.0);
-  // run_averaged is sweep-backed: the three seeds run as parallel jobs.
-  const auto avg =
-      run_averaged(scenario, SchemeConfig::standard(), /*seeds=*/3, opts);
+  // A one-point sweep: the three seeds run as parallel jobs.
+  const SweepResult sweep = run_sweep(
+      SweepSpec::single(scenario, SchemeConfig::standard(), opts, /*seeds=*/3));
+  const AveragedResult& avg = sweep.at(0).averaged;
   EXPECT_GT(avg.mean_mbps, 0.0);
   EXPECT_LE(avg.min_mbps, avg.mean_mbps);
   EXPECT_GE(avg.max_mbps, avg.mean_mbps);

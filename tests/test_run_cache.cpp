@@ -1,9 +1,9 @@
-// Tests for the cross-driver run cache: key sensitivity, bit-exact
-// round-tripping of every cached field (including the delay histogram and
-// the per-run counters), the run_scenario and run_sweep integration (a hit
-// short-circuits the simulation and folds like a fresh run,
-// series-recording runs bypass), corruption tolerance, and the pinned
-// bytes and validation of the histogram's store section.
+// Tests for the result store: key sensitivity, bit-exact round-tripping of
+// every stored field (including the delay histogram and the per-run
+// counters), the run_sweep integration (a hit short-circuits the
+// simulation and folds like a fresh run; run_scenario never touches the
+// store), corruption tolerance, and the pinned bytes and validation of the
+// histogram's store section.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -52,6 +52,16 @@ exp::RunOptions tiny_options() {
   opts.warmup = sim::Duration::seconds(0.05);
   opts.measure = sim::Duration::seconds(0.3);
   return opts;
+}
+
+/// One run through the store: a one-point, one-seed sweep.
+exp::RunResult stored_run(const ScenarioConfig& scenario,
+                          const SchemeConfig& scheme,
+                          const exp::RunOptions& opts) {
+  const auto sweep =
+      exp::run_sweep(exp::SweepSpec::single(scenario, scheme, opts));
+  sweep.throw_if_failed();
+  return sweep.at(0).runs[0];
 }
 
 TEST(RunCache, DisabledWithoutEnvironment) {
@@ -110,8 +120,7 @@ TEST(RunCache, RoundTripsEveryFieldBitExactly) {
   auto scenario = ScenarioConfig::hidden(6, 16.0, 3);
   scenario.traffic = traffic::TrafficConfig::poisson(1.5, /*capacity=*/4);
   const auto opts = tiny_options();
-  const auto fresh =
-      exp::run_scenario(scenario, SchemeConfig::standard(), opts);
+  const auto fresh = stored_run(scenario, SchemeConfig::standard(), opts);
   ASSERT_GT(fresh.delays.count(), 0u);
 
   const std::uint64_t key =
@@ -151,13 +160,13 @@ TEST(RunCache, SecondRunHitsAndMatchesTheFirst) {
   const auto opts = tiny_options();
 
   const auto first =
-      exp::run_scenario(scenario, SchemeConfig::idle_sense_scheme(), opts);
+      stored_run(scenario, SchemeConfig::idle_sense_scheme(), opts);
   const auto after_first = rc::stats();
   EXPECT_EQ(after_first.hits, 0u);
   EXPECT_EQ(after_first.stores, 1u);
 
   const auto second =
-      exp::run_scenario(scenario, SchemeConfig::idle_sense_scheme(), opts);
+      stored_run(scenario, SchemeConfig::idle_sense_scheme(), opts);
   const auto after_second = rc::stats();
   EXPECT_EQ(after_second.hits, 1u);
   EXPECT_EQ(after_second.stores, 1u);  // no re-store on a hit
@@ -167,22 +176,21 @@ TEST(RunCache, SecondRunHitsAndMatchesTheFirst) {
   EXPECT_EQ(first.successes, second.successes);
 }
 
-TEST(RunCache, SeriesRecordingBypassesTheCache) {
-  CacheDirGuard guard("series");
-  auto opts = tiny_options();
-  opts.record_series = true;
-  opts.sample_period = sim::Duration::seconds(0.05);
+TEST(RunCache, RunScenarioNeverTouchesTheStore) {
+  // Only run_sweep reads or writes the store: a run_scenario call, store
+  // set or not, always simulates and leaves nothing on disk.
+  CacheDirGuard guard("run_scenario");
   const auto scenario = ScenarioConfig::connected(4, 1);
+  const auto opts = tiny_options();
   const auto a = exp::run_scenario(scenario, SchemeConfig::standard(), opts);
   const auto b = exp::run_scenario(scenario, SchemeConfig::standard(), opts);
   const auto stats = rc::stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
   EXPECT_EQ(stats.stores, 0u);
-  // And the runs themselves still carry their series.
-  EXPECT_GT(a.throughput_series.samples().size(), 0u);
-  EXPECT_EQ(a.throughput_series.samples().size(),
-            b.throughput_series.samples().size());
+  EXPECT_FALSE(std::filesystem::exists(guard.dir));
+  EXPECT_EQ(a.total_mbps, b.total_mbps);
+  EXPECT_EQ(a.successes, b.successes);
 }
 
 TEST(RunCache, ParallelSweepPopulatesAndThenHitsBitIdentically) {
@@ -299,8 +307,7 @@ TEST(RunCache, CorruptEntryIsQuarantinedAndRecomputed) {
   CacheDirGuard guard("corrupt");
   const auto scenario = ScenarioConfig::connected(4, 2);
   const auto opts = tiny_options();
-  const auto first =
-      exp::run_scenario(scenario, SchemeConfig::standard(), opts);
+  const auto first = stored_run(scenario, SchemeConfig::standard(), opts);
 
   // Overwrite the single cache entry with garbage.
   std::filesystem::path entry;
@@ -313,8 +320,7 @@ TEST(RunCache, CorruptEntryIsQuarantinedAndRecomputed) {
   std::fclose(f);
 
   rc::reset_stats();
-  const auto second =
-      exp::run_scenario(scenario, SchemeConfig::standard(), opts);
+  const auto second = stored_run(scenario, SchemeConfig::standard(), opts);
   const auto stats = rc::stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 1u);
@@ -331,8 +337,7 @@ TEST(RunCache, CorruptEntryIsQuarantinedAndRecomputed) {
   EXPECT_TRUE(found_quarantined);
 
   // The rewritten entry now hits.
-  const auto third =
-      exp::run_scenario(scenario, SchemeConfig::standard(), opts);
+  const auto third = stored_run(scenario, SchemeConfig::standard(), opts);
   EXPECT_EQ(rc::stats().hits, 1u);
   EXPECT_EQ(first.successes, third.successes);
 }
@@ -344,7 +349,7 @@ TEST(RunCache, ChecksumCatchesASingleFlippedByte) {
   CacheDirGuard guard("bitflip");
   const auto scenario = ScenarioConfig::connected(4, 3);
   const auto opts = tiny_options();
-  exp::run_scenario(scenario, SchemeConfig::standard(), opts);
+  stored_run(scenario, SchemeConfig::standard(), opts);
 
   std::filesystem::path entry;
   for (const auto& e : std::filesystem::directory_iterator(guard.dir))

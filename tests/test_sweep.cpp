@@ -153,8 +153,9 @@ TEST(Sweep, RunAveragedMatchesItsOwnSerialDefinition) {
     sc.seed = scenario.seed + static_cast<std::uint64_t>(s);
     sum += run_scenario(sc, scheme, opts).total_mbps;
   }
-  const AveragedResult avg = run_averaged(scenario, scheme, 2, opts);
-  EXPECT_EQ(avg.mean_mbps, sum / 2);
+  const SweepResult result =
+      run_sweep(SweepSpec::single(scenario, scheme, opts, /*seeds=*/2));
+  EXPECT_EQ(result.at(0).averaged.mean_mbps, sum / 2);
 }
 
 TEST(Sweep, AtIndexesTheGridRowMajor) {

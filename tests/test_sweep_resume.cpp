@@ -95,7 +95,7 @@ double replayed(const SweepResult& r) {
   return r.metrics.get("sweep.jobs_replayed", -1.0);
 }
 
-TEST(SweepResume, CompletedSweepJournalsEveryJob) {
+TEST(SweepResume, CompletedSweepStoresEveryJob) {
   StoreDirGuard guard("complete");
   SweepSpec spec = small_grid();
   par::ThreadPool pool(2);
@@ -221,7 +221,7 @@ TEST(SweepResume, CorruptEntryIsQuarantinedAndRecomputed) {
   EXPECT_TRUE(found);
 }
 
-TEST(SweepResume, SeriesRunsBypassTheJournal) {
+TEST(SweepResume, SeriesRunsBypassTheStore) {
   StoreDirGuard guard("series");
   SweepSpec spec = small_grid();
   spec.options.record_series = true;
@@ -329,12 +329,12 @@ TEST(SweepFault, RunAveragedThrowsWhenAJobFails) {
   exp::RunOptions opts;
   opts.warmup = sim::Duration::zero();
   opts.measure = sim::Duration::seconds(0.1);
-  // run_averaged runs with the SweepSpec defaults: two retries (100 and
-  // 200 ms of backoff), then the JobError that makes it throw.
+  // A one-point sweep with the SweepSpec defaults: two retries (100 and
+  // 200 ms of backoff), then the JobError that makes throw_if_failed throw.
   const std::uint64_t retries_before = exp::fault_stats().job_retries;
-  EXPECT_THROW(exp::run_averaged(ScenarioConfig::connected(3, 1),
-                                 SchemeConfig::standard(), 1, opts),
-               std::runtime_error);
+  const SweepResult r = exp::run_sweep(SweepSpec::single(
+      ScenarioConfig::connected(3, 1), SchemeConfig::standard(), opts));
+  EXPECT_THROW(r.throw_if_failed(), std::runtime_error);
   EXPECT_EQ(exp::fault_stats().job_retries - retries_before, 2u);
 }
 
