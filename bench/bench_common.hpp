@@ -7,7 +7,11 @@
 // the sweep for smoke runs. Each driver declares its grid as one
 // exp::SweepSpec and runs it before writing its CSV, so the grid fans out
 // across the global par::ThreadPool (`--threads N` or WLAN_THREADS bound
-// the lanes) and resumes from the result store (WLAN_RUN_CACHE).
+// the lanes) and resumes from the result store (WLAN_RUN_CACHE). The
+// population-step figures (8-11) are sweeps too: the schedule is a
+// ScenarioConfig field. Sweeps that record series (those figures and two
+// ablations) bypass the store; only ext_multicell_scaling's timed
+// build_network runs simulate outside run_sweep.
 #pragma once
 
 #include <cstdio>

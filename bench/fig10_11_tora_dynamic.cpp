@@ -19,23 +19,28 @@ int main(int argc, char** argv) {
       {250.0 * scale, 20},
       {375.0 * scale, 60}};
 
+  // One sweep: the connected and hidden networks under the same schedule,
+  // measured from t = 0 with series on.
+  auto connected = exp::ScenarioConfig::connected(60, 1);
+  auto hidden = exp::ScenarioConfig::hidden(60, 16.0, 1);
+  connected.population = schedule;
+  hidden.population = schedule;
+  exp::SweepSpec spec;
+  spec.scenarios = {connected, hidden};
+  spec.schemes = {exp::SchemeConfig::tora_csma()};
+  spec.options.warmup = sim::Duration::zero();
+  spec.options.measure = sim::Duration::seconds(horizon);
+  spec.options.sample_period =
+      sim::Duration::seconds(std::max(1.0, 5.0 * scale));
+  spec.options.record_series = true;
+  const auto sweep = exp::run_sweep(spec);
+  sweep.throw_if_failed();
+  const exp::RunResult& run_conn = sweep.at(0).runs[0];
+  const exp::RunResult& run_hid = sweep.at(1).runs[0];
+
   util::CsvWriter csv("fig10_11_tora_dynamic.csv");
   csv.header({"t_seconds", "active_nodes", "mbps_connected", "p0_connected",
               "stage_connected", "mbps_hidden", "p0_hidden", "stage_hidden"});
-
-  const auto connected = exp::ScenarioConfig::connected(60, 1);
-  const auto hidden = exp::ScenarioConfig::hidden(60, 16.0, 1);
-  const auto sample = sim::Duration::seconds(std::max(1.0, 5.0 * scale));
-
-  const auto run_conn = exp::run_dynamic(connected,
-                                         exp::SchemeConfig::tora_csma(),
-                                         schedule,
-                                         sim::Duration::seconds(horizon),
-                                         sample);
-  const auto run_hid = exp::run_dynamic(hidden, exp::SchemeConfig::tora_csma(),
-                                        schedule,
-                                        sim::Duration::seconds(horizon),
-                                        sample);
 
   util::Table table({"t (s)", "N", "Mb/s (no hidden)", "p0 (no hidden)",
                      "j (no hidden)", "Mb/s (hidden)", "p0 (hidden)",

@@ -6,9 +6,9 @@
 // — a 10'000-job grid with one sick point finishes 9'999 jobs and reports
 // the sick one.
 //
-// FaultStats are the process-wide exp.fault.* counters surfaced through
-// the obs metrics registry (obs::add_fault_metrics), following the same
-// cumulative pattern as run_cache::stats().
+// FaultStats are the process-wide exp.fault.* counters run_sweep appends
+// to its sweep-level metrics registry, following the same cumulative
+// pattern as run_cache::stats().
 //
 // FaultPlan is a TEST-ONLY deterministic fault injector: the kill/resume
 // differential suites install a plan naming job indices that must throw,

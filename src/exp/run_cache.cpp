@@ -72,7 +72,8 @@ constexpr std::size_t member_count() {
     return N;
 }
 
-static_assert(member_count<ScenarioConfig>() == 12);
+static_assert(member_count<ScenarioConfig>() == 13);
+static_assert(member_count<PopulationStep>() == 2);
 static_assert(member_count<mac::WifiParams>() == 19);
 static_assert(member_count<traffic::TrafficConfig>() == 7);
 static_assert(member_count<SchemeConfig>() == 8);
@@ -145,6 +146,15 @@ void hash_scenario(KeyHasher& h, const ScenarioConfig& s) {
   h.add_i64(s.cells);
   h.add_i64(s.cell_cols);
   h.add_double(s.cell_spacing);
+  // Mixed only when set, so a static run keeps the key it had before the
+  // schedule was a scenario field and older stores still replay.
+  if (!s.population.empty()) {
+    h.add_count(s.population.size());
+    for (const PopulationStep& step : s.population) {
+      h.add_double(step.t_seconds);
+      h.add_i64(step.active_stations);
+    }
+  }
 }
 
 void hash_scheme(KeyHasher& h, const SchemeConfig& s) {

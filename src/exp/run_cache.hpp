@@ -1,11 +1,12 @@
 // Result store: memoizes run_sweep jobs on disk, keyed by a content hash
 // of everything that determines the (bit-exact) outcome — the full
-// ScenarioConfig (topology, PHY, traffic, seed), SchemeConfig (scheme kind
-// + every controller option), and the RunOptions' warmup and measure
-// windows. run_sweep is its only client: it looks every job up before it
-// fans out and stores each freshly simulated job, so an interrupted sweep
-// resumes from the entries it already stored. run_scenario never reads or
-// writes it.
+// ScenarioConfig (topology, PHY, traffic, seed, and the population
+// schedule when it has steps), SchemeConfig (scheme kind + every
+// controller option), and the RunOptions' warmup and measure windows.
+// run_sweep is its only client: it looks every job up before it fans out
+// and stores each freshly simulated job, so an interrupted sweep resumes
+// from the entries it already stored. run_scenario never reads or writes
+// it.
 //
 // Purpose: re-running a driver (or `bench/run_all.sh`) replays what an
 // earlier run stored, and the few points several drivers share are
@@ -24,13 +25,12 @@
 // binary never reads a previous build's physics.
 //
 // Sweeps that record time series (RunOptions::record_series) bypass the
-// store: series and the success-source log are deliberately not
-// serialized (they dwarf the scalar results and only the dynamic/series
-// drivers want them).
+// store: series are deliberately not serialized (they dwarf the scalar
+// results and only the dynamic/series drivers want them).
 //
 // Each entry carries the run's per-run counters (RunResult::metrics minus
-// the process-cumulative cache.*/exp.fault.*/profile.* names), so a hit
-// folds into SweepResult::metrics exactly like a fresh run.
+// the process-cumulative names, see obs::is_process_cumulative_metric),
+// so a hit folds into SweepResult::metrics exactly like a fresh run.
 //
 // Storage: one little-endian binary file per key, written to a temp name
 // and atomically renamed — concurrent drivers (run_all.sh runs many) may
@@ -71,7 +71,8 @@ std::string directory();
 
 /// Content hash of a run's full identity (FNV-1a over a canonical field
 /// serialization of the scenario, the scheme, and the options' warmup and
-/// measure windows).
+/// measure windows). An empty population schedule adds nothing, so a
+/// static run's key is the one it had before schedules were keyed.
 std::uint64_t key_hash(const ScenarioConfig& scenario,
                        const SchemeConfig& scheme, const RunOptions& options);
 

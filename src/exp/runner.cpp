@@ -167,8 +167,6 @@ void collect_measurement(mac::Network& net, RunResult& result) {
   }
 
   result.metrics = obs::collect_metrics(net);
-  obs::add_run_cache_metrics(result.metrics);
-  obs::add_fault_metrics(result.metrics);
   if (const obs::SimObs* o = net.simulator().obs(); o != nullptr) {
     if (o->flight != nullptr) obs::add_flight_metrics(result.metrics, *o->flight);
     if (o->profiler.enabled())
@@ -190,20 +188,22 @@ RunResult run_scenario(const ScenarioConfig& scenario,
   // Declared before the sampler captures it; checked at every sample tick
   // and once after the measurement window.
   std::unique_ptr<obs::AuditSet> audit = make_audit();
-  if (options.record_series) {
+  if (options.record_series)
     install_sampler(*net, scheme, options.sample_period, result, audit.get());
-    // Station node ids start after the APs (one AP historically, so the
-    // offset used to be the literal 1).
-    const int num_aps = net->num_aps();
-    for (int c = 0; c < num_aps; ++c) {
-      net->ap(c).set_success_callback(
-          [&result, num_aps](phy::NodeId src, sim::Time) {
-            result.success_sources.push_back(static_cast<int>(src) - num_aps);
-          });
-    }
-  }
 
   net->start();
+  // Population steps fire through the event queue, a step at t = 0 too:
+  // queued after start(), it runs after start()'s own t = 0 events.
+  mac::Network* raw = net.get();
+  for (const PopulationStep& step : scenario.population) {
+    const int target =
+        std::clamp(step.active_stations, 0, net->num_stations());
+    net->simulator().schedule_at(
+        sim::Time::from_seconds(step.t_seconds), [raw, target] {
+          for (int i = 0; i < raw->num_stations(); ++i)
+            raw->station(i).set_active(i < target);
+        });
+  }
   if (options.warmup > sim::Duration::zero()) {
     net->run_for(options.warmup);
     net->reset_counters();
@@ -221,31 +221,14 @@ RunResult run_dynamic(const ScenarioConfig& scenario,
                       const std::vector<PopulationStep>& schedule,
                       sim::Duration total_duration,
                       sim::Duration sample_period) {
-  RunResult result;
-
-  auto net = build_network(scenario, scheme);
-  result.hidden_pairs = net->medium().hidden_pairs(net->num_aps());
-  std::unique_ptr<obs::AuditSet> audit = make_audit();
-  install_sampler(*net, scheme, sample_period, result, audit.get());
-  net->start();
-
-  for (const auto& step : schedule) {
-    const int target =
-        std::clamp(step.active_stations, 0, net->num_stations());
-    mac::Network* raw = net.get();
-    net->simulator().schedule_at(
-        sim::Time::from_seconds(step.t_seconds), [raw, target] {
-          for (int i = 0; i < raw->num_stations(); ++i)
-            raw->station(i).set_active(i < target);
-        });
-  }
-  // Apply any step at t = 0 immediately via the event queue (scheduled
-  // above); later steps fire during the run.
-  net->run_for(total_duration);
-
-  collect_measurement(*net, result);
-  finish_audit(audit.get(), *net, result);
-  return result;
+  ScenarioConfig scheduled = scenario;
+  scheduled.population = schedule;
+  RunOptions options;
+  options.warmup = sim::Duration::zero();
+  options.measure = total_duration;
+  options.sample_period = sample_period;
+  options.record_series = true;
+  return run_scenario(scheduled, scheme, options);
 }
 
 }  // namespace wlan::exp

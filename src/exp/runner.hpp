@@ -1,7 +1,8 @@
 // Experiment runner: executes a (scenario, scheme) pair and collects every
-// quantity the paper's tables and figures report. Also supports dynamic
-// node-population scenarios (Figs. 8-11). Seed averaging, grids and the
-// result store live in exp/sweep.hpp.
+// quantity the paper's tables and figures report. run_scenario is the one
+// build-start-run-collect loop; a scenario's population schedule (Figs.
+// 8-11) runs through it like any other field. Seed averaging, grids and
+// the result store live in exp/sweep.hpp.
 #pragma once
 
 #include <cstdint>
@@ -56,14 +57,10 @@ struct RunResult {
   /// The full delay distribution behind the summary quantiles above.
   stats::DelayHistogram delays;
 
-  /// Station index of each cleanly received data frame, in order (only
-  /// when RunOptions::record_series; drives short-term fairness metrics).
-  std::vector<int> success_sources;
-
-  /// Unified counter snapshot (sim.*, medium.*, mac.cohort.*, traffic.*,
-  /// cache.*; see obs/collect.hpp) taken when measurement ends. A run-cache
-  /// hit carries the per-run counters only: the process-cumulative cache.*,
-  /// exp.fault.* and profile.* names are not stored.
+  /// This run's counter snapshot (sim.*, medium.*, mac.cohort.*,
+  /// traffic.*; audit.*, flight.* and profile.* when those are on; see
+  /// obs/collect.hpp) taken when measurement ends. A run-cache hit carries
+  /// all but the wall-clock profile.* names.
   obs::MetricsRegistry metrics;
 
   // Time series over the WHOLE run (including warm-up), when requested.
@@ -78,22 +75,16 @@ struct RunResult {
 
 /// Runs one scenario under one scheme. Always simulates: the result
 /// store (exp/run_cache.hpp) is read and written only by run_sweep, which
-/// calls this for the jobs its own lookup missed.
+/// calls this for the jobs its own lookup missed. The scenario's
+/// population steps are scheduled right after the network starts, before
+/// the warm-up.
 RunResult run_scenario(const ScenarioConfig& scenario,
                        const SchemeConfig& scheme,
                        const RunOptions& options = {});
 
-/// One step of a dynamic node-population schedule: at `t_seconds`, exactly
-/// `active_stations` stations are active (stations are activated and
-/// deactivated in index order).
-struct PopulationStep {
-  double t_seconds;
-  int active_stations;
-};
-
-/// Dynamic scenario (Figs. 8-11): the network holds scenario.num_stations
-/// stations; the schedule toggles how many are active over time. Series are
-/// always recorded. Throughput/idle metrics cover the full duration.
+/// Forwards to run_scenario with `schedule` as the scenario's population,
+/// no warm-up, `total_duration` measured and series recorded every
+/// `sample_period`, so throughput/idle metrics cover the full duration.
 RunResult run_dynamic(const ScenarioConfig& scenario,
                       const SchemeConfig& scheme,
                       const std::vector<PopulationStep>& schedule,

@@ -1,6 +1,7 @@
 // Scenario and scheme descriptions shared by every bench and example.
-// A ScenarioConfig captures the paper's Table I setup plus topology; a
-// SchemeConfig captures which channel-access scheme the stations run.
+// A ScenarioConfig captures the paper's Table I setup plus topology and
+// the station-population schedule; a SchemeConfig captures which
+// channel-access scheme the stations run.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +25,14 @@ namespace wlan::exp {
 enum class TopologyKind {
   kCircleEdge,   // fully connected: stations on the edge of a radius-8 disc
   kUniformDisc,  // hidden nodes: uniform in a radius-16/20 disc
+};
+
+/// One step of a node-population schedule: from `t_seconds` on, exactly
+/// `active_stations` stations are active (stations are activated and
+/// deactivated in index order).
+struct PopulationStep {
+  double t_seconds;
+  int active_stations;
 };
 
 struct ScenarioConfig {
@@ -60,6 +69,12 @@ struct ScenarioConfig {
   /// AP grid pitch. <= sense_radius couples neighbour cells by carrier
   /// sense; beyond it neighbour cells are mutually hidden.
   double cell_spacing = 40.0;
+
+  /// Population schedule (Figs. 8-11): the network holds num_stations
+  /// stations and each step sets how many are active from its time on
+  /// (times are absolute, warm-up included). Empty = every station stays
+  /// active.
+  std::vector<PopulationStep> population;
 
   static ScenarioConfig connected(int n, std::uint64_t seed = 1);
   static ScenarioConfig hidden(int n, double disc_radius,

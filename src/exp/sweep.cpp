@@ -205,6 +205,22 @@ void run_guarded(const SweepJob& job, std::size_t job_index,
   }
 }
 
+/// Appends the process-wide store counters (cache.*).
+void add_run_cache_metrics(obs::MetricsRegistry& reg) {
+  const run_cache::Stats cs = run_cache::stats();
+  reg.set_count("cache.hits", cs.hits);
+  reg.set_count("cache.misses", cs.misses);
+  reg.set_count("cache.quarantined", cs.quarantined);
+}
+
+/// Appends the process-wide job-guard counters (exp.fault.*).
+void add_fault_metrics(obs::MetricsRegistry& reg) {
+  const FaultStats fs = fault_stats();
+  reg.set_count("exp.fault.job_exceptions", fs.job_exceptions);
+  reg.set_count("exp.fault.job_retries", fs.job_retries);
+  reg.set_count("exp.fault.job_failures", fs.job_failures);
+}
+
 void report_errors(const std::vector<JobError>& errors) {
   for (const JobError& e : errors) {
     std::fprintf(
@@ -318,8 +334,8 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
   result.metrics.set_count("sweep.jobs_total", jobs.size());
   result.metrics.set_count("sweep.jobs_replayed", replayed);
   result.metrics.set_count("sweep.jobs_failed", result.errors.size());
-  obs::add_run_cache_metrics(result.metrics);
-  obs::add_fault_metrics(result.metrics);
+  add_run_cache_metrics(result.metrics);
+  add_fault_metrics(result.metrics);
 
   // Sweep-accounting law (mirrors the in-run auditors): the process-wide
   // fault counter must have advanced by exactly one failure per JobError

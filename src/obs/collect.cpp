@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "exp/fault.hpp"
-#include "exp/run_cache.hpp"
 #include "mac/network.hpp"
 #include "obs/flight.hpp"
 
@@ -50,20 +48,6 @@ MetricsRegistry collect_metrics(mac::Network& net) {
   }
 
   return reg;
-}
-
-void add_run_cache_metrics(MetricsRegistry& reg) {
-  const exp::run_cache::Stats cs = exp::run_cache::stats();
-  reg.set_count("cache.hits", cs.hits);
-  reg.set_count("cache.misses", cs.misses);
-  reg.set_count("cache.quarantined", cs.quarantined);
-}
-
-void add_fault_metrics(MetricsRegistry& reg) {
-  const exp::FaultStats fs = exp::fault_stats();
-  reg.set_count("exp.fault.job_exceptions", fs.job_exceptions);
-  reg.set_count("exp.fault.job_retries", fs.job_retries);
-  reg.set_count("exp.fault.job_failures", fs.job_failures);
 }
 
 void add_profile_metrics(MetricsRegistry& reg, const PhaseProfiler& p) {

@@ -23,18 +23,9 @@ class FlightRecorder;
 /// the counters wlanbench hashes and CounterGolden pins.
 MetricsRegistry collect_metrics(mac::Network& net);
 
-/// Appends process-wide exp::run_cache hit/miss counters (cache.*).
-/// Cumulative across the process, so wlanbench and CounterGolden skip them.
-void add_run_cache_metrics(MetricsRegistry& reg);
-
-/// Appends the process-wide fault-tolerance counters (exp.fault.*): job
-/// exceptions, retries and failures. Cumulative across the process, like
-/// cache.*.
-void add_fault_metrics(MetricsRegistry& reg);
-
 /// Appends per-category profiler buckets (profile.<cat>.events /
-/// profile.<cat>.wall_ns). Wall times are machine-dependent; like cache.*
-/// they are for humans, not for drift comparison.
+/// profile.<cat>.wall_ns). Wall times are machine-dependent: they are for
+/// humans, not for drift comparison.
 void add_profile_metrics(MetricsRegistry& reg, const PhaseProfiler& p);
 
 /// Appends flight-recorder span aggregates (flight.*): frame counts by
@@ -43,9 +34,11 @@ void add_profile_metrics(MetricsRegistry& reg, const PhaseProfiler& p);
 /// run, like collect_metrics.
 void add_flight_metrics(MetricsRegistry& reg, const FlightRecorder& fr);
 
-/// True for metric names that accumulate across the PROCESS rather than
-/// one run (cache.*, exp.fault.*, profile.*) — summing them per-job would
-/// double-count, so the sweep-level fold skips them.
+/// True for metric names that are not one run's deterministic counts: the
+/// wall-clock profile.* buckets that ride per-run registries, and the
+/// process-wide cache.* / exp.fault.* snapshots run_sweep appends to its
+/// sweep-level registry. Summing them per job would double-count, so the
+/// sweep-level fold and the store writer skip them.
 bool is_process_cumulative_metric(const std::string& name);
 
 /// Folds one run's registry into a sweep-level registry: per-run names are

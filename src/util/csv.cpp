@@ -6,7 +6,7 @@
 
 namespace wlan::util {
 
-CsvWriter::CsvWriter(const std::string& path) : out_(path) {
+CsvWriter::CsvWriter(const std::string& path) : path_(path), out_(path) {
   if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
 }
 
@@ -22,6 +22,10 @@ void CsvWriter::row(const std::vector<std::string>& cells) {
     out_ << escape(cells[i]);
   }
   out_ << '\n';
+  // A failed write may surface only when the buffer reaches the file
+  // (/dev/full opens and buffers fine), hence the flush before the check.
+  out_.flush();
+  if (!out_) throw std::runtime_error("CsvWriter: cannot write " + path_);
 }
 
 void CsvWriter::row_numeric(const std::vector<double>& values, int precision) {
@@ -30,8 +34,6 @@ void CsvWriter::row_numeric(const std::vector<double>& values, int precision) {
   for (double v : values) cells.push_back(format_double(v, precision));
   row(cells);
 }
-
-void CsvWriter::flush() { out_.flush(); }
 
 std::string CsvWriter::escape(const std::string& cell) {
   const bool needs_quote =

@@ -1,7 +1,9 @@
 // Minimal CSV writer used by benches to dump figure series alongside the
 // human-readable console tables, so plots can be regenerated externally.
-// Drivers simulate before they write rows (ext_multicell_scaling's timing
-// rows aside), so nothing flushes a CSV on a signal: an interrupted driver
+// Every row is flushed and checked, so a CSV that cannot be written (a
+// full disk, a bad mount) ends the driver with an exception instead of a
+// clean exit. Drivers simulate before they write rows
+// (ext_multicell_scaling's timing rows aside), so an interrupted driver
 // leaves at most a header, and its finished jobs live in the result store
 // (exp/run_cache.hpp), which a re-run replays.
 #pragma once
@@ -28,20 +30,19 @@ class CsvWriter {
   void header(std::initializer_list<std::string> names);
   void header(const std::vector<std::string>& names);
 
-  /// Appends one row of already-formatted cells.
+  /// Appends one row of already-formatted cells and flushes it; throws
+  /// std::runtime_error naming the file when the stream has failed.
   void row(const std::vector<std::string>& cells);
 
   /// Convenience: appends one row of doubles with `precision` significant
   /// digits.
   void row_numeric(const std::vector<double>& values, int precision = 10);
 
-  /// Flushes the underlying stream.
-  void flush();
-
   /// Escapes one cell per RFC 4180 (exposed for testing).
   static std::string escape(const std::string& cell);
 
  private:
+  std::string path_;
   std::ofstream out_;
 };
 

@@ -19,8 +19,8 @@ namespace {
 constexpr std::size_t kTraceCapacity = std::size_t{1} << 22;
 constexpr sim::Duration kAuditPeriod = sim::Duration::milliseconds(50);
 
-/// Population steps exactly as exp::run_dynamic schedules them (after
-/// start, in schedule order).
+/// Population steps exactly as exp::run_scenario schedules a scenario's
+/// population (after start, in schedule order).
 template <typename Net>
 void schedule_population(Net& net,
                          const std::vector<exp::PopulationStep>& schedule) {

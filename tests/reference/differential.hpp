@@ -24,8 +24,8 @@ struct Case {
   exp::ScenarioConfig scenario;
   exp::SchemeConfig scheme;
   sim::Duration duration = sim::Duration::seconds(0.5);
-  /// Population steps applied as exp::run_dynamic applies them; empty =
-  /// every station active throughout.
+  /// Population steps applied as exp::run_scenario applies a scenario's
+  /// population; empty = every station active throughout.
   std::vector<exp::PopulationStep> schedule;
 };
 

@@ -2,6 +2,8 @@
 // (Section VII references IdleSense's short-term fairness evaluation).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "exp/runner.hpp"
 #include "stats/convergence.hpp"
 #include "stats/fairness.hpp"
@@ -87,28 +89,40 @@ TEST(ShortTermFairness, Validation) {
   EXPECT_THROW(sliding_window_jain({0}, 1, 0), std::invalid_argument);
 }
 
+/// Station index of each data frame the AP received cleanly over the
+/// first `seconds` of a run, in order.
+std::vector<int> success_sources(const exp::ScenarioConfig& scenario,
+                                 const exp::SchemeConfig& scheme,
+                                 double seconds) {
+  auto net = exp::build_network(scenario, scheme);
+  std::vector<int> sources;
+  // Station node ids start after the AP's.
+  const int num_aps = net->num_aps();
+  net->ap().set_success_callback([&sources, num_aps](phy::NodeId src,
+                                                     sim::Time) {
+    sources.push_back(static_cast<int>(src) - num_aps);
+  });
+  net->start();
+  net->run_for(sim::Duration::seconds(seconds));
+  return sources;
+}
+
 TEST(ShortTermFairness, WTopDeliversGoodShortTermFairness) {
   // The paper (via IdleSense): p-persistent-style access gives good
   // short-term fairness because every slot is a fresh lottery — no
   // binary-backoff streaks.
-  exp::RunOptions opts;
-  opts.warmup = sim::Duration::seconds(15.0);
-  opts.measure = sim::Duration::seconds(10.0);
-  opts.record_series = true;
-  const auto wtop = exp::run_scenario(exp::ScenarioConfig::connected(10, 1),
-                                      exp::SchemeConfig::wtop_csma(), opts);
-  ASSERT_GT(wtop.success_sources.size(), 1000u);
-  const double fairness =
-      stats::sliding_window_jain(wtop.success_sources, 10, 50, 10);
+  const auto scenario = exp::ScenarioConfig::connected(10, 1);
+  const std::vector<int> wtop =
+      success_sources(scenario, exp::SchemeConfig::wtop_csma(), 25.0);
+  ASSERT_GT(wtop.size(), 1000u);
+  const double fairness = stats::sliding_window_jain(wtop, 10, 50, 10);
   EXPECT_GT(fairness, 0.75);
 
   // Standard 802.11's post-success CWmin reset produces streaks: short-term
   // fairness is no better than wTOP's.
-  const auto std80211 = exp::run_scenario(
-      exp::ScenarioConfig::connected(10, 1), exp::SchemeConfig::standard(),
-      opts);
-  const double std_fairness =
-      stats::sliding_window_jain(std80211.success_sources, 10, 50, 10);
+  const double std_fairness = stats::sliding_window_jain(
+      success_sources(scenario, exp::SchemeConfig::standard(), 25.0), 10, 50,
+      10);
   EXPECT_GT(fairness + 0.05, std_fairness);
 }
 

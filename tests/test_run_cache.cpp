@@ -110,6 +110,22 @@ TEST(RunCache, KeyIsSensitiveToEveryAxis) {
   other_opts.measure = sim::Duration::seconds(0.4);
   EXPECT_NE(base, rc::key_hash(scenario, scheme, other_opts));
 
+  // Population schedule: an empty one adds nothing, so this static key is
+  // the one stores written before schedules were keyed hold. Having one
+  // step, and moving one step's time or count, each change the key.
+  EXPECT_EQ(base, 0x380393bdcfdd7068u);
+  auto stepped = scenario;
+  stepped.population = {{0.0, 10}};
+  EXPECT_NE(base, rc::key_hash(stepped, scheme, opts));
+  auto sched_a = scenario, sched_t = scenario, sched_n = scenario;
+  sched_a.population = {{0.0, 10}, {0.2, 4}};
+  sched_t.population = {{0.0, 10}, {0.25, 4}};
+  sched_n.population = {{0.0, 10}, {0.2, 5}};
+  EXPECT_NE(rc::key_hash(sched_a, scheme, opts),
+            rc::key_hash(sched_t, scheme, opts));
+  EXPECT_NE(rc::key_hash(sched_a, scheme, opts),
+            rc::key_hash(sched_n, scheme, opts));
+
   EXPECT_EQ(base, rc::key_hash(scenario, scheme, opts));  // stable
 }
 

@@ -1,13 +1,17 @@
 // Tests of the declarative sweep engine: grid expansion order, param
 // binding, result indexing, the core guarantee that a parallel run_sweep
-// is bit-identical to the serial seed loop it replaced, the sweep-level
-// metrics fold, retry-path no-double-count accounting, and the live
-// progress tracker.
+// is bit-identical to the serial seed loop it replaced (and, for
+// population schedules, to run_dynamic), the sweep-level metrics fold,
+// retry-path no-double-count accounting, and the live progress tracker.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "exp/fault.hpp"
 #include "exp/progress.hpp"
@@ -156,6 +160,74 @@ TEST(Sweep, RunAveragedMatchesItsOwnSerialDefinition) {
   const SweepResult result =
       run_sweep(SweepSpec::single(scenario, scheme, opts, /*seeds=*/2));
   EXPECT_EQ(result.at(0).averaged.mean_mbps, sum / 2);
+}
+
+/// Raw bits of a series' samples (time and value), in order.
+std::vector<std::uint64_t> series_bits(const stats::TimeSeries& series) {
+  std::vector<std::uint64_t> bits;
+  for (const auto& sample : series.samples()) {
+    bits.push_back(std::bit_cast<std::uint64_t>(sample.t_seconds));
+    bits.push_back(std::bit_cast<std::uint64_t>(sample.value));
+  }
+  return bits;
+}
+
+/// The run's sim.*, medium.* and mac.* counters, in registry order.
+std::vector<std::pair<std::string, double>> event_counters(
+    const RunResult& r) {
+  std::vector<std::pair<std::string, double>> counters;
+  for (const auto& m : r.metrics.entries())
+    for (const char* prefix : {"sim.", "medium.", "mac."})
+      if (m.name.rfind(prefix, 0) == 0) counters.emplace_back(m.name, m.value);
+  return counters;
+}
+
+TEST(Sweep, PopulationSweepMatchesRunDynamicBitForBit) {
+  // Figs. 8-11 run their population schedules as sweep jobs: each point
+  // must be the run run_dynamic gives for the same schedule, at any lane
+  // count.
+  const std::vector<PopulationStep> schedule{{0.0, 8}, {0.6, 3}, {1.2, 6}};
+  const auto total = sim::Duration::seconds(1.8);
+  const auto sample = sim::Duration::seconds(0.2);
+  const auto scheme = SchemeConfig::wtop_csma();
+  const std::vector<ScenarioConfig> networks{
+      ScenarioConfig::connected(8, 1), ScenarioConfig::hidden(8, 16.0, 2)};
+
+  SweepSpec spec;
+  for (ScenarioConfig scenario : networks) {
+    scenario.population = schedule;
+    spec.scenarios.push_back(scenario);
+  }
+  spec.schemes = {scheme};
+  spec.options.warmup = sim::Duration::zero();
+  spec.options.measure = total;
+  spec.options.sample_period = sample;
+  spec.options.record_series = true;
+
+  std::vector<RunResult> expected;
+  for (const ScenarioConfig& scenario : networks)
+    expected.push_back(run_dynamic(scenario, scheme, schedule, total, sample));
+
+  for (const int threads : {1, 4}) {
+    par::ThreadPool pool(threads);
+    const SweepResult result = run_sweep(spec, &pool);
+    ASSERT_TRUE(result.ok());
+    for (std::size_t i = 0; i < networks.size(); ++i) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " scenario=" << i);
+      const RunResult& got = result.at(i).runs[0];
+      const RunResult& want = expected[i];
+      ASSERT_FALSE(want.active_nodes_series.samples().empty());
+      EXPECT_EQ(series_bits(got.throughput_series),
+                series_bits(want.throughput_series));
+      EXPECT_EQ(series_bits(got.control_series),
+                series_bits(want.control_series));
+      EXPECT_EQ(series_bits(got.active_nodes_series),
+                series_bits(want.active_nodes_series));
+      EXPECT_FALSE(event_counters(want).empty());
+      EXPECT_EQ(event_counters(got), event_counters(want));
+    }
+  }
 }
 
 TEST(Sweep, AtIndexesTheGridRowMajor) {

@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "exp/progress.hpp"
 #include "obs/audit.hpp"
@@ -39,7 +41,6 @@ TEST(Csv, WritesFile) {
     w.header({"x", "y"});
     w.row({"1", "2"});
     w.row_numeric({3.5, 4.25});
-    w.flush();
   }
   std::ifstream in(path);
   std::stringstream ss;
@@ -51,6 +52,19 @@ TEST(Csv, WritesFile) {
 TEST(Csv, ThrowsOnBadPath) {
   EXPECT_THROW(CsvWriter("/nonexistent_dir_xyz/file.csv"),
                std::runtime_error);
+}
+
+TEST(Csv, ThrowsNamingTheFileWhenAWriteFails) {
+  // /dev/full opens and buffers output, then fails every write with ENOSPC.
+  if (!std::ifstream("/dev/full")) GTEST_SKIP() << "no /dev/full here";
+  CsvWriter w("/dev/full");
+  try {
+    w.header({"x", "y"});
+    ADD_FAILURE() << "a header written to /dev/full did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(FormatDouble, TrimsAndRounds) {
