@@ -9,9 +9,9 @@
 // across the global par::ThreadPool (`--threads N` or WLAN_THREADS bound
 // the lanes) and resumes from the result store (WLAN_RUN_CACHE). The
 // population-step figures (8-11) are sweeps too: the schedule is a
-// ScenarioConfig field. Sweeps that record series (those figures and two
-// ablations) bypass the store; only ext_multicell_scaling's timed
-// build_network runs simulate outside run_sweep.
+// ScenarioConfig field, and their series are stored like every other
+// result. Only ext_multicell_scaling's timed build_network runs simulate
+// outside run_sweep.
 #pragma once
 
 #include <cstdio>

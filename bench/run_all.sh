@@ -19,22 +19,20 @@
 #                       the script already parallelizes across drivers)
 #   WLAN_BENCH_JOBS     concurrent driver processes (default: nproc)
 #   WLAN_RUN_CACHE      run-cache directory, the one result store (default
-#                       here: <build>/results/run_cache, so points shared by
-#                       several drivers — the connected and hidden r=16
-#                       adaptive points of fig01/fig03/fig06/table3, the
-#                       N=20 points of ext_robustness/ext_rtscts_tradeoff —
-#                       are simulated once, and a driver killed mid-sweep
-#                       resumes job-by-job from it, byte-identically;
-#                       export WLAN_RUN_CACHE= (empty) to disable)
-#   WLAN_RUN_CACHE_KEEP keep the default cache across invocations of this
-#                       script (default: wiped at startup, so results can
-#                       never come from a previous build's binaries)
-#   WLAN_BENCH_RESUME   truthy => skip drivers whose results/<driver>/
-#                       already holds a completed run (non-empty CSV/JSON
-#                       output plus the .wall_seconds completion marker and
-#                       no .failed marker); interrupted or failed drivers
-#                       re-run. Pair with WLAN_RUN_CACHE_KEEP=1 to make a
-#                       killed invocation cheap to finish.
+#                       here: <build>/results/run_cache, kept across
+#                       invocations; export WLAN_RUN_CACHE= (empty) to
+#                       disable). Points shared by several drivers — the
+#                       connected and hidden r=16 adaptive points of
+#                       fig01/fig03/fig06/table3, the N=20 points of
+#                       ext_robustness/ext_rtscts_tradeoff — are simulated
+#                       once. Entries carry the source epoch of the build
+#                       that wrote them and no other build reads them, so a
+#                       rebuilt simulator never replays stale physics.
+#
+# Resume: run the same command again. Every job a previous invocation
+# finished replays from the store, series included, byte-identically;
+# only the timing runs (bench_parallel_scaling, ext_multicell_scaling's
+# Part B) simulate again.
 #
 # Live telemetry: every driver runs with WLAN_PROGRESS_JSON pointed at its
 # own results/<driver>/progress.json (src/exp/progress.hpp heartbeat); a
@@ -60,21 +58,11 @@ jobs="${WLAN_BENCH_JOBS:-${default_jobs}}"
 # run uses ~nproc threads total instead of jobs x lanes.
 export WLAN_THREADS="${WLAN_THREADS:-1}"
 
-# Cross-driver run cache: identical (scenario, scheme, params, seed) sweep
-# jobs are simulated once and read back by every other driver (and by
-# re-runs of this script while the cache persists). Scoped to this
-# invocation by default so a rebuild can never serve stale physics;
-# WLAN_RUN_CACHE_KEEP=1 retains it, and WLAN_RUN_CACHE= (set empty)
-# disables caching entirely.
-if [[ -z ${WLAN_RUN_CACHE+x} ]]; then
-  export WLAN_RUN_CACHE="${results_dir}/run_cache"
-  # Only the default cache this script owns is ever wiped; a caller's own
-  # WLAN_RUN_CACHE directory is theirs to manage (and to invalidate on
-  # rebuilds!).
-  if [[ -z ${WLAN_RUN_CACHE_KEEP:-} ]]; then
-    rm -rf "${WLAN_RUN_CACHE}"
-  fi
-fi
+# Cross-driver result store: identical (scenario, scheme, params, seed)
+# sweep jobs are simulated once and read back by every other driver and by
+# every later invocation of this script. WLAN_RUN_CACHE= (set empty)
+# disables it.
+export WLAN_RUN_CACHE="${WLAN_RUN_CACHE-${results_dir}/run_cache}"
 
 shopt -s nullglob
 # A build directory keeps the binaries of deleted drivers; only those with
@@ -92,19 +80,6 @@ if [[ ${#benches[@]} -eq 0 ]]; then
        "configure with -DWLAN_BUILD_BENCH=ON and build first" >&2
   exit 1
 fi
-
-# A driver's previous run counts as complete only when it produced a
-# non-empty CSV/JSON AND wrote .wall_seconds (the last thing run_one does,
-# so a killed run never has it) AND did not fail. A killed driver's CSV
-# header therefore never masquerades as a finished run.
-has_complete_run() {
-  local out="$1" f
-  [[ -e "${out}/.wall_seconds" && ! -e "${out}/.failed" ]] || return 1
-  for f in "${out}"/*.csv "${out}"/*.json; do
-    [[ -s ${f} ]] && return 0
-  done
-  return 1
-}
 
 # One driver: run it inside its own results/<driver>/ directory so the CSV
 # it writes to the CWD lands there, write its console output to
@@ -135,17 +110,10 @@ run_one() {
   fi
 }
 
-resume="${WLAN_BENCH_RESUME:-}"
-[[ ${resume} == 0 ]] && resume=""
-
 # Drop failure/timing markers from previous invocations (a driver that no
-# longer runs must not appear in this run's tally or summary.csv). In
-# resume mode the markers ARE the completion record — skipped drivers keep
-# theirs (and their summary row); drivers that re-run reset their own.
-if [[ -z ${resume} ]]; then
-  rm -f "${results_dir}"/*/.failed "${results_dir}"/*/.wall_seconds \
-        "${results_dir}"/*/.max_rss_kb "${results_dir}"/*/progress.json
-fi
+# longer runs must not appear in this run's tally or summary.csv).
+rm -f "${results_dir}"/*/.failed "${results_dir}"/*/.wall_seconds \
+      "${results_dir}"/*/.max_rss_kb "${results_dir}"/*/progress.json
 
 # Folds every per-driver progress.json heartbeat (plus the run markers)
 # into one results/status.json, written tmp+rename so a watcher never sees
@@ -208,10 +176,6 @@ scaling=""
 for bin in "${benches[@]}"; do
   [[ -x ${bin} && ! -d ${bin} ]] || continue
   name="$(basename "${bin}")"
-  if [[ -n ${resume} ]] && has_complete_run "${results_dir}/${name#bench_}"; then
-    echo "==> ${name} (already complete, skipped by WLAN_BENCH_RESUME)"
-    continue
-  fi
   if [[ ${name} == bench_parallel_scaling ]]; then
     scaling="${bin}"
     continue

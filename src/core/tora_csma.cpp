@@ -55,7 +55,6 @@ void ToraCsmaController::maybe_close_segment(sim::Time now) {
 void ToraCsmaController::close_segment(sim::Time now) {
   const sim::Duration elapsed = now - segment_start_;
   const double mbps = static_cast<double>(segment_bits_) / elapsed.s() / 1e6;
-  if (options_.record_history) throughput_history_.add(now, mbps);
 
   const bool was_minus_phase = !kw_.plus_phase();
   kw_.report(mbps);
@@ -77,11 +76,6 @@ void ToraCsmaController::close_segment(sim::Time now) {
       kw_.reset_value(0.5);
       ++stage_changes_;
     }
-  }
-
-  if (options_.record_history) {
-    p0_history_.add(now, kw_.probe());
-    stage_history_.add(now, static_cast<double>(stage_));
   }
   segment_bits_ = 0;
   segment_start_ = now;

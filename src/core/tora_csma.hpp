@@ -14,7 +14,6 @@
 #include "core/kiefer_wolfowitz.hpp"
 #include "mac/ap_controller.hpp"
 #include "mac/wifi_params.hpp"
-#include "stats/timeseries.hpp"
 
 namespace wlan::core {
 
@@ -33,7 +32,6 @@ class ToraCsmaController final : public mac::ApController {
     /// so linear probes are appropriate — and the stage-escape rule handles
     /// the magnitude search instead).
     KwOptions kw = default_kw_options();
-    bool record_history = false;
   };
 
   /// `params` provides m (the number of backoff stages); `initial_stage`
@@ -54,12 +52,6 @@ class ToraCsmaController final : public mac::ApController {
   int stage_changes() const { return stage_changes_; }
   const KieferWolfowitz& optimizer() const { return kw_; }
 
-  const stats::TimeSeries& p0_history() const { return p0_history_; }
-  const stats::TimeSeries& stage_history() const { return stage_history_; }
-  const stats::TimeSeries& throughput_history() const {
-    return throughput_history_;
-  }
-
  private:
   void close_segment(sim::Time now);
 
@@ -72,9 +64,6 @@ class ToraCsmaController final : public mac::ApController {
   std::int64_t segment_bits_ = 0;
   sim::Time segment_start_ = sim::Time::zero();
   int stage_changes_ = 0;
-  stats::TimeSeries p0_history_{"TORA p0"};
-  stats::TimeSeries stage_history_{"TORA j"};
-  stats::TimeSeries throughput_history_{"TORA segment Mb/s"};
 };
 
 }  // namespace wlan::core

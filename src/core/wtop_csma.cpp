@@ -46,9 +46,7 @@ void WTopCsmaController::close_segment(sim::Time now) {
   const sim::Duration elapsed = now - segment_start_;
   const double mbps =
       static_cast<double>(segment_bits_) / elapsed.s() / 1e6;
-  if (options_.record_history) throughput_history_.add(now, mbps);
   kw_.report(mbps);  // lines 7 or 10-13
-  if (options_.record_history) probe_history_.add(now, kw_.probe());
   segment_bits_ = 0;
   segment_start_ = now;
 }

@@ -13,7 +13,6 @@
 
 #include "core/kiefer_wolfowitz.hpp"
 #include "mac/ap_controller.hpp"
-#include "stats/timeseries.hpp"
 
 namespace wlan::core {
 
@@ -34,8 +33,6 @@ class WTopCsmaController final : public mac::ApController {
     /// and segment boundaries — which are evaluated on packet arrival —
     /// would never trigger).
     KwOptions kw = default_kw_options();
-    /// Record (time, probe) and (time, segment Mb/s) histories (Figs. 8-9).
-    bool record_history = false;
   };
 
   WTopCsmaController();  // default Options
@@ -55,12 +52,6 @@ class WTopCsmaController final : public mac::ApController {
   long iterations() const { return kw_.iterations(); }
   const KieferWolfowitz& optimizer() const { return kw_; }
 
-  /// Histories (empty unless Options::record_history).
-  const stats::TimeSeries& probe_history() const { return probe_history_; }
-  const stats::TimeSeries& throughput_history() const {
-    return throughput_history_;
-  }
-
  private:
   void close_segment(sim::Time now);
 
@@ -70,8 +61,6 @@ class WTopCsmaController final : public mac::ApController {
   KieferWolfowitz kw_;
   std::int64_t segment_bits_ = 0;
   sim::Time segment_start_ = sim::Time::zero();
-  stats::TimeSeries probe_history_{"wTOP p"};
-  stats::TimeSeries throughput_history_{"wTOP segment Mb/s"};
 };
 
 }  // namespace wlan::core

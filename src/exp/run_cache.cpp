@@ -17,6 +17,7 @@
 
 #include "obs/collect.hpp"
 #include "util/fnv.hpp"
+#include "wlan_source_epoch.hpp"
 
 namespace wlan::exp::run_cache {
 
@@ -78,12 +79,12 @@ static_assert(member_count<mac::WifiParams>() == 19);
 static_assert(member_count<traffic::TrafficConfig>() == 7);
 static_assert(member_count<SchemeConfig>() == 8);
 static_assert(member_count<core::KwOptions>() == 12);
-static_assert(member_count<core::WTopCsmaController::Options>() == 3);
-static_assert(member_count<core::ToraCsmaController::Options>() == 5);
+static_assert(member_count<core::WTopCsmaController::Options>() == 2);
+static_assert(member_count<core::ToraCsmaController::Options>() == 4);
 static_assert(member_count<core::IdleSenseStrategy::Options>() == 7);
-// Only warmup and measure are keyed: sample_period and record_series only
-// shape series (which bypass the cache).
 static_assert(member_count<RunOptions>() == 4);
+// Entry coverage: write_result/read_result store every RunResult field.
+static_assert(member_count<RunResult>() == 24);
 
 void hash_wifi_params(KeyHasher& h, const mac::WifiParams& p) {
   h.add_double(p.data_rate_bps);
@@ -146,14 +147,10 @@ void hash_scenario(KeyHasher& h, const ScenarioConfig& s) {
   h.add_i64(s.cells);
   h.add_i64(s.cell_cols);
   h.add_double(s.cell_spacing);
-  // Mixed only when set, so a static run keeps the key it had before the
-  // schedule was a scenario field and older stores still replay.
-  if (!s.population.empty()) {
-    h.add_count(s.population.size());
-    for (const PopulationStep& step : s.population) {
-      h.add_double(step.t_seconds);
-      h.add_i64(step.active_stations);
-    }
+  h.add_count(s.population.size());
+  for (const PopulationStep& step : s.population) {
+    h.add_double(step.t_seconds);
+    h.add_i64(step.active_stations);
   }
 }
 
@@ -166,12 +163,10 @@ void hash_scheme(KeyHasher& h, const SchemeConfig& s) {
   for (double w : s.weights) h.add_double(w);
   h.add_duration(s.wtop.update_period);
   hash_kw(h, s.wtop.kw);
-  h.add_bool(s.wtop.record_history);
   h.add_duration(s.tora.update_period);
   h.add_double(s.tora.delta_low);
   h.add_double(s.tora.delta_high);
   hash_kw(h, s.tora.kw);
-  h.add_bool(s.tora.record_history);
   h.add_double(s.idle_sense.target_idle_slots);
   h.add_double(s.idle_sense.epsilon);
   h.add_double(s.idle_sense.alpha);
@@ -182,8 +177,6 @@ void hash_scheme(KeyHasher& h, const SchemeConfig& s) {
 }
 
 // --------------------------------------------------------- (de)serializing
-
-constexpr std::uint32_t kMagic = 0x57524C43;  // "WRLC"
 
 /// Little-endian serializer into a memory buffer: the whole entry is
 /// assembled (and checksummed) before a single fwrite, so the on-disk
@@ -236,6 +229,13 @@ struct Reader {
   }
 };
 
+// The six series, in the order the entry stores them.
+constexpr stats::TimeSeries RunResult::* kSeries[] = {
+    &RunResult::throughput_series, &RunResult::control_series,
+    &RunResult::stage_series,      &RunResult::active_nodes_series,
+    &RunResult::queue_series,      &RunResult::drop_series,
+};
+
 std::uint64_t checksum_of(const std::vector<unsigned char>& buf,
                           std::size_t len) {
   util::Fnv1a h;
@@ -244,7 +244,7 @@ std::uint64_t checksum_of(const std::vector<unsigned char>& buf,
 }
 
 void write_result(Writer& w, std::uint64_t key, const RunResult& r) {
-  w.u64((static_cast<std::uint64_t>(kFormatVersion) << 32) | kMagic);
+  w.u64(kSourceEpoch);
   w.u64(key);
   w.f64(r.total_mbps);
   w.f64(r.ap_avg_idle_slots);
@@ -288,13 +288,21 @@ void write_result(Writer& w, std::uint64_t key, const RunResult& r) {
     w.buf.insert(w.buf.end(), m->name.begin(), m->name.end());
     w.f64(m->value);
   }
+  // Series section: per series, its sample count then raw (t, value)
+  // pairs; the names are RunResult's defaults.
+  for (const auto series : kSeries) {
+    const std::vector<stats::Sample>& samples = (r.*series).samples();
+    w.u64(samples.size());
+    for (const stats::Sample& s : samples) {
+      w.f64(s.t_seconds);
+      w.f64(s.value);
+    }
+  }
 }
 
 bool read_result(Reader& rd, std::uint64_t key, RunResult& out,
                  std::size_t payload_end) {
-  if (rd.u64() != ((static_cast<std::uint64_t>(kFormatVersion) << 32) |
-                   kMagic))
-    return false;
+  if (rd.u64() != kSourceEpoch) return false;
   if (rd.u64() != key) return false;
   RunResult r;
   r.total_mbps = rd.f64();
@@ -341,6 +349,16 @@ bool read_result(Reader& rd, std::uint64_t key, RunResult& out,
     if (!rd.ok) return false;
     r.metrics.set(name, value);
   }
+  for (const auto series : kSeries) {
+    const std::uint64_t samples = rd.u64();
+    if (!rd.ok || rd.pos > payload_end ||
+        samples > (payload_end - rd.pos) / 16)
+      return false;
+    for (std::uint64_t i = 0; i < samples; ++i) {
+      const double t = rd.f64();
+      (r.*series).add(t, rd.f64());
+    }
+  }
   // Trailing payload bytes => foreign/corrupt file.
   if (!rd.ok || rd.pos != payload_end) return false;
   out = std::move(r);
@@ -348,6 +366,8 @@ bool read_result(Reader& rd, std::uint64_t key, RunResult& out,
 }
 
 }  // namespace
+
+std::uint64_t source_epoch() { return kSourceEpoch; }
 
 std::string directory() {
   const char* dir = std::getenv("WLAN_RUN_CACHE");
@@ -358,11 +378,13 @@ std::uint64_t key_hash(const ScenarioConfig& scenario,
                        const SchemeConfig& scheme,
                        const RunOptions& options) {
   KeyHasher h;
-  h.add_u64(kFormatVersion);
+  h.add_u64(kSourceEpoch);
   hash_scenario(h, scenario);
   hash_scheme(h, scheme);
   h.add_duration(options.warmup);
   h.add_duration(options.measure);
+  h.add_duration(options.sample_period);
+  h.add_bool(options.record_series);
   return h.digest();
 }
 

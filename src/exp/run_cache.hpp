@@ -1,12 +1,11 @@
 // Result store: memoizes run_sweep jobs on disk, keyed by a content hash
-// of everything that determines the (bit-exact) outcome — the full
-// ScenarioConfig (topology, PHY, traffic, seed, and the population
-// schedule when it has steps), SchemeConfig (scheme kind + every
-// controller option), and the RunOptions' warmup and measure windows.
-// run_sweep is its only client: it looks every job up before it fans out
-// and stores each freshly simulated job, so an interrupted sweep resumes
-// from the entries it already stored. run_scenario never reads or writes
-// it.
+// of everything that determines the (bit-exact) outcome: the source epoch
+// of the build, the full ScenarioConfig (topology, PHY, traffic, seed and
+// population schedule), SchemeConfig (scheme kind + every controller
+// option) and every RunOptions field. run_sweep is its only client: it
+// looks every job up before it fans out and stores each freshly simulated
+// job, so an interrupted sweep resumes from the entries it already
+// stored. run_scenario never reads or writes it.
 //
 // Purpose: re-running a driver (or `bench/run_all.sh`) replays what an
 // earlier run stored, and the few points several drivers share are
@@ -16,21 +15,21 @@
 // bit-identical across thread counts, a stored result is
 // indistinguishable from a fresh run.
 //
+// Source epoch: the build hashes every file under src/, CMakeLists.txt
+// and the compiler id and version into kSourceEpoch
+// (cmake/source_epoch.cmake). The epoch is mixed into every key and heads
+// every entry, so an entry that other sources built is never read: a
+// rebuilt simulator misses instead of serving stale physics. Such entries
+// only take space; deleting the directory reclaims it.
+//
 // Enabling: set WLAN_RUN_CACHE to a directory (created on demand).
-// Unset/empty disables the store (the default — a store must be opted
-// into because it can serve stale results across *code* changes that
-// alter simulation behaviour). bench/run_all.sh opts in with an
-// invocation-scoped directory under results/, wiped at startup unless
-// WLAN_RUN_CACHE_KEEP asks for cross-invocation reuse, so a rebuilt
-// binary never reads a previous build's physics.
+// Unset/empty disables the store. bench/run_all.sh points it at
+// results/run_cache and keeps it across invocations.
 //
-// Sweeps that record time series (RunOptions::record_series) bypass the
-// store: series are deliberately not serialized (they dwarf the scalar
-// results and only the dynamic/series drivers want them).
-//
-// Each entry carries the run's per-run counters (RunResult::metrics minus
-// the process-cumulative names, see obs::is_process_cumulative_metric),
-// so a hit folds into SweepResult::metrics exactly like a fresh run.
+// Each entry carries the whole RunResult, time series and per-run
+// counters included (RunResult::metrics minus the process-cumulative
+// names, see obs::is_process_cumulative_metric), so a hit reads and folds
+// into SweepResult::metrics exactly like the fresh run.
 //
 // Storage: one little-endian binary file per key, written to a temp name
 // and atomically renamed — concurrent drivers (run_all.sh runs many) may
@@ -39,12 +38,13 @@
 // bytes; a file that exists but fails the checksum (bit rot, a torn write
 // surviving a crash, a foreign format) is QUARANTINED — renamed aside with
 // a .quarantined suffix so it can be inspected but never read again — and
-// the point is recomputed. Plain malformed/mis-keyed files read as misses.
+// the point is recomputed. An entry that names another epoch or key is
+// treated the same way.
 //
-// key_hash() enumerates every config field by hand; run_cache.cpp
-// static_asserts the member count of every struct it reads, so a new
-// field breaks the build until it is hashed (bump kFormatVersion if
-// RunResult serialization changes shape).
+// key_hash() enumerates every config field by hand, and serialize_entry()
+// every RunResult field; run_cache.cpp static_asserts the member count of
+// every struct they read, so a new field breaks the build until it is
+// hashed or stored.
 #pragma once
 
 #include <cstdint>
@@ -55,24 +55,17 @@
 
 namespace wlan::exp::run_cache {
 
-/// Bumped whenever the serialized RunResult layout or the key schema
-/// changes; readers reject other versions as misses.
-/// v2: FNV-1a content-checksum footer appended to every entry.
-/// v3: metrics section (count + name/value pairs) after the delay
-///     histogram.
-/// v4: every entry fills the metrics section with the run's per-run
-///     counters (v3 cache entries left it empty). The version is mixed
-///     into key_hash, so counter-free v3 entries are never looked up.
-inline constexpr std::uint32_t kFormatVersion = 4;
+/// The source epoch this build was compiled from (kSourceEpoch): mixed
+/// into every key and written at the head of every entry.
+std::uint64_t source_epoch();
 
 /// The cache directory from $WLAN_RUN_CACHE; empty = disabled. Re-read on
 /// every call so tests (and long-lived tools) can retarget it.
 std::string directory();
 
-/// Content hash of a run's full identity (FNV-1a over a canonical field
-/// serialization of the scenario, the scheme, and the options' warmup and
-/// measure windows). An empty population schedule adds nothing, so a
-/// static run's key is the one it had before schedules were keyed.
+/// Content hash of a run's full identity (FNV-1a over the source epoch
+/// and a canonical field serialization of the scenario, the scheme and
+/// the options).
 std::uint64_t key_hash(const ScenarioConfig& scenario,
                        const SchemeConfig& scheme, const RunOptions& options);
 
@@ -92,10 +85,11 @@ std::string entry_path(const std::string& dir, std::uint64_t key);
 
 // --- Entry format ----------------------------------------------------------
 
-/// Serializes (key, result) into the versioned entry byte stream:
-/// magic+version header, key, scalar fields, sparse delay histogram, the
-/// metrics section (result.metrics minus the process-cumulative names),
-/// and a trailing FNV-1a checksum over everything before it.
+/// Serializes (key, result) into the entry byte stream: the source epoch,
+/// the key, the scalar fields, the sparse delay histogram, the metrics
+/// section (result.metrics minus the process-cumulative names), the
+/// series section (each series as a count and raw (t, value) pairs), and
+/// a trailing FNV-1a checksum over everything before it.
 std::vector<unsigned char> serialize_entry(std::uint64_t key,
                                            const RunResult& result);
 
@@ -107,7 +101,7 @@ enum class EntryStatus {
 };
 
 /// Parses a serialize_entry buffer; kOk only when the checksum verifies,
-/// the header/version/key match, the payload parses completely, and the
+/// the epoch and key match, the payload parses completely, and the
 /// delay histogram passes stats::DelayHistogram::restore's validation.
 EntryStatus deserialize_entry(const std::vector<unsigned char>& buf,
                               std::uint64_t key, RunResult& out);

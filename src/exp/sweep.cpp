@@ -264,9 +264,7 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
     job_keys[i] =
         run_cache::key_hash(jobs[i].scenario, jobs[i].scheme, spec.options);
 
-  // Series runs bypass the store: series are not serialized.
-  const std::string store =
-      spec.options.record_series ? std::string() : run_cache::directory();
+  const std::string store = run_cache::directory();
 
   // Resume is a store hit: every job is looked up once, before the
   // fan-out. Hits fill their slots (per-run counters included, so they

@@ -164,11 +164,11 @@ struct SweepResult {
 /// global pool) and merges per-point in job-index order. Output is
 /// bit-identical for any thread count, including 1.
 ///
-/// Resume: with $WLAN_RUN_CACHE set (and no series recorded), every
-/// job is looked up in the store once before the fan-out and each freshly
-/// simulated job is stored once, so an interrupted sweep re-run replays
-/// the completed jobs ("[sweep] store: replayed K/N jobs" on stderr) and
-/// runs only the remainder, with byte-identical final output. Failing jobs
+/// Resume: with $WLAN_RUN_CACHE set, every job is looked up in the store
+/// once before the fan-out and each freshly simulated job is stored once,
+/// series included, so an interrupted sweep re-run replays the completed
+/// jobs ("[sweep] store: replayed K/N jobs" on stderr) and runs only the
+/// remainder, with byte-identical final output. Failing jobs
 /// are guarded (retry + backoff) and reported through SweepResult::errors
 /// instead of aborting the sweep.
 SweepResult run_sweep(const SweepSpec& spec,

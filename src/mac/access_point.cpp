@@ -106,7 +106,6 @@ void AccessPoint::on_frame_received(const phy::Frame& frame, bool clean,
     counters_->node(row).bits_delivered += frame.payload_bits;
   }
   if (controller_ != nullptr) controller_->on_data_received(frame, now);
-  if (success_cb_) success_cb_(frame.src, now);
 
   send_ack(frame.src);
 }

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "mac/ap_controller.hpp"
 #include "mac/wifi_params.hpp"
@@ -35,12 +34,6 @@ class AccessPoint final : public phy::MediumClient {
   /// Optional AP-side adaptation algorithm; may be null (plain 802.11).
   /// Not owned; must outlive the AccessPoint.
   void set_controller(ApController* controller) { controller_ = controller; }
-
-  /// Optional observer invoked on every cleanly received data frame with
-  /// the source station's NodeId (short-term fairness instrumentation).
-  void set_success_callback(std::function<void(phy::NodeId, sim::Time)> cb) {
-    success_cb_ = std::move(cb);
-  }
 
   /// Channel observations at the AP (Table III's idle-slot column).
   const stats::IdleSlotMeter& idle_meter() const { return idle_meter_; }
@@ -103,7 +96,6 @@ class AccessPoint final : public phy::MediumClient {
   std::uint64_t data_errors_ = 0;
   std::uint64_t next_seq_ = 0;
   util::Rng rng_;
-  std::function<void(phy::NodeId, sim::Time)> success_cb_;
   stats::IdleSlotMeter idle_meter_;
 };
 

@@ -19,8 +19,9 @@ namespace {
 constexpr std::size_t kTraceCapacity = std::size_t{1} << 22;
 constexpr sim::Duration kAuditPeriod = sim::Duration::milliseconds(50);
 
-/// Population steps exactly as exp::run_scenario schedules a scenario's
-/// population (after start, in schedule order).
+/// A scenario's population steps exactly as exp::run_scenario schedules
+/// them (after start, in schedule order). The reference model needs its
+/// own copy of that loop, so production's is not reused.
 template <typename Net>
 void schedule_population(Net& net,
                          const std::vector<exp::PopulationStep>& schedule) {
@@ -97,7 +98,7 @@ Outcome run_production(const Case& c) {
     audit = std::make_unique<obs::AuditSet>(obs::AuditSet::throw_requested());
 
   net->start();
-  schedule_population(*net, c.schedule);
+  schedule_population(*net, c.scenario.population);
   const sim::Time end = net->simulator().now() + c.duration;
   if (audit != nullptr) {
     for (sim::Time t = net->simulator().now() + kAuditPeriod; t < end;
@@ -129,7 +130,7 @@ Outcome run_reference(const Case& c) {
   ReferenceNetwork net(c.scenario, c.scheme);
   net.simulator().attach_obs(&capture);
   net.start();
-  schedule_population(net, c.schedule);
+  schedule_population(net, c.scenario.population);
   net.simulator().run_until(net.simulator().now() + c.duration);
 
   Outcome out;
@@ -194,7 +195,7 @@ std::string describe(const Case& c) {
       s.phy.capture_ratio, static_cast<unsigned long long>(s.seed),
       scheme_tag(c.scheme.kind), traffic_tag(s.traffic.model),
       s.traffic.offered_load_mbps, s.phy.rts_cts_enabled() ? "on" : "off",
-      c.duration.s(), c.schedule.size());
+      c.duration.s(), s.population.size());
   return buf;
 }
 

@@ -20,13 +20,12 @@
 
 namespace wlan::reference {
 
+/// A case's population steps are its scenario's `population`; both runs
+/// apply them as exp::run_scenario does.
 struct Case {
   exp::ScenarioConfig scenario;
   exp::SchemeConfig scheme;
   sim::Duration duration = sim::Duration::seconds(0.5);
-  /// Population steps applied as exp::run_scenario applies a scenario's
-  /// population; empty = every station active throughout.
-  std::vector<exp::PopulationStep> schedule;
 };
 
 /// Everything one run is compared on.

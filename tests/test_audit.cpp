@@ -43,7 +43,7 @@ exp::RunOptions quick_series_options() {
   opts.warmup = sim::Duration::seconds(0.1);
   opts.measure = sim::Duration::seconds(0.3);
   opts.sample_period = sim::Duration::seconds(0.05);
-  opts.record_series = true;  // sample-point checks + cache bypass
+  opts.record_series = true;  // sample-point checks
   return opts;
 }
 

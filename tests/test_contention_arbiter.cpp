@@ -24,10 +24,8 @@ using exp::SchemeConfig;
 
 void expect_matches_reference(const ScenarioConfig& scenario,
                               const SchemeConfig& scheme,
-                              double seconds = 0.5,
-                              std::vector<exp::PopulationStep> schedule = {}) {
-  reference::Case c{scenario, scheme, sim::Duration::seconds(seconds),
-                    std::move(schedule)};
+                              double seconds = 0.5) {
+  reference::Case c{scenario, scheme, sim::Duration::seconds(seconds)};
   const std::string report = reference::check_case(c);
   EXPECT_TRUE(report.empty()) << report;
 }
@@ -89,13 +87,12 @@ TEST(ContentionArbiter, RtsCtsExchangesBitIdentical) {
 TEST(ContentionArbiter, DynamicActivationBitIdentical) {
   // Population steps toggle stations mid-backoff: deactivation withdraws
   // members (rollback without a busy trigger), activation re-enrolls.
-  const auto scenario = ScenarioConfig::connected(10, 1);
-  const std::vector<exp::PopulationStep> schedule{
-      {0.0, 10}, {0.2, 3}, {0.4, 8}, {0.6, 1}, {0.8, 10}};
+  auto scenario = ScenarioConfig::connected(10, 1);
+  scenario.population = {{0.0, 10}, {0.2, 3}, {0.4, 8}, {0.6, 1}, {0.8, 10}};
   for (const auto& scheme :
        {SchemeConfig::standard(), SchemeConfig::wtop_csma(),
         SchemeConfig::tora_csma()}) {
-    expect_matches_reference(scenario, scheme, 1.0, schedule);
+    expect_matches_reference(scenario, scheme, 1.0);
   }
 }
 
@@ -119,7 +116,7 @@ TEST(ContentionArbiter, CohortsActuallyMergeContenders) {
   EXPECT_GT(stats.withdrawals, 0u);
 
   const reference::Outcome per_slot = reference::run_reference(
-      {scenario, scheme, sim::Duration::seconds(0.5), {}});
+      {scenario, scheme, sim::Duration::seconds(0.5)});
   // 16 connected stations: cohorts replace ~2N contention events per busy
   // period with ~2, and batching replaces one event per idle slot.
   EXPECT_LT(static_cast<double>(cohort_events),

@@ -2,6 +2,7 @@
 // synthetic packet streams — no simulator involved.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "core/tora_csma.hpp"
@@ -73,21 +74,15 @@ TEST(WTopController, GradientMovesTowardBetterProbe) {
 }
 
 TEST(WTopController, ThroughputMeasuredInMbps) {
-  WTopCsmaController::Options opt;
-  opt.record_history = true;
-  WTopCsmaController c(opt);
-  // 250 ms of packets at 8000 bits: 501 packets ~ 4 Mb over 0.25 s ~ 16 Mb/s.
-  feed_packets(c, Time::zero(), Duration::milliseconds(250), 500);
-  feed_packets(c, Time::from_seconds(0.25), Duration::milliseconds(250), 500);
-  ASSERT_EQ(c.throughput_history().size(), 2u);
-  EXPECT_NEAR(c.throughput_history().samples()[0].value, 16.0, 0.5);
-}
-
-TEST(WTopController, HistoryDisabledByDefault) {
   WTopCsmaController c;
-  feed_packets(c, Time::zero(), Duration::milliseconds(250), 100);
-  EXPECT_TRUE(c.throughput_history().empty());
-  EXPECT_TRUE(c.probe_history().empty());
+  // 250 ms segments of 8000-bit packets: 501 packets are 16.032 Mb/s (the
+  // plus segment), 251 are 8.032 Mb/s (the minus segment).
+  feed_packets(c, Time::zero(), Duration::milliseconds(250), 500);
+  feed_packets(c, Time::from_seconds(0.25), Duration::milliseconds(250), 250);
+  ASSERT_EQ(c.iterations(), 1);
+  // The gradient of that first iteration is (y+ - y-) / b_k at k = 2.
+  EXPECT_NEAR(c.optimizer().last_gradient() * std::pow(2.0, -1.0 / 3.0), 8.0,
+              1e-9);
 }
 
 TEST(ToraController, FillsAckWithP0AndStage) {
@@ -180,18 +175,6 @@ TEST(WTopController, IndependentControllersAreIsolatedAcrossPoolLanes) {
   const auto parallel = pool.parallel_map<double>(
       loads.size(), [&](std::size_t i) { return drive(loads[i]); });
   EXPECT_EQ(parallel, serial);
-}
-
-TEST(ToraController, RecordsHistories) {
-  mac::WifiParams params;
-  ToraCsmaController::Options opt;
-  opt.record_history = true;
-  ToraCsmaController c(params, opt);
-  feed_packets(c, Time::zero(), Duration::milliseconds(250), 100);
-  feed_packets(c, Time::from_seconds(0.25), Duration::milliseconds(250), 100);
-  EXPECT_FALSE(c.p0_history().empty());
-  EXPECT_FALSE(c.stage_history().empty());
-  EXPECT_FALSE(c.throughput_history().empty());
 }
 
 }  // namespace

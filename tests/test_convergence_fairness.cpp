@@ -2,9 +2,12 @@
 // (Section VII references IdleSense's short-term fairness evaluation).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
+#include "core/wtop_csma.hpp"
 #include "exp/runner.hpp"
+#include "mac/network.hpp"
 #include "stats/convergence.hpp"
 #include "stats/fairness.hpp"
 
@@ -89,19 +92,43 @@ TEST(ShortTermFairness, Validation) {
   EXPECT_THROW(sliding_window_jain({0}, 1, 0), std::invalid_argument);
 }
 
+/// Logs the station index of each data frame the AP receives cleanly and
+/// forwards every call to the scheme's own controller, when it has one.
+class SuccessLog final : public mac::ApController {
+ public:
+  SuccessLog(std::vector<int>& sources, int num_aps,
+             std::unique_ptr<mac::ApController> inner)
+      : sources_(sources), num_aps_(num_aps), inner_(std::move(inner)) {}
+
+  void on_data_received(const phy::Frame& frame, sim::Time now) override {
+    // Station node ids start after the APs'.
+    sources_.push_back(static_cast<int>(frame.src) - num_aps_);
+    if (inner_ != nullptr) inner_->on_data_received(frame, now);
+  }
+  void fill_ack(phy::ControlParams& params, sim::Time now) override {
+    if (inner_ != nullptr) inner_->fill_ack(params, now);
+  }
+  void on_tick(sim::Time now) override {
+    if (inner_ != nullptr) inner_->on_tick(now);
+  }
+
+ private:
+  std::vector<int>& sources_;
+  int num_aps_;
+  std::unique_ptr<mac::ApController> inner_;
+};
+
 /// Station index of each data frame the AP received cleanly over the
-/// first `seconds` of a run, in order.
+/// first `seconds` of a run, in order. `inner` is the controller the
+/// scheme's build_network installs (null for plain 802.11).
 std::vector<int> success_sources(const exp::ScenarioConfig& scenario,
                                  const exp::SchemeConfig& scheme,
+                                 std::unique_ptr<mac::ApController> inner,
                                  double seconds) {
+  std::vector<int> sources;  // outlives the network that logs into it
   auto net = exp::build_network(scenario, scheme);
-  std::vector<int> sources;
-  // Station node ids start after the AP's.
-  const int num_aps = net->num_aps();
-  net->ap().set_success_callback([&sources, num_aps](phy::NodeId src,
-                                                     sim::Time) {
-    sources.push_back(static_cast<int>(src) - num_aps);
-  });
+  net->set_controller(0, std::make_unique<SuccessLog>(
+                             sources, net->num_aps(), std::move(inner)));
   net->start();
   net->run_for(sim::Duration::seconds(seconds));
   return sources;
@@ -111,18 +138,22 @@ TEST(ShortTermFairness, WTopDeliversGoodShortTermFairness) {
   // The paper (via IdleSense): p-persistent-style access gives good
   // short-term fairness because every slot is a fresh lottery — no
   // binary-backoff streaks.
-  const auto scenario = exp::ScenarioConfig::connected(10, 1);
-  const std::vector<int> wtop =
-      success_sources(scenario, exp::SchemeConfig::wtop_csma(), 25.0);
+  auto scenario = exp::ScenarioConfig::connected(10, 1);
+  const auto wtop_scheme = exp::SchemeConfig::wtop_csma();
+  const std::vector<int> wtop = success_sources(
+      scenario, wtop_scheme,
+      std::make_unique<core::WTopCsmaController>(wtop_scheme.wtop), 25.0);
   ASSERT_GT(wtop.size(), 1000u);
   const double fairness = stats::sliding_window_jain(wtop, 10, 50, 10);
   EXPECT_GT(fairness, 0.75);
 
   // Standard 802.11's post-success CWmin reset produces streaks: short-term
-  // fairness is no better than wTOP's.
+  // fairness is no better than wTOP's. The logging controller would make
+  // the AP beacon, which plain 802.11 does not.
+  scenario.phy.beacons_enabled = false;
   const double std_fairness = stats::sliding_window_jain(
-      success_sources(scenario, exp::SchemeConfig::standard(), 25.0), 10, 50,
-      10);
+      success_sources(scenario, exp::SchemeConfig::standard(), nullptr, 25.0),
+      10, 50, 10);
   EXPECT_GT(fairness + 0.05, std_fairness);
 }
 

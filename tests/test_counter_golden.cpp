@@ -42,8 +42,8 @@ bool hashed_counter(const std::string& name) {
   return false;
 }
 
-/// Static runs record series so a configured run cache (which stores no
-/// metrics) is bypassed.
+/// Static runs record series: the sampler's events are part of the pinned
+/// sim.* counters.
 exp::RunOptions short_run() {
   exp::RunOptions o;
   o.warmup = sim::Duration::seconds(0.5);

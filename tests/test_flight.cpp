@@ -295,7 +295,7 @@ exp::RunOptions quick_series_options() {
   opts.warmup = sim::Duration::seconds(0.1);
   opts.measure = sim::Duration::seconds(0.3);
   opts.sample_period = sim::Duration::seconds(0.05);
-  opts.record_series = true;  // bypasses the run cache
+  opts.record_series = true;
   return opts;
 }
 

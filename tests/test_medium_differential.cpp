@@ -30,10 +30,8 @@ using exp::SchemeConfig;
 
 void expect_matches_reference(const ScenarioConfig& scenario,
                               const SchemeConfig& scheme,
-                              double seconds = 0.5,
-                              std::vector<exp::PopulationStep> schedule = {}) {
-  reference::Case c{scenario, scheme, sim::Duration::seconds(seconds),
-                    std::move(schedule)};
+                              double seconds = 0.5) {
+  reference::Case c{scenario, scheme, sim::Duration::seconds(seconds)};
   const std::string report = reference::check_case(c);
   EXPECT_TRUE(report.empty()) << report;
 }
@@ -142,12 +140,11 @@ TEST(MediumDifferential, MulticellWithoutCaptureBitIdentical) {
 TEST(MediumDifferential, DynamicActivationBitIdentical) {
   // Population steps toggle stations mid-flight: the sparse-active skip
   // (transmitting_[o] check) sees populations grow and shrink.
-  const auto scenario = ScenarioConfig::connected(10, 1);
-  const std::vector<exp::PopulationStep> schedule{
-      {0.0, 10}, {0.2, 3}, {0.4, 8}, {0.6, 10}};
+  auto scenario = ScenarioConfig::connected(10, 1);
+  scenario.population = {{0.0, 10}, {0.2, 3}, {0.4, 8}, {0.6, 10}};
   for (const auto& scheme :
        {SchemeConfig::standard(), SchemeConfig::wtop_csma()}) {
-    expect_matches_reference(scenario, scheme, 1.0, schedule);
+    expect_matches_reference(scenario, scheme, 1.0);
   }
 }
 
@@ -160,7 +157,7 @@ TEST(MediumDifferential, IncrementalPathActuallyScansFewer) {
   const auto scheme = SchemeConfig::standard();
   EXPECT_TRUE(exp::build_network(scenario, scheme)->medium().has_peer_index());
   const reference::Outcome production = reference::run_production(
-      {scenario, scheme, sim::Duration::seconds(0.5), {}});
+      {scenario, scheme, sim::Duration::seconds(0.5)});
   const reference::FullScanResult scan =
       reference::full_scan_check(scenario, production.medium_trace);
   EXPECT_TRUE(scan.error.empty()) << scan.error;

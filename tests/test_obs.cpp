@@ -309,7 +309,7 @@ exp::RunOptions series_options(double measure_s = 0.3) {
   opts.warmup = sim::Duration::seconds(0.1);
   opts.measure = sim::Duration::seconds(measure_s);
   opts.sample_period = sim::Duration::seconds(0.05);
-  opts.record_series = true;  // also bypasses the run cache
+  opts.record_series = true;
   return opts;
 }
 

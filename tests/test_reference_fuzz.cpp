@@ -141,7 +141,8 @@ reference::Case draw_case(std::uint64_t seed, const Draw& draw) {
     const int steps = draw_int(rng, 2, 4);
     double t = 0.0;
     for (int k = 0; k < steps; ++k) {
-      c.schedule.push_back({t, draw_int(rng, 0, c.scenario.num_stations)});
+      c.scenario.population.push_back(
+          {t, draw_int(rng, 0, c.scenario.num_stations)});
       t += rng.uniform(draw.min_step_gap, draw.case_seconds / steps);
     }
   }
@@ -204,7 +205,7 @@ TEST(ReferenceFuzz, SeedListCoversEveryAxis) {
     seen.insert("scheme " + std::to_string(static_cast<int>(c.scheme.kind)));
     seen.insert("traffic " + std::to_string(static_cast<int>(s.traffic.model)));
     seen.insert(s.phy.rts_cts_enabled() ? "rts on" : "rts off");
-    seen.insert(c.schedule.empty() ? "static" : "population steps");
+    seen.insert(s.population.empty() ? "static" : "population steps");
     // Medium nodes: the stations plus one AP per cell.
     if (s.num_stations + s.cells >= 64) seen.insert(">= 64 nodes");
   }

@@ -1,12 +1,13 @@
 // Tests for the result store: key sensitivity, bit-exact round-tripping of
-// every stored field (including the delay histogram and the per-run
-// counters), the run_sweep integration (a hit short-circuits the
-// simulation and folds like a fresh run; run_scenario never touches the
-// store), corruption tolerance, and the pinned bytes and validation of the
-// histogram's store section.
+// every stored field (including the delay histogram, the per-run counters
+// and the time series), the run_sweep integration (a hit short-circuits
+// the simulation and folds like a fresh run; run_scenario never touches
+// the store), the source epoch, corruption tolerance, and the pinned bytes
+// and validation of the histogram's store section.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -109,11 +110,22 @@ TEST(RunCache, KeyIsSensitiveToEveryAxis) {
   auto other_opts = opts;
   other_opts.measure = sim::Duration::seconds(0.4);
   EXPECT_NE(base, rc::key_hash(scenario, scheme, other_opts));
+  auto other_warmup = opts;
+  other_warmup.warmup = sim::Duration::seconds(0.1);
+  EXPECT_NE(base, rc::key_hash(scenario, scheme, other_warmup));
 
-  // Population schedule: an empty one adds nothing, so this static key is
-  // the one stores written before schedules were keyed hold. Having one
-  // step, and moving one step's time or count, each change the key.
-  EXPECT_EQ(base, 0x380393bdcfdd7068u);
+  // Series options: recording series, and the period they are sampled
+  // at, each change the key.
+  auto series = opts;
+  series.record_series = true;
+  EXPECT_NE(base, rc::key_hash(scenario, scheme, series));
+  auto other_period = series;
+  other_period.sample_period = sim::Duration::seconds(0.5);
+  EXPECT_NE(rc::key_hash(scenario, scheme, series),
+            rc::key_hash(scenario, scheme, other_period));
+
+  // Population schedule: having one step, and moving one step's time or
+  // count, each change the key.
   auto stepped = scenario;
   stepped.population = {{0.0, 10}};
   EXPECT_NE(base, rc::key_hash(stepped, scheme, opts));
@@ -129,15 +141,42 @@ TEST(RunCache, KeyIsSensitiveToEveryAxis) {
   EXPECT_EQ(base, rc::key_hash(scenario, scheme, opts));  // stable
 }
 
+/// The six series of `r`, in RunResult's order.
+std::vector<const stats::TimeSeries*> series_of(const exp::RunResult& r) {
+  return {&r.throughput_series,   &r.control_series, &r.stage_series,
+          &r.active_nodes_series, &r.queue_series,   &r.drop_series};
+}
+
+/// Every series of `a` equals `b`'s: name, length and each sample's bits.
+void expect_same_series(const exp::RunResult& a, const exp::RunResult& b) {
+  const auto sa = series_of(a), sb = series_of(b);
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa[i]->name(), sb[i]->name());
+    ASSERT_EQ(sa[i]->size(), sb[i]->size()) << sa[i]->name();
+    for (std::size_t k = 0; k < sa[i]->size(); ++k) {
+      const stats::Sample& x = sa[i]->samples()[k];
+      const stats::Sample& y = sb[i]->samples()[k];
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(x.t_seconds),
+                std::bit_cast<std::uint64_t>(y.t_seconds));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(x.value),
+                std::bit_cast<std::uint64_t>(y.value));
+    }
+  }
+}
+
 TEST(RunCache, RoundTripsEveryFieldBitExactly) {
   CacheDirGuard guard("roundtrip");
-  // Traffic run: populates the delay histogram, drops, occupancy — the
-  // full serialized surface.
+  // Traffic run with series: populates the delay histogram, drops,
+  // occupancy and all six series — the full serialized surface.
   auto scenario = ScenarioConfig::hidden(6, 16.0, 3);
   scenario.traffic = traffic::TrafficConfig::poisson(1.5, /*capacity=*/4);
-  const auto opts = tiny_options();
+  auto opts = tiny_options();
+  opts.record_series = true;
+  opts.sample_period = sim::Duration::seconds(0.05);
   const auto fresh = stored_run(scenario, SchemeConfig::standard(), opts);
   ASSERT_GT(fresh.delays.count(), 0u);
+  for (const stats::TimeSeries* s : series_of(fresh))
+    ASSERT_FALSE(s->empty()) << s->name();
 
   const std::uint64_t key =
       rc::key_hash(scenario, SchemeConfig::standard(), opts);
@@ -168,6 +207,18 @@ TEST(RunCache, RoundTripsEveryFieldBitExactly) {
   EXPECT_EQ(fresh.delays.raw_min_ns(), cached.delays.raw_min_ns());
   EXPECT_EQ(fresh.delays.raw_max_ns(), cached.delays.raw_max_ns());
   EXPECT_EQ(fresh.delays.quantile(0.5), cached.delays.quantile(0.5));
+  expect_same_series(fresh, cached);
+
+  // An empty series round-trips as empty, and the others around it keep
+  // their samples.
+  auto partial = fresh;
+  partial.stage_series = stats::TimeSeries("stage");
+  exp::RunResult decoded;
+  ASSERT_EQ(rc::deserialize_entry(rc::serialize_entry(key, partial), key,
+                                  decoded),
+            rc::EntryStatus::kOk);
+  EXPECT_TRUE(decoded.stage_series.empty());
+  expect_same_series(partial, decoded);
 }
 
 TEST(RunCache, SecondRunHitsAndMatchesTheFirst) {
@@ -319,6 +370,47 @@ TEST(RunCache, WarmSweepReplaysEveryJobAndFoldsTheColdCounters) {
   }
 }
 
+TEST(RunCache, EntryFromAnotherEpochIsNotServed) {
+  // An entry that other sources built, planted where this build looks for
+  // the job, must not be served: the job simulates instead.
+  CacheDirGuard guard("other_epoch");
+  const auto scenario = ScenarioConfig::connected(4, 5);
+  const auto scheme = SchemeConfig::standard();
+  const auto opts = tiny_options();
+  const std::uint64_t key = rc::key_hash(scenario, scheme, opts);
+
+  exp::RunResult planted;
+  planted.total_mbps = 12345.0;
+  auto bytes = rc::serialize_entry(key, planted);
+  const std::uint64_t other_epoch = rc::source_epoch() ^ 1u;
+  for (int i = 0; i < 8; ++i)
+    bytes[static_cast<std::size_t>(i)] =
+        static_cast<unsigned char>(other_epoch >> (8 * i));
+  // Recompute the footer, so only the epoch tells the entry apart.
+  bytes.resize(bytes.size() - 8);
+  util::Fnv1a footer;
+  for (unsigned char c : bytes) footer.mix_byte(c);
+  for (int i = 0; i < 8; ++i)
+    bytes.push_back(static_cast<unsigned char>(footer.digest() >> (8 * i)));
+  std::filesystem::create_directories(guard.dir);
+  {
+    std::ofstream out(rc::entry_path(guard.dir.string(), key),
+                      std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+
+  const auto served = stored_run(scenario, scheme, opts);
+  const auto stats = rc::stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.stores, 1u);
+  const auto simulated = exp::run_scenario(scenario, scheme, opts);
+  EXPECT_NE(served.total_mbps, planted.total_mbps);
+  EXPECT_EQ(served.total_mbps, simulated.total_mbps);
+  EXPECT_EQ(served.successes, simulated.successes);
+}
+
 TEST(RunCache, CorruptEntryIsQuarantinedAndRecomputed) {
   CacheDirGuard guard("corrupt");
   const auto scenario = ScenarioConfig::connected(4, 2);
@@ -439,16 +531,16 @@ TEST(RunCache, EntrySerializationRoundTripsThroughTheBuffer) {
 
 // --- The delay histogram's store section -----------------------------------
 
-/// A format-v4 entry for `key`, assembled word by word: the magic+version
-/// header, the key, 15 zero scalar fields, no per-station rates, the
-/// given histogram section, an empty metrics section and the FNV-1a
-/// footer over all of it.
-std::vector<unsigned char> v4_entry(
+/// An entry for `key`, assembled word by word: this build's source epoch,
+/// the key, 15 zero scalar fields, no per-station rates, the given
+/// histogram section, an empty metrics section, six empty series and the
+/// FNV-1a footer over all of it.
+std::vector<unsigned char> histogram_entry(
     std::uint64_t key, const std::vector<std::uint64_t>& histogram) {
-  std::vector<std::uint64_t> words = {0x00000004'57524C43ull, key};
+  std::vector<std::uint64_t> words = {rc::source_epoch(), key};
   words.insert(words.end(), 16, 0);
   words.insert(words.end(), histogram.begin(), histogram.end());
-  words.push_back(0);
+  words.insert(words.end(), 7, 0);
   std::vector<unsigned char> buf;
   for (std::uint64_t w : words)
     for (int i = 0; i < 8; ++i)
@@ -467,14 +559,14 @@ const std::vector<std::uint64_t> kKnownSection = {
     0, 1, 7, 1, 82, 2, 190, 1,  // ascending
 };
 
-TEST(RunCache, HistogramSectionKeepsItsV4Bytes) {
-  // Entries already on disk must keep being served, so the bytes of a
-  // known entry are pinned.
+TEST(RunCache, HistogramSectionKeepsItsBytes) {
+  // The layout of a known entry is pinned word by word, so a change to
+  // the histogram section's bytes is a deliberate one.
   exp::RunResult r;
   for (int ns : {1000, 0, 100, 7, 100})
     r.delays.record(sim::Duration::nanoseconds(ns));
   const std::uint64_t key = 0x0123456789ABCDEFull;
-  const auto pinned = v4_entry(key, kKnownSection);
+  const auto pinned = histogram_entry(key, kKnownSection);
   EXPECT_EQ(rc::serialize_entry(key, r), pinned);
 
   exp::RunResult out;
@@ -491,8 +583,9 @@ TEST(RunCache, HistogramThatRecordCouldNotBuildIsCorrupt) {
   // validation must still refuse it.
   const std::uint64_t key = 42;
   exp::RunResult out;
-  ASSERT_EQ(rc::deserialize_entry(v4_entry(key, kKnownSection), key, out),
-            rc::EntryStatus::kOk);
+  ASSERT_EQ(
+      rc::deserialize_entry(histogram_entry(key, kKnownSection), key, out),
+      rc::EntryStatus::kOk);
   const std::vector<std::pair<const char*, std::vector<std::uint64_t>>>
       shapes = {
           {"index >= kNumBuckets", {1, 5000, 5000, 5000, 1, 2048, 1}},
@@ -514,7 +607,7 @@ TEST(RunCache, HistogramThatRecordCouldNotBuildIsCorrupt) {
           {"buckets but no count", {0, 0, 0, 0, 1, 0, 1}},
       };
   for (const auto& [what, section] : shapes) {
-    EXPECT_EQ(rc::deserialize_entry(v4_entry(key, section), key, out),
+    EXPECT_EQ(rc::deserialize_entry(histogram_entry(key, section), key, out),
               rc::EntryStatus::kCorrupt)
         << what;
   }
@@ -525,7 +618,7 @@ TEST(RunCache, InvalidHistogramIsQuarantinedAndMissed) {
   std::filesystem::create_directories(guard.dir);
   const std::uint64_t key = 7;
   const auto bytes =
-      v4_entry(key, {5, 1207, 0, 1000, 4, 0, 1, 82, 2, 7, 1, 190, 1});
+      histogram_entry(key, {5, 1207, 0, 1000, 4, 0, 1, 82, 2, 7, 1, 190, 1});
   {
     std::ofstream out(rc::entry_path(guard.dir.string(), key),
                       std::ios::binary);

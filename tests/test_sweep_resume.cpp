@@ -1,17 +1,20 @@
 // Crash-safety suite for resumable sweeps: run_sweep looks every job up
 // in the run cache (WLAN_RUN_CACHE) before it fans out, so a re-run after
-// an interruption replays what the first run stored — byte-identically at
-// 1 and 4 threads — and a corrupt entry is quarantined and recomputed.
+// an interruption replays what the first run stored, series included —
+// byte-identically at 1 and 4 threads — and a corrupt entry is
+// quarantined and recomputed.
 // Also covers deterministic fault injection, a failure raised inside the
 // dispatch loop, retry/backoff semantics, and the exp.fault.* counter
 // surface.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/fault.hpp"
@@ -221,18 +224,75 @@ TEST(SweepResume, CorruptEntryIsQuarantinedAndRecomputed) {
   EXPECT_TRUE(found);
 }
 
-TEST(SweepResume, SeriesRunsBypassTheStore) {
-  StoreDirGuard guard("series");
+/// The bits of every series sample of every run, in point, seed and
+/// RunResult series order.
+std::vector<std::uint64_t> series_bits(const SweepResult& r) {
+  std::vector<std::uint64_t> out;
+  for (const auto& pt : r.points)
+    for (const auto& run : pt.runs)
+      for (const stats::TimeSeries* s :
+           {&run.throughput_series, &run.control_series, &run.stage_series,
+            &run.active_nodes_series, &run.queue_series, &run.drop_series}) {
+        out.push_back(s->size());
+        for (const stats::Sample& x : s->samples()) {
+          out.push_back(std::bit_cast<std::uint64_t>(x.t_seconds));
+          out.push_back(std::bit_cast<std::uint64_t>(x.value));
+        }
+      }
+  return out;
+}
+
+/// Every run's sim.*, medium.* and mac.* counters, in point and seed
+/// order.
+std::vector<std::pair<std::string, double>> run_counters(
+    const SweepResult& r) {
+  std::vector<std::pair<std::string, double>> out;
+  for (const auto& pt : r.points)
+    for (const auto& run : pt.runs)
+      for (const auto& m : run.metrics.entries())
+        for (const char* prefix : {"sim.", "medium.", "mac."})
+          if (m.name.rfind(prefix, 0) == 0) out.emplace_back(m.name, m.value);
+  return out;
+}
+
+TEST(SweepResume, InterruptedSeriesSweepResumesBitForBit) {
+  // A sweep that records series stores them like every other field: fail
+  // two jobs of a series sweep (the deterministic stand-in for a kill),
+  // resume, and require the stored jobs to replay and every series sample
+  // and counter to equal an uninterrupted run's — at 1 and 4 lanes.
+  ::unsetenv("WLAN_RUN_CACHE");
   SweepSpec spec = small_grid();
   spec.options.record_series = true;
   spec.options.sample_period = sim::Duration::seconds(0.05);
-  par::ThreadPool pool(2);
-  exp::run_sweep(spec, &pool);
-  const auto stats = rc::stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.stores, 0u);
-  EXPECT_FALSE(std::filesystem::exists(guard.dir));
+  par::ThreadPool serial(1);
+  const SweepResult reference = exp::run_sweep(spec, &serial);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_FALSE(series_bits(reference).empty());
+  ASSERT_FALSE(run_counters(reference).empty());
+
+  for (const int threads : {1, 4}) {
+    const std::string tag = "series_t" + std::to_string(threads);
+    StoreDirGuard guard(tag.c_str());
+    par::ThreadPool pool(threads);
+    FaultPlan plan;
+    plan.sites.push_back({/*job_index=*/1, /*times=*/1000});
+    plan.sites.push_back({/*job_index=*/6, /*times=*/1000});
+    {
+      exp::testing::FaultPlanGuard armed(plan);
+      const SweepResult first = exp::run_sweep(spec, &pool);
+      ASSERT_EQ(first.errors.size(), 2u) << tag;
+    }
+    EXPECT_EQ(rc::stats().stores, 6u) << tag;
+
+    const SweepResult resumed = exp::run_sweep(spec, &pool);
+    EXPECT_TRUE(resumed.ok()) << tag;
+    EXPECT_EQ(replayed(resumed), 6.0) << tag;
+    EXPECT_EQ(rc::stats().hits, 6u) << tag;
+    EXPECT_EQ(rc::stats().stores, 8u) << tag;
+    EXPECT_EQ(series_bits(resumed), series_bits(reference)) << tag;
+    EXPECT_EQ(run_counters(resumed), run_counters(reference)) << tag;
+    EXPECT_EQ(result_hash(resumed), result_hash(reference)) << tag;
+  }
 }
 
 TEST(SweepFault, TransientFailureIsAbsorbedByARetry) {

@@ -249,7 +249,7 @@ TEST(BatchedBackoff, MatchesPerSlotPathBitForBit) {
     ScenarioConfig scenario = ScenarioConfig::hidden(8, 16.0, 5);
     if (traffic_on) scenario.traffic = TrafficConfig::poisson(1.5);
     const reference::Case c{scenario, SchemeConfig::standard(),
-                            sim::Duration::seconds(1.5), {}};
+                            sim::Duration::seconds(1.5)};
     const std::string report = reference::check_case(c);
     EXPECT_TRUE(report.empty()) << report;
   }
