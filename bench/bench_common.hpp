@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/run_cache.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
 #include "par/thread_pool.hpp"
@@ -30,11 +31,17 @@
 
 namespace wlan::bench {
 
-/// Logs this process's peak resident set, the VmHWM line of
-/// /proc/self/status, as "[bench] VmHWM: <n> kB". run_all.sh copies the
-/// last such line of a driver's log into summary.csv's max_rss_kb. Logs
-/// nothing where /proc is unavailable.
-inline void log_peak_rss() {
+/// Logs the result store's lookups as "[bench] store: <h> hits, <m>
+/// misses" (zeros when WLAN_RUN_CACHE is unset), then this process's peak
+/// resident set, the VmHWM line of /proc/self/status, as "[bench] VmHWM:
+/// <n> kB" (nothing where /proc is unavailable). run_all.sh copies the
+/// last such lines of a driver's log into summary.csv's cache_hits,
+/// cache_misses and max_rss_kb.
+inline void log_exit_stats() {
+  const exp::run_cache::Stats store = exp::run_cache::stats();
+  std::printf("[bench] store: %llu hits, %llu misses\n",
+              static_cast<unsigned long long>(store.hits),
+              static_cast<unsigned long long>(store.misses));
   std::FILE* f = std::fopen("/proc/self/status", "r");
   if (f == nullptr) return;
   char line[256];
@@ -48,11 +55,11 @@ inline void log_peak_rss() {
 /// Standard driver startup: parse flags (currently `--threads N`) and size
 /// the global pool before the first sweep builds it. An interrupted driver
 /// needs no handler: every store entry is an atomic rename the moment its
-/// job completes. On a normal exit the driver logs its peak memory last
-/// (log_peak_rss).
+/// job completes. On a normal exit the driver logs its store lookups and
+/// peak memory last (log_exit_stats).
 inline util::Cli init(int argc, const char* const* argv) {
   util::Cli cli(argc, argv);
-  std::atexit(log_peak_rss);
+  std::atexit(log_exit_stats);
   par::ThreadPool::configure_global(cli.threads(0));
   return cli;
 }

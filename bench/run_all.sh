@@ -25,21 +25,24 @@
 #                       connected and hidden r=16 adaptive points of
 #                       fig01/fig03/fig06/table3, the N=20 points of
 #                       ext_robustness/ext_rtscts_tradeoff — are simulated
-#                       once. Entries carry the source epoch of the build
-#                       that wrote them and no other build reads them, so a
-#                       rebuilt simulator never replays stale physics.
+#                       once. Entries sit in <store>/<16-hex source epoch>/
+#                       and no other build reads them, so a rebuilt
+#                       simulator never replays stale physics.
 #
 # Resume: run the same command again. Every job a previous invocation
 # finished replays from the store, series included, byte-identically;
 # only the timing runs (bench_parallel_scaling, ext_multicell_scaling's
 # Part B) simulate again.
 #
-# Live telemetry: every driver runs with WLAN_PROGRESS_JSON pointed at its
-# own results/<driver>/progress.json (src/exp/progress.hpp heartbeat); a
-# background aggregator folds them into results/status.json every few
-# seconds while drivers run, so one `watch cat results/status.json` follows
-# the whole invocation. summary.csv carries each driver's final run-cache
-# hit/miss tallies next to wall clock and peak RSS.
+# Pruning: before the first driver starts, everything in the default store
+# but the build's own epoch directory (read from
+# <build>/generated/wlan_source_epoch.hpp) is deleted, since this build
+# never reads it. An unreadable epoch prunes nothing, and a WLAN_RUN_CACHE
+# set by the caller is never pruned.
+#
+# results/summary.csv holds each driver's wall clock and the peak RSS and
+# store hits/misses of the "[bench] VmHWM" and "[bench] store" lines that
+# bench::init makes it log as it exits.
 #
 # Each driver runs once. Drivers are deterministic, so one that failed
 # would fail again; its .failed marker fails the script.
@@ -61,8 +64,20 @@ export WLAN_THREADS="${WLAN_THREADS:-1}"
 # Cross-driver result store: identical (scenario, scheme, params, seed)
 # sweep jobs are simulated once and read back by every other driver and by
 # every later invocation of this script. WLAN_RUN_CACHE= (set empty)
-# disables it.
-export WLAN_RUN_CACHE="${WLAN_RUN_CACHE-${results_dir}/run_cache}"
+# disables it. Only the default store is pruned (see the header).
+if [[ -z ${WLAN_RUN_CACHE+set} ]]; then
+  export WLAN_RUN_CACHE="${results_dir}/run_cache"
+  epoch_header="${build_dir}/generated/wlan_source_epoch.hpp"
+  epoch="$(sed -n 's/.*kSourceEpoch = 0x\([0-9a-f]\{16\}\)ull;.*/\1/p' \
+             "${epoch_header}" 2>/dev/null || true)"
+  if [[ -z ${epoch} ]]; then
+    echo "note: no source epoch in ${epoch_header};" \
+         "${WLAN_RUN_CACHE} not pruned" >&2
+  elif [[ -d ${WLAN_RUN_CACHE} ]]; then
+    find "${WLAN_RUN_CACHE}" -mindepth 1 -maxdepth 1 ! -name "${epoch}" \
+         -exec rm -rf {} +
+  fi
+fi
 
 shopt -s nullglob
 # A build directory keeps the binaries of deleted drivers; only those with
@@ -90,19 +105,21 @@ run_one() {
   out="${results_dir}/${name#bench_}"
   mkdir -p "${out}"
   rm -f "${out}/.failed" "${out}/.wall_seconds" "${out}/.max_rss_kb" \
-        "${out}/progress.json"
+        "${out}/.store_counts"
   t0="$(date +%s.%N)"
-  if ! (cd "${out}" && WLAN_PROGRESS_JSON="${out}/progress.json" \
-                       "${bin}") > "${out}/driver.log" 2>&1; then
+  if ! (cd "${out}" && "${bin}") > "${out}/driver.log" 2>&1; then
     touch "${out}/.failed"
   fi
   t1="$(date +%s.%N)"
   # Per-driver wall clock, assembled into results/summary.csv at the end.
   awk -v a="${t0}" -v b="${t1}" 'BEGIN { printf "%.2f\n", b - a }' \
       > "${out}/.wall_seconds"
-  # Peak RSS: bench::init makes every driver log its VmHWM as it exits.
+  # Peak RSS and store lookups: bench::init makes every driver log both as
+  # it exits.
   sed -n 's/^\[bench\] VmHWM: \([0-9]*\) kB$/\1/p' "${out}/driver.log" \
       | tail -n 1 > "${out}/.max_rss_kb"
+  sed -n 's/^\[bench\] store: \([0-9]*\) hits, \([0-9]*\) misses$/\1,\2/p' \
+      "${out}/driver.log" | tail -n 1 > "${out}/.store_counts"
   if [[ -e "${out}/.failed" ]]; then
     echo "<== ${name} FAILED (log: ${out}/driver.log)"
   else
@@ -113,61 +130,7 @@ run_one() {
 # Drop failure/timing markers from previous invocations (a driver that no
 # longer runs must not appear in this run's tally or summary.csv).
 rm -f "${results_dir}"/*/.failed "${results_dir}"/*/.wall_seconds \
-      "${results_dir}"/*/.max_rss_kb "${results_dir}"/*/progress.json
-
-# Folds every per-driver progress.json heartbeat (plus the run markers)
-# into one results/status.json, written tmp+rename so a watcher never sees
-# a torn document. Skipped silently when python3 is unavailable.
-aggregate_status() {
-  command -v python3 >/dev/null 2>&1 || return 0
-  python3 - "${results_dir}" <<'PY' 2>/dev/null || true
-import json, os, sys, time
-results = sys.argv[1]
-status = {"updated_unix": int(time.time()), "drivers": {}}
-totals = {"jobs_total": 0, "jobs_done": 0, "jobs_failed": 0,
-          "drivers_done": 0, "drivers_failed": 0, "drivers_running": 0}
-for name in sorted(os.listdir(results)):
-    d = os.path.join(results, name)
-    if not os.path.isdir(d):
-        continue
-    entry = {}
-    try:
-        with open(os.path.join(d, "progress.json")) as f:
-            entry = json.load(f)
-    except (OSError, ValueError):
-        pass
-    if os.path.exists(os.path.join(d, ".failed")):
-        entry["state"] = "failed"
-        totals["drivers_failed"] += 1
-    elif os.path.exists(os.path.join(d, ".wall_seconds")):
-        entry["state"] = "done"
-        totals["drivers_done"] += 1
-    elif entry:
-        entry["state"] = "running"
-        totals["drivers_running"] += 1
-    else:
-        continue  # no heartbeat and no markers: not started yet
-    totals["jobs_total"] += int(entry.get("total", 0))
-    totals["jobs_done"] += int(entry.get("done", 0))
-    totals["jobs_failed"] += int(entry.get("failed", 0))
-    status["drivers"][name] = entry
-status["totals"] = totals
-tmp = os.path.join(results, "status.json.tmp")
-with open(tmp, "w") as f:
-    json.dump(status, f, indent=2)
-    f.write("\n")
-os.replace(tmp, os.path.join(results, "status.json"))
-PY
-}
-
-# Background aggregator: refresh status.json while drivers run. Disowned so
-# the job-slot accounting and the final `wait` only ever see drivers.
-status_pid=""
-if command -v python3 >/dev/null 2>&1; then
-  ( while :; do aggregate_status; sleep 5; done ) &
-  status_pid=$!
-  disown "${status_pid}" 2>/dev/null || true
-fi
+      "${results_dir}"/*/.max_rss_kb "${results_dir}"/*/.store_counts
 
 echo "Running ${#benches[@]} drivers, ${jobs} at a time ..."
 # bench_parallel_scaling measures lane speedups, so it runs alone after the
@@ -193,21 +156,15 @@ if [[ -n ${scaling} ]]; then
   echo "==> bench_parallel_scaling (alone)"
   run_one "${scaling}"
 fi
-if [[ -n ${status_pid} ]]; then
-  kill "${status_pid}" 2>/dev/null || true
-fi
-aggregate_status
 
 echo
 echo "Per-driver outputs in ${results_dir}/<driver>/:"
 ls -1 "${results_dir}"
 
-# Wall-clock + peak-RSS summary across drivers (the slow ones are the
-# optimization targets — see ROADMAP's perf item). max_rss_kb is empty when
-# the driver logged no VmHWM line (no /proc, a driver that does not call
-# bench::init, or a run killed before exit);
-# cache_hits/cache_misses come from the driver's final progress.json
-# heartbeat (empty when the driver predates the heartbeat or ran no sweep).
+# Per-driver summary (the slow ones are the optimization targets — see
+# ROADMAP's perf item). A driver killed before it exits logs no exit lines,
+# so its max_rss_kb, cache_hits and cache_misses are empty (max_rss_kb also
+# where /proc is missing).
 summary="${results_dir}/summary.csv"
 echo "driver,wall_seconds,max_rss_kb,cache_hits,cache_misses,status" > "${summary}"
 for wall in "${results_dir}"/*/.wall_seconds; do
@@ -217,13 +174,9 @@ for wall in "${results_dir}"/*/.wall_seconds; do
   [[ -e "${dir}/.failed" ]] && status=failed
   rss=""
   [[ -s "${dir}/.max_rss_kb" ]] && rss="$(cat "${dir}/.max_rss_kb")"
-  hits=""
-  misses=""
-  if [[ -s "${dir}/progress.json" ]]; then
-    hits="$(sed -n 's/.*"cache_hits": \([0-9]*\).*/\1/p' "${dir}/progress.json")"
-    misses="$(sed -n 's/.*"cache_misses": \([0-9]*\).*/\1/p' "${dir}/progress.json")"
-  fi
-  echo "$(basename "${dir}"),$(cat "${wall}"),${rss},${hits},${misses},${status}"
+  store=","
+  [[ -s "${dir}/.store_counts" ]] && store="$(cat "${dir}/.store_counts")"
+  echo "$(basename "${dir}"),$(cat "${wall}"),${rss},${store},${status}"
 done | sort >> "${summary}"
 echo
 echo "Wall-clock summary (${summary}):"

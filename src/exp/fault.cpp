@@ -10,10 +10,6 @@ namespace wlan::exp {
 
 namespace {
 
-std::atomic<std::uint64_t> g_exceptions{0};
-std::atomic<std::uint64_t> g_retries{0};
-std::atomic<std::uint64_t> g_failures{0};
-
 /// The installed plan plus per-site remaining-use counters (atomics: sweep
 /// lanes consult sites concurrently).
 struct ArmedPlan {
@@ -30,26 +26,6 @@ std::shared_ptr<ArmedPlan> armed_plan() {
 }
 
 }  // namespace
-
-FaultStats fault_stats() {
-  FaultStats s;
-  s.job_exceptions = g_exceptions.load(std::memory_order_relaxed);
-  s.job_retries = g_retries.load(std::memory_order_relaxed);
-  s.job_failures = g_failures.load(std::memory_order_relaxed);
-  return s;
-}
-
-void reset_fault_stats() {
-  g_exceptions = 0;
-  g_retries = 0;
-  g_failures = 0;
-}
-
-namespace fault_counters {
-void add_exception() { g_exceptions.fetch_add(1, std::memory_order_relaxed); }
-void add_retry() { g_retries.fetch_add(1, std::memory_order_relaxed); }
-void add_failure() { g_failures.fetch_add(1, std::memory_order_relaxed); }
-}  // namespace fault_counters
 
 namespace testing {
 

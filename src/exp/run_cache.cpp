@@ -26,7 +26,6 @@ namespace {
 std::atomic<std::uint64_t> g_hits{0};
 std::atomic<std::uint64_t> g_misses{0};
 std::atomic<std::uint64_t> g_stores{0};
-std::atomic<std::uint64_t> g_store_failures{0};
 std::atomic<std::uint64_t> g_quarantined{0};
 
 // ------------------------------------------------------------- key hashing
@@ -276,12 +275,12 @@ void write_result(Writer& w, std::uint64_t key, const RunResult& r) {
   }
   // Metrics section: count then (name-length, name bytes, value) tuples,
   // insertion order preserved. Only the per-run counters are persisted:
-  // the process-cumulative names (cache.*, exp.fault.*, profile.*) count
-  // whichever process ran the job, and merge_run_metrics skips them
-  // anyway, so a hit folds exactly like the fresh run it replays.
+  // the wall-clock profile.* buckets time whichever host ran the job, and
+  // merge_run_metrics skips them anyway, so a hit folds exactly like the
+  // fresh run it replays.
   std::vector<const obs::Metric*> kept;
   for (const obs::Metric& m : r.metrics.entries())
-    if (!obs::is_process_cumulative_metric(m.name)) kept.push_back(&m);
+    if (!obs::is_wall_clock_metric(m.name)) kept.push_back(&m);
   w.u64(kept.size());
   for (const obs::Metric* m : kept) {
     w.u64(m->name.size());
@@ -370,8 +369,12 @@ bool read_result(Reader& rd, std::uint64_t key, RunResult& out,
 std::uint64_t source_epoch() { return kSourceEpoch; }
 
 std::string directory() {
-  const char* dir = std::getenv("WLAN_RUN_CACHE");
-  return dir == nullptr ? std::string() : std::string(dir);
+  const char* root = std::getenv("WLAN_RUN_CACHE");
+  if (root == nullptr || *root == '\0') return {};
+  char epoch[17];
+  std::snprintf(epoch, sizeof epoch, "%016llx",
+                static_cast<unsigned long long>(kSourceEpoch));
+  return (std::filesystem::path(root) / epoch).string();
 }
 
 std::uint64_t key_hash(const ScenarioConfig& scenario,
@@ -510,7 +513,7 @@ bool store(const std::string& dir, std::uint64_t key,
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   const bool ok = write_entry_file(entry_path(dir, key), key, result);
-  (ok ? g_stores : g_store_failures).fetch_add(1, std::memory_order_relaxed);
+  if (ok) g_stores.fetch_add(1, std::memory_order_relaxed);
   return ok;
 }
 
@@ -519,7 +522,6 @@ Stats stats() {
   s.hits = g_hits.load(std::memory_order_relaxed);
   s.misses = g_misses.load(std::memory_order_relaxed);
   s.stores = g_stores.load(std::memory_order_relaxed);
-  s.store_failures = g_store_failures.load(std::memory_order_relaxed);
   s.quarantined = g_quarantined.load(std::memory_order_relaxed);
   return s;
 }
@@ -528,7 +530,6 @@ void reset_stats() {
   g_hits = 0;
   g_misses = 0;
   g_stores = 0;
-  g_store_failures = 0;
   g_quarantined = 0;
 }
 

@@ -19,17 +19,20 @@
 // and the compiler id and version into kSourceEpoch
 // (cmake/source_epoch.cmake). The epoch is mixed into every key and heads
 // every entry, so an entry that other sources built is never read: a
-// rebuilt simulator misses instead of serving stale physics. Such entries
-// only take space; deleting the directory reclaims it.
+// rebuilt simulator misses instead of serving stale physics. run_sweep
+// files each epoch's entries in a directory of their own (directory()),
+// so the entries a build cannot read sit apart: bench/run_all.sh deletes
+// every other epoch's directory under its default store before it starts
+// the drivers.
 //
 // Enabling: set WLAN_RUN_CACHE to a directory (created on demand).
 // Unset/empty disables the store. bench/run_all.sh points it at
 // results/run_cache and keeps it across invocations.
 //
 // Each entry carries the whole RunResult, time series and per-run
-// counters included (RunResult::metrics minus the process-cumulative
-// names, see obs::is_process_cumulative_metric), so a hit reads and folds
-// into SweepResult::metrics exactly like the fresh run.
+// counters included (RunResult::metrics minus the wall-clock profile.*
+// buckets, see obs::is_wall_clock_metric), so a hit reads and folds into
+// SweepResult::metrics exactly like the fresh run.
 //
 // Storage: one little-endian binary file per key, written to a temp name
 // and atomically renamed — concurrent drivers (run_all.sh runs many) may
@@ -59,8 +62,10 @@ namespace wlan::exp::run_cache {
 /// into every key and written at the head of every entry.
 std::uint64_t source_epoch();
 
-/// The cache directory from $WLAN_RUN_CACHE; empty = disabled. Re-read on
-/// every call so tests (and long-lived tools) can retarget it.
+/// This build's entry directory, $WLAN_RUN_CACHE/<source epoch as 16
+/// lowercase hex digits>; empty when WLAN_RUN_CACHE is unset or empty
+/// (store disabled). Re-read on every call so tests (and long-lived tools)
+/// can retarget it.
 std::string directory();
 
 /// Content hash of a run's full identity (FNV-1a over the source epoch
@@ -87,7 +92,7 @@ std::string entry_path(const std::string& dir, std::uint64_t key);
 
 /// Serializes (key, result) into the entry byte stream: the source epoch,
 /// the key, the scalar fields, the sparse delay histogram, the metrics
-/// section (result.metrics minus the process-cumulative names), the
+/// section (result.metrics minus the wall-clock names), the
 /// series section (each series as a count and raw (t, value) pairs), and
 /// a trailing FNV-1a checksum over everything before it.
 std::vector<unsigned char> serialize_entry(std::uint64_t key,
@@ -106,12 +111,12 @@ enum class EntryStatus {
 EntryStatus deserialize_entry(const std::vector<unsigned char>& buf,
                               std::uint64_t key, RunResult& out);
 
-/// Process-wide counters (exposed for tests and driver summaries).
+/// The store's own process-wide counters: tests read them, and every
+/// bench driver logs the hits and misses as it exits.
 struct Stats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t stores = 0;
-  std::uint64_t store_failures = 0;
   /// Checksum-failing cache entries renamed aside and recomputed.
   std::uint64_t quarantined = 0;
 };

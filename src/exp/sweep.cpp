@@ -9,9 +9,8 @@
 #include <string>
 #include <thread>
 
-#include "exp/progress.hpp"
+#include "exp/fault.hpp"
 #include "exp/run_cache.hpp"
-#include "obs/audit.hpp"
 #include "obs/collect.hpp"
 #include "obs/trace.hpp"
 #include "par/thread_pool.hpp"
@@ -185,15 +184,12 @@ void run_guarded(const SweepJob& job, std::size_t job_index,
     } catch (...) {
       last.what = "unknown exception";
     }
-    fault_counters::add_exception();
     last.attempts = attempt;
     if (attempt > spec.job_retries) {
-      fault_counters::add_failure();
       out = RunResult{};
       error = std::move(last);
       return;
     }
-    fault_counters::add_retry();
     if (spec.job_backoff_ms > 0) {
       // Exponential backoff: base, 2*base, 4*base, ... capped at 30 s.
       const std::int64_t delay =
@@ -203,22 +199,6 @@ void run_guarded(const SweepJob& job, std::size_t job_index,
       std::this_thread::sleep_for(std::chrono::milliseconds(delay));
     }
   }
-}
-
-/// Appends the process-wide store counters (cache.*).
-void add_run_cache_metrics(obs::MetricsRegistry& reg) {
-  const run_cache::Stats cs = run_cache::stats();
-  reg.set_count("cache.hits", cs.hits);
-  reg.set_count("cache.misses", cs.misses);
-  reg.set_count("cache.quarantined", cs.quarantined);
-}
-
-/// Appends the process-wide job-guard counters (exp.fault.*).
-void add_fault_metrics(obs::MetricsRegistry& reg) {
-  const FaultStats fs = fault_stats();
-  reg.set_count("exp.fault.job_exceptions", fs.job_exceptions);
-  reg.set_count("exp.fault.job_retries", fs.job_retries);
-  reg.set_count("exp.fault.job_failures", fs.job_failures);
 }
 
 void report_errors(const std::vector<JobError>& errors) {
@@ -280,30 +260,18 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
     std::fprintf(stderr, "[sweep] store: replayed %zu/%zu jobs from %s\n",
                  replayed, jobs.size(), store.c_str());
 
-  const FaultStats fs_before = fault_stats();
-  ProgressTracker progress(jobs.size(), replayed);
   std::vector<std::optional<JobError>> job_errors(jobs.size());
 
   // Guarded fan-out over the misses, each stored once when it succeeds.
   // Each lane writes only its own jobs' raw/error slots (distinct
   // indices), so no synchronization is needed beyond the pool's fork-join
-  // barrier. The progress tracker is the only shared mutable state and is
-  // internally locked; it reads nothing back into the jobs, so results
-  // stay byte-identical with telemetry on or off.
+  // barrier.
   pool->parallel_for(pending.size(), [&](std::size_t p) {
     const std::size_t i = pending[p];
-    const auto t0 = std::chrono::steady_clock::now();
     run_guarded(jobs[i], i, job_keys[i], spec, raw[i], job_errors[i]);
     if (!store.empty() && !job_errors[i].has_value())
       run_cache::store(store, job_keys[i], raw[i]);
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    progress.job_finished(wall_ms, job_errors[i].has_value());
   });
-  note_sweep_completed();
-  progress.finish();
 
   report_lane_profiles(*pool, raw, pending);
 
@@ -332,27 +300,6 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
   result.metrics.set_count("sweep.jobs_total", jobs.size());
   result.metrics.set_count("sweep.jobs_replayed", replayed);
   result.metrics.set_count("sweep.jobs_failed", result.errors.size());
-  add_run_cache_metrics(result.metrics);
-  add_fault_metrics(result.metrics);
-
-  // Sweep-accounting law (mirrors the in-run auditors): the process-wide
-  // fault counter must have advanced by exactly one failure per JobError
-  // this sweep reports — anything else means a result was double-counted
-  // or silently dropped on a retry path.
-  if (obs::AuditSet::enabled()) {
-    const std::uint64_t failure_delta =
-        fault_stats().job_failures - fs_before.job_failures;
-    if (failure_delta != result.errors.size()) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "sweep-accounting: exp.fault.job_failures advanced by "
-                    "%llu but SweepResult carries %zu JobError(s)",
-                    static_cast<unsigned long long>(failure_delta),
-                    result.errors.size());
-      if (obs::AuditSet::throw_requested()) throw obs::AuditFailure(buf);
-      std::fprintf(stderr, "wlan-audit: %s\n", buf);
-    }
-  }
   result.num_scenarios = spec.scenarios.size();
   result.num_schemes = spec.schemes.size();
   result.num_params = spec.params.empty() ? 1 : spec.params.size();

@@ -19,10 +19,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
-#include "exp/fault.hpp"
 #include "exp/runner.hpp"
 #include "obs/metrics.hpp"
 
@@ -92,6 +93,24 @@ struct SweepJob {
 /// bind, loads with a saturated scenario).
 std::vector<SweepJob> expand(const SweepSpec& spec);
 
+/// One sweep job's terminal failure: an exception that survived every
+/// retry. run_sweep reports it instead of aborting, so a grid with one
+/// sick point finishes the other jobs and names the sick one.
+struct JobError {
+  /// Index into the expanded job list (expand(spec) order).
+  std::size_t job_index = 0;
+  /// The grid point and seed-axis position the job belonged to.
+  std::size_t point_index = 0;
+  int seed_index = 0;
+  /// run_cache::key_hash of the job's fully bound (scenario, scheme,
+  /// options) — names the exact configuration that failed.
+  std::uint64_t config_fingerprint = 0;
+  /// what() of the last attempt's exception.
+  std::string what;
+  /// Total attempts made (1 + retries).
+  int attempts = 0;
+};
+
 /// One grid point's runs folded over the seed axis: means (and the
 /// throughput range) in seed order, with the arithmetic of a serial loop
 /// over the seeds.
@@ -136,14 +155,14 @@ struct SweepResult {
 
   /// Jobs that failed after every retry, in job-index order. A failed
   /// job's RunResult folded into its point as deterministic zeros; callers
-  /// that cannot tolerate that must check ok() or throw_if_failed().
+  /// that cannot tolerate that must check ok() or throw_if_failed(). With
+  /// the sweep.jobs_* counts below, the only record of the sweep's jobs.
   std::vector<JobError> errors;
 
   /// Sweep-level metric totals: every per-run registry folded in job-index
   /// order via obs::merge_run_metrics (so totals are exact and identical
   /// at any thread count), plus sweep.jobs_total / sweep.jobs_replayed
-  /// (jobs served by the store) / sweep.jobs_failed and a post-sweep
-  /// snapshot of the process-cumulative cache.* / exp.fault.* counters.
+  /// (jobs served by the store) / sweep.jobs_failed.
   /// flight.attempts_per_success is recomputed here from the folded counts
   /// (a ratio cannot be summed). A job replayed from the store folds its
   /// stored per-run counters, so the totals do not depend on what the

@@ -77,14 +77,13 @@ void add_flight_metrics(MetricsRegistry& reg, const FlightRecorder& fr) {
   reg.set("flight.attempts_per_success", fr.attempts_per_success());
 }
 
-bool is_process_cumulative_metric(const std::string& name) {
-  return name.rfind("cache.", 0) == 0 || name.rfind("exp.fault.", 0) == 0 ||
-         name.rfind("profile.", 0) == 0;
+bool is_wall_clock_metric(const std::string& name) {
+  return name.rfind("profile.", 0) == 0;
 }
 
 void merge_run_metrics(MetricsRegistry& into, const MetricsRegistry& run) {
   for (const auto& [name, value] : run.entries()) {
-    if (is_process_cumulative_metric(name)) continue;
+    if (is_wall_clock_metric(name)) continue;
     // Derived ratio, not a count: summing it is meaningless. The sweep
     // fold recomputes it from the folded flight.* counts.
     if (name == "flight.attempts_per_success") continue;

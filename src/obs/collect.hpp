@@ -34,15 +34,13 @@ void add_profile_metrics(MetricsRegistry& reg, const PhaseProfiler& p);
 /// run, like collect_metrics.
 void add_flight_metrics(MetricsRegistry& reg, const FlightRecorder& fr);
 
-/// True for metric names that are not one run's deterministic counts: the
-/// wall-clock profile.* buckets that ride per-run registries, and the
-/// process-wide cache.* / exp.fault.* snapshots run_sweep appends to its
-/// sweep-level registry. Summing them per job would double-count, so the
+/// True for the wall-clock profile.* buckets that ride per-run registries
+/// when profiling is on: they measure the host, not the run, so the
 /// sweep-level fold and the store writer skip them.
-bool is_process_cumulative_metric(const std::string& name);
+bool is_wall_clock_metric(const std::string& name);
 
 /// Folds one run's registry into a sweep-level registry: per-run names are
-/// summed in call order, process-cumulative names are skipped. Calling
+/// summed in call order, wall-clock names are skipped. Calling
 /// this per job index in ascending order yields the same totals at any
 /// thread count (exact: counter sums are integer-valued doubles).
 void merge_run_metrics(MetricsRegistry& into, const MetricsRegistry& run);

@@ -1,8 +1,8 @@
 // Event tracing: 32-byte POD records, stamped with SIMULATED time only —
 // two runs that make the same decisions in the same order produce
 // byte-identical traces regardless of machine, thread count, or wall-clock
-// jitter. That is what makes obs::first_divergence (trace_diff.hpp)
-// meaningful.
+// jitter. That is what makes reference::first_divergence
+// (tests/reference/trace_diff.hpp) meaningful.
 //
 // One hook: every WLAN_OBS_POINT compiles into SimObs::point, the only way
 // sim/, phy/, mac/ and traffic/ report to obs/. It stamps the phase

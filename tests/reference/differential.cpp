@@ -7,9 +7,9 @@
 
 #include "mac/network.hpp"
 #include "obs/audit.hpp"
-#include "obs/trace_diff.hpp"
 #include "reference/full_scan.hpp"
 #include "reference/reference_network.hpp"
+#include "reference/trace_diff.hpp"
 
 namespace wlan::reference {
 
@@ -148,8 +148,8 @@ Outcome run_reference(const Case& c) {
 }
 
 std::string compare(const Outcome& production, const Outcome& reference) {
-  const std::string trace = obs::divergence_report(production.medium_trace,
-                                                   reference.medium_trace);
+  const std::string trace = divergence_report(production.medium_trace,
+                                              reference.medium_trace);
   if (!trace.empty())
     return "medium trace (a = production, b = reference): " + trace;
   if (production.stations.size() != reference.stations.size())

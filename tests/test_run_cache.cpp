@@ -260,6 +260,32 @@ TEST(RunCache, RunScenarioNeverTouchesTheStore) {
   EXPECT_EQ(a.successes, b.successes);
 }
 
+TEST(RunCache, SweepEntriesLandUnderTheEpochDirectory) {
+  // A sweep files its entries under <WLAN_RUN_CACHE>/<epoch as 16 hex
+  // digits>/, so every other epoch's entries sit in other directories.
+  CacheDirGuard guard("epoch_dir");
+  char epoch[17];
+  std::snprintf(epoch, sizeof epoch, "%016llx",
+                static_cast<unsigned long long>(rc::source_epoch()));
+  const std::string epoch_dir = (guard.dir / epoch).string();
+  EXPECT_EQ(rc::directory(), epoch_dir);
+
+  const auto scenario = ScenarioConfig::connected(4, 6);
+  const auto opts = tiny_options();
+  stored_run(scenario, SchemeConfig::standard(), opts);
+  const std::uint64_t key =
+      rc::key_hash(scenario, SchemeConfig::standard(), opts);
+  std::vector<std::string> children;
+  for (const auto& e : std::filesystem::directory_iterator(guard.dir))
+    children.push_back(e.path().string());
+  EXPECT_EQ(children, std::vector<std::string>{epoch_dir});
+  std::vector<std::string> entries;
+  for (const auto& e : std::filesystem::directory_iterator(epoch_dir))
+    entries.push_back(e.path().string());
+  EXPECT_EQ(entries,
+            std::vector<std::string>{rc::entry_path(epoch_dir, key)});
+}
+
 TEST(RunCache, ParallelSweepPopulatesAndThenHitsBitIdentically) {
   // Concurrent lanes store into the cache (atomic temp+rename per entry);
   // a second identical sweep is served entirely from cache and must be
@@ -296,16 +322,14 @@ TEST(RunCache, ParallelSweepPopulatesAndThenHitsBitIdentically) {
   }
 }
 
-/// The sweep-level metrics a store must reproduce: every name except the
-/// process-cumulative ones and sweep.jobs_replayed (which counts what the
-/// store served), sorted by name.
+/// The sweep-level metrics a store must reproduce: every name except
+/// sweep.jobs_replayed (which counts what the store served), sorted by
+/// name.
 std::vector<std::pair<std::string, double>> per_run_totals(
     const obs::MetricsRegistry& reg) {
   std::vector<std::pair<std::string, double>> out;
   for (const auto& m : reg.entries())
-    if (!obs::is_process_cumulative_metric(m.name) &&
-        m.name != "sweep.jobs_replayed")
-      out.emplace_back(m.name, m.value);
+    if (m.name != "sweep.jobs_replayed") out.emplace_back(m.name, m.value);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -392,9 +416,9 @@ TEST(RunCache, EntryFromAnotherEpochIsNotServed) {
   for (unsigned char c : bytes) footer.mix_byte(c);
   for (int i = 0; i < 8; ++i)
     bytes.push_back(static_cast<unsigned char>(footer.digest() >> (8 * i)));
-  std::filesystem::create_directories(guard.dir);
+  std::filesystem::create_directories(rc::directory());
   {
-    std::ofstream out(rc::entry_path(guard.dir.string(), key),
+    std::ofstream out(rc::entry_path(rc::directory(), key),
                       std::ios::binary);
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
@@ -419,7 +443,7 @@ TEST(RunCache, CorruptEntryIsQuarantinedAndRecomputed) {
 
   // Overwrite the single cache entry with garbage.
   std::filesystem::path entry;
-  for (const auto& e : std::filesystem::directory_iterator(guard.dir))
+  for (const auto& e : std::filesystem::directory_iterator(rc::directory()))
     entry = e.path();
   ASSERT_FALSE(entry.empty());
   std::FILE* f = std::fopen(entry.c_str(), "wb");
@@ -439,7 +463,7 @@ TEST(RunCache, CorruptEntryIsQuarantinedAndRecomputed) {
   // The corrupt bytes survive for inspection under a .quarantined name
   // (and are never re-read as a cache entry).
   bool found_quarantined = false;
-  for (const auto& e : std::filesystem::directory_iterator(guard.dir))
+  for (const auto& e : std::filesystem::directory_iterator(rc::directory()))
     if (e.path().string().find(".quarantined.") != std::string::npos)
       found_quarantined = true;
   EXPECT_TRUE(found_quarantined);
@@ -460,12 +484,14 @@ TEST(RunCache, ChecksumCatchesASingleFlippedByte) {
   stored_run(scenario, SchemeConfig::standard(), opts);
 
   std::filesystem::path entry;
-  for (const auto& e : std::filesystem::directory_iterator(guard.dir))
+  for (const auto& e : std::filesystem::directory_iterator(rc::directory()))
     entry = e.path();
   ASSERT_FALSE(entry.empty());
   std::FILE* f = std::fopen(entry.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, 24, SEEK_SET), 0);  // inside total_mbps
+  // Bytes 0-15 are the header (epoch, key) and 16-23 total_mbps; byte 24
+  // is the first byte of ap_avg_idle_slots.
+  ASSERT_EQ(std::fseek(f, 24, SEEK_SET), 0);
   const int c = std::fgetc(f);
   ASSERT_NE(c, EOF);
   std::fseek(f, 24, SEEK_SET);
@@ -485,11 +511,10 @@ TEST(RunCache, EntrySerializationRoundTripsThroughTheBuffer) {
   r.total_mbps = 3.25;
   r.successes = 42;
   r.per_station_mbps = {1.0, 2.25};
-  // Per-run counters round-trip; the process-cumulative names are dropped.
+  // Per-run counters round-trip; the wall-clock profile.* buckets are
+  // dropped.
   r.metrics.set("sim.events_executed", 13949.0);
-  r.metrics.set("cache.hits", 3.0);
   r.metrics.set("medium.tx_started", 0.1 + 0.2);  // not a round double
-  r.metrics.set("exp.fault.job_retries", 1.0);
   r.metrics.set("profile.sim.wall_ns", 123456.0);
   r.metrics.set("mac.cohort.enrolled", 7.0);
   const std::uint64_t key = 0xDEADBEEFCAFEBABEull;
@@ -504,8 +529,6 @@ TEST(RunCache, EntrySerializationRoundTripsThroughTheBuffer) {
   EXPECT_EQ(out.metrics.get("sim.events_executed"), 13949.0);
   EXPECT_EQ(out.metrics.get("medium.tx_started"), 0.1 + 0.2);
   EXPECT_EQ(out.metrics.get("mac.cohort.enrolled"), 7.0);
-  EXPECT_FALSE(out.metrics.contains("cache.hits"));
-  EXPECT_FALSE(out.metrics.contains("exp.fault.job_retries"));
   EXPECT_FALSE(out.metrics.contains("profile.sim.wall_ns"));
 
   // Wrong key: corrupt (the entry is not the requested content).

@@ -1,8 +1,8 @@
 // Tests of the declarative sweep engine: grid expansion order, param
 // binding, result indexing, the core guarantee that a parallel run_sweep
 // is bit-identical to the serial seed loop it replaced (and, for
-// population schedules, to run_dynamic), the sweep-level metrics fold,
-// retry-path no-double-count accounting, and the live progress tracker.
+// population schedules, to run_dynamic), the sweep-level metrics fold and
+// retry-path no-double-count accounting.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -14,9 +14,7 @@
 #include <vector>
 
 #include "exp/fault.hpp"
-#include "exp/progress.hpp"
 #include "exp/sweep.hpp"
-#include "obs/collect.hpp"
 #include "par/thread_pool.hpp"
 
 namespace {
@@ -341,9 +339,12 @@ TEST(SweepMetrics, FoldCarriesRunTotalsAndJobCounters) {
     expected_events += r.metrics.get("sim.events_executed", 0.0);
   EXPECT_EQ(result.metrics.get("sim.events_executed", -1.0), expected_events);
 
-  // Process-cumulative families are snapshots, not per-job sums.
-  EXPECT_TRUE(result.metrics.contains("cache.hits"));
-  EXPECT_TRUE(result.metrics.contains("exp.fault.job_failures"));
+  // Only the per-run sums and the sweep's own job counts: no store
+  // (cache.*) or experiment-layer (exp.*) counter rides the fold.
+  for (const auto& m : result.metrics.entries()) {
+    EXPECT_NE(m.name.rfind("cache.", 0), 0u) << m.name;
+    EXPECT_NE(m.name.rfind("exp.", 0), 0u) << m.name;
+  }
 }
 
 TEST(SweepMetrics, TransientFaultDoesNotDoubleCountMetrics) {
@@ -373,11 +374,9 @@ TEST(SweepMetrics, TransientFaultDoesNotDoubleCountMetrics) {
   EXPECT_TRUE(faulted.ok());
   EXPECT_DOUBLE_EQ(faulted.points[0].averaged.mean_mbps,
                    clean.points[0].averaged.mean_mbps);
-  // Every per-run (non-process-cumulative) folded total matches exactly.
-  for (const auto& [name, value] : clean.metrics.entries()) {
-    if (obs::is_process_cumulative_metric(name)) continue;
+  // Every folded total matches exactly.
+  for (const auto& [name, value] : clean.metrics.entries())
     EXPECT_EQ(faulted.metrics.get(name, -1.0), value) << name;
-  }
 }
 
 TEST(SweepMetrics, FailedJobCountsOnceInJobsFailed) {
@@ -393,63 +392,8 @@ TEST(SweepMetrics, FailedJobCountsOnceInJobsFailed) {
   spec.job_backoff_ms = 0;
   const SweepResult result = run_sweep(spec);
   ASSERT_EQ(result.errors.size(), 1u);
-  // Three attempts, ONE failure: retries must not inflate the count the
-  // sweep-accounting audit reconciles against errors.size().
+  // Three attempts, ONE failure: retries must not inflate the count.
   EXPECT_EQ(result.metrics.get("sweep.jobs_failed", -1.0), 1.0);
-}
-
-// ------------------------------------------------------ progress tracker
-
-TEST(Progress, SnapshotArithmetic) {
-  exp::ProgressTracker tracker(/*total=*/10, /*replayed=*/4);
-  auto snap = tracker.snapshot();
-  EXPECT_EQ(snap.total, 10u);
-  EXPECT_EQ(snap.done, 4u);  // replayed jobs count as done up front
-  EXPECT_EQ(snap.replayed, 4u);
-  EXPECT_EQ(snap.rate_jobs_per_s, 0.0);
-  EXPECT_EQ(snap.eta_s, 0.0);  // unknown rate -> no ETA claim
-
-  tracker.job_finished(/*wall_ms=*/1.0, /*failed=*/false);
-  tracker.job_finished(/*wall_ms=*/3.0, /*failed=*/true);
-  tracker.job_finished(/*wall_ms=*/500.0, /*failed=*/false);
-  snap = tracker.snapshot();
-  EXPECT_EQ(snap.done, 7u);
-  EXPECT_EQ(snap.failed, 1u);
-  EXPECT_GT(snap.rate_jobs_per_s, 0.0);
-  EXPECT_GT(snap.eta_s, 0.0);
-  // log2 ms buckets: 1.0 -> [0,2), 3.0 -> [2,4), 500 -> open-ended last.
-  EXPECT_EQ(snap.wall_hist_ms[0], 1u);
-  EXPECT_EQ(snap.wall_hist_ms[1], 1u);
-  EXPECT_EQ(snap.wall_hist_ms.back(), 1u);
-  std::uint64_t histogram_total = 0;
-  for (const std::uint64_t b : snap.wall_hist_ms) histogram_total += b;
-  EXPECT_EQ(histogram_total, 3u);
-}
-
-TEST(Progress, HeartbeatJsonCarriesEveryKey) {
-  exp::ProgressTracker tracker(5, 0);
-  tracker.job_finished(2.5, false);
-  const std::string doc =
-      exp::ProgressTracker::heartbeat_json(tracker.snapshot());
-  for (const char* key :
-       {"\"total\"", "\"done\"", "\"failed\"", "\"replayed\"", "\"retries\"",
-        "\"elapsed_seconds\"", "\"rate_jobs_per_s\"", "\"eta_seconds\"",
-        "\"cache_hits\"", "\"cache_misses\"", "\"sweeps_completed\"",
-        "\"wall_hist_ms\""})
-    EXPECT_NE(doc.find(key), std::string::npos) << key << " missing: " << doc;
-  EXPECT_EQ(doc.find("nan"), std::string::npos);
-  EXPECT_EQ(doc.front(), '{');
-  EXPECT_EQ(doc.back(), '}');
-}
-
-TEST(Progress, SweepsCompletedAdvancesPerSweep) {
-  const std::uint64_t before = exp::sweeps_completed();
-  SweepSpec spec = SweepSpec::single(ScenarioConfig::connected(3, 1),
-                                     SchemeConfig::standard());
-  spec.options.warmup = sim::Duration::zero();
-  spec.options.measure = sim::Duration::seconds(0.2);
-  run_sweep(spec);
-  EXPECT_EQ(exp::sweeps_completed(), before + 1);
 }
 
 }  // namespace

@@ -4,8 +4,7 @@
 // byte-identically at 1 and 4 threads — and a corrupt entry is
 // quarantined and recomputed.
 // Also covers deterministic fault injection, a failure raised inside the
-// dispatch loop, retry/backoff semantics, and the exp.fault.* counter
-// surface.
+// dispatch loop, and retry/backoff semantics as each JobError reports them.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -37,7 +36,7 @@ using exp::SweepSpec;
 namespace rc = exp::run_cache;
 
 /// Unique per-test store directory, removed on destruction; points
-/// WLAN_RUN_CACHE at itself and zeroes the store and fault counters.
+/// WLAN_RUN_CACHE at itself and zeroes the store counters.
 struct StoreDirGuard {
   std::filesystem::path dir;
   explicit StoreDirGuard(const char* tag) {
@@ -46,7 +45,6 @@ struct StoreDirGuard {
     std::filesystem::remove_all(dir);
     ::setenv("WLAN_RUN_CACHE", dir.c_str(), 1);
     rc::reset_stats();
-    exp::reset_fault_stats();
   }
   ~StoreDirGuard() {
     ::unsetenv("WLAN_RUN_CACHE");
@@ -189,12 +187,12 @@ TEST(SweepResume, CorruptEntryIsQuarantinedAndRecomputed) {
   const std::uint64_t clean_hash = result_hash(exp::run_sweep(spec, &pool));
   EXPECT_EQ(rc::stats().stores, 8u);
 
-  // Flip one payload byte of job 3's entry on disk — what bit rot or a
-  // torn-but-renamed write would leave (offset 12 lands inside the key
-  // field; the header is 8 bytes).
+  // Flip one byte of job 3's entry on disk — what bit rot or a
+  // torn-but-renamed write would leave (the 16-byte header is the epoch
+  // word, then the key; offset 12 lies in the key).
   const auto jobs = exp::expand(spec);
   const std::string entry = rc::entry_path(
-      guard.dir.string(),
+      rc::directory(),
       rc::key_hash(jobs[3].scenario, jobs[3].scheme, spec.options));
   std::FILE* f = std::fopen(entry.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
@@ -297,7 +295,6 @@ TEST(SweepResume, InterruptedSeriesSweepResumesBitForBit) {
 
 TEST(SweepFault, TransientFailureIsAbsorbedByARetry) {
   ::unsetenv("WLAN_RUN_CACHE");
-  exp::reset_fault_stats();
   SweepSpec spec = small_grid();
   spec.job_retries = 2;
   FaultPlan plan;
@@ -309,15 +306,30 @@ TEST(SweepFault, TransientFailureIsAbsorbedByARetry) {
   const std::uint64_t reference =
       result_hash(exp::run_sweep(spec, &serial));
 
-  exp::reset_fault_stats();
   exp::testing::FaultPlanGuard armed(plan);
   const SweepResult r = exp::run_sweep(spec, &pool);
   EXPECT_TRUE(r.ok());  // absorbed — no JobError
-  const auto fs = exp::fault_stats();
-  EXPECT_EQ(fs.job_exceptions, 2u);
-  EXPECT_EQ(fs.job_retries, 2u);
-  EXPECT_EQ(fs.job_failures, 0u);
+  EXPECT_EQ(r.metrics.get("sweep.jobs_failed", -1.0), 0.0);
   EXPECT_EQ(result_hash(r), reference);
+}
+
+TEST(SweepFault, FailureThatOutlastsTheRetriesReportsEveryAttempt) {
+  // The same site with one retry fewer: both attempts throw, so job 2
+  // ends in a JobError that counts them.
+  ::unsetenv("WLAN_RUN_CACHE");
+  SweepSpec spec = small_grid();
+  spec.job_retries = 1;
+  FaultPlan plan;
+  plan.sites.push_back({2, 2});
+  par::ThreadPool pool(2);
+  exp::testing::FaultPlanGuard armed(plan);
+  const SweepResult r = exp::run_sweep(spec, &pool);
+  ASSERT_EQ(r.errors.size(), 1u);
+  EXPECT_EQ(r.errors[0].job_index, 2u);
+  EXPECT_EQ(r.errors[0].attempts, 2);
+  EXPECT_NE(r.errors[0].what.find("injected fault: job 2"), std::string::npos)
+      << r.errors[0].what;
+  EXPECT_EQ(r.metrics.get("sweep.jobs_failed", -1.0), 1.0);
 }
 
 TEST(SweepFault, AuditFailureInsideTheDispatchLoopBecomesAJobError) {
@@ -346,10 +358,7 @@ TEST(SweepFault, AuditFailureInsideTheDispatchLoopBecomesAJobError) {
   spec.options.record_series = true;
   spec.job_retries = 1;
   spec.job_backoff_ms = 0;
-  const std::uint64_t failures_before = exp::fault_stats().job_failures;
   par::ThreadPool pool(2);
-  // With the auditors throwing, run_sweep itself enforces the
-  // sweep-accounting law: a mismatch would throw here.
   const SweepResult r = exp::run_sweep(spec, &pool);
   ASSERT_EQ(r.errors.size(), 3u);
   for (std::size_t j = 0; j < r.errors.size(); ++j) {
@@ -358,8 +367,6 @@ TEST(SweepFault, AuditFailureInsideTheDispatchLoopBecomesAJobError) {
     EXPECT_NE(e.what.find("queue-conservation"), std::string::npos) << e.what;
     EXPECT_EQ(e.attempts, spec.job_retries + 1);
   }
-  EXPECT_EQ(exp::fault_stats().job_failures - failures_before,
-            r.errors.size());
   EXPECT_EQ(r.metrics.get("sweep.jobs_failed", -1.0), 3.0);
 }
 
@@ -391,11 +398,12 @@ TEST(SweepFault, RunAveragedThrowsWhenAJobFails) {
   opts.measure = sim::Duration::seconds(0.1);
   // A one-point sweep with the SweepSpec defaults: two retries (100 and
   // 200 ms of backoff), then the JobError that makes throw_if_failed throw.
-  const std::uint64_t retries_before = exp::fault_stats().job_retries;
   const SweepResult r = exp::run_sweep(SweepSpec::single(
       ScenarioConfig::connected(3, 1), SchemeConfig::standard(), opts));
   EXPECT_THROW(r.throw_if_failed(), std::runtime_error);
-  EXPECT_EQ(exp::fault_stats().job_retries - retries_before, 2u);
+  ASSERT_EQ(r.errors.size(), 1u);
+  EXPECT_EQ(r.errors[0].attempts, 3);
+  EXPECT_EQ(r.metrics.get("sweep.jobs_failed", -1.0), 1.0);
 }
 
 }  // namespace

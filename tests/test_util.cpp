@@ -1,5 +1,5 @@
 // Unit tests for CSV writing, table rendering, CLI parsing and env knobs
-// (including the strict parse of the obs and progress switches).
+// (including the strict parse of the obs switches).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "exp/progress.hpp"
 #include "obs/audit.hpp"
 #include "obs/trace.hpp"
 #include "par/thread_pool.hpp"
@@ -271,13 +270,6 @@ TEST(EnvDeathTest, EmptyProfileSwitchReadsAsUnset) {
   EXPECT_EXIT(std::_Exit(wlan::obs::SimObs::profile_enabled_by_env() ? 1 : 0),
               ::testing::ExitedWithCode(0), "");
   ::unsetenv("WLAN_PROFILE");
-}
-
-TEST(EnvDeathTest, MalformedProgressSwitchExitsWithError) {
-  ::setenv("WLAN_PROGRESS", "maybe", 1);
-  EXPECT_EXIT(wlan::exp::ProgressTracker::ticker_enabled(),
-              ::testing::ExitedWithCode(2), "WLAN_PROGRESS");
-  ::unsetenv("WLAN_PROGRESS");
 }
 
 }  // namespace
