@@ -87,17 +87,15 @@ int main(int argc, char** argv) {
   };
   const double opt2 = optimum(2), opt40 = optimum(40);
 
-  util::Table table({"Variant", "N=2 %opt", "N=40 %opt"});
   util::CsvWriter csv("ablation_kw_design.csv");
   csv.header({"variant", "n2_pct_of_optimum", "n40_pct_of_optimum"});
   for (std::size_t i = 0; i < variants.size(); ++i) {
     const double pct2 = 100.0 * sweep.at(0, 0, i).runs[0].total_mbps / opt2;
     const double pct40 = 100.0 * sweep.at(1, 0, i).runs[0].total_mbps / opt40;
-    table.add_row(variants[i].name, {pct2, pct40});
     csv.row({variants[i].name, util::format_double(pct2, 4),
              util::format_double(pct40, 4)});
   }
-  table.print(std::cout);
+  csv.print(std::cout);
   std::printf("\nAnalytic optima: %.2f Mb/s (N=2), %.2f Mb/s (N=40). "
               "Expected: shipped config 90%%+ in both columns; each "
               "ablation collapses at least one of them (the paper's pseudo "

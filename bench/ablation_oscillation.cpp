@@ -41,27 +41,21 @@ int main(int argc, char** argv) {
   const auto sweep = exp::run_sweep(spec);
   sweep.throw_if_failed();
 
-  util::Table table({"Nodes", "Scheme", "settled Mb/s", "settled stddev",
-                     "t to 90% (s)"});
   util::CsvWriter csv("ablation_oscillation.csv");
   csv.header({"nodes", "scheme", "settled_mbps", "settled_stddev",
               "t90_seconds"});
 
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     for (std::size_t k = 0; k < spec.schemes.size(); ++k) {
-      const std::string scheme = spec.schemes[k].name();
       const auto report = stats::analyze_convergence(
           sweep.at(i, k).runs[0].throughput_series);
-      table.add_row(std::to_string(nodes[i]) + " " + scheme,
-                    {report.settled_mean, report.settled_stddev,
-                     report.time_to_threshold});
-      csv.row({std::to_string(nodes[i]), scheme,
+      csv.row({std::to_string(nodes[i]), spec.schemes[k].name(),
                util::format_double(report.settled_mean, 6),
                util::format_double(report.settled_stddev, 6),
                util::format_double(report.time_to_threshold, 6)});
     }
   }
-  table.print(std::cout);
+  csv.print(std::cout);
 
   // Closed-form curvature proxy: relative throughput at a +-30% parameter
   // excursion around each optimum (Figs. 2 and 13 analytically).

@@ -42,8 +42,6 @@ int main(int argc, char** argv) {
   const auto sweep = exp::run_sweep(spec);
   sweep.throw_if_failed();
 
-  util::Table table({"Period (ms)", "~tx per segment", "Mb/s after budget",
-                     "t to 90% (s)"});
   util::CsvWriter csv("ablation_update_period.csv");
   csv.header({"period_ms", "tx_per_segment", "mbps", "t90_seconds"});
 
@@ -61,12 +59,10 @@ int main(int argc, char** argv) {
     }
     // ~2750 successful tx/s at 22 Mb/s and 8000-bit payloads.
     const double tx_per_segment = 2750.0 * ms / 1000.0;
-    table.add_row(util::format_double(ms, 5),
-                  {tx_per_segment, r.total_mbps, t90});
     csv.row_numeric({ms, tx_per_segment, r.total_mbps, t90});
   }
 
-  table.print(std::cout);
+  csv.print(std::cout);
   std::printf("\nExpected: very short segments (noisy gradients) and very "
               "long ones (few iterations) both underperform; the paper's "
               "250 ms (~500 tx) sits in the sweet spot.\n");

@@ -50,8 +50,6 @@ int main(int argc, char** argv) {
   spec.options = opts;
   spec.keep_runs = false;
   const auto sweep = exp::run_sweep(spec);
-  // A science run with failed jobs must fail the driver, never publish
-  // zero-folded rows.
   sweep.throw_if_failed();
 
   std::vector<std::string> cols{"load_per_sta_mbps", "offered_total_mbps"};
@@ -64,8 +62,6 @@ int main(int argc, char** argv) {
   util::CsvWriter csv("ext_load_delay_curve.csv");
   csv.header(cols);
 
-  util::Table table({"load/sta", "scheme", "Mb/s", "delay ms", "p50", "p95",
-                     "p99", "drop"});
   for (std::size_t li = 0; li < loads.size(); ++li) {
     std::vector<double> row{loads[li], loads[li] * n};
     for (std::size_t si = 0; si < schemes.size(); ++si) {
@@ -74,18 +70,12 @@ int main(int argc, char** argv) {
                  {avg.mean_mbps, avg.mean_delay_s * 1e3,
                   avg.mean_delay_p50_s * 1e3, avg.mean_delay_p95_s * 1e3,
                   avg.mean_delay_p99_s * 1e3, avg.mean_drop_rate});
-      table.add_row(util::format_double(loads[li], 2),
-                    {static_cast<double>(si), avg.mean_mbps,
-                     avg.mean_delay_s * 1e3, avg.mean_delay_p50_s * 1e3,
-                     avg.mean_delay_p95_s * 1e3, avg.mean_delay_p99_s * 1e3,
-                     avg.mean_drop_rate});
     }
     csv.row_numeric(row);
   }
-  table.print(std::cout);
+  csv.print(std::cout);
 
-  std::printf("\nscheme index: 0=standard 802.11, 1=wTOP-CSMA, 2=IdleSense\n");
-  std::printf("Expected: delay flat and sub-ms below the knee, then the\n"
+  std::printf("\nExpected: delay flat and sub-ms below the knee, then the\n"
               "queueing hockey stick; delivered Mb/s tracks offered load\n"
               "until each scheme's saturation throughput caps it; drops\n"
               "only past the knee.\n");

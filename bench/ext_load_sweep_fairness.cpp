@@ -48,8 +48,6 @@ int main(int argc, char** argv) {
   spec.options = opts;
   spec.keep_runs = true;  // Jain needs the per-station throughputs
   const auto sweep = exp::run_sweep(spec);
-  // A science run with failed jobs must fail the driver, never publish
-  // zero-folded rows.
   sweep.throw_if_failed();
 
   std::vector<std::string> cols{"load_per_sta_mbps"};
@@ -62,7 +60,6 @@ int main(int argc, char** argv) {
   util::CsvWriter csv("ext_load_sweep_fairness.csv");
   csv.header(cols);
 
-  util::Table table({"load/sta", "scenario", "scheme", "Mb/s", "Jain"});
   for (std::size_t li = 0; li < loads.size(); ++li) {
     std::vector<double> row{loads[li]};
     for (std::size_t sc = 0; sc < spec.scenarios.size(); ++sc) {
@@ -75,18 +72,13 @@ int main(int argc, char** argv) {
         jain /= static_cast<double>(point.runs.size());
         row.push_back(point.averaged.mean_mbps);
         row.push_back(jain);
-        table.add_row(util::format_double(loads[li], 2),
-                      {static_cast<double>(sc), static_cast<double>(sk),
-                       point.averaged.mean_mbps, jain});
       }
     }
     csv.row_numeric(row);
   }
-  table.print(std::cout);
+  csv.print(std::cout);
 
-  std::printf("\nscenario: 0=connected r=8, 1=hidden disc r=16; "
-              "scheme: 0=802.11, 1=wTOP, 2=TORA\n"
-              "Expected: Jain ~1.0 below the knee everywhere; past it the\n"
+  std::printf("\nExpected: Jain ~1.0 below the knee everywhere; past it the\n"
               "hidden topology drops 802.11's index well below the\n"
               "adaptive schemes'.\n");
   return 0;

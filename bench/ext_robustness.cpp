@@ -11,7 +11,6 @@ int main(int argc, char** argv) {
                 "wTOP/TORA/IdleSense under channel errors, capture, and "
                 "obstacle shadowing; 20 stations");
 
-  const auto opts = bench::adaptive_options();
   const int n = 20;
 
   struct Case {
@@ -39,12 +38,10 @@ int main(int argc, char** argv) {
   for (const auto& c : cases) spec.scenarios.push_back(c.scenario);
   spec.schemes = {exp::SchemeConfig::wtop_csma(), exp::SchemeConfig::tora_csma(),
                   exp::SchemeConfig::idle_sense_scheme()};
-  spec.options = opts;
+  spec.options = bench::adaptive_options();
   const auto sweep = exp::run_sweep(spec);
   sweep.throw_if_failed();
 
-  util::Table table({"Scenario", "wTOP-CSMA", "TORA-CSMA", "IdleSense",
-                     "hidden pairs"});
   util::CsvWriter csv("ext_robustness.csv");
   csv.header({"scenario", "wtop_mbps", "tora_mbps", "idlesense_mbps",
               "hidden_pairs"});
@@ -53,15 +50,12 @@ int main(int argc, char** argv) {
     const exp::RunResult& wtop = sweep.at(c, 0).runs[0];
     const exp::RunResult& tora = sweep.at(c, 1).runs[0];
     const exp::RunResult& idle = sweep.at(c, 2).runs[0];
-    table.add_row(cases[c].name,
-                  {wtop.total_mbps, tora.total_mbps, idle.total_mbps,
-                   static_cast<double>(wtop.hidden_pairs)});
     csv.row({cases[c].name, util::format_double(wtop.total_mbps, 6),
              util::format_double(tora.total_mbps, 6),
              util::format_double(idle.total_mbps, 6),
              std::to_string(wtop.hidden_pairs)});
   }
-  table.print(std::cout);
+  csv.print(std::cout);
   std::printf("\nExpected: frame errors scale every scheme by ~the delivery "
               "probability (KW optima unchanged); capture softens hidden "
               "losses for everyone; shadowing reproduces the hidden-node "

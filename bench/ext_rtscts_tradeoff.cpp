@@ -14,7 +14,6 @@ int main(int argc, char** argv) {
                 "Basic vs RTS/CTS access, connected and hidden (disc r=16), "
                 "standard 802.11 and TORA-CSMA");
 
-  const auto opts = bench::adaptive_options();
   const std::vector<int> nodes = util::bench_fast()
                                      ? std::vector<int>{20}
                                      : std::vector<int>{10, 20, 40};
@@ -34,12 +33,10 @@ int main(int argc, char** argv) {
   }
   spec.schemes = {exp::SchemeConfig::standard(),
                   exp::SchemeConfig::tora_csma()};
-  spec.options = opts;
+  spec.options = bench::adaptive_options();
   const auto sweep = exp::run_sweep(spec);
   sweep.throw_if_failed();
 
-  util::Table table({"Nodes", "Scheme", "Connected basic", "Connected RTS/CTS",
-                     "Hidden basic", "Hidden RTS/CTS"});
   util::CsvWriter csv("ext_rtscts_tradeoff.csv");
   csv.header({"nodes", "scheme", "connected_basic", "connected_rtscts",
               "hidden_basic", "hidden_rtscts"});
@@ -49,16 +46,13 @@ int main(int argc, char** argv) {
       std::vector<double> mbps;  // connected basic/RTS, hidden basic/RTS
       for (std::size_t c = 0; c < 4; ++c)
         mbps.push_back(sweep.at(4 * i + c, k).runs[0].total_mbps);
-      const std::string label =
-          std::to_string(nodes[i]) + " " + spec.schemes[k].name();
-      table.add_row(label, mbps);
       csv.row({std::to_string(nodes[i]), spec.schemes[k].name(),
                util::format_double(mbps[0], 6), util::format_double(mbps[1], 6),
                util::format_double(mbps[2], 6),
                util::format_double(mbps[3], 6)});
     }
   }
-  table.print(std::cout);
+  csv.print(std::cout);
   std::printf("\nExpected: RTS/CTS costs throughput when connected (6 Mb/s "
               "control frames), and TORA-CSMA over basic access matches or "
               "beats RTS/CTS under hidden nodes — the paper's rationale for "

@@ -29,9 +29,6 @@ int main(int argc, char** argv) {
   const auto sweep = exp::run_sweep(spec);
   sweep.throw_if_failed();
 
-  util::Table table({"Nodes", "IdleSense (no hidden)", "Std 802.11 (no hidden)",
-                     "Std 802.11 (hidden)", "IdleSense (hidden)",
-                     "hidden pairs"});
   util::CsvWriter csv("fig01_idlesense_vs_hidden.csv");
   csv.header({"nodes", "idlesense_connected_mbps", "std_connected_mbps",
               "std_hidden_mbps", "idlesense_hidden_mbps", "hidden_pairs"});
@@ -41,16 +38,14 @@ int main(int argc, char** argv) {
     const auto& std_conn = sweep.at(2 * i, 1).averaged;
     const auto& std_hid = sweep.at(2 * i + 1, 1).averaged;
     const auto& is_hid = sweep.at(2 * i + 1, 0).averaged;
-    std::vector<double> cols{is_conn.mean_mbps, std_conn.mean_mbps,
-                             std_hid.mean_mbps, is_hid.mean_mbps,
-                             std_hid.mean_hidden_pairs};
-    table.add_row(std::to_string(nodes[i]), cols);
-    cols.insert(cols.begin(), static_cast<double>(nodes[i]));
-    csv.row_numeric(cols);
+    csv.row_numeric({static_cast<double>(nodes[i]), is_conn.mean_mbps,
+                     std_conn.mean_mbps, std_hid.mean_mbps, is_hid.mean_mbps,
+                     std_hid.mean_hidden_pairs});
   }
 
-  table.print(std::cout);
-  std::printf("\nExpected shape: col2 > col3 (connected); col5 < col4 "
+  csv.print(std::cout);
+  std::printf("\nExpected shape: idlesense_connected_mbps > "
+              "std_connected_mbps; idlesense_hidden_mbps < std_hidden_mbps "
               "(hidden flips the ordering).\n");
   return 0;
 }

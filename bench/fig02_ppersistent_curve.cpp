@@ -20,13 +20,10 @@ int main(int argc, char** argv) {
                 "(analytic eq. 3 + simulator cross-check)");
 
   const mac::WifiParams params;
-  util::Table table({"log(p)", "20 nodes (model)", "40 nodes (model)",
-                     "20 nodes (sim)", "40 nodes (sim)"});
   util::CsvWriter csv("fig02_ppersistent_curve.csv");
   csv.header({"log_p", "model_n20_mbps", "model_n40_mbps", "sim_n20_mbps",
               "sim_n40_mbps"});
 
-  const auto sim_opts = bench::fixed_options();
   const double step = util::bench_fast() ? 1.0 : 0.5;
 
   // The dense model grid, and the every-other subset that is cross-checked
@@ -45,11 +42,9 @@ int main(int argc, char** argv) {
   spec.bind = [](double logp, exp::ScenarioConfig&, exp::SchemeConfig& sch) {
     sch = exp::SchemeConfig::fixed_p_persistent(std::exp(logp));
   };
-  spec.options = sim_opts;
+  spec.options = bench::fixed_options();
   spec.keep_runs = false;
   const auto sweep = exp::run_sweep(spec);
-  // A science run with failed jobs must fail the driver, never publish
-  // zero-folded rows.
   sweep.throw_if_failed();
 
   std::vector<double> curve20, curve40;
@@ -72,12 +67,10 @@ int main(int argc, char** argv) {
       s40 = sweep.at(1, 0, sim_idx).averaged.mean_mbps;
       ++sim_idx;
     }
-    table.add_row(util::format_double(logp, 3),
-                  {m20, m40, simulate ? s20 : NAN, simulate ? s40 : NAN});
     csv.row_numeric({logp, m20, m40, s20, s40});
   }
 
-  table.print(std::cout);
+  csv.print(std::cout);
 
   const auto r20 = analysis::check_unimodal(curve20, 0.0);
   const auto r40 = analysis::check_unimodal(curve40, 0.0);

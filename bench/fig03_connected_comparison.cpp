@@ -27,27 +27,23 @@ int main(int argc, char** argv) {
   const auto sweep = exp::run_sweep(spec);
   sweep.throw_if_failed();
 
-  util::Table table({"Nodes", "TORA-CSMA", "wTOP-CSMA", "IdleSense",
-                     "Std 802.11", "analytic optimum"});
   util::CsvWriter csv("fig03_connected_comparison.csv");
   csv.header({"nodes", "tora_mbps", "wtop_mbps", "idlesense_mbps",
               "std_mbps", "analytic_optimum_mbps"});
 
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    std::vector<double> cols;
+    std::vector<double> row{static_cast<double>(nodes[i])};
     for (std::size_t k = 0; k < spec.schemes.size(); ++k)
-      cols.push_back(sweep.at(i, k).averaged.mean_mbps);
+      row.push_back(sweep.at(i, k).averaged.mean_mbps);
     const auto& phy = spec.scenarios[i].phy;
     const std::vector<double> w(static_cast<std::size_t>(nodes[i]), 1.0);
-    cols.push_back(analysis::ppersistent_system_throughput(
-                       analysis::optimal_master_probability(w, phy), w, phy) /
-                   1e6);
-    table.add_row(std::to_string(nodes[i]), cols);
-    cols.insert(cols.begin(), static_cast<double>(nodes[i]));
-    csv.row_numeric(cols);
+    row.push_back(analysis::ppersistent_system_throughput(
+                      analysis::optimal_master_probability(w, phy), w, phy) /
+                  1e6);
+    csv.row_numeric(row);
   }
 
-  table.print(std::cout);
+  csv.print(std::cout);
   std::printf("\nExpected shape: TORA ~ wTOP ~ IdleSense near the analytic "
               "optimum, flat in N; Std 802.11 below them.\n");
   return 0;

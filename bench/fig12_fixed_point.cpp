@@ -23,14 +23,12 @@ int main(int argc, char** argv) {
   constexpr int kCwMin = 2;
   const std::vector<double> p0s{0.0, 0.2, 0.4, 0.6, 0.8};
 
-  util::Table table({"c", "tau(p0=0)", "tau(p0=0.2)", "tau(p0=0.4)",
-                     "tau(p0=0.6)", "tau(p0=0.8)", "c(tau) inverse"});
   util::CsvWriter csv("fig12_fixed_point.csv");
   csv.header({"c", "tau_p0_0", "tau_p0_02", "tau_p0_04", "tau_p0_06",
               "tau_p0_08", "tau_from_coupling"});
 
   for (double c = 0.0; c <= 1.0 + 1e-9; c += 0.05) {
-    std::vector<double> row;
+    std::vector<double> row{c};
     for (double p0 : p0s)
       row.push_back(
           analysis::random_reset_tau_given_c(0, p0, std::min(c, 1.0), kCwMin,
@@ -40,10 +38,9 @@ int main(int argc, char** argv) {
     const double tau_coupling = 1.0 - std::pow(1.0 - std::min(c, 1.0),
                                                1.0 / (kN - 1));
     row.push_back(tau_coupling);
-    table.add_row(util::format_double(c, 3), row);
-    csv.row_numeric({c, row[0], row[1], row[2], row[3], row[4], row[5]});
+    csv.row_numeric(row);
   }
-  table.print(std::cout);
+  csv.print(std::cout);
 
   std::printf("\nFixed points (intersections):\n");
   for (double p0 : p0s) {

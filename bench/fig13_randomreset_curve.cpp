@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
                 "nodes (fixed-point model + simulator)");
 
   const mac::WifiParams params;
-  const auto opts = bench::fixed_options();
   const double step = util::bench_fast() ? 0.2 : 0.05;
 
   // Dense model grid; every fourth point (all of them in fast mode) is
@@ -40,15 +39,11 @@ int main(int argc, char** argv) {
     // min() guards the grid-accumulation overshoot past 1.0.
     sch = exp::SchemeConfig::fixed_random_reset(0, std::min(p0, 1.0));
   };
-  spec.options = opts;
+  spec.options = bench::fixed_options();
   spec.keep_runs = false;
   const auto sweep = exp::run_sweep(spec);
-  // A science run with failed jobs must fail the driver, never publish
-  // zero-folded rows.
   sweep.throw_if_failed();
 
-  util::Table table({"p0", "20 nodes (model)", "40 nodes (model)",
-                     "20 nodes (sim)", "40 nodes (sim)"});
   util::CsvWriter csv("fig13_randomreset_curve.csv");
   csv.header({"p0", "model_n20", "model_n40", "sim_n20", "sim_n40"});
 
@@ -72,10 +67,9 @@ int main(int argc, char** argv) {
       s40 = sweep.at(1, 0, sim_idx).averaged.mean_mbps;
       ++sim_idx;
     }
-    table.add_row(util::format_double(p0, 3), {m20, m40, s20, s40});
     csv.row_numeric({p0, m20, m40, s20, s40});
   }
-  table.print(std::cout);
+  csv.print(std::cout);
 
   const auto r20 = analysis::check_unimodal(model20, 1e-9);
   const auto r40 = analysis::check_unimodal(model40, 1e-9);

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Runs every figure/table/ablation/extension bench binary — up to
+# Runs every figure/table/ablation/extension bench binary, up to
 # WLAN_BENCH_JOBS of them in parallel (they are independent processes),
-# then bench_parallel_scaling alone — and collects each driver's CSV plus
-# its console log under <build-dir>/results/<driver>/. Drivers are
+# and collects each driver's CSV plus its console log under
+# <build-dir>/results/<driver>/. Drivers are
 # discovered by the bench_* glob below, so a new bench/*.cpp (e.g.
 # ext_load_delay_curve, ext_load_sweep_fairness) registers itself once
 # CMake builds it, and a binary whose bench/*.cpp is gone is left out.
@@ -30,9 +30,10 @@
 #                       simulator never replays stale physics.
 #
 # Resume: run the same command again. Every job a previous invocation
-# finished replays from the store, series included, byte-identically;
-# only the timing runs (bench_parallel_scaling, ext_multicell_scaling's
-# Part B) simulate again.
+# finished replays from the store, series included, byte-identically.
+#
+# Signals: TERM or INT to this script alone (a CI step timeout, kill
+# <pid>, Ctrl-C) stops every driver it started, then exits 143 or 130.
 #
 # Pruning: before the first driver starts, everything in the default store
 # but the build's own epoch directory (read from
@@ -47,6 +48,9 @@
 # Each driver runs once. Drivers are deterministic, so one that failed
 # would fail again; its .failed marker fails the script.
 set -euo pipefail
+# Job control: every background run_one leads its own process group,
+# which holds its driver, so stop_drivers can signal a driver with it.
+set -m
 
 build_dir="$(cd "${1:-build}" && pwd)"
 results_dir="${build_dir}/results"
@@ -101,13 +105,16 @@ fi
 # driver.log, and leave a .failed marker for the final tally.
 run_one() {
   local bin="$1" name out t0 t1
+  # On TERM, exit only after reaping the driver, so that it is never left
+  # behind as an orphan (see stop_drivers).
+  trap 'exit 143' TERM
   name="$(basename "${bin}")"
   out="${results_dir}/${name#bench_}"
   mkdir -p "${out}"
   rm -f "${out}/.failed" "${out}/.wall_seconds" "${out}/.max_rss_kb" \
         "${out}/.store_counts"
   t0="$(date +%s.%N)"
-  if ! (cd "${out}" && "${bin}") > "${out}/driver.log" 2>&1; then
+  if ! (cd "${out}" && exec "${bin}") > "${out}/driver.log" 2>&1; then
     touch "${out}/.failed"
   fi
   t1="$(date +%s.%N)"
@@ -132,30 +139,29 @@ run_one() {
 rm -f "${results_dir}"/*/.failed "${results_dir}"/*/.wall_seconds \
       "${results_dir}"/*/.max_rss_kb "${results_dir}"/*/.store_counts
 
+# A signal to this script alone would leave the drivers running, so pass
+# it on to every driver's process group and wait until they have exited.
+stop_drivers() {
+  local pgid
+  for pgid in $(jobs -p); do kill -TERM -- "-${pgid}" 2>/dev/null || true; done
+  wait || true
+  exit "$1"
+}
+trap 'stop_drivers 143' TERM
+trap 'stop_drivers 130' INT
+
 echo "Running ${#benches[@]} drivers, ${jobs} at a time ..."
-# bench_parallel_scaling measures lane speedups, so it runs alone after the
-# others: beside them its lanes would compete for cores.
-scaling=""
 for bin in "${benches[@]}"; do
   [[ -x ${bin} && ! -d ${bin} ]] || continue
-  name="$(basename "${bin}")"
-  if [[ ${name} == bench_parallel_scaling ]]; then
-    scaling="${bin}"
-    continue
-  fi
   while (( $(jobs -rp | wc -l) >= jobs )); do
     # `wait -n` needs bash >= 4.3; elsewhere fall back to a short sleep.
     # Failures are tallied via .failed markers, not exit statuses.
     wait -n 2>/dev/null || sleep 0.2
   done
-  echo "==> ${name}"
+  echo "==> $(basename "${bin}")"
   run_one "${bin}" &
 done
 wait || true
-if [[ -n ${scaling} ]]; then
-  echo "==> bench_parallel_scaling (alone)"
-  run_one "${scaling}"
-fi
 
 echo
 echo "Per-driver outputs in ${results_dir}/<driver>/:"

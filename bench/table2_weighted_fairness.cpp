@@ -31,17 +31,12 @@ int main(int argc, char** argv) {
   const auto norm =
       stats::normalized_throughput(result.per_station_mbps, scheme.weights);
 
-  util::Table table({"Node", "Weight", "Throughput (Mbps)",
-                     "Normalized (Thr/Weight)"});
   util::CsvWriter csv("table2_weighted_fairness.csv");
   csv.header({"node", "weight", "throughput_mbps", "normalized_mbps"});
-  for (std::size_t i = 0; i < scheme.weights.size(); ++i) {
-    table.add_row(std::to_string(i + 1),
-                  {scheme.weights[i], result.per_station_mbps[i], norm[i]});
+  for (std::size_t i = 0; i < scheme.weights.size(); ++i)
     csv.row_numeric({static_cast<double>(i + 1), scheme.weights[i],
                      result.per_station_mbps[i], norm[i]});
-  }
-  table.print(std::cout);
+  csv.print(std::cout);
 
   const double p_star =
       analysis::optimal_master_probability(scheme.weights, scenario.phy);

@@ -18,7 +18,6 @@ int main(int argc, char** argv) {
                 "Average idle slots + throughput, IdleSense vs wTOP-CSMA, "
                 "40 stations, connected vs two hidden scenarios");
 
-  const auto opts = bench::adaptive_options();
   const int n = 40;
 
   const std::vector<const char*> labels{
@@ -31,36 +30,23 @@ int main(int argc, char** argv) {
                     exp::ScenarioConfig::hidden(n, 16.0, 2)};
   spec.schemes = {exp::SchemeConfig::idle_sense_scheme(),
                   exp::SchemeConfig::wtop_csma()};
-  spec.options = opts;
+  spec.options = bench::adaptive_options();
   const auto sweep = exp::run_sweep(spec);
-  // A science run with failed jobs must fail the driver, never publish
-  // zero-folded rows.
   sweep.throw_if_failed();
 
-  util::Table is_table({"IdleSense", "Avg idle slots", "Throughput (Mbps)"});
-  util::Table wtop_table({"wTOP-CSMA", "Avg idle slots", "Throughput (Mbps)"});
   util::CsvWriter csv("table3_idle_slots.csv");
   csv.header({"scenario", "scheme", "avg_idle_slots", "throughput_mbps",
               "hidden_pairs"});
-
   for (std::size_t row = 0; row < labels.size(); ++row) {
-    const exp::RunResult& is = sweep.at(row, 0).runs[0];
-    const exp::RunResult& wtop = sweep.at(row, 1).runs[0];
-    is_table.add_row(labels[row], {is.ap_avg_idle_slots, is.total_mbps});
-    wtop_table.add_row(labels[row], {wtop.ap_avg_idle_slots, wtop.total_mbps});
-    csv.row({labels[row], "IdleSense",
-             util::format_double(is.ap_avg_idle_slots, 6),
-             util::format_double(is.total_mbps, 6),
-             std::to_string(is.hidden_pairs)});
-    csv.row({labels[row], "wTOP-CSMA",
-             util::format_double(wtop.ap_avg_idle_slots, 6),
-             util::format_double(wtop.total_mbps, 6),
-             std::to_string(wtop.hidden_pairs)});
+    for (std::size_t k = 0; k < spec.schemes.size(); ++k) {
+      const exp::RunResult& r = sweep.at(row, k).runs[0];
+      csv.row({labels[row], spec.schemes[k].name(),
+               util::format_double(r.ap_avg_idle_slots, 6),
+               util::format_double(r.total_mbps, 6),
+               std::to_string(r.hidden_pairs)});
+    }
   }
-
-  is_table.print(std::cout);
-  std::printf("\n");
-  wtop_table.print(std::cout);
+  csv.print(std::cout);
   std::printf("\nExpected shape: IdleSense idle slots ~constant across "
               "scenarios but hidden throughput collapses; wTOP idle slots "
               "vary by scenario while throughput stays high.\n");

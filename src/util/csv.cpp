@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/table.hpp"
+
 namespace wlan::util {
 
 CsvWriter::CsvWriter(const std::string& path) : path_(path), out_(path) {
@@ -26,6 +28,7 @@ void CsvWriter::row(const std::vector<std::string>& cells) {
   // (/dev/full opens and buffers fine), hence the flush before the check.
   out_.flush();
   if (!out_) throw std::runtime_error("CsvWriter: cannot write " + path_);
+  lines_.push_back(cells);
 }
 
 void CsvWriter::row_numeric(const std::vector<double>& values, int precision) {
@@ -33,6 +36,13 @@ void CsvWriter::row_numeric(const std::vector<double>& values, int precision) {
   cells.reserve(values.size());
   for (double v : values) cells.push_back(format_double(v, precision));
   row(cells);
+}
+
+void CsvWriter::print(std::ostream& os) const {
+  if (lines_.empty()) return;
+  Table table(lines_.front());
+  for (std::size_t i = 1; i < lines_.size(); ++i) table.add_row(lines_[i]);
+  table.print(os);
 }
 
 std::string CsvWriter::escape(const std::string& cell) {

@@ -1,10 +1,10 @@
-// Minimal CSV writer used by benches to dump figure series alongside the
-// human-readable console tables, so plots can be regenerated externally.
-// Every row is flushed and checked, so a CSV that cannot be written (a
-// full disk, a bad mount) ends the driver with an exception instead of a
-// clean exit. Drivers simulate before they write rows
-// (ext_multicell_scaling's timing rows aside), so an interrupted driver
-// leaves at most a header, and its finished jobs live in the result store
+// CSV writer the bench drivers write every figure/table row through. It
+// keeps the rows it wrote, so the same cells print as the driver's console
+// table (print) and each row has one write site. Every row is flushed and
+// checked, so a CSV that cannot be written (a full disk, a bad mount) ends
+// the driver with an exception instead of a clean exit. Drivers simulate
+// before they write rows, so an interrupted driver leaves at most a
+// header, and its finished jobs live in the result store
 // (exp/run_cache.hpp), which a re-run replays.
 #pragma once
 
@@ -38,12 +38,17 @@ class CsvWriter {
   /// digits.
   void row_numeric(const std::vector<double>& values, int precision = 10);
 
+  /// Renders every line written so far as a util::Table, the first (the
+  /// header) as its column names: the file's cells, unescaped.
+  void print(std::ostream& os) const;
+
   /// Escapes one cell per RFC 4180 (exposed for testing).
   static std::string escape(const std::string& cell);
 
  private:
   std::string path_;
   std::ofstream out_;
+  std::vector<std::vector<std::string>> lines_;  // as written, for print
 };
 
 /// Formats a double with the given number of significant digits, trimming

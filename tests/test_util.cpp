@@ -48,6 +48,28 @@ TEST(Csv, WritesFile) {
   std::remove(path.c_str());
 }
 
+TEST(Csv, PrintRendersTheWrittenCellsAsATable) {
+  const std::string path = ::testing::TempDir() + "wlan_csv_print_test.csv";
+  std::ostringstream printed;
+  {
+    CsvWriter w(path);
+    w.header({"scenario", "mbps"});
+    w.row({"hidden, r=16", "17.5"});
+    w.row_numeric({3.5, 4.25});
+    w.print(printed);
+  }
+  Table expected({"scenario", "mbps"});
+  expected.add_row({"hidden, r=16", "17.5"});
+  expected.add_row({"3.5", "4.25"});
+  EXPECT_EQ(printed.str(), expected.to_string());
+
+  std::ifstream in(path);
+  std::stringstream file;
+  file << in.rdbuf();
+  EXPECT_EQ(file.str(), "scenario,mbps\n\"hidden, r=16\",17.5\n3.5,4.25\n");
+  std::remove(path.c_str());
+}
+
 TEST(Csv, ThrowsOnBadPath) {
   EXPECT_THROW(CsvWriter("/nonexistent_dir_xyz/file.csv"),
                std::runtime_error);
