@@ -44,7 +44,8 @@ int main(int argc, char** argv) {
   const double seconds = cli.get_double("seconds", 30.0);
 
   const auto scenario = exp::ScenarioConfig::hidden(nodes, radius, seed);
-  const auto layout = exp::make_layout(scenario);
+  const auto plan = exp::make_plan(scenario);
+  const topology::Layout layout{plan.aps[0], plan.stations};
   const phy::DiscPropagation prop(scenario.decode_radius,
                                   scenario.sense_radius);
   const auto report = topology::analyze_hidden(layout, prop);

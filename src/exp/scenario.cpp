@@ -123,28 +123,20 @@ topology::CellPlanSpec cell_spec_of(const ScenarioConfig& scenario) {
   spec.cols = scenario.cell_cols;
   spec.spacing = scenario.cell_spacing;
   spec.cell_radius = scenario.radius;
-  spec.placement = scenario.topology == TopologyKind::kCircleEdge
-                       ? topology::CellPlacement::kCircleEdge
-                       : topology::CellPlacement::kUniformDisc;
-  return spec;
+  switch (scenario.topology) {
+    case TopologyKind::kCircleEdge:
+      spec.placement = topology::CellPlacement::kCircleEdge;
+      return spec;
+    case TopologyKind::kUniformDisc:
+      spec.placement = topology::CellPlacement::kUniformDisc;
+      return spec;
+  }
+  throw std::logic_error("cell_spec_of: unknown topology");
 }
 
 topology::CellPlan make_plan(const ScenarioConfig& scenario) {
   return topology::make_cell_plan(cell_spec_of(scenario),
                                   scenario.num_stations, scenario.seed);
-}
-
-topology::Layout make_layout(const ScenarioConfig& scenario) {
-  if (scenario.cells != 1)
-    throw std::logic_error("make_layout: multi-cell scenario; use make_plan");
-  switch (scenario.topology) {
-    case TopologyKind::kCircleEdge:
-      return topology::circle_edge(scenario.num_stations, scenario.radius);
-    case TopologyKind::kUniformDisc:
-      return topology::uniform_disc(scenario.num_stations, scenario.radius,
-                                    scenario.seed);
-  }
-  throw std::logic_error("make_layout: unknown topology");
 }
 
 std::unique_ptr<phy::PropagationModel> make_propagation(
@@ -209,26 +201,15 @@ std::unique_ptr<mac::ApController> make_controller(
 
 std::unique_ptr<mac::Network> build_network(const ScenarioConfig& scenario,
                                             const SchemeConfig& scheme) {
-  std::unique_ptr<mac::Network> net;
-  if (scenario.cells == 1) {
-    // Single BSS: the historical assembly path, untouched — node ids,
-    // add order and RNG streams all match the pre-ESS builds.
-    const auto layout = make_layout(scenario);
-    net = std::make_unique<mac::Network>(
-        scenario.phy, make_propagation(scenario), layout.ap, scenario.seed);
-    for (int i = 0; i < scenario.num_stations; ++i) {
-      net->add_station(layout.stations[static_cast<std::size_t>(i)],
-                       make_strategy(scheme, scenario.phy, i));
-    }
-  } else {
-    const auto plan = make_plan(scenario);
-    net = std::make_unique<mac::Network>(
-        scenario.phy, make_propagation(scenario), plan.aps, scenario.seed);
-    for (int i = 0; i < scenario.num_stations; ++i) {
-      net->add_station(plan.stations[static_cast<std::size_t>(i)],
-                       make_strategy(scheme, scenario.phy, i),
-                       plan.cell_of[static_cast<std::size_t>(i)]);
-    }
+  // One AP per cell, stations in plan order. A one-cell plan is the
+  // single BSS: AP 0 at the origin, station i at Medium node i + 1.
+  const auto plan = make_plan(scenario);
+  auto net = std::make_unique<mac::Network>(
+      scenario.phy, make_propagation(scenario), plan.aps, scenario.seed);
+  for (int i = 0; i < scenario.num_stations; ++i) {
+    const auto si = static_cast<std::size_t>(i);
+    net->add_station(plan.stations[si], make_strategy(scheme, scenario.phy, i),
+                     plan.cell_of[si]);
   }
   net->set_traffic(scenario.traffic);
   // Adaptive schemes get one controller per cell: each BSS adapts to its

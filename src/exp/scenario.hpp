@@ -17,7 +17,6 @@
 #include "mac/wifi_params.hpp"
 #include "phy/propagation.hpp"
 #include "topology/cell_plan.hpp"
-#include "topology/placement.hpp"
 #include "traffic/arrival.hpp"
 
 namespace wlan::exp {
@@ -132,15 +131,12 @@ struct SchemeConfig {
   double weight_of(int station_index) const;
 };
 
-/// Station layout for a single-BSS scenario (deterministic given the
-/// config). Rejects cells > 1 — use make_plan for those.
-topology::Layout make_layout(const ScenarioConfig& scenario);
-
 /// The CellPlanSpec a scenario's ESS fields describe.
 topology::CellPlanSpec cell_spec_of(const ScenarioConfig& scenario);
 
-/// Multi-cell plan for the scenario (any cells >= 1; a one-cell plan
-/// reproduces make_layout's placements exactly).
+/// The scenario's placement (deterministic given the config): AP grid,
+/// stations and their association. build_network assembles every
+/// scenario from it; cells == 1 is the single BSS, AP 0 at the origin.
 topology::CellPlan make_plan(const ScenarioConfig& scenario);
 
 /// Fresh propagation model for a scenario.

@@ -16,12 +16,6 @@ std::uint64_t ap_stream(int cell) {
 
 Network::Network(const WifiParams& params,
                  std::unique_ptr<phy::PropagationModel> propagation,
-                 phy::Vec2 ap_position, std::uint64_t seed)
-    : Network(params, std::move(propagation),
-              std::vector<phy::Vec2>{ap_position}, seed) {}
-
-Network::Network(const WifiParams& params,
-                 std::unique_ptr<phy::PropagationModel> propagation,
                  std::vector<phy::Vec2> ap_positions, std::uint64_t seed)
     : params_(params),
       propagation_(std::move(propagation)),
@@ -63,7 +57,6 @@ int Network::add_station(const phy::Vec2& position,
   const phy::NodeId id = medium_.add_node(position);
   (void)id;  // == num_aps() + index
   pending_.push_back(PendingStation{std::move(strategy), cell});
-  station_cell_.push_back(cell);
   return index;
 }
 
@@ -101,7 +94,6 @@ void Network::finalize() {
                           stations_[i]);
     }
   }
-  pending_.clear();
 
   medium_.set_capture_ratio(params_.capture_ratio);
   medium_.finalize();
@@ -110,9 +102,10 @@ void Network::finalize() {
     aps_[c]->attach(static_cast<phy::NodeId>(c), num_aps_id, counters_.get());
   for (std::size_t i = 0; i < num_built_; ++i) {
     stations_[i].attach(num_aps_id + static_cast<phy::NodeId>(i),
-                        static_cast<phy::NodeId>(station_cell_[i]),
+                        static_cast<phy::NodeId>(pending_[i].cell),
                         &counters_->node(i));
   }
+  pending_.clear();
   if (!traffic_config_.saturated()) {
     // Stream ids: station MAC draws use streams 1..N (see above), the APs
     // use 0xA9 / 0xA90000+c; arrival streams live far above all of them so

@@ -4,7 +4,8 @@
 // positions/association; exp::ScenarioConfig wires it through here).
 //
 // Usage:
-//   Network net(params, std::make_unique<DiscPropagation>(16, 24), seed);
+//   Network net(params, std::make_unique<DiscPropagation>(16, 24),
+//               {ap_position}, seed);
 //   net.add_station(pos, std::make_unique<PPersistentStrategy>(...));
 //   ...
 //   net.set_controller(std::make_unique<core::WTopCsmaController>(...));
@@ -45,16 +46,10 @@ namespace wlan::mac {
 
 class Network {
  public:
-  /// Single-BSS: the AP sits at `ap_position`. `seed` drives every
-  /// stochastic choice in the network (per-station sub-streams are derived
+  /// One AP per entry of `ap_positions` (>= 1), cell c's AP at
+  /// ap_positions[c]; one entry makes the single BSS. `seed` drives every
+  /// stochastic choice in the network (per-node sub-streams are derived
   /// deterministically).
-  Network(const WifiParams& params,
-          std::unique_ptr<phy::PropagationModel> propagation,
-          phy::Vec2 ap_position, std::uint64_t seed);
-
-  /// ESS: one AP per entry of `ap_positions` (>= 1), cell c's AP at
-  /// ap_positions[c]. AP 0 keeps the single-BSS RNG stream so a one-entry
-  /// vector is exactly the single-AP constructor.
   Network(const WifiParams& params,
           std::unique_ptr<phy::PropagationModel> propagation,
           std::vector<phy::Vec2> ap_positions, std::uint64_t seed);
@@ -119,10 +114,6 @@ class Network {
   int num_stations() const {
     return static_cast<int>(finalized_ ? num_built_ : pending_.size());
   }
-  /// The cell station `index` is associated with.
-  int station_cell(int index) const {
-    return station_cell_[static_cast<std::size_t>(index)];
-  }
   stats::RunCounters& counters() { return *counters_; }
   const stats::RunCounters& counters() const { return *counters_; }
   const WifiParams& params() const { return params_; }
@@ -174,7 +165,6 @@ class Network {
   std::vector<std::unique_ptr<AccessPoint>> aps_;
   std::vector<std::unique_ptr<ApController>> controllers_;  // one per cell
   std::vector<PendingStation> pending_;  // emptied by finalize()
-  std::vector<int> station_cell_;
   Station* stations_ = nullptr;  // contiguous arena of num_built_ stations
   std::size_t num_built_ = 0;
   std::size_t arena_cap_ = 0;  // allocation size (deallocate needs it)

@@ -23,15 +23,6 @@ void PhaseProfiler::add(const PhaseProfiler& other) {
   }
 }
 
-void PhaseProfiler::reset() {
-  for (unsigned i = 0; i < kNumCategories; ++i) {
-    events_[i] = 0;
-    wall_ns_[i] = 0;
-  }
-  stamped_ = false;
-  current_ = kCatOther;
-}
-
 std::string PhaseProfiler::report(const std::string& label) const {
   const std::uint64_t ev_total = total_events();
   const std::int64_t ns_total = total_wall_ns();

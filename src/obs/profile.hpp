@@ -61,8 +61,6 @@ class PhaseProfiler {
     wall_ns_[static_cast<unsigned>(c)] += wall_ns;
   }
 
-  void reset();
-
   /// Multi-line table, one category per line with event counts, wall ms
   /// and percentages; empty categories are omitted. `label` heads the
   /// first line (e.g. "run" or "sweep lane 2").

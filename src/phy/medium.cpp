@@ -13,11 +13,6 @@
 namespace wlan::phy {
 
 namespace {
-// Peer-index build work cap (candidate visits). Dense all-pairs topologies
-// blow past this and simply keep scanning the in-flight list, which for
-// them is already the optimal algorithm.
-constexpr std::uint64_t kPeerWorkCap = 256u * 1000 * 1000;
-
 // An unfilled power-cache entry. A received power is never NaN; a model
 // that returned one anyway would only be asked again, never misread.
 constexpr double kUnfilled = std::numeric_limits<double>::quiet_NaN();
@@ -220,36 +215,9 @@ void Medium::build_peer_index(std::vector<std::uint64_t>& sense,
   // revA and revD, so a row is a word-parallel OR of a few rows, read out
   // ascending.
   const std::size_t n = positions_.size();
-  peers_built_ = false;
   peer_off_.assign(n + 1, 0);
   peer_ids_.clear();
-  if (n == 0) {
-    peers_built_ = true;
-    return;
-  }
-
-  // Work estimate first, in candidate visits of the union above over
-  // reverse id lists: dense topologies (everyone a peer of everyone) get no
-  // index and keep scanning the in-flight list, which for them is already
-  // optimal. The decision is behaviour — it sets what pairs_scanned_ counts.
-  // Each row visits at most 2(n-1) direct and 2(n-1)^2 reverse entries, so
-  // while 2n^2(n-1) is within the cap (n <= 504) the estimate cannot
-  // decline and is skipped.
-  const auto m = static_cast<std::uint64_t>(n);
-  if (2 * m * m * (m - 1) > kPeerWorkCap) {
-    std::vector<std::uint32_t> in_aud(n, 0), in_dec(n, 0);
-    for (const NodeId r : aud_ids_) ++in_aud[static_cast<std::size_t>(r)];
-    for (const NodeId r : dec_ids_) ++in_dec[static_cast<std::size_t>(r)];
-    std::uint64_t work = 0;
-    for (std::size_t s = 0; s < n; ++s) {
-      work += (dec_off_[s + 1] - dec_off_[s]) + in_dec[s];
-      for (std::uint32_t k = aud_off_[s]; k < aud_off_[s + 1]; ++k)
-        work += in_dec[static_cast<std::size_t>(aud_ids_[k])];
-      for (std::uint32_t k = dec_off_[s]; k < dec_off_[s + 1]; ++k)
-        work += in_aud[static_cast<std::size_t>(dec_ids_[k])];
-      if (work > kPeerWorkCap) return;
-    }
-  }
+  if (n == 0) return;
 
   // A symmetric model's rows were filled both ways from one answer per
   // pair, so they are their own transposes. Otherwise `sense` is
@@ -302,7 +270,6 @@ void Medium::build_peer_index(std::vector<std::uint64_t>& sense,
     write_bits(row.data(), w, peer_ids_.data() + at);
     peer_off_[s + 1] = static_cast<std::uint32_t>(peer_ids_.size());
   }
-  peers_built_ = true;
 }
 
 void Medium::finalize() {
@@ -396,7 +363,6 @@ std::size_t Medium::hidden_pairs(NodeId first) const {
 }
 
 std::vector<NodeId> Medium::interference_peers(NodeId s) const {
-  if (!peers_built_) return {};
   return std::vector<NodeId>(row_begin(peer_off_, peer_ids_, s),
                              row_end(peer_off_, peer_ids_, s));
 }
@@ -514,22 +480,14 @@ void Medium::start_transmission(NodeId src, const Frame& frame,
   // Interference marking against transmissions already in flight.
   // Transmissions are half-open intervals [start, end): one that ends
   // exactly now does not overlap us, even if its end event has not fired
-  // yet (event ordering at equal timestamps is insertion order).
-  if (peers_built_) {
-    // Only peers can observably interact (see build_peer_index); in-flight
-    // non-peers are skipped without even a timestamp load.
+  // yet (event ordering at equal timestamps is insertion order). Only
+  // peers can observably interact (see build_peer_index); in-flight
+  // non-peers are skipped without even a timestamp load.
+  {
     const NodeId* e = row_end(peer_off_, peer_ids_, src);
     for (const NodeId* p = row_begin(peer_off_, peer_ids_, src); p != e; ++p) {
       const NodeId o = *p;
       if (!transmitting_[static_cast<std::size_t>(o)]) continue;
-      ++pairs_scanned_;
-      if (tx_slots_[static_cast<std::size_t>(o)].end <= start) continue;
-      mark_pair(src, o);
-    }
-  } else {
-    // Peer index declined (dense topology): scan the in-flight list,
-    // still mask-filtering the per-receiver work.
-    for (const NodeId o : active_) {
       ++pairs_scanned_;
       if (tx_slots_[static_cast<std::size_t>(o)].end <= start) continue;
       mark_pair(src, o);

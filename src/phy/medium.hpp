@@ -162,18 +162,15 @@ class Medium {
   std::uint64_t transmissions_started() const { return tx_started_; }
   std::uint64_t transmissions_ended() const { return tx_ended_; }
   std::uint64_t corrupt_deliveries() const { return corrupt_deliveries_; }
-  /// (new tx, in-flight tx) candidate pairs examined by interference
-  /// marking — the quantity the peer index shrinks.
+  /// (new tx, in-flight tx) pairs examined by interference marking: one
+  /// per in-flight interference peer of each new source.
   std::uint64_t marking_pairs_scanned() const { return pairs_scanned_; }
   /// Per-receiver interference checks performed (filtered to receivers
   /// that decode the victim).
   std::uint64_t interference_checks() const { return interference_checks_; }
 
-  /// True when the peer index was built (the estimated build work stayed
-  /// under its cap — dense all-pairs topologies fall back to scanning the
-  /// in-flight list, which is then optimal).
-  bool has_peer_index() const { return peers_built_; }
-  /// Interference peers of `s` (ascending); empty when no index was built.
+  /// Interference peers of `s` (ascending): the sources whose in-flight
+  /// transmissions a start of `s` examines.
   std::vector<NodeId> interference_peers(NodeId s) const;
 
   // --- auditor read-side (obs/audit.hpp). Pure accessors plus per-node
@@ -292,7 +289,6 @@ class Medium {
   std::vector<std::uint32_t> peer_off_;
   std::vector<NodeId> peer_ids_;
   std::vector<std::uint64_t> dec_mask_;
-  bool peers_built_ = false;
 
   // Capture's received powers, one per CSR link, parallel to aud_ids_ /
   // dec_ids_: entry k of aud_power_ is rx_power(s -> aud_ids_[k]) for the

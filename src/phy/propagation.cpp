@@ -61,12 +61,6 @@ std::uint64_t hash_double(double v) {
 
 ShadowedDisc::ShadowedDisc(double decode_radius, double sense_radius,
                            double shadow_probability, std::uint64_t seed,
-                           Vec2 protected_position)
-    : ShadowedDisc(decode_radius, sense_radius, shadow_probability, seed,
-                   std::vector<Vec2>{protected_position}) {}
-
-ShadowedDisc::ShadowedDisc(double decode_radius, double sense_radius,
-                           double shadow_probability, std::uint64_t seed,
                            std::vector<Vec2> protected_positions)
     : base_(decode_radius, sense_radius),
       shadow_probability_(shadow_probability),

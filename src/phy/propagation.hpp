@@ -93,20 +93,13 @@ class DiscPropagation final : public PropagationModel {
 /// be able to sense each other's transmissions"). Each unordered station
 /// pair is independently shadowed with probability `shadow_probability`
 /// (deterministic given the seed and the pair's positions); a shadowed pair
-/// can neither sense nor decode each other. Links involving the protected
-/// position (the AP) are never shadowed, so infrastructure connectivity is
-/// preserved while hidden pairs appear at ANY distance — hidden nodes that
-/// the sensing-radius heuristic (Section I's "sense radius = 2x transmit
-/// radius") cannot eliminate.
+/// can neither sense nor decode each other. Links involving any of the
+/// protected positions (every cell's AP) are never shadowed, so
+/// infrastructure connectivity is preserved while hidden pairs appear at
+/// ANY distance — hidden nodes that the sensing-radius heuristic (Section
+/// I's "sense radius = 2x transmit radius") cannot eliminate.
 class ShadowedDisc final : public PropagationModel {
  public:
-  ShadowedDisc(double decode_radius, double sense_radius,
-               double shadow_probability, std::uint64_t seed,
-               Vec2 protected_position = Vec2{0.0, 0.0});
-
-  /// ESS variant: links involving ANY of `protected_positions` (every
-  /// cell's AP) are exempt from shadowing. The pair hash is unchanged, so
-  /// a one-entry vector at the origin is the classic constructor.
   ShadowedDisc(double decode_radius, double sense_radius,
                double shadow_probability, std::uint64_t seed,
                std::vector<Vec2> protected_positions);

@@ -1,6 +1,8 @@
 #include "topology/cell_plan.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "topology/placement.hpp"
@@ -13,8 +15,8 @@ std::vector<phy::Vec2> ap_grid(const CellPlanSpec& spec) {
     throw std::invalid_argument("make_cell_plan: cells must be >= 1");
   if (spec.spacing <= 0.0)
     throw std::invalid_argument("make_cell_plan: spacing must be > 0");
-  // Near-square, row-major, AP 0 at the origin (a one-cell plan therefore
-  // matches the legacy single-AP layout exactly).
+  // Near-square, row-major, AP 0 at the origin (where a one-cell plan, the
+  // single BSS, puts its AP).
   const int cols =
       spec.cols > 0
           ? spec.cols
@@ -63,12 +65,22 @@ CellPlan make_cell_plan(const CellPlanSpec& spec, int num_stations,
     }
   }
 
-  // Nearest-AP association through the spatial index. Cell size = the AP
-  // pitch keeps ring searches short without affecting results.
-  plan.ap_index.build(plan.aps, spec.spacing);
+  // Nearest-AP association by squared distance; the strict < resolves
+  // ties to the lowest cell id.
   plan.cell_of.reserve(plan.stations.size());
-  for (const auto& p : plan.stations)
-    plan.cell_of.push_back(plan.ap_index.nearest(p));
+  for (const auto& p : plan.stations) {
+    int best = 0;
+    double best_d2 = std::numeric_limits<double>::infinity();
+    for (std::size_t c = 0; c < plan.aps.size(); ++c) {
+      const phy::Vec2 d = plan.aps[c] - p;
+      const double d2 = d.x * d.x + d.y * d.y;
+      if (d2 < best_d2) {
+        best_d2 = d2;
+        best = static_cast<int>(c);
+      }
+    }
+    plan.cell_of.push_back(best);
+  }
 
   return plan;
 }

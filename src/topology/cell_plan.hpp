@@ -1,18 +1,18 @@
 // Multi-cell (ESS) topology plan: many APs on a grid sharing one medium,
 // each with its own population of stations, associated to the nearest AP.
 //
-// The plan is the scenario-level counterpart of the single-BSS Layout:
+// Every scenario is built from a plan; one cell is the single BSS:
 //  * APs sit on a near-square grid with pitch `spacing`; AP 0 is at the
-//    origin, so a one-cell plan is exactly the legacy single-AP layout.
+//    origin, the single BSS's AP.
 //  * Stations are placed per cell (contiguous index blocks, cell 0 first)
-//    around their cell's AP with the same generators the single-BSS
-//    placements use — and from the SAME RNG stream in the same draw order,
-//    so a one-cell uniform-disc plan reproduces topology::uniform_disc
-//    bit-for-bit (the reduction tests/test_medium_differential.cpp pins).
-//  * Association is by nearest AP (ties: lowest cell id) via a SpatialGrid
-//    over the AP positions — total and unique by construction. With
-//    overlapping cells (spacing < 2 * cell_radius) a station may associate
-//    with a neighbouring cell's AP, exactly like a real ESS handover.
+//    around their cell's AP with the topology/placement.hpp generators —
+//    from ONE RNG stream in placement order, so a one-cell uniform-disc
+//    plan reproduces topology::uniform_disc bit-for-bit (the reduction
+//    tests/test_medium_differential.cpp pins).
+//  * Association is by nearest AP (ties: lowest cell id), a scan of the
+//    AP list — total and unique by construction. With overlapping cells
+//    (spacing < 2 * cell_radius) a station may associate with a
+//    neighbouring cell's AP, exactly like a real ESS handover.
 //
 // Inter-cell interference needs no machinery of its own: all cells share
 // the one phy::Medium, so stations of adjacent cells interact through the
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "phy/geometry.hpp"
-#include "topology/spatial_grid.hpp"
 
 namespace wlan::topology {
 
@@ -56,12 +55,6 @@ struct CellPlan {
   /// The cell each station was PLACED around (contiguous blocks). Differs
   /// from cell_of only for stations that strayed into a neighbour's disc.
   std::vector<int> placed_in;
-  /// Index over the AP positions (nearest-AP and neighbourhood queries).
-  SpatialGrid ap_index;
-
-  int num_cells() const { return static_cast<int>(aps.size()); }
-  /// Cell whose AP is closest to `p` (ties: lowest id).
-  int nearest_ap(const phy::Vec2& p) const { return ap_index.nearest(p); }
 };
 
 /// The AP positions a spec implies (near-square row-major grid, AP 0 at

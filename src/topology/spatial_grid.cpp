@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <tuple>
 
@@ -103,42 +102,6 @@ std::vector<int> SpatialGrid::query_within(const phy::Vec2& center,
   std::vector<int> out;
   query_within(center, radius, out);
   return out;
-}
-
-int SpatialGrid::nearest(const phy::Vec2& center) const {
-  if (points_.empty()) return -1;
-  const int ccx = cell_x(center.x), ccy = cell_y(center.y);
-  int best = -1;
-  double best_d2 = std::numeric_limits<double>::infinity();
-  // Expanding rings of cells around the center cell. A ring at Chebyshev
-  // distance k holds no point closer than (k-1)*cell_ to `center` (the
-  // center may sit anywhere inside its own cell), so once that lower
-  // bound exceeds the best distance found the search is complete.
-  const int max_ring = std::max(cols_, rows_);
-  for (int k = 0; k <= max_ring; ++k) {
-    const double ring_min = (k - 1) * cell_;
-    if (best >= 0 && ring_min * ring_min > best_d2) break;
-    const int x0 = std::max(ccx - k, 0), x1 = std::min(ccx + k, cols_ - 1);
-    const int y0 = std::max(ccy - k, 0), y1 = std::min(ccy + k, rows_ - 1);
-    for (int cy = y0; cy <= y1; ++cy) {
-      for (int cx = x0; cx <= x1; ++cx) {
-        // Ring k only: skip the interior already scanned at smaller k.
-        if (std::max(std::abs(cx - ccx), std::abs(cy - ccy)) != k) continue;
-        const std::size_t b = bucket(cx, cy);
-        for (std::size_t i = offsets_[b]; i < offsets_[b + 1]; ++i) {
-          const int id = ids_[i];
-          const phy::Vec2 d =
-              points_[static_cast<std::size_t>(id)] - center;
-          const double d2 = d.x * d.x + d.y * d.y;
-          if (d2 < best_d2 || (d2 == best_d2 && id < best)) {
-            best_d2 = d2;
-            best = id;
-          }
-        }
-      }
-    }
-  }
-  return best;
 }
 
 }  // namespace wlan::topology

@@ -1,13 +1,12 @@
-// Uniform spatial hash grid over 2-D points: the index behind CellPlan's
-// nearest-AP association and phy::Medium's adjacency build.
+// Uniform spatial hash grid over 2-D points: the index behind
+// phy::Medium's adjacency build.
 //
 // The grid buckets points into square cells of a caller-chosen size and
-// answers two queries without scanning every point:
-//  * query_within — all point ids within a Euclidean radius, ascending;
-//  * nearest     — the id of the closest point (ties: lowest id).
-// Both are exact (candidate cells are filtered by true distance), so
-// results are independent of the cell size — tests/test_cell_plan.cpp
-// pins them against brute force under randomized placements.
+// answers query_within — all point ids within a Euclidean radius,
+// ascending — without scanning every point. It is exact (candidate cells
+// are filtered by true distance), so results are independent of the cell
+// size — tests/test_cell_plan.cpp pins them against brute force under
+// randomized placements.
 #pragma once
 
 #include <cstddef>
@@ -33,10 +32,6 @@ class SpatialGrid {
                     std::vector<int>& out) const;
   std::vector<int> query_within(const phy::Vec2& center,
                                 double radius) const;
-
-  /// Id of the point closest to `center`; ties resolve to the lowest id.
-  /// Returns -1 when the grid is empty.
-  int nearest(const phy::Vec2& center) const;
 
   std::size_t size() const { return points_.size(); }
 

@@ -82,11 +82,4 @@ int Cli::threads(int fallback) const {
   return env > 0 ? env : fallback;
 }
 
-std::vector<std::string> Cli::flag_names() const {
-  std::vector<std::string> names;
-  names.reserve(flags_.size());
-  for (const auto& [k, _] : flags_) names.push_back(k);
-  return names;
-}
-
 }  // namespace wlan::util

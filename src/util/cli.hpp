@@ -37,9 +37,6 @@ class Cli {
   /// Positional arguments (everything not starting with `--`).
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// All flag names seen, for help/error messages.
-  std::vector<std::string> flag_names() const;
-
  private:
   std::map<std::string, std::string> flags_;  // name -> raw value ("" if none)
   std::vector<std::string> positional_;

@@ -1,7 +1,5 @@
 #include "util/csv.hpp"
 
-#include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/table.hpp"
@@ -56,15 +54,6 @@ std::string CsvWriter::escape(const std::string& cell) {
   }
   out += '"';
   return out;
-}
-
-std::string format_double(double v, int significant_digits) {
-  if (std::isnan(v)) return "nan";
-  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
-  std::ostringstream os;
-  os.precision(significant_digits);
-  os << v;
-  return os.str();
 }
 
 }  // namespace wlan::util

@@ -52,7 +52,9 @@ class CsvWriter {
 };
 
 /// Formats a double with the given number of significant digits, trimming
-/// trailing zeros ("3.1400" -> "3.14", "2.0" -> "2").
+/// trailing zeros ("3.1400" -> "3.14", "2.0" -> "2"). Defined in
+/// format_double.cpp, so a binary that only names schemes
+/// (exp::SchemeConfig::name) links neither CsvWriter nor util::Table.
 std::string format_double(double v, int significant_digits = 6);
 
 }  // namespace wlan::util

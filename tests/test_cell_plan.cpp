@@ -1,7 +1,8 @@
-// Property tests for the ESS cell plan and the spatial index behind it:
-//  * AP grid shape and station association (total, uniqueness, nearest-AP);
-//  * SpatialGrid query_within / nearest agree with brute-force distance
-//    checks under randomized placements and arbitrary cell sizes;
+// Property tests for the ESS cell plan and the medium built over it:
+//  * AP grid shape and station association (total, uniqueness, nearest-AP,
+//    ties to the lowest cell id);
+//  * SpatialGrid query_within agrees with brute-force distance checks
+//    under randomized placements and arbitrary cell sizes;
 //  * the Medium's interference-peer relation matches its four-condition
 //    brute-force definition, evaluated on the reference geometry
 //    (tests/reference/: plan positions + propagation model, no medium
@@ -11,8 +12,7 @@
 //  * the sense/decode rows and decode masks it reads out of its bit rows
 //    match can_sense/can_decode pair by pair, for disc, shadowed and
 //    asymmetric models at sizes on both sides of every 64-bit word
-//    boundary and of the grid-build threshold;
-//  * the index-or-not decision at its build-work cap.
+//    boundary and of the grid-build threshold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -126,16 +126,10 @@ TEST(CellPlan, AssociationIsTotalAndUnique) {
   }
 }
 
-TEST(CellPlan, AssociationIsNearestAp) {
-  // cell_of comes from the spatial index; it must agree with a brute-force
-  // nearest-AP scan (ties to the lowest id) for every station.
-  CellPlanSpec spec;
-  spec.cells = 12;
-  spec.spacing = 25.0;
-  spec.cell_radius = 20.0;  // > spacing/2: stations can stray into
-                            // neighbour cells, exercising real handoffs
-  spec.placement = CellPlacement::kUniformDisc;
-  const CellPlan plan = topology::make_cell_plan(spec, 150, /*seed=*/3);
+/// Checks every station's cell_of against a brute-force nearest-AP scan
+/// (ties to the lowest id); returns how many stations strayed from the
+/// cell they were placed in.
+int check_association(const CellPlan& plan) {
   int strayed = 0;
   for (std::size_t i = 0; i < plan.stations.size(); ++i) {
     int best = 0;
@@ -150,9 +144,35 @@ TEST(CellPlan, AssociationIsNearestAp) {
     EXPECT_EQ(plan.cell_of[i], best) << "station " << i;
     if (plan.cell_of[i] != plan.placed_in[i]) ++strayed;
   }
+  return strayed;
+}
+
+TEST(CellPlan, AssociationIsNearestAp) {
+  CellPlanSpec spec;
+  spec.cells = 12;
+  spec.spacing = 25.0;
+  spec.cell_radius = 20.0;  // > spacing/2: stations can stray into
+                            // neighbour cells, exercising real handoffs
+  spec.placement = CellPlacement::kUniformDisc;
   // The wide discs must actually produce cross-cell associations, or the
   // test is not exercising anything.
-  EXPECT_GT(strayed, 0);
+  EXPECT_GT(check_association(topology::make_cell_plan(spec, 150, 3)), 0);
+
+  // An exact tie: two circle-edge cells of one station each, spacing 40,
+  // radius 20. Station 0 sits at (20, 0), 20 from both APs, and goes to
+  // the lower cell id.
+  CellPlanSpec tie;
+  tie.cells = 2;
+  tie.spacing = 40.0;
+  tie.cell_radius = 20.0;
+  tie.placement = CellPlacement::kCircleEdge;
+  const CellPlan plan = topology::make_cell_plan(tie, 2, /*seed=*/1);
+  ASSERT_EQ(plan.stations[0], (phy::Vec2{20.0, 0.0}));
+  ASSERT_EQ(dist(plan.stations[0], plan.aps[0]),
+            dist(plan.stations[0], plan.aps[1]));
+  EXPECT_EQ(plan.cell_of[0], 0);
+  EXPECT_EQ(plan.cell_of[1], 1);
+  check_association(plan);
 }
 
 TEST(CellPlan, PlacedInBlocksAreContiguous) {
@@ -194,12 +214,6 @@ TEST(CellPlan, MulticellFactorySetsEssDefaults) {
   EXPECT_EQ(s.seed, 3u);
 }
 
-TEST(CellPlan, MakeLayoutRejectsMulticell) {
-  const auto s = exp::ScenarioConfig::multicell(4, 5, 40.0, 1);
-  EXPECT_THROW(exp::make_layout(s), std::logic_error);
-  EXPECT_NO_THROW(exp::make_plan(s));
-}
-
 // ------------------------------------------------------------ SpatialGrid
 
 TEST(SpatialGrid, QueryWithinMatchesBruteForce) {
@@ -224,30 +238,6 @@ TEST(SpatialGrid, QueryWithinMatchesBruteForce) {
   }
 }
 
-TEST(SpatialGrid, NearestMatchesBruteForce) {
-  util::Rng rng(4, 2);
-  for (const int n : {1, 40, 300}) {
-    const auto pts = random_points(n, 30.0, rng);
-    for (const double cell : {0.25, 5.0, 90.0}) {
-      SpatialGrid grid;
-      grid.build(pts, cell);
-      for (int q = 0; q < 30; ++q) {
-        const phy::Vec2 c{rng.uniform(-40.0, 40.0), rng.uniform(-40.0, 40.0)};
-        int best = 0;
-        double best_d = dist(pts[0], c);
-        for (int i = 1; i < n; ++i) {
-          const double d = dist(pts[static_cast<std::size_t>(i)], c);
-          if (d < best_d) {
-            best_d = d;
-            best = i;
-          }
-        }
-        EXPECT_EQ(grid.nearest(c), best) << "n=" << n << " cell=" << cell;
-      }
-    }
-  }
-}
-
 TEST(SpatialGrid, ResultsIndependentOfCellSize) {
   // Exactness means the cell size is a pure cost knob: wildly different
   // sizes must return element-for-element identical answers.
@@ -260,26 +250,15 @@ TEST(SpatialGrid, ResultsIndependentOfCellSize) {
     const phy::Vec2 c{rng.uniform(-30.0, 30.0), rng.uniform(-30.0, 30.0)};
     const double r = rng.uniform(0.0, 20.0);
     EXPECT_EQ(fine.query_within(c, r), coarse.query_within(c, r));
-    EXPECT_EQ(fine.nearest(c), coarse.nearest(c));
   }
-}
-
-TEST(SpatialGrid, NearestTiesResolveToLowestId) {
-  // Four points equidistant from the origin, inserted out of order.
-  const std::vector<phy::Vec2> pts{{0, 5}, {5, 0}, {0, -5}, {-5, 0}};
-  SpatialGrid grid;
-  grid.build(pts, 3.0);
-  EXPECT_EQ(grid.nearest({0.0, 0.0}), 0);
 }
 
 TEST(SpatialGrid, EmptyAndDegenerate) {
   SpatialGrid grid;
-  EXPECT_EQ(grid.nearest({0.0, 0.0}), -1);
   EXPECT_TRUE(grid.query_within({0.0, 0.0}, 10.0).empty());
   // All points coincident: a zero-extent bounding box must still index.
   const std::vector<phy::Vec2> same(7, phy::Vec2{3.0, -2.0});
   grid.build(same, 1.0);
-  EXPECT_EQ(grid.nearest({100.0, 100.0}), 0);
   const auto all = grid.query_within({3.0, -2.0}, 0.0);
   EXPECT_EQ(all.size(), 7u);
 }
@@ -341,7 +320,6 @@ void expect_rows_exact(const Geo& geo, const phy::Medium& medium) {
 
 void expect_peer_index_exact(const exp::ScenarioConfig& scenario,
                              const phy::Medium& medium) {
-  ASSERT_TRUE(medium.has_peer_index());
   const reference::Geometry geo(scenario);
   const int n = static_cast<int>(medium.num_nodes());
   ASSERT_EQ(n, geo.num_nodes());
@@ -427,7 +405,6 @@ void expect_medium_exact(const phy::PropagationModel& model,
         if (!table.senses(a, b) || !table.senses(b, a)) ++hidden;
     EXPECT_EQ(medium.hidden_pairs(first), hidden) << "from node " << first;
   }
-  ASSERT_TRUE(medium.has_peer_index());
   for (phy::NodeId s = 0; s < n; ++s)
     ASSERT_EQ(medium.interference_peers(s), brute_peers(table, s))
         << "peer row " << s;
@@ -528,7 +505,8 @@ TEST(CellPlan, PeerIndexMatchesBruteForceAtWordBoundaries) {
       }
       {
         SCOPED_TRACE("ShadowedDisc");
-        expect_medium_exact(phy::ShadowedDisc(6.0, 9.0, 0.3, 11), positions);
+        expect_medium_exact(phy::ShadowedDisc(6.0, 9.0, 0.3, 11, {{0.0, 0.0}}),
+                            positions);
       }
       {
         SCOPED_TRACE("ExplicitGraph");
@@ -541,24 +519,6 @@ TEST(CellPlan, PeerIndexMatchesBruteForceAtWordBoundaries) {
       }
     }
   }
-}
-
-TEST(CellPlan, PeerIndexWorkCapAdmitsConnected503ButNot504) {
-  // The build-work estimate of connected(n), n stations plus the AP, is
-  // 2(n+1)^2 n: 255.5 M at n = 503 and 257.1 M at 504, either side of the
-  // 256 M cap. The side decides whether marking_pairs_scanned counts peers
-  // or the whole in-flight list, so it is pinned. Rows are checked as full
-  // directly; the brute-force definition is O(n^3).
-  const auto below = exp::build_network(exp::ScenarioConfig::connected(503),
-                                        exp::SchemeConfig::standard());
-  const phy::Medium& medium = below->medium();
-  ASSERT_TRUE(medium.has_peer_index());
-  ASSERT_EQ(medium.num_nodes(), 504u);
-  for (phy::NodeId s = 0; s < 504; ++s)
-    ASSERT_EQ(medium.interference_peers(s), all_but(504, s)) << "node " << s;
-  const auto above = exp::build_network(exp::ScenarioConfig::connected(504),
-                                        exp::SchemeConfig::standard());
-  EXPECT_FALSE(above->medium().has_peer_index());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Golden event counters: every sim.* / medium.* / mac.* / traffic.* entry
-// of RunResult::metrics for four short runs, pinned to recorded values.
+// of RunResult::metrics for five short runs, pinned to recorded values.
 //
 // These are the deterministic counters the repository benchmark hashes
 // into its seed-1 check (queue schedules, cancels, stale skips and cold
@@ -181,6 +181,35 @@ TEST(CounterGolden, MulticellStandardCapture) {
       {"mac.cohort.entry_merges", 14},
       {"mac.cohort.decisions_fired", 36187},
       {"mac.cohort.withdrawals", 254040},
+  });
+}
+
+TEST(CounterGolden, ShadowedStandard) {
+  // Circle r = 8 with random obstacle shadowing: ShadowedDisc hashes the
+  // stations' coordinate bits, so this pins the placement bits as well as
+  // the events they drive.
+  const exp::RunResult r =
+      exp::run_scenario(ScenarioConfig::shadowed(20, 0.3, 1),
+                        SchemeConfig::standard(), short_run());
+  EXPECT_EQ(r.hidden_pairs, 52u);
+  expect_counters(r, {
+      {"sim.events_executed", 100079},
+      {"sim.queue.scheduled", 212480},
+      {"sim.queue.fired", 100079},
+      {"sim.queue.cancelled", 112397},
+      {"sim.queue.stale_skipped", 112397},
+      {"sim.queue.heap_callbacks", 0},
+      {"sim.queue.cold_compares", 3449},
+      {"medium.nodes", 21},
+      {"medium.tx_started", 17508},
+      {"medium.corrupt_deliveries", 88780},
+      {"medium.pairs_scanned", 4156},
+      {"medium.interference_checks", 99522},
+      {"mac.cohort.enrollments", 165848},
+      {"mac.cohort.cohorts_formed", 17559},
+      {"mac.cohort.entry_merges", 2822},
+      {"mac.cohort.decisions_fired", 24644},
+      {"mac.cohort.withdrawals", 153695},
   });
 }
 

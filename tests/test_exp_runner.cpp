@@ -27,14 +27,15 @@ TEST(Scenario, Builders) {
 }
 
 TEST(Scenario, LayoutMatchesTopologyKind) {
-  const auto layout = make_layout(ScenarioConfig::connected(12, 1));
-  ASSERT_EQ(layout.stations.size(), 12u);
-  for (const auto& s : layout.stations)
-    EXPECT_NEAR(phy::distance(layout.ap, s), 8.0, 1e-9);
+  const auto circle = make_plan(ScenarioConfig::connected(12, 1));
+  ASSERT_EQ(circle.aps.size(), 1u);
+  ASSERT_EQ(circle.stations.size(), 12u);
+  for (const auto& s : circle.stations)
+    EXPECT_NEAR(phy::distance(circle.aps[0], s), 8.0, 1e-9);
 
-  const auto disc = make_layout(ScenarioConfig::hidden(12, 16.0, 1));
+  const auto disc = make_plan(ScenarioConfig::hidden(12, 16.0, 1));
   for (const auto& s : disc.stations)
-    EXPECT_LE(phy::distance(disc.ap, s), 16.0);
+    EXPECT_LE(phy::distance(disc.aps[0], s), 16.0);
 }
 
 TEST(Scheme, NamesAreDescriptive) {
@@ -197,13 +198,8 @@ TEST(Runner, HiddenPairsMatchTopologyReference) {
                    << scenario.shadow_probability);
       const auto model = make_propagation(scenario);
       // analyze_hidden ignores the AP, so one AP stands in for an ESS's.
-      const topology::Layout layout =
-          scenario.cells == 1
-              ? make_layout(scenario)
-              : [&] {
-                  const auto plan = make_plan(scenario);
-                  return topology::Layout{plan.aps[0], plan.stations};
-                }();
+      const auto plan = make_plan(scenario);
+      const topology::Layout layout{plan.aps[0], plan.stations};
       const std::size_t expected = topology::count_hidden_pairs(layout, *model);
       hidden_total += expected;
       EXPECT_EQ(run_scenario(scenario, SchemeConfig::standard(), zero)

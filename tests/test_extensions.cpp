@@ -181,8 +181,8 @@ TEST(Capture, HiddenScenarioThroughputImproves) {
 // --------------------------------------------------------------- shadowing
 
 TEST(Shadowing, DeterministicAndSymmetric) {
-  phy::ShadowedDisc prop(1e9, 24.0, 0.5, /*seed=*/7);
-  phy::ShadowedDisc same(1e9, 24.0, 0.5, 7);
+  phy::ShadowedDisc prop(1e9, 24.0, 0.5, /*seed=*/7, {{0, 0}});
+  phy::ShadowedDisc same(1e9, 24.0, 0.5, 7, {{0, 0}});
   int shadowed = 0;
   for (int i = 0; i < 100; ++i) {
     const phy::Vec2 a{static_cast<double>(i), 1.0};
@@ -196,8 +196,8 @@ TEST(Shadowing, DeterministicAndSymmetric) {
 }
 
 TEST(Shadowing, SeedChangesPattern) {
-  phy::ShadowedDisc a(1e9, 24.0, 0.5, 1);
-  phy::ShadowedDisc b(1e9, 24.0, 0.5, 2);
+  phy::ShadowedDisc a(1e9, 24.0, 0.5, 1, {{0, 0}});
+  phy::ShadowedDisc b(1e9, 24.0, 0.5, 2, {{0, 0}});
   int differing = 0;
   for (int i = 0; i < 100; ++i) {
     const phy::Vec2 u{static_cast<double>(i), 0.0};
@@ -209,7 +209,7 @@ TEST(Shadowing, SeedChangesPattern) {
 
 TEST(Shadowing, ProtectedPositionNeverShadowed) {
   const phy::Vec2 ap{0, 0};
-  phy::ShadowedDisc prop(1e9, 24.0, 1.0, 3, ap);
+  phy::ShadowedDisc prop(1e9, 24.0, 1.0, 3, {ap});
   for (int i = 1; i < 50; ++i) {
     const phy::Vec2 s{static_cast<double>(i % 7), static_cast<double>(i % 5)};
     if (s == ap) continue;
@@ -219,8 +219,8 @@ TEST(Shadowing, ProtectedPositionNeverShadowed) {
 }
 
 TEST(Shadowing, ProbabilityExtremes) {
-  phy::ShadowedDisc none(1e9, 24.0, 0.0, 1);
-  phy::ShadowedDisc all(1e9, 24.0, 1.0, 1);
+  phy::ShadowedDisc none(1e9, 24.0, 0.0, 1, {{0, 0}});
+  phy::ShadowedDisc all(1e9, 24.0, 1.0, 1, {{0, 0}});
   const phy::Vec2 a{1, 2}, b{3, 4};
   EXPECT_FALSE(none.shadowed(a, b));
   EXPECT_TRUE(all.shadowed(a, b));
@@ -232,14 +232,14 @@ TEST(Shadowing, CreatesHiddenPairsInConnectedGeometry) {
   // Section I: obstacles create hidden nodes that the "sensing radius =
   // 2x transmission radius" rule cannot remove.
   const auto scenario = exp::ScenarioConfig::shadowed(20, 0.3, /*seed=*/1);
-  const auto layout = exp::make_layout(scenario);
+  const auto plan = exp::make_plan(scenario);
+  const topology::Layout layout{plan.aps[0], plan.stations};
   const auto prop = exp::make_propagation(scenario);
   EXPECT_GT(topology::count_hidden_pairs(layout, *prop), 0u);
 
   // Without shadowing the same layout is fully connected.
   const auto plain = exp::ScenarioConfig::connected(20, 1);
-  EXPECT_EQ(topology::count_hidden_pairs(exp::make_layout(plain),
-                                         *exp::make_propagation(plain)),
+  EXPECT_EQ(topology::count_hidden_pairs(layout, *exp::make_propagation(plain)),
             0u);
 }
 

@@ -165,7 +165,7 @@ TEST(HiddenIntegration, ExplicitTwoCliqueTopology) {
     mac::WifiParams params;
     auto net = std::make_unique<mac::Network>(
         params, std::make_unique<phy::ExplicitGraph>(sense, sense),
-        phy::graph_position(0), /*seed=*/11);
+        std::vector<phy::Vec2>{phy::graph_position(0)}, /*seed=*/11);
     for (int i = 1; i <= n; ++i)
       net->add_station(phy::graph_position(static_cast<std::size_t>(i)),
                        make_strategy(scheme, params, i - 1));

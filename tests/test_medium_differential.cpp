@@ -5,18 +5,14 @@
 // model trace record for trace record — across topologies, schemes,
 // RTS/CTS, traffic mixes, capture, and multi-cell (ESS) scenarios — while
 // actually scanning fewer pairs. Also pins the single-cell reduction: a
-// one-cell CellPlan assembled through the multi-AP Network path reproduces
-// the single-AP build exactly.
+// one-cell CellPlan places its stations exactly as topology::uniform_disc
+// does.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
-#include "mac/network.hpp"
-#include "phy/medium.hpp"
 #include "reference/differential.hpp"
 #include "reference/full_scan.hpp"
 #include "topology/cell_plan.hpp"
@@ -150,12 +146,11 @@ TEST(MediumDifferential, DynamicActivationBitIdentical) {
 
 TEST(MediumDifferential, IncrementalPathActuallyScansFewer) {
   // Guard against the peer index silently degrading to a full scan: on a
-  // multi-cell scenario it must engage, and production must examine far
-  // fewer (new tx, in-flight tx) pairs than a full scan of the in-flight
-  // list does for the same simulated run.
+  // multi-cell scenario production must examine far fewer (new tx,
+  // in-flight tx) pairs than a full scan of the in-flight list does for
+  // the same simulated run.
   const auto scenario = ScenarioConfig::multicell(9, 6, 40.0, 1);
   const auto scheme = SchemeConfig::standard();
-  EXPECT_TRUE(exp::build_network(scenario, scheme)->medium().has_peer_index());
   const reference::Outcome production = reference::run_production(
       {scenario, scheme, sim::Duration::seconds(0.5)});
   const reference::FullScanResult scan =
@@ -189,46 +184,6 @@ TEST(MediumDifferential, OneCellPlanMatchesLegacyLayout) {
     EXPECT_EQ(plan.cell_of[i], 0);
     EXPECT_EQ(plan.placed_in[i], 0);
   }
-}
-
-TEST(MediumDifferential, OneCellNetworkReducesToSingleApBuild) {
-  // Assembling a one-cell plan through the multi-AP Network path (AP
-  // vector, per-station cell ids) must reproduce the legacy single-AP
-  // build exactly: same node ids, RNG streams, and therefore the same
-  // delivered bits event-for-event.
-  auto scenario = ScenarioConfig::hidden(8, 16.0, 9);
-  const auto scheme = SchemeConfig::standard();
-
-  auto run_bits = [&](mac::Network& net) {
-    net.start();
-    net.run_for(sim::Duration::seconds(0.5));
-    return net.counters().total_bits_delivered();
-  };
-
-  // Legacy: the historical single-AP assembly in build_network.
-  auto legacy = exp::build_network(scenario, scheme);
-  const std::int64_t legacy_bits = run_bits(*legacy);
-  const std::uint64_t legacy_succ = legacy->counters().total_successes();
-
-  // Plan path: the multi-cell assembly, forced onto a one-cell plan.
-  const auto plan = exp::make_plan(scenario);
-  ASSERT_EQ(plan.aps.size(), 1u);
-  auto via_plan = std::make_unique<mac::Network>(
-      scenario.phy, exp::make_propagation(scenario), plan.aps, scenario.seed);
-  for (int i = 0; i < scenario.num_stations; ++i) {
-    via_plan->add_station(plan.stations[static_cast<std::size_t>(i)],
-                          exp::make_strategy(scheme, scenario.phy, i),
-                          plan.cell_of[static_cast<std::size_t>(i)]);
-  }
-  via_plan->set_traffic(scenario.traffic);
-  via_plan->finalize();
-  EXPECT_EQ(via_plan->num_aps(), 1);
-
-  EXPECT_EQ(run_bits(*via_plan), legacy_bits);
-  EXPECT_EQ(via_plan->counters().total_successes(), legacy_succ);
-  EXPECT_EQ(via_plan->counters().per_node_mbps(
-                via_plan->measured_duration()),
-            legacy->counters().per_node_mbps(legacy->measured_duration()));
 }
 
 }  // namespace

@@ -53,7 +53,7 @@ TEST(WifiParamsRts, ControlFrameAirtimes) {
 
 TEST(RtsCts, SingleStationFourWayExchange) {
   const WifiParams params = rts_params();
-  Network net(params, everyone_connected(), {0, 0}, 1);
+  Network net(params, everyone_connected(), {{0, 0}}, 1);
   net.add_station({1, 0},
                   std::make_unique<PPersistentStrategy>(1.0, 1.0, false));
   net.finalize();
@@ -84,7 +84,7 @@ TEST(RtsCts, HiddenPairProtectedFromDataCollisions) {
   // plentiful.
   auto data_loss_at = [&](double p) {
     const WifiParams params = rts_params();
-    Network net(params, hidden_pair_graph(), phy::graph_position(0), 3);
+    Network net(params, hidden_pair_graph(), {phy::graph_position(0)}, 3);
     net.add_station(phy::graph_position(1),
                     std::make_unique<PPersistentStrategy>(p, 1.0, false));
     net.add_station(phy::graph_position(2),
@@ -107,7 +107,7 @@ TEST(RtsCts, BeatsBasicAccessOnAggressiveHiddenPair) {
   auto run = [](bool rts) {
     WifiParams params;
     if (rts) params.rts_threshold_bits = 0;
-    Network net(params, hidden_pair_graph(), phy::graph_position(0), 3);
+    Network net(params, hidden_pair_graph(), {phy::graph_position(0)}, 3);
     for (int i = 1; i <= 2; ++i)
       net.add_station(phy::graph_position(static_cast<std::size_t>(i)),
                       std::make_unique<PPersistentStrategy>(0.2, 1.0, false));
@@ -126,7 +126,7 @@ TEST(RtsCts, OverheadCostsThroughputWhenConnected) {
   auto run = [](bool rts) {
     WifiParams params;
     if (rts) params.rts_threshold_bits = 0;
-    Network net(params, everyone_connected(), {0, 0}, 5);
+    Network net(params, everyone_connected(), {{0, 0}}, 5);
     for (int i = 0; i < 10; ++i)
       net.add_station({static_cast<double>(i + 1), 0},
                       std::make_unique<PPersistentStrategy>(
@@ -149,7 +149,7 @@ TEST(RtsCts, NavDefersThirdStation) {
   // p: with RTS/CTS in a CONNECTED network, data corruption at the AP must
   // be zero (everyone hears every RTS/CTS and defers).
   const WifiParams params = rts_params();
-  Network net(params, everyone_connected(), {0, 0}, 9);
+  Network net(params, everyone_connected(), {{0, 0}}, 9);
   for (int i = 0; i < 3; ++i)
     net.add_station({static_cast<double>(i + 1), 0},
                     std::make_unique<PPersistentStrategy>(0.15, 1.0, false));

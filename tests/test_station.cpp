@@ -29,7 +29,7 @@ std::unique_ptr<phy::PropagationModel> hidden_pair_graph() {
 
 TEST(Station, SingleStationFirstExchangeTiming) {
   WifiParams params;  // ns3-like Table I
-  Network net(params, everyone_connected(), {0, 0}, /*seed=*/1);
+  Network net(params, everyone_connected(), {{0, 0}}, /*seed=*/1);
   // p = 1: transmit at the first slot boundary after DIFS.
   net.add_station({1, 0},
                   std::make_unique<PPersistentStrategy>(1.0, 1.0, false));
@@ -50,7 +50,7 @@ TEST(Station, SingleStationFirstExchangeTiming) {
 
 TEST(Station, SingleStationSaturatedCycle) {
   WifiParams params;
-  Network net(params, everyone_connected(), {0, 0}, 1);
+  Network net(params, everyone_connected(), {{0, 0}}, 1);
   net.add_station({1, 0},
                   std::make_unique<PPersistentStrategy>(1.0, 1.0, false));
   net.finalize();
@@ -71,7 +71,7 @@ TEST(Station, SingleStationSaturatedCycle) {
 
 TEST(Station, HiddenPairAlwaysCollides) {
   WifiParams params;
-  Network net(params, hidden_pair_graph(), phy::graph_position(0), 1);
+  Network net(params, hidden_pair_graph(), {phy::graph_position(0)}, 1);
   // Both stations transmit every slot and never hear each other.
   net.add_station(phy::graph_position(1),
                   std::make_unique<PPersistentStrategy>(1.0, 1.0, false));
@@ -93,7 +93,7 @@ TEST(Station, ConnectedAlignedPairAlwaysCollides) {
   // forever — the degenerate extreme the throughput curve's right edge
   // (Fig. 2) represents.
   WifiParams params;
-  Network net(params, everyone_connected(), {0, 0}, 1);
+  Network net(params, everyone_connected(), {{0, 0}}, 1);
   net.add_station({1, 0},
                   std::make_unique<PPersistentStrategy>(1.0, 1.0, false));
   net.add_station({2, 0},
@@ -107,7 +107,7 @@ TEST(Station, ConnectedAlignedPairAlwaysCollides) {
 
 TEST(Station, ConnectedPairSharesChannelWithModerateP) {
   WifiParams params;
-  Network net(params, everyone_connected(), {0, 0}, 7);
+  Network net(params, everyone_connected(), {{0, 0}}, 7);
   net.add_station({1, 0},
                   std::make_unique<PPersistentStrategy>(0.1, 1.0, false));
   net.add_station({2, 0},
@@ -127,7 +127,7 @@ TEST(Station, ConnectedPairSharesChannelWithModerateP) {
 
 TEST(Station, DeactivationStopsTraffic) {
   WifiParams params;
-  Network net(params, everyone_connected(), {0, 0}, 1);
+  Network net(params, everyone_connected(), {{0, 0}}, 1);
   net.add_station({1, 0},
                   std::make_unique<PPersistentStrategy>(0.5, 1.0, false));
   net.add_station({2, 0},
@@ -151,7 +151,7 @@ TEST(Station, DeactivationStopsTraffic) {
 
 TEST(Station, WTopParamsReachAllStationsViaAcks) {
   WifiParams params;
-  Network net(params, everyone_connected(), {0, 0}, 3);
+  Network net(params, everyone_connected(), {{0, 0}}, 3);
   net.add_station({1, 0},
                   std::make_unique<PPersistentStrategy>(0.1, 1.0, true));
   net.add_station({2, 0},
@@ -181,7 +181,7 @@ TEST(Station, WTopParamsReachAllStationsViaAcks) {
 
 TEST(Station, IdleMeterSeesTransmissions) {
   WifiParams params;
-  Network net(params, everyone_connected(), {0, 0}, 5);
+  Network net(params, everyone_connected(), {{0, 0}}, 5);
   net.add_station({1, 0},
                   std::make_unique<PPersistentStrategy>(0.2, 1.0, false));
   net.add_station({2, 0},
@@ -200,7 +200,7 @@ TEST(Station, ApIdleMeterMatchesStationView) {
   // In a fully connected network the AP and a station observe the same
   // channel, so their idle-slot averages should agree closely.
   WifiParams params;
-  Network net(params, everyone_connected(), {0, 0}, 11);
+  Network net(params, everyone_connected(), {{0, 0}}, 11);
   net.add_station({1, 0},
                   std::make_unique<PPersistentStrategy>(0.05, 1.0, false));
   net.add_station({2, 0},
@@ -215,7 +215,7 @@ TEST(Station, ApIdleMeterMatchesStationView) {
 
 TEST(Network, ValidationErrors) {
   WifiParams params;
-  Network net(params, everyone_connected(), {0, 0}, 1);
+  Network net(params, everyone_connected(), {{0, 0}}, 1);
   EXPECT_THROW(net.start(), std::logic_error);  // before finalize
   net.add_station({1, 0},
                   std::make_unique<PPersistentStrategy>(0.5, 1.0, false));
@@ -232,7 +232,7 @@ TEST(Network, ValidationErrors) {
 TEST(Network, DeterministicAcrossRuns) {
   auto run_once = [] {
     WifiParams params;
-    Network net(params, everyone_connected(), {0, 0}, 99);
+    Network net(params, everyone_connected(), {{0, 0}}, 99);
     for (int i = 0; i < 5; ++i)
       net.add_station({static_cast<double>(i + 1), 0},
                       std::make_unique<PPersistentStrategy>(0.07, 1.0, false));
@@ -247,7 +247,7 @@ TEST(Network, DeterministicAcrossRuns) {
 TEST(Network, SeedChangesOutcome) {
   auto run_with_seed = [](std::uint64_t seed) {
     WifiParams params;
-    Network net(params, everyone_connected(), {0, 0}, seed);
+    Network net(params, everyone_connected(), {{0, 0}}, seed);
     for (int i = 0; i < 5; ++i)
       net.add_station({static_cast<double>(i + 1), 0},
                       std::make_unique<PPersistentStrategy>(0.07, 1.0, false));
